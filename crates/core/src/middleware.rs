@@ -294,30 +294,6 @@ impl Middleware {
         }
     }
 
-    /// Installs `config` with explicit admission-control limits.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Middleware::install_opts` with `InstallOptions` (or \
-                `ExperimentSpec` in dynamid-workload)"
-    )]
-    pub fn install_with_admission(
-        sim: &mut Simulation,
-        config: StandardConfig,
-        db: &Database,
-        app: &dyn Application,
-        costs: CostModel,
-        admission: AdmissionControl,
-    ) -> Middleware {
-        Self::install_opts(
-            sim,
-            config,
-            db,
-            app,
-            costs,
-            InstallOptions { admission, ..InstallOptions::default() },
-        )
-    }
-
     /// Whether span tracing was enabled at install time.
     pub fn tracing(&self) -> bool {
         self.tracing

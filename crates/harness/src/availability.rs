@@ -15,15 +15,15 @@
 //! policy. Fault schedules compile deterministically from the sweep seed:
 //! the whole sweep is bit-reproducible.
 
+use crate::figures::{point_spec, populate, sweep_workload, Benchmark};
+use crate::grid::run_grid;
+use crate::report::{csv, table_head, table_row, Column};
 use crate::HarnessConfig;
 use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{AdmissionControl, CostModel, StandardConfig};
+use dynamid_core::{AdmissionControl, StandardConfig};
 use dynamid_sim::SimDuration;
-use dynamid_workload::{
-    ArrivalProcess, ChaosOptions, ExperimentSpec, FaultSpec, ResilienceConfig, WorkloadConfig,
-};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use dynamid_sqldb::Database;
+use dynamid_workload::{ChaosOptions, FaultSpec, ResilienceConfig, WorkloadConfig};
 
 /// The three architectures the sweep compares, one per paper family:
 /// C1 `WsPhp-DB` (2 machines), C4 `Ws-Servlet-DB` (3 machines), and
@@ -51,6 +51,18 @@ pub fn sweep_admission() -> AdmissionControl {
         web_accept_queue: Some(128),
         db_connections: Some(48),
         db_accept_queue: Some(64),
+    }
+}
+
+/// The fault storm of one intensity under the sweep's admission limits.
+/// The fault seed folds in the intensity rank so ladder points draw
+/// independent schedules, but nothing about the configuration: the same
+/// storm hits every architecture.
+pub(crate) fn sweep_storm(cfg: &HarnessConfig, intensity: f64) -> ChaosOptions {
+    let fault_seed = cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37);
+    ChaosOptions {
+        faults: Some(FaultSpec::at_intensity(fault_seed, intensity)),
+        admission: sweep_admission(),
     }
 }
 
@@ -113,40 +125,17 @@ pub struct AvailabilityData {
 /// points can run in any order or in parallel without changing results.
 fn run_avail_point(
     cfg: &HarnessConfig,
-    base_db: &dynamid_sqldb::Database,
-    config: StandardConfig,
-    intensity: f64,
+    base_db: &Database,
+    (config, intensity): (StandardConfig, f64),
 ) -> AvailabilityPoint {
     let mut db = base_db.clone();
     let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
     let mix = dynamid_bookstore::mixes::shopping();
     let clients = cfg.clients.first().copied().unwrap_or(100);
-    let workload = WorkloadConfig {
-        clients,
-        think_time: cfg.think_time,
-        session_time: cfg.session_time,
-        ramp_up: cfg.ramp_up,
-        measure: cfg.measure,
-        ramp_down: cfg.ramp_down,
-        seed: cfg.seed ^ clients as u64,
-        resilience: sweep_resilience(),
-        arrivals: ArrivalProcess::Closed,
-        timeline_bucket: None,
-    };
-    // The fault seed folds in the intensity rank so ladder points draw
-    // independent schedules, but nothing about the configuration: the same
-    // storm hits every architecture.
-    let fault_seed = cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37);
-    let chaos = ChaosOptions {
-        faults: Some(FaultSpec::at_intensity(fault_seed, intensity)),
-        admission: sweep_admission(),
-    };
-    let r = ExperimentSpec::for_config(config)
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(workload)
-        .policy(cfg.policy)
-        .chaos(chaos)
+    let workload =
+        WorkloadConfig { resilience: sweep_resilience(), ..sweep_workload(cfg, clients) };
+    let r = point_spec(cfg, config, &mix, workload)
+        .chaos(sweep_storm(cfg, intensity))
         .run(&mut db, &app);
     // Every sweep point ends with a consistency audit: after the driver's
     // crash-consistent unwind the surviving database must be exactly
@@ -185,95 +174,56 @@ fn run_avail_point(
 }
 
 /// Runs the full availability sweep over [`AVAILABILITY_CONFIGS`] ×
-/// `intensities`, using the same worker-pool pattern as the figure sweeps
-/// (results are bit-identical for any `--jobs` value).
+/// `intensities` on the shared sweep runner (`run_grid`), each point on a
+/// fresh fork of the populated database (results are bit-identical for any
+/// `--jobs` value).
 pub fn run_availability(cfg: &HarnessConfig, intensities: &[f64]) -> AvailabilityData {
-    let base_db = dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-        .expect("population");
-    let grid: Vec<(usize, usize)> = (0..AVAILABILITY_CONFIGS.len())
-        .flat_map(|ci| (0..intensities.len()).map(move |ii| (ci, ii)))
+    let base_db = populate(Benchmark::Bookstore, cfg.scale, cfg.seed);
+    let cells: Vec<(StandardConfig, f64)> = AVAILABILITY_CONFIGS
+        .iter()
+        .flat_map(|&c| intensities.iter().map(move |&i| (c, i)))
         .collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
-
-    let points: Vec<AvailabilityPoint> = if workers == 1 {
-        grid.iter()
-            .map(|&(ci, ii)| {
-                run_avail_point(cfg, &base_db, AVAILABILITY_CONFIGS[ci], intensities[ii])
-            })
-            .collect()
-    } else {
-        let slots: Mutex<Vec<Option<AvailabilityPoint>>> = Mutex::new(vec![None; grid.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(ci, ii)) = grid.get(i) else { break };
-                    let point =
-                        run_avail_point(cfg, &base_db, AVAILABILITY_CONFIGS[ci], intensities[ii]);
-                    slots.lock().expect("no panics hold the lock")[i] = Some(point);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|p| p.expect("every grid slot filled"))
-            .collect()
-    };
-
+    let points = run_grid(
+        &cells,
+        cfg.effective_jobs(),
+        || (),
+        |(), &cell| run_avail_point(cfg, &base_db, cell),
+    );
     AvailabilityData { intensities: intensities.to_vec(), points }
 }
 
 /// Renders the sweep as CSV (stable column order; used by `repro avail`
 /// and the chaos smoke probe).
 pub fn availability_csv(data: &AvailabilityData) -> String {
-    let mut out = String::from(
-        "config,intensity,offered_ipm,throughput_ipm,goodput_ipm,latency_p99_ms,\
-         timeouts,rejects,aborts,retries,abandoned,deadlocks,shed,breaker_open\n",
-    );
-    for p in &data.points {
-        out.push_str(&format!(
-            "{},{},{:.1},{:.1},{:.1},{:.3},{},{},{},{},{},{},{},{}\n",
-            p.config.paper_name(),
-            p.intensity,
-            p.offered_ipm,
-            p.throughput_ipm,
-            p.goodput_ipm,
-            p.latency_p99_ms,
-            p.timeouts,
-            p.rejects,
-            p.aborts,
-            p.retries,
-            p.abandoned,
-            p.deadlocks,
-            p.shed,
-            p.breaker_open,
-        ));
-    }
-    out
+    const COLUMNS: &[Column<AvailabilityPoint>] = &[
+        ("config", |p| p.config.paper_name().to_string()),
+        ("intensity", |p| p.intensity.to_string()),
+        ("offered_ipm", |p| format!("{:.1}", p.offered_ipm)),
+        ("throughput_ipm", |p| format!("{:.1}", p.throughput_ipm)),
+        ("goodput_ipm", |p| format!("{:.1}", p.goodput_ipm)),
+        ("latency_p99_ms", |p| format!("{:.3}", p.latency_p99_ms)),
+        ("timeouts", |p| p.timeouts.to_string()),
+        ("rejects", |p| p.rejects.to_string()),
+        ("aborts", |p| p.aborts.to_string()),
+        ("retries", |p| p.retries.to_string()),
+        ("abandoned", |p| p.abandoned.to_string()),
+        ("deadlocks", |p| p.deadlocks.to_string()),
+        ("shed", |p| p.shed.to_string()),
+        ("breaker_open", |p| p.breaker_open.to_string()),
+    ];
+    csv(COLUMNS, &data.points)
 }
 
 /// Renders a compact markdown table: goodput (and failure counts) per
 /// configuration per intensity.
 pub fn availability_markdown(data: &AvailabilityData) -> String {
     let mut out = String::from("# Availability sweep: goodput (ipm) vs fault intensity\n\n");
-    out.push_str("| config |");
-    for i in &data.intensities {
-        out.push_str(&format!(" i={i} |"));
-    }
-    out.push_str("\n|---|");
-    for _ in &data.intensities {
-        out.push_str("---|");
-    }
-    out.push('\n');
+    let intensities = data.intensities.iter().map(|i| format!("i={i}"));
+    out.push_str(&table_head(std::iter::once("config".to_string()).chain(intensities)));
     for config in AVAILABILITY_CONFIGS {
-        out.push_str(&format!("| {} |", config.paper_name()));
-        for p in data.points.iter().filter(|p| p.config == config) {
-            out.push_str(&format!(" {:.0} |", p.goodput_ipm));
-        }
-        out.push('\n');
+        let points = data.points.iter().filter(|p| p.config == config);
+        let goodput = points.map(|p| format!("{:.0}", p.goodput_ipm));
+        out.push_str(&table_row(std::iter::once(config.paper_name().to_string()).chain(goodput)));
     }
     out
 }
@@ -282,16 +232,10 @@ pub fn availability_markdown(data: &AvailabilityData) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> HarnessConfig {
-        let mut cfg = HarnessConfig::smoke();
-        cfg.clients = vec![15];
-        cfg.jobs = 1;
-        cfg
-    }
-
     #[test]
     fn sweep_covers_grid_and_zero_intensity_is_clean() {
-        let data = run_availability(&tiny(), &[0.0, 1.0]);
+        let cfg = HarnessConfig { clients: vec![15], ..HarnessConfig::smoke() };
+        let data = run_availability(&cfg, &[0.0, 1.0]);
         assert_eq!(data.points.len(), AVAILABILITY_CONFIGS.len() * 2);
         for config in AVAILABILITY_CONFIGS {
             let clean = data
@@ -316,29 +260,6 @@ mod tests {
             .map(|p| p.timeouts + p.rejects + p.aborts)
             .sum();
         assert!(hostile > 0, "full intensity produced zero failures");
-    }
-
-    #[test]
-    fn sweep_is_deterministic() {
-        let a = run_availability(&tiny(), &[0.0, 0.75]);
-        let b = run_availability(&tiny(), &[0.0, 0.75]);
-        assert_eq!(a, b);
-        assert_eq!(availability_csv(&a), availability_csv(&b));
-    }
-
-    #[test]
-    fn sweep_is_bit_identical_for_any_job_count() {
-        let mut serial = tiny();
-        serial.seed = 42;
-        let mut parallel = serial.clone();
-        parallel.jobs = 4;
-        let a = run_availability(&serial, &[0.0, 0.5, 1.0]);
-        let b = run_availability(&parallel, &[0.0, 0.5, 1.0]);
-        assert_eq!(a, b, "--jobs changed sweep results");
-        assert_eq!(availability_csv(&a), availability_csv(&b));
-        // And a repeat at the same seed replays bit-identically.
-        let c = run_availability(&parallel, &[0.0, 0.5, 1.0]);
-        assert_eq!(availability_csv(&b), availability_csv(&c));
     }
 
     #[test]

@@ -20,13 +20,14 @@
 //! pricing oracle for TTL staleness: sweeping the TTL duration turns the
 //! `audit_violations` column into a staleness-versus-hit-rate curve.
 
+use crate::audit::{audit_auction, audit_bookstore};
+use crate::figures::{default_clients, make_app, point_spec, populate, sweep_workload, Benchmark};
+use crate::grid::run_grid;
+use crate::report::{csv, table_head, table_row, Column};
 use crate::HarnessConfig;
-use dynamid_auction::{Auction, AuctionScale};
-use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope, CostModel, StandardConfig};
-use dynamid_workload::{CacheStats, ExperimentSpec, Mix};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope, StandardConfig};
+use dynamid_sqldb::Database;
+use dynamid_workload::{CacheStats, Mix};
 
 /// The caching policies the sweep ablates over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,8 +97,11 @@ impl CacheWorkload {
         }
     }
 
-    fn is_auction(self) -> bool {
-        !matches!(self, CacheWorkload::BookstoreBrowsing)
+    fn benchmark(self) -> Benchmark {
+        match self {
+            CacheWorkload::BookstoreBrowsing => Benchmark::Bookstore,
+            CacheWorkload::AuctionBrowsing | CacheWorkload::AuctionBidding => Benchmark::Auction,
+        }
     }
 }
 
@@ -219,40 +223,29 @@ impl CacheSweepData {
     }
 }
 
+/// One cache-sweep cell: (workload, configuration, (mode, capacity,
+/// ttl_us) arm, client count).
+type CacheCell = (CacheWorkload, StandardConfig, (CacheMode, usize, u64), usize);
+
 /// Runs one sweep point: fresh database fork, one experiment under the
 /// arm's cache policy, then the consistency audit. Self-contained and
 /// deterministically seeded, so points can run in any order or in parallel
 /// without changing results.
-#[allow(clippy::too_many_arguments)]
 fn run_cache_point(
     cfg: &HarnessConfig,
-    base_db: &dynamid_sqldb::Database,
-    workload: CacheWorkload,
-    config: StandardConfig,
-    mode: CacheMode,
-    capacity: usize,
-    ttl_us: u64,
-    clients: usize,
+    base_db: &Database,
+    (workload, config, (mode, capacity, ttl_us), clients): CacheCell,
 ) -> CachePoint {
     let mut db = base_db.clone();
     let mix = workload.mix();
-    let mut spec = ExperimentSpec::for_config(config)
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(crate::figures::sweep_workload(cfg, clients))
-        .policy(cfg.policy);
+    let mut spec = point_spec(cfg, config, &mix, sweep_workload(cfg, clients));
     if let Some(policy) = mode.policy(capacity, ttl_us) {
         spec = spec.caching(policy);
     }
-    let r = if workload.is_auction() {
-        spec.run(&mut db, &Auction::new(AuctionScale::scaled(cfg.scale)))
-    } else {
-        spec.run(&mut db, &Bookstore::new(BookstoreScale::scaled(cfg.scale)))
-    };
-    let report = if workload.is_auction() {
-        crate::audit::audit_auction(base_db, &db, &r.ledger)
-    } else {
-        crate::audit::audit_bookstore(base_db, &db, &r.ledger)
+    let r = spec.run(&mut db, make_app(workload.benchmark(), cfg.scale).as_ref());
+    let report = match workload.benchmark() {
+        Benchmark::Bookstore => audit_bookstore(base_db, &db, &r.ledger),
+        Benchmark::Auction => audit_auction(base_db, &db, &r.ledger),
     };
     if mode.must_audit_clean() {
         report.assert_clean(&format!(
@@ -309,8 +302,9 @@ pub fn cache_arms(capacities: &[usize], ttls: &[u64]) -> Vec<(CacheMode, usize, 
 
 /// Runs the full cache-ablation sweep over `workloads` × `cfg.configs` ×
 /// ([`CacheMode::Off`] + cached modes × `capacities` × `ttls`) × the
-/// client ladder, using the same worker-pool pattern as the figure sweeps
-/// (results are bit-identical for any `--jobs` value).
+/// client ladder on the shared sweep runner (`run_grid`), each point on a
+/// fresh fork of the populated database (results are bit-identical for any
+/// `--jobs` value).
 ///
 /// # Panics
 ///
@@ -323,113 +317,61 @@ pub fn run_cache_sweep(
     ttls: &[u64],
 ) -> CacheSweepData {
     let clients = if cfg.clients.is_empty() {
-        crate::figures::default_clients(crate::Benchmark::Bookstore)
+        default_clients(Benchmark::Bookstore)
     } else {
         cfg.clients.clone()
     };
     let arms = cache_arms(capacities, ttls);
-    let bookstore_db = dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-        .expect("population");
-    let auction_db = if workloads.iter().any(|w| w.is_auction()) {
-        Some(
-            dynamid_auction::build_db(&AuctionScale::scaled(cfg.scale), cfg.seed)
-                .expect("population"),
-        )
-    } else {
-        None
+    let populated = |b: Benchmark| {
+        workloads.iter().any(|w| w.benchmark() == b).then(|| populate(b, cfg.scale, cfg.seed))
     };
-
-    let grid: Vec<(usize, usize, usize, usize)> = (0..workloads.len())
-        .flat_map(|wi| {
-            let (na, nn, nc) = (arms.len(), clients.len(), cfg.configs.len());
-            (0..nc).flat_map(move |ci| {
-                (0..na).flat_map(move |ai| (0..nn).map(move |ni| (wi, ci, ai, ni)))
-            })
-        })
+    let (bookstore_db, auction_db) =
+        (populated(Benchmark::Bookstore), populated(Benchmark::Auction));
+    let base_of = |w: CacheWorkload| match w.benchmark() {
+        Benchmark::Bookstore => bookstore_db.as_ref(),
+        Benchmark::Auction => auction_db.as_ref(),
+    };
+    let cells: Vec<CacheCell> = workloads
+        .iter()
+        .flat_map(|&w| cfg.configs.iter().map(move |&c| (w, c)))
+        .flat_map(|(w, c)| arms.iter().map(move |&a| (w, c, a)))
+        .flat_map(|(w, c, a)| clients.iter().map(move |&n| (w, c, a, n)))
         .collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
-
-    let run = |i: usize| {
-        let (wi, ci, ai, ni) = grid[i];
-        let workload = workloads[wi];
-        let (mode, capacity, ttl_us) = arms[ai];
-        let base_db = if workload.is_auction() {
-            auction_db.as_ref().expect("auction population built")
-        } else {
-            &bookstore_db
-        };
-        run_cache_point(
-            cfg,
-            base_db,
-            workload,
-            cfg.configs[ci],
-            mode,
-            capacity,
-            ttl_us,
-            clients[ni],
-        )
-    };
-    let points: Vec<CachePoint> = if workers == 1 {
-        (0..grid.len()).map(run).collect()
-    } else {
-        let slots: Mutex<Vec<Option<CachePoint>>> = Mutex::new(vec![None; grid.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= grid.len() {
-                        break;
-                    }
-                    let point = run(i);
-                    slots.lock().expect("no panics hold the lock")[i] = Some(point);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|p| p.expect("every grid slot filled"))
-            .collect()
-    };
-
+    let points = run_grid(
+        &cells,
+        cfg.effective_jobs(),
+        || (),
+        |(), &cell| {
+            run_cache_point(cfg, base_of(cell.0).expect("every swept benchmark is populated"), cell)
+        },
+    );
     CacheSweepData { workloads: workloads.to_vec(), arms, clients, points }
 }
 
 /// Renders the sweep as CSV (stable column order; used by `repro cache`
 /// and byte-compared against `results/golden/cache.csv` by check.sh).
 pub fn cache_csv(data: &CacheSweepData) -> String {
-    let mut out = String::from(
-        "config,workload,mode,capacity,ttl_us,clients,throughput_ipm,latency_p90_ms,\
-         query_hits,query_misses,query_invalidations,query_bypasses,\
-         method_hits,method_misses,method_invalidations,method_bypasses,\
-         audit_checks,audit_violations\n",
-    );
-    for p in &data.points {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.1},{:.3},{},{},{},{},{},{},{},{},{},{}\n",
-            p.config.paper_name(),
-            p.workload.label(),
-            p.mode.label(),
-            p.capacity,
-            p.ttl_us,
-            p.clients,
-            p.throughput_ipm,
-            p.latency_p90_ms,
-            p.cache.query_hits,
-            p.cache.query_misses,
-            p.cache.query_invalidations,
-            p.cache.query_bypasses,
-            p.cache.method.hits,
-            p.cache.method.misses,
-            p.cache.method.invalidations,
-            p.cache.method.bypasses,
-            p.audit_checks,
-            p.audit_violations,
-        ));
-    }
-    out
+    const COLUMNS: &[Column<CachePoint>] = &[
+        ("config", |p| p.config.paper_name().to_string()),
+        ("workload", |p| p.workload.label().to_string()),
+        ("mode", |p| p.mode.label().to_string()),
+        ("capacity", |p| p.capacity.to_string()),
+        ("ttl_us", |p| p.ttl_us.to_string()),
+        ("clients", |p| p.clients.to_string()),
+        ("throughput_ipm", |p| format!("{:.1}", p.throughput_ipm)),
+        ("latency_p90_ms", |p| format!("{:.3}", p.latency_p90_ms)),
+        ("query_hits", |p| p.cache.query_hits.to_string()),
+        ("query_misses", |p| p.cache.query_misses.to_string()),
+        ("query_invalidations", |p| p.cache.query_invalidations.to_string()),
+        ("query_bypasses", |p| p.cache.query_bypasses.to_string()),
+        ("method_hits", |p| p.cache.method.hits.to_string()),
+        ("method_misses", |p| p.cache.method.misses.to_string()),
+        ("method_invalidations", |p| p.cache.method.invalidations.to_string()),
+        ("method_bypasses", |p| p.cache.method.bypasses.to_string()),
+        ("audit_checks", |p| p.audit_checks.to_string()),
+        ("audit_violations", |p| p.audit_violations.to_string()),
+    ];
+    csv(COLUMNS, &data.points)
 }
 
 /// Renders the headline comparison as markdown: per workload and
@@ -441,43 +383,38 @@ pub fn cache_markdown(data: &CacheSweepData) -> String {
     let mut out =
         String::from("# Cache ablation: throughput (ipm) at the largest client count\n\n");
     let Some(&peak) = data.clients.last() else { return out };
-    for &workload in &data.workloads {
-        out.push_str(&format!("## {} at {peak} clients\n\n| config |", workload.label()));
-        for &(mode, cap, ttl) in &data.arms {
-            match mode {
-                CacheMode::Off => out.push_str(" off |"),
-                CacheMode::Ttl => out.push_str(&format!(" ttl@{cap}/{:.2}s |", ttl as f64 / 1e6)),
-                CacheMode::Transactional => out.push_str(&format!(" txn@{cap} |")),
-            }
-        }
-        out.push_str(" txn uplift |\n|---|");
-        for _ in &data.arms {
-            out.push_str("---|");
-        }
-        out.push_str("---|\n");
+    // The configurations swept on one workload, in grid order.
+    let configs_of = |workload: CacheWorkload| {
         let mut configs: Vec<StandardConfig> = Vec::new();
-        for p in &data.points {
-            if p.workload == workload && !configs.contains(&p.config) {
+        for p in data.points.iter().filter(|p| p.workload == workload) {
+            if !configs.contains(&p.config) {
                 configs.push(p.config);
             }
         }
-        for &config in &configs {
-            out.push_str(&format!("| {} |", config.paper_name()));
-            for &(mode, cap, ttl) in &data.arms {
-                match data.point(workload, config, mode, cap, ttl, peak) {
-                    Some(p) => out.push_str(&format!(" {:.0} |", p.throughput_ipm)),
-                    None => out.push_str(" - |"),
-                }
-            }
+        configs
+    };
+    for &workload in &data.workloads {
+        out.push_str(&format!("## {} at {peak} clients\n\n", workload.label()));
+        let arms = data.arms.iter().map(|&(mode, cap, ttl)| match mode {
+            CacheMode::Off => "off".to_string(),
+            CacheMode::Ttl => format!("ttl@{cap}/{:.2}s", ttl as f64 / 1e6),
+            CacheMode::Transactional => format!("txn@{cap}"),
+        });
+        let head = std::iter::once("config".to_string()).chain(arms);
+        out.push_str(&table_head(head.chain(["txn uplift".to_string()])));
+        for config in configs_of(workload) {
+            let ipm = data.arms.iter().map(|&(mode, cap, ttl)| {
+                let p = data.point(workload, config, mode, cap, ttl, peak);
+                p.map_or("-".to_string(), |p| format!("{:.0}", p.throughput_ipm))
+            });
             let off = data.best_at_peak_clients(workload, config, CacheMode::Off).unwrap_or(0.0);
             let txn = data
                 .best_at_peak_clients(workload, config, CacheMode::Transactional)
                 .unwrap_or(0.0);
-            if off > 0.0 {
-                out.push_str(&format!(" {:+.0}% |\n", (txn / off - 1.0) * 100.0));
-            } else {
-                out.push_str(" - |\n");
-            }
+            let uplift =
+                if off > 0.0 { format!("{:+.0}%", (txn / off - 1.0) * 100.0) } else { "-".into() };
+            let row = std::iter::once(config.paper_name().to_string()).chain(ipm);
+            out.push_str(&table_row(row.chain([uplift])));
         }
         out.push('\n');
     }
@@ -486,16 +423,10 @@ pub fn cache_markdown(data: &CacheSweepData) -> String {
     // territory.)
     let wl = CacheWorkload::BookstoreBrowsing;
     let ejb = StandardConfig::EjbFourTier;
-    let mut configs: Vec<StandardConfig> = Vec::new();
-    for p in &data.points {
-        if p.workload == wl && !configs.contains(&p.config) {
-            configs.push(p.config);
-        }
-    }
-    let servlet_best = configs
-        .iter()
-        .filter(|c| !matches!(c, StandardConfig::EjbFourTier))
-        .filter_map(|&c| data.best_at_peak_clients(wl, c, CacheMode::Off).map(|t| (c, t)))
+    let servlet_best = configs_of(wl)
+        .into_iter()
+        .filter(|&c| c != ejb)
+        .filter_map(|c| data.best_at_peak_clients(wl, c, CacheMode::Off).map(|t| (c, t)))
         .max_by(|a, b| a.1.total_cmp(&b.1));
     if let (Some(off), Some(txn), Some((sc, st))) = (
         data.best_at_peak_clients(wl, ejb, CacheMode::Off),
@@ -520,17 +451,14 @@ pub fn cache_markdown(data: &CacheSweepData) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> HarnessConfig {
-        let mut cfg = HarnessConfig::smoke();
-        cfg.configs = vec![StandardConfig::PhpColocated, StandardConfig::EjbFourTier];
-        cfg.clients = vec![10];
-        cfg.jobs = 1;
-        cfg
-    }
-
     #[test]
     fn sweep_covers_grid_and_caches_actually_hit() {
-        let data = run_cache_sweep(&tiny(), &CACHE_WORKLOADS, &[1024], &[CACHE_TTL_MICROS]);
+        let cfg = HarnessConfig {
+            configs: vec![StandardConfig::PhpColocated, StandardConfig::EjbFourTier],
+            clients: vec![10],
+            ..HarnessConfig::smoke()
+        };
+        let data = run_cache_sweep(&cfg, &CACHE_WORKLOADS, &[1024], &[CACHE_TTL_MICROS]);
         // 3 workloads × 2 configs × (off + ttl×1 + txn×1) × 1 client count.
         assert_eq!(data.points.len(), 3 * 2 * 3);
         for p in &data.points {
@@ -593,17 +521,5 @@ mod tests {
             CacheInvalidation::Ttl(100)
         );
         assert_eq!(CacheMode::Off.policy(64, 100), None);
-    }
-
-    #[test]
-    fn sweep_is_bit_identical_for_any_job_count() {
-        let serial = tiny();
-        let mut parallel = serial.clone();
-        parallel.jobs = 4;
-        let workloads = [CacheWorkload::BookstoreBrowsing, CacheWorkload::AuctionBidding];
-        let a = run_cache_sweep(&serial, &workloads, &[256], &DEFAULT_CACHE_TTLS);
-        let b = run_cache_sweep(&parallel, &workloads, &[256], &DEFAULT_CACHE_TTLS);
-        assert_eq!(a, b, "--jobs changed cache sweep results");
-        assert_eq!(cache_csv(&a), cache_csv(&b));
     }
 }

@@ -16,14 +16,16 @@
 //! replica is promoted and takes the writes. Every point ends with the
 //! consistency audit — whatever the crash interrupted must have unwound.
 
-use crate::availability::{sweep_admission, sweep_resilience};
+use crate::availability::{sweep_admission, sweep_resilience, sweep_storm};
+use crate::figures::{point_spec, populate, sweep_workload, Benchmark};
+use crate::grid::run_grid;
+use crate::report::{csv, table_head, table_row, Column};
 use crate::HarnessConfig;
 use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{CostModel, ReplicaPolicy, StandardConfig};
+use dynamid_core::{ReplicaPolicy, StandardConfig};
 use dynamid_sim::SimDuration;
-use dynamid_workload::{ArrivalProcess, ChaosOptions, ExperimentSpec, FaultSpec, WorkloadConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use dynamid_sqldb::Database;
+use dynamid_workload::WorkloadConfig;
 
 /// The architectures the sweep compares (same family as the availability
 /// sweep): C1 `WsPhp-DB`, C4 `Ws-Servlet-DB`, C6 `Ws-Servlet-EJB-DB`.
@@ -149,43 +151,23 @@ impl FailoverData {
 /// points can run in any order or in parallel without changing results.
 fn run_failover_point(
     cfg: &HarnessConfig,
-    base_db: &dynamid_sqldb::Database,
-    config: StandardConfig,
-    replicas: usize,
-    intensity: f64,
+    base_db: &Database,
+    (config, replicas, intensity): (StandardConfig, usize, f64),
 ) -> FailoverPoint {
     let mut db = base_db.clone();
     let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
     let mix = dynamid_bookstore::mixes::shopping();
     let clients = cfg.clients.first().copied().unwrap_or(100);
-    let workload = WorkloadConfig {
-        clients,
-        think_time: cfg.think_time,
-        session_time: cfg.session_time,
-        ramp_up: cfg.ramp_up,
-        measure: cfg.measure,
-        ramp_down: cfg.ramp_down,
-        seed: cfg.seed ^ clients as u64,
-        resilience: sweep_resilience(),
-        arrivals: ArrivalProcess::Closed,
-        timeline_bucket: None,
-    };
-    let mut spec = ExperimentSpec::for_config(config)
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(workload)
-        .policy(cfg.policy)
+    let workload =
+        WorkloadConfig { resilience: sweep_resilience(), ..sweep_workload(cfg, clients) };
+    let mut spec = point_spec(cfg, config, &mix, workload)
         .admission(sweep_admission())
         .kill_primary(kill_at(cfg), kill_outage(cfg));
     if intensity > 0.0 {
         // The same intensity rank draws the same storm whatever the
         // architecture or replica count: per-machine forked streams mean
         // adding replicas never perturbs the other machines' schedules.
-        let fault_seed = cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37);
-        spec = spec.chaos(ChaosOptions {
-            faults: Some(FaultSpec::at_intensity(fault_seed, intensity)),
-            admission: sweep_admission(),
-        });
+        spec = spec.chaos(sweep_storm(cfg, intensity));
     }
     if replicas > 0 {
         spec = spec.replication(sweep_policy(replicas));
@@ -198,7 +180,9 @@ fn run_failover_point(
         "{} with {replicas} replicas at intensity {intensity}",
         config.paper_name()
     ));
-    let rep = r.replication.unwrap_or_default_report();
+    let rep = r.replication.unwrap_or_default();
+    let failover_latency_ms =
+        rep.first_failover_latency().map_or(0.0, |d| d.as_micros() as f64 / 1_000.0);
     if cfg.verbose {
         eprintln!(
             "  {:<22} replicas={} intensity={:<5} goodput={:>8.0} ipm \
@@ -207,9 +191,9 @@ fn run_failover_point(
             replicas,
             intensity,
             r.goodput_ipm,
-            rep.1,
-            rep.0.fences,
-            rep.0.catchups,
+            failover_latency_ms,
+            rep.stats.fences,
+            rep.stats.catchups,
         );
     }
     FailoverPoint {
@@ -221,10 +205,10 @@ fn run_failover_point(
         goodput_ipm: r.goodput_ipm,
         latency_p99_ms: r.latency_p99.as_micros() as f64 / 1_000.0,
         failovers: r.errors.failovers,
-        failover_latency_ms: rep.1,
-        elections_failed: rep.0.failed_elections,
-        fences: rep.0.fences,
-        catchups: rep.0.catchups,
+        failover_latency_ms,
+        elections_failed: rep.stats.failed_elections,
+        fences: rep.stats.fences,
+        catchups: rep.stats.catchups,
         timeouts: r.errors.timeouts,
         rejects: r.errors.rejects,
         aborts: r.errors.aborts,
@@ -234,114 +218,51 @@ fn run_failover_point(
     }
 }
 
-/// Helper: stats + first failover latency (ms), zeros for baseline rows.
-trait ReportExt {
-    fn unwrap_or_default_report(self) -> (dynamid_core::ReplicationStats, f64);
-}
-
-impl ReportExt for Option<dynamid_workload::ReplicationReport> {
-    fn unwrap_or_default_report(self) -> (dynamid_core::ReplicationStats, f64) {
-        match self {
-            Some(rep) => {
-                let ms = rep
-                    .first_failover_latency()
-                    .map(|d| d.as_micros() as f64 / 1_000.0)
-                    .unwrap_or(0.0);
-                (rep.stats, ms)
-            }
-            None => (dynamid_core::ReplicationStats::default(), 0.0),
-        }
-    }
-}
-
 /// Runs the full failover sweep over [`FAILOVER_CONFIGS`] × `replicas` ×
-/// `intensities`, using the same worker-pool pattern as the figure sweeps
-/// (results are bit-identical for any `--jobs` value).
+/// `intensities` on the shared sweep runner (`run_grid`), each point on a
+/// fresh fork of the populated database (results are bit-identical for any
+/// `--jobs` value).
 pub fn run_failover(cfg: &HarnessConfig, replicas: &[usize], intensities: &[f64]) -> FailoverData {
-    let base_db = dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-        .expect("population");
-    let grid: Vec<(usize, usize, usize)> = (0..FAILOVER_CONFIGS.len())
-        .flat_map(|ci| {
-            (0..replicas.len())
-                .flat_map(move |ri| (0..intensities.len()).map(move |ii| (ci, ri, ii)))
+    let base_db = populate(Benchmark::Bookstore, cfg.scale, cfg.seed);
+    let cells: Vec<(StandardConfig, usize, f64)> = FAILOVER_CONFIGS
+        .iter()
+        .flat_map(|&c| {
+            replicas.iter().flat_map(move |&r| intensities.iter().map(move |&i| (c, r, i)))
         })
         .collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
-
-    let points: Vec<FailoverPoint> = if workers == 1 {
-        grid.iter()
-            .map(|&(ci, ri, ii)| {
-                run_failover_point(
-                    cfg,
-                    &base_db,
-                    FAILOVER_CONFIGS[ci],
-                    replicas[ri],
-                    intensities[ii],
-                )
-            })
-            .collect()
-    } else {
-        let slots: Mutex<Vec<Option<FailoverPoint>>> = Mutex::new(vec![None; grid.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(ci, ri, ii)) = grid.get(i) else { break };
-                    let point = run_failover_point(
-                        cfg,
-                        &base_db,
-                        FAILOVER_CONFIGS[ci],
-                        replicas[ri],
-                        intensities[ii],
-                    );
-                    slots.lock().expect("no panics hold the lock")[i] = Some(point);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|p| p.expect("every grid slot filled"))
-            .collect()
-    };
-
+    let points = run_grid(
+        &cells,
+        cfg.effective_jobs(),
+        || (),
+        |(), &cell| run_failover_point(cfg, &base_db, cell),
+    );
     FailoverData { replicas: replicas.to_vec(), intensities: intensities.to_vec(), points }
 }
 
 /// Renders the sweep as CSV (stable column order; used by `repro failover`
 /// and the check gate's golden comparison).
 pub fn failover_csv(data: &FailoverData) -> String {
-    let mut out = String::from(
-        "config,replicas,intensity,offered_ipm,throughput_ipm,goodput_ipm,latency_p99_ms,\
-         failovers,failover_latency_ms,elections_failed,fences,catchups,\
-         timeouts,rejects,aborts,retries,abandoned,deadlocks\n",
-    );
-    for p in &data.points {
-        out.push_str(&format!(
-            "{},{},{},{:.1},{:.1},{:.1},{:.3},{},{:.3},{},{},{},{},{},{},{},{},{}\n",
-            p.config.paper_name(),
-            p.replicas,
-            p.intensity,
-            p.offered_ipm,
-            p.throughput_ipm,
-            p.goodput_ipm,
-            p.latency_p99_ms,
-            p.failovers,
-            p.failover_latency_ms,
-            p.elections_failed,
-            p.fences,
-            p.catchups,
-            p.timeouts,
-            p.rejects,
-            p.aborts,
-            p.retries,
-            p.abandoned,
-            p.deadlocks,
-        ));
-    }
-    out
+    const COLUMNS: &[Column<FailoverPoint>] = &[
+        ("config", |p| p.config.paper_name().to_string()),
+        ("replicas", |p| p.replicas.to_string()),
+        ("intensity", |p| p.intensity.to_string()),
+        ("offered_ipm", |p| format!("{:.1}", p.offered_ipm)),
+        ("throughput_ipm", |p| format!("{:.1}", p.throughput_ipm)),
+        ("goodput_ipm", |p| format!("{:.1}", p.goodput_ipm)),
+        ("latency_p99_ms", |p| format!("{:.3}", p.latency_p99_ms)),
+        ("failovers", |p| p.failovers.to_string()),
+        ("failover_latency_ms", |p| format!("{:.3}", p.failover_latency_ms)),
+        ("elections_failed", |p| p.elections_failed.to_string()),
+        ("fences", |p| p.fences.to_string()),
+        ("catchups", |p| p.catchups.to_string()),
+        ("timeouts", |p| p.timeouts.to_string()),
+        ("rejects", |p| p.rejects.to_string()),
+        ("aborts", |p| p.aborts.to_string()),
+        ("retries", |p| p.retries.to_string()),
+        ("abandoned", |p| p.abandoned.to_string()),
+        ("deadlocks", |p| p.deadlocks.to_string()),
+    ];
+    csv(COLUMNS, &data.points)
 }
 
 /// Renders a compact markdown table: goodput per configuration per replica
@@ -349,25 +270,18 @@ pub fn failover_csv(data: &FailoverData) -> String {
 pub fn failover_markdown(data: &FailoverData) -> String {
     let mut out =
         String::from("# Failover sweep: goodput (ipm) under a mid-measurement primary kill\n\n");
-    out.push_str("| config | replicas |");
-    for i in &data.intensities {
-        out.push_str(&format!(" storm={i} |"));
-    }
-    out.push_str("\n|---|---|");
-    for _ in &data.intensities {
-        out.push_str("---|");
-    }
-    out.push('\n');
+    let storms = data.intensities.iter().map(|i| format!("storm={i}"));
+    out.push_str(&table_head(
+        ["config".to_string(), "replicas".to_string()].into_iter().chain(storms),
+    ));
     for config in FAILOVER_CONFIGS {
         for &n in &data.replicas {
-            out.push_str(&format!("| {} | {} |", config.paper_name(), n));
-            for &i in &data.intensities {
-                match data.point(config, n, i) {
-                    Some(p) => out.push_str(&format!(" {:.0} |", p.goodput_ipm)),
-                    None => out.push_str(" - |"),
-                }
-            }
-            out.push('\n');
+            let goodput = data.intensities.iter().map(|&i| {
+                data.point(config, n, i)
+                    .map_or("-".to_string(), |p| format!("{:.0}", p.goodput_ipm))
+            });
+            let row = [config.paper_name().to_string(), n.to_string()].into_iter().chain(goodput);
+            out.push_str(&table_row(row));
         }
     }
     let violations = data.baseline_violations();
@@ -386,16 +300,10 @@ pub fn failover_markdown(data: &FailoverData) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> HarnessConfig {
-        let mut cfg = HarnessConfig::smoke();
-        cfg.clients = vec![15];
-        cfg.jobs = 1;
-        cfg
-    }
-
     #[test]
     fn pinned_kill_fails_over_and_beats_the_baseline() {
-        let data = run_failover(&tiny(), &[0, 2], &[0.0]);
+        let cfg = HarnessConfig { clients: vec![15], ..HarnessConfig::smoke() };
+        let data = run_failover(&cfg, &[0, 2], &[0.0]);
         assert_eq!(data.points.len(), FAILOVER_CONFIGS.len() * 2);
         for config in FAILOVER_CONFIGS {
             let base = data.point(config, 0, 0.0).expect("baseline point");
@@ -414,20 +322,6 @@ mod tests {
             "replicated goodput lost to the raw outage: {:?}",
             data.baseline_violations()
         );
-    }
-
-    #[test]
-    fn sweep_is_bit_identical_for_any_job_count() {
-        let mut serial = tiny();
-        serial.seed = 42;
-        let mut parallel = serial.clone();
-        parallel.jobs = 4;
-        let a = run_failover(&serial, &[0, 1], &[0.0, 0.5]);
-        let b = run_failover(&parallel, &[0, 1], &[0.0, 0.5]);
-        assert_eq!(a, b, "--jobs changed sweep results");
-        assert_eq!(failover_csv(&a), failover_csv(&b));
-        let c = run_failover(&parallel, &[0, 1], &[0.0, 0.5]);
-        assert_eq!(failover_csv(&b), failover_csv(&c));
     }
 
     #[test]

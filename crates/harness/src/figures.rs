@@ -1,15 +1,14 @@
 //! The paper's experiment catalog: one entry per throughput/CPU figure
 //! pair, plus the sweep runner that regenerates them.
 
+use crate::grid::run_grid;
 use crate::HarnessConfig;
 use dynamid_auction::{Auction, AuctionScale};
 use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{Application, CostModel, StandardConfig};
+use dynamid_core::{Application, StandardConfig};
 use dynamid_sim::EngineStats;
 use dynamid_sqldb::Database;
 use dynamid_workload::{ArrivalProcess, ExperimentResult, ExperimentSpec, Mix, WorkloadConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Which benchmark application a figure uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,6 +225,17 @@ pub fn default_clients(benchmark: Benchmark) -> Vec<usize> {
     }
 }
 
+/// Builds the populated database of `benchmark`. It depends only on the
+/// benchmark, scale and seed, never on the deployment, so one build serves
+/// every point of a sweep.
+pub(crate) fn populate(benchmark: Benchmark, scale: f64, seed: u64) -> Database {
+    match benchmark {
+        Benchmark::Bookstore => dynamid_bookstore::build_db(&BookstoreScale::scaled(scale), seed),
+        Benchmark::Auction => dynamid_auction::build_db(&AuctionScale::scaled(scale), seed),
+    }
+    .expect("population")
+}
+
 /// Builds a fresh application instance for one experiment point.
 ///
 /// Applications hold per-run state and are not shareable across threads,
@@ -238,9 +248,11 @@ pub(crate) fn make_app(benchmark: Benchmark, scale: f64) -> Box<dyn Application>
     }
 }
 
-/// The workload phases for one sweep point: harness phase lengths with
-/// the point seed derived only from the master seed and the client count.
-pub(crate) fn sweep_workload(cfg: &HarnessConfig, clients: usize) -> WorkloadConfig {
+/// The workload of one closed-loop sweep point: the harness's think time,
+/// session time and phase lengths, with the point seed derived only from
+/// the master seed and the client count. The other sweeps start from it
+/// and override what they change.
+pub fn sweep_workload(cfg: &HarnessConfig, clients: usize) -> WorkloadConfig {
     WorkloadConfig {
         clients,
         think_time: cfg.think_time,
@@ -253,6 +265,18 @@ pub(crate) fn sweep_workload(cfg: &HarnessConfig, clients: usize) -> WorkloadCon
         arrivals: ArrivalProcess::Closed,
         timeline_bucket: None,
     }
+}
+
+/// The spec every sweep point starts from: `config` running `mix` under
+/// `workload` with the harness's lock grant policy and the default cost
+/// model. Each sweep adds its own knobs.
+pub(crate) fn point_spec<'a>(
+    cfg: &HarnessConfig,
+    config: StandardConfig,
+    mix: &'a Mix,
+    workload: WorkloadConfig,
+) -> ExperimentSpec<'a> {
+    ExperimentSpec::for_config(config).mix(mix).workload(workload).policy(cfg.policy)
 }
 
 /// Runs one (configuration, client count) point of a sweep.
@@ -275,11 +299,7 @@ fn run_point(
 ) -> CurvePoint {
     let stats_before = db.stats();
     let app = make_app(pair.benchmark, cfg.scale);
-    let result = ExperimentSpec::for_config(config)
-        .mix(mix)
-        .costs(CostModel::default())
-        .workload(sweep_workload(cfg, n))
-        .policy(cfg.policy)
+    let result = point_spec(cfg, config, mix, sweep_workload(cfg, n))
         .defer_unwind(true)
         .run(db, app.as_ref());
     if cfg.verbose {
@@ -300,9 +320,8 @@ fn run_point(
 
 /// Runs the full sweep for one figure pair.
 ///
-/// The (configuration × client count) grid is executed by
-/// [`HarnessConfig::jobs`] worker threads pulling points off a shared
-/// queue; every point is independent and deterministically seeded, so the
+/// The (configuration × client count) grid runs on [`HarnessConfig::jobs`]
+/// workers of the shared sweep runner (`run_grid`); every point is independent and deterministically seeded, so the
 /// returned curves are bit-identical regardless of thread count — `--jobs
 /// 1` and `--jobs 8` produce the same [`FigureData`]. Points are returned
 /// in sweep order (configurations in `cfg.configs` order, client counts
@@ -311,22 +330,9 @@ pub fn run_figure(pair: FigurePair, cfg: &HarnessConfig) -> FigureData {
     let clients =
         if cfg.clients.is_empty() { default_clients(pair.benchmark) } else { cfg.clients.clone() };
     let mix = mix_for(&pair);
-
-    // The populated database depends only on benchmark, scale, and seed —
-    // never on the deployment configuration — so one build serves every
-    // point via cloning.
-    let base_db: Database = match pair.benchmark {
-        Benchmark::Bookstore => {
-            dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-                .expect("population")
-        }
-        Benchmark::Auction => dynamid_auction::build_db(&AuctionScale::scaled(cfg.scale), cfg.seed)
-            .expect("population"),
-    };
-
-    let grid: Vec<(usize, usize)> =
-        (0..cfg.configs.len()).flat_map(|ci| (0..clients.len()).map(move |ni| (ci, ni))).collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
+    let base_db = populate(pair.benchmark, cfg.scale, cfg.seed);
+    let cells: Vec<(StandardConfig, usize)> =
+        cfg.configs.iter().flat_map(|&c| clients.iter().map(move |&n| (c, n))).collect();
 
     // Each worker holds ONE copy-on-write fork of the base database for its
     // whole lifetime and rewinds it to pristine between points, so the
@@ -336,42 +342,22 @@ pub fn run_figure(pair: FigurePair, cfg: &HarnessConfig) -> FigureData {
     // in-flight abort's rollback) poisons the journal; the worker then
     // discards the fork and re-clones — correctness never depends on
     // approximate unwinding.
-    let run_worker = |next: &AtomicUsize, slots: &Mutex<Vec<Option<CurvePoint>>>| {
+    let fork = || {
         let mut db = base_db.clone();
         db.begin_rewind();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&(ci, ni)) = grid.get(i) else { break };
-            let point = run_point(&pair, cfg, &mut db, &mix, cfg.configs[ci], clients[ni]);
-            if !db.rewind() {
-                db = base_db.clone();
-                db.begin_rewind();
-            }
-            debug_assert!(
-                db.same_data(&base_db),
-                "rewind must restore the pristine populated database"
-            );
-            slots.lock().expect("no panics hold the lock")[i] = Some(point);
-        }
+        db
     };
-
-    let slots: Mutex<Vec<Option<CurvePoint>>> = Mutex::new(vec![None; grid.len()]);
-    let next = AtomicUsize::new(0);
-    if workers == 1 {
-        run_worker(&next, &slots);
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| run_worker(&next, &slots));
-            }
-        });
-    }
-    let points: Vec<CurvePoint> = slots
-        .into_inner()
-        .expect("workers joined")
-        .into_iter()
-        .map(|p| p.expect("every grid slot filled"))
-        .collect();
+    let points = run_grid(&cells, cfg.effective_jobs(), fork, |db, &(config, n)| {
+        let point = run_point(&pair, cfg, db, &mix, config, n);
+        if !db.rewind() {
+            *db = fork();
+        }
+        debug_assert!(
+            db.same_data(&base_db),
+            "rewind must restore the pristine populated database"
+        );
+        point
+    });
 
     let mut points = points.into_iter();
     let curves = cfg
@@ -428,19 +414,5 @@ mod tests {
             }
         }
         assert!(data.curve(cfg.configs[0]).is_some());
-    }
-
-    /// A multi-threaded sweep must be bit-identical to the sequential
-    /// one: every point is independent and deterministically seeded, so
-    /// thread count only changes wall-clock time.
-    #[test]
-    fn parallel_sweep_matches_sequential() {
-        let mut cfg = HarnessConfig::smoke();
-        let pair = find_figure("fig05").unwrap();
-        cfg.jobs = 1;
-        let sequential = run_figure(pair, &cfg);
-        cfg.jobs = 4;
-        let parallel = run_figure(pair, &cfg);
-        assert_eq!(sequential, parallel);
     }
 }

@@ -26,6 +26,7 @@ pub mod availability;
 pub mod cache_sweep;
 pub mod failover;
 pub mod figures;
+mod grid;
 pub mod overload;
 pub mod report;
 pub mod trace_run;
@@ -49,9 +50,9 @@ pub use figures::{
     FigurePair, FIGURES,
 };
 pub use overload::{
-    overload_csv, overload_markdown, run_overload, run_overload_configs, OverloadData,
-    OverloadMode, OverloadPoint, BASE_RATE_FRACTION, DEFAULT_SPIKE_MULTS,
-    FRONT_ENDED_OVERLOAD_CONFIGS, OVERLOAD_CONFIGS, OVERLOAD_MODES,
+    overload_csv, overload_markdown, run_overload_configs, OverloadData, OverloadMode,
+    OverloadPoint, BASE_RATE_FRACTION, DEFAULT_SPIKE_MULTS, FRONT_ENDED_OVERLOAD_CONFIGS,
+    OVERLOAD_CONFIGS, OVERLOAD_MODES,
 };
 pub use trace_run::{default_trace_clients, run_traced, TracedRun, CPU_SHARE_TOLERANCE};
 

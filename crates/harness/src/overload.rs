@@ -29,15 +29,17 @@
 //! [`ArrivalProcess::FlashCrowd`]: dynamid_workload::ArrivalProcess
 //! [`TimelineBucket`]: dynamid_workload::TimelineBucket
 
+use crate::figures::{point_spec, populate, sweep_workload, Benchmark};
+use crate::grid::run_grid;
+use crate::report::{csv, table_head, table_row, Column};
 use crate::HarnessConfig;
 use dynamid_bookstore::{Bookstore, BookstoreScale};
-use dynamid_core::{AdmissionControl, BreakerPolicy, CostModel, OverloadControl, StandardConfig};
+use dynamid_core::{AdmissionControl, BreakerPolicy, OverloadControl, StandardConfig};
 use dynamid_sim::SimDuration;
+use dynamid_sqldb::Database;
 use dynamid_workload::{
-    ArrivalProcess, ExperimentSpec, ResilienceConfig, RetryBudget, TimelineBucket, WorkloadConfig,
+    ArrivalProcess, ResilienceConfig, RetryBudget, TimelineBucket, WorkloadConfig,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// The architectures the default sweep compares (same trio as the
 /// availability sweep): C1 `WsPhp-DB`, C4 `Ws-Servlet-DB`, C6
@@ -241,7 +243,7 @@ fn phase_goodput_ipm(timeline: &[TimelineBucket], from_sec: u64, to_sec: u64) ->
 /// (deadlock victims in write-heavy mixes) that exists at any load.
 fn probe_sustains(
     cfg: &HarnessConfig,
-    base_db: &dynamid_sqldb::Database,
+    base_db: &Database,
     config: StandardConfig,
     rate: f64,
 ) -> bool {
@@ -249,28 +251,15 @@ fn probe_sustains(
     let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
     let mix = dynamid_bookstore::mixes::shopping();
     let workload = WorkloadConfig {
-        clients: 0,
-        think_time: cfg.think_time,
-        session_time: cfg.session_time,
         ramp_up: SimDuration::from_secs(2),
         measure: SimDuration::from_secs(8),
         ramp_down: SimDuration::from_secs(1),
         seed: cfg.seed ^ 0xCA11_B8A7E,
-        resilience: ResilienceConfig {
-            request_timeout: Some(SimDuration::from_secs(2)),
-            max_retries: 0,
-            backoff_base: SimDuration::from_millis(250),
-            backoff_cap: SimDuration::from_secs(1),
-            retry_budget: None,
-        },
+        resilience: ResilienceConfig { max_retries: 0, ..overload_resilience(OverloadMode::Naive) },
         arrivals: ArrivalProcess::Poisson { rate_per_sec: rate },
-        timeline_bucket: None,
+        ..sweep_workload(cfg, 0)
     };
-    let r = ExperimentSpec::for_config(config)
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(workload)
-        .policy(cfg.policy)
+    let r = point_spec(cfg, config, &mix, workload)
         .admission(overload_admission())
         .defer_unwind(true)
         .run(&mut db, &app);
@@ -292,11 +281,7 @@ fn probe_sustains(
 /// contention under a large closed population inflates latency and
 /// understates how much open-loop traffic the deployment absorbs.
 /// Deterministic, so the calibrated base rates are reproducible.
-fn calibrate_capacity_ips(
-    cfg: &HarnessConfig,
-    base_db: &dynamid_sqldb::Database,
-    config: StandardConfig,
-) -> f64 {
+fn calibrate_capacity_ips(cfg: &HarnessConfig, base_db: &Database, config: StandardConfig) -> f64 {
     let mut last_ok = 4.0;
     let mut rate = 8.0;
     while rate <= 2048.0 && probe_sustains(cfg, base_db, config, rate) {
@@ -310,20 +295,14 @@ fn calibrate_capacity_ips(
 /// points can run in any order or in parallel without changing results.
 fn run_overload_point(
     cfg: &HarnessConfig,
-    base_db: &dynamid_sqldb::Database,
-    config: StandardConfig,
-    capacity_ips: f64,
-    mode: OverloadMode,
-    spike_mult: f64,
+    base_db: &Database,
+    (config, capacity_ips, mode, spike_mult): (StandardConfig, f64, OverloadMode, f64),
 ) -> OverloadPoint {
     let mut db = base_db.clone();
     let app = Bookstore::new(BookstoreScale::scaled(cfg.scale));
     let mix = dynamid_bookstore::mixes::shopping();
     let base_rps = BASE_RATE_FRACTION * capacity_ips;
     let workload = WorkloadConfig {
-        clients: 0, // open loop: slots grow on demand
-        think_time: cfg.think_time,
-        session_time: cfg.session_time,
         ramp_up: SimDuration::from_secs(RAMP_UP_SECS),
         measure: SimDuration::from_secs(MEASURE_SECS),
         ramp_down: SimDuration::from_secs(RAMP_DOWN_SECS),
@@ -340,12 +319,9 @@ fn run_overload_point(
             ramp_down: SimDuration::from_secs(SPIKE_RAMP_SECS),
         },
         timeline_bucket: Some(SimDuration::from_secs(1)),
+        ..sweep_workload(cfg, 0) // open loop: client slots grow on demand
     };
-    let r = ExperimentSpec::for_config(config)
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(workload)
-        .policy(cfg.policy)
+    let r = point_spec(cfg, config, &mix, workload)
         .admission(overload_admission())
         .overload(overload_control(mode))
         .run(&mut db, &app);
@@ -394,24 +370,17 @@ fn run_overload_point(
     }
 }
 
-/// Runs the full flash-crowd sweep over [`OVERLOAD_CONFIGS`] ×
-/// [`OVERLOAD_MODES`] × `spike_mults`. Shorthand for
-/// [`run_overload_configs`] on the default trio.
-pub fn run_overload(cfg: &HarnessConfig, spike_mults: &[f64]) -> OverloadData {
-    run_overload_configs(cfg, &OVERLOAD_CONFIGS, spike_mults)
-}
-
 /// Runs the flash-crowd sweep over an explicit configuration list ×
-/// [`OVERLOAD_MODES`] × `spike_mults`, using the same worker-pool pattern
-/// as the other sweeps (results are bit-identical for any `--jobs` value).
-/// Capacities are calibrated once per configuration up front.
+/// [`OVERLOAD_MODES`] × `spike_mults` on the shared sweep runner
+/// (`run_grid`), each point on a fresh fork of the populated database
+/// (results are bit-identical for any `--jobs` value). Capacities are calibrated once
+/// per configuration up front.
 pub fn run_overload_configs(
     cfg: &HarnessConfig,
     configs: &[StandardConfig],
     spike_mults: &[f64],
 ) -> OverloadData {
-    let base_db = dynamid_bookstore::build_db(&BookstoreScale::scaled(cfg.scale), cfg.seed)
-        .expect("population");
+    let base_db = populate(Benchmark::Bookstore, cfg.scale, cfg.seed);
     let capacities: Vec<f64> = configs
         .iter()
         .map(|&c| {
@@ -422,106 +391,62 @@ pub fn run_overload_configs(
             ips
         })
         .collect();
-    let grid: Vec<(usize, usize, usize)> = (0..configs.len())
-        .flat_map(|ci| {
-            (0..OVERLOAD_MODES.len())
-                .flat_map(move |mi| (0..spike_mults.len()).map(move |si| (ci, mi, si)))
+    let cells: Vec<(StandardConfig, f64, OverloadMode, f64)> = configs
+        .iter()
+        .zip(&capacities)
+        .flat_map(|(&c, &ips)| {
+            OVERLOAD_MODES
+                .iter()
+                .flat_map(move |&m| spike_mults.iter().map(move |&s| (c, ips, m, s)))
         })
         .collect();
-    let workers = cfg.effective_jobs().min(grid.len()).max(1);
-
-    let run_cell = |&(ci, mi, si): &(usize, usize, usize)| {
-        run_overload_point(
-            cfg,
-            &base_db,
-            configs[ci],
-            capacities[ci],
-            OVERLOAD_MODES[mi],
-            spike_mults[si],
-        )
-    };
-    let points: Vec<OverloadPoint> = if workers == 1 {
-        grid.iter().map(run_cell).collect()
-    } else {
-        let slots: Mutex<Vec<Option<OverloadPoint>>> = Mutex::new(vec![None; grid.len()]);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(cell) = grid.get(i) else { break };
-                    let point = run_cell(cell);
-                    slots.lock().expect("no panics hold the lock")[i] = Some(point);
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("workers joined")
-            .into_iter()
-            .map(|p| p.expect("every grid slot filled"))
-            .collect()
-    };
-
+    let points = run_grid(
+        &cells,
+        cfg.effective_jobs(),
+        || (),
+        |(), &cell| run_overload_point(cfg, &base_db, cell),
+    );
     OverloadData { configs: configs.to_vec(), spike_mults: spike_mults.to_vec(), points }
 }
 
 /// Renders the sweep as CSV (stable column order; used by `repro overload`
 /// and the smoke gate).
 pub fn overload_csv(data: &OverloadData) -> String {
-    let mut out = String::from(
-        "config,mode,spike_mult,base_rps,pre_goodput_ipm,spike_goodput_ipm,\
-         recovery_goodput_ipm,retention,latency_p99_ms,timeouts,shed,breaker_open,\
-         abandoned,retries\n",
-    );
-    for p in &data.points {
-        out.push_str(&format!(
-            "{},{},{},{:.1},{:.1},{:.1},{:.1},{:.3},{:.3},{},{},{},{},{}\n",
-            p.config.paper_name(),
-            p.mode.label(),
-            p.spike_mult,
-            p.base_rps,
-            p.pre_goodput_ipm,
-            p.spike_goodput_ipm,
-            p.recovery_goodput_ipm,
-            p.retention,
-            p.latency_p99_ms,
-            p.timeouts,
-            p.shed,
-            p.breaker_open,
-            p.abandoned,
-            p.retries,
-        ));
-    }
-    out
+    const COLUMNS: &[Column<OverloadPoint>] = &[
+        ("config", |p| p.config.paper_name().to_string()),
+        ("mode", |p| p.mode.label().to_string()),
+        ("spike_mult", |p| p.spike_mult.to_string()),
+        ("base_rps", |p| format!("{:.1}", p.base_rps)),
+        ("pre_goodput_ipm", |p| format!("{:.1}", p.pre_goodput_ipm)),
+        ("spike_goodput_ipm", |p| format!("{:.1}", p.spike_goodput_ipm)),
+        ("recovery_goodput_ipm", |p| format!("{:.1}", p.recovery_goodput_ipm)),
+        ("retention", |p| format!("{:.3}", p.retention)),
+        ("latency_p99_ms", |p| format!("{:.3}", p.latency_p99_ms)),
+        ("timeouts", |p| p.timeouts.to_string()),
+        ("shed", |p| p.shed.to_string()),
+        ("breaker_open", |p| p.breaker_open.to_string()),
+        ("abandoned", |p| p.abandoned.to_string()),
+        ("retries", |p| p.retries.to_string()),
+    ];
+    csv(COLUMNS, &data.points)
 }
 
 /// Renders a compact markdown table: retention per configuration per
 /// (mode, intensity) column.
 pub fn overload_markdown(data: &OverloadData) -> String {
     let mut out = String::from("# Flash-crowd sweep: goodput retention (recovery / pre-spike)\n\n");
-    out.push_str("| config |");
-    for mode in OVERLOAD_MODES {
-        for m in &data.spike_mults {
-            out.push_str(&format!(" {} {m}x |", mode.label()));
-        }
-    }
-    out.push_str("\n|---|");
-    for _ in 0..OVERLOAD_MODES.len() * data.spike_mults.len() {
-        out.push_str("---|");
-    }
-    out.push('\n');
+    let arms = OVERLOAD_MODES
+        .iter()
+        .flat_map(|mode| data.spike_mults.iter().map(move |m| format!("{} {m}x", mode.label())));
+    out.push_str(&table_head(std::iter::once("config".to_string()).chain(arms)));
     for &config in &data.configs {
-        out.push_str(&format!("| {} |", config.paper_name()));
-        for mode in OVERLOAD_MODES {
-            for &m in &data.spike_mults {
-                let cell = data
-                    .point(config, mode, m)
-                    .map_or_else(|| "-".to_string(), |p| format!("{:.2}", p.retention));
-                out.push_str(&format!(" {cell} |"));
-            }
-        }
-        out.push('\n');
+        let retention = OVERLOAD_MODES.iter().flat_map(|&mode| {
+            data.spike_mults.iter().map(move |&m| {
+                data.point(config, mode, m)
+                    .map_or("-".to_string(), |p| format!("{:.2}", p.retention))
+            })
+        });
+        out.push_str(&table_row(std::iter::once(config.paper_name().to_string()).chain(retention)));
     }
     out
 }
@@ -530,15 +455,9 @@ pub fn overload_markdown(data: &OverloadData) -> String {
 mod tests {
     use super::*;
 
-    fn tiny() -> HarnessConfig {
-        let mut cfg = HarnessConfig::smoke();
-        cfg.jobs = 1;
-        cfg
-    }
-
     #[test]
     fn naive_collapses_and_full_control_recovers() {
-        let data = run_overload(&tiny(), &[6.0]);
+        let data = run_overload_configs(&HarnessConfig::smoke(), &OVERLOAD_CONFIGS, &[6.0]);
         assert_eq!(data.points.len(), OVERLOAD_CONFIGS.len() * OVERLOAD_MODES.len());
         for p in &data.points {
             assert!(p.pre_goodput_ipm > 0.0, "{:?}: no pre-spike goodput", (p.config, p.mode));
@@ -562,30 +481,14 @@ mod tests {
     }
 
     #[test]
-    fn sweep_is_bit_identical_for_any_job_count() {
-        let mut serial = tiny();
-        serial.seed = 42;
-        let mut parallel = serial.clone();
-        parallel.jobs = 4;
-        let a = run_overload(&serial, &[6.0]);
-        let b = run_overload(&parallel, &[6.0]);
-        assert_eq!(a, b, "--jobs changed sweep results");
-        assert_eq!(overload_csv(&a), overload_csv(&b));
-    }
-
-    #[test]
-    fn front_ended_sweep_is_deterministic_and_recovers() {
-        let serial = tiny();
-        let mut parallel = serial.clone();
-        parallel.jobs = 4;
-        let a = run_overload_configs(&serial, &FRONT_ENDED_OVERLOAD_CONFIGS, &[6.0]);
-        let b = run_overload_configs(&parallel, &FRONT_ENDED_OVERLOAD_CONFIGS, &[6.0]);
-        assert_eq!(a, b, "--jobs changed front-ended sweep results");
-        assert_eq!(a.points.len(), FRONT_ENDED_OVERLOAD_CONFIGS.len() * OVERLOAD_MODES.len());
-        for p in &a.points {
+    fn front_ended_sweep_recovers() {
+        let cfg = HarnessConfig::smoke();
+        let data = run_overload_configs(&cfg, &FRONT_ENDED_OVERLOAD_CONFIGS, &[6.0]);
+        assert_eq!(data.points.len(), FRONT_ENDED_OVERLOAD_CONFIGS.len() * OVERLOAD_MODES.len());
+        for p in &data.points {
             assert!(p.pre_goodput_ipm > 0.0, "{:?}: no pre-spike goodput", (p.config, p.mode));
         }
-        let violations = a.violations();
+        let violations = data.violations();
         assert!(
             violations.is_empty(),
             "flash-crowd claim failed behind a front end:\n{}",

@@ -1,7 +1,40 @@
 //! Rendering figure data as markdown tables and CSV files.
 
-use crate::figures::{ConfigCurve, FigureData};
-use std::fmt::Write as _;
+use crate::figures::{ConfigCurve, CurvePoint, FigureData};
+use dynamid_core::StandardConfig;
+use std::fmt::{Display, Write as _};
+
+/// One CSV column: its header name and the formatter of its cell in a row.
+pub(crate) type Column<R> = (&'static str, fn(&R) -> String);
+
+/// Renders `rows` as CSV: the column names as the header line, then one
+/// line per row. Header and cells come from the same column list, so they
+/// cannot drift apart.
+pub(crate) fn csv<R>(columns: &[Column<R>], rows: &[R]) -> String {
+    let mut out = columns.iter().map(|(name, _)| *name).collect::<Vec<_>>().join(",");
+    out.push('\n');
+    for row in rows {
+        let cells: Vec<String> = columns.iter().map(|(_, cell)| cell(row)).collect();
+        out.push_str(&cells.join(","));
+        out.push('\n');
+    }
+    out
+}
+
+/// One markdown table row: `| a | b |`.
+pub(crate) fn table_row<T: Display>(cells: impl IntoIterator<Item = T>) -> String {
+    let mut row = String::from("|");
+    for cell in cells {
+        let _ = write!(row, " {cell} |");
+    }
+    row + "\n"
+}
+
+/// The header of a markdown table: its column row and the `|---|---|` rule.
+pub(crate) fn table_head<T: Display>(cells: impl IntoIterator<Item = T>) -> String {
+    let cells: Vec<T> = cells.into_iter().collect();
+    format!("{}|{}\n", table_row(&cells), "---|".repeat(cells.len()))
+}
 
 /// Markdown throughput table: one row per client count, one column per
 /// configuration (the paper's Figures 5/7/9/11/13 as a table).
@@ -12,29 +45,18 @@ pub fn throughput_markdown(data: &FigureData) -> String {
         "### {} — throughput (interactions/minute) [{}]",
         data.pair.title, data.pair.throughput_id
     );
-    let _ = write!(out, "\n| clients |");
-    for c in &data.curves {
-        let _ = write!(out, " {} |", c.config.paper_name());
-    }
-    let _ = write!(out, "\n|---|");
-    for _ in &data.curves {
-        let _ = write!(out, "---|");
-    }
-    let _ = writeln!(out);
+    out.push('\n');
+    let configs = data.curves.iter().map(|c| c.config.paper_name());
+    out.push_str(&table_head(std::iter::once("clients").chain(configs)));
     let n_points = data.curves.first().map_or(0, |c| c.points.len());
     for i in 0..n_points {
-        let clients = data.curves[0].points[i].clients;
-        let _ = write!(out, "| {clients} |");
-        for c in &data.curves {
-            let _ = write!(out, " {:.0} |", c.points[i].ipm);
-        }
-        let _ = writeln!(out);
+        let ipm = data.curves.iter().map(|c| format!("{:.0}", c.points[i].ipm));
+        out.push_str(&table_row(
+            std::iter::once(data.curves[0].points[i].clients.to_string()).chain(ipm),
+        ));
     }
-    let _ = write!(out, "| **peak** |");
-    for c in &data.curves {
-        let _ = write!(out, " **{:.0}** |", c.peak().ipm);
-    }
-    let _ = writeln!(out);
+    let peaks = data.curves.iter().map(|c| format!("**{:.0}**", c.peak().ipm));
+    out.push_str(&table_row(std::iter::once("**peak**".to_string()).chain(peaks)));
     out
 }
 
@@ -47,11 +69,9 @@ pub fn cpu_markdown(data: &FigureData) -> String {
         "### {} — CPU utilization at peak throughput (%) [{}]",
         data.pair.title, data.pair.cpu_id
     );
-    let _ = writeln!(
-        out,
-        "\n| configuration | WebServer | Servlet | EJB | Database | web NIC Mb/s | lock wait ms/itx |"
-    );
-    let _ = writeln!(out, "|---|---|---|---|---|---|---|");
+    out.push('\n');
+    let columns = "configuration|WebServer|Servlet|EJB|Database|web NIC Mb/s|lock wait ms/itx";
+    out.push_str(&table_head(columns.split('|')));
     for c in &data.curves {
         let p = c.peak();
         let fmt = |v: Option<f64>| match v {
@@ -79,32 +99,30 @@ pub fn cpu_markdown(data: &FigureData) -> String {
 
 /// CSV of the full sweep (one line per config × client count).
 pub fn sweep_csv(data: &FigureData) -> String {
-    let mut out = String::from(
-        "figure,config,clients,ipm,error_rate,web_cpu,servlet_cpu,ejb_cpu,db_cpu,web_nic_mbps,lock_wait_ms,latency_p50_ms,latency_p90_ms\n",
-    );
-    for c in &data.curves {
-        for p in &c.points {
-            let f = |v: Option<f64>| v.map_or(String::new(), |u| format!("{u:.4}"));
-            let _ = writeln!(
-                out,
-                "{},{},{},{:.1},{:.4},{},{},{},{},{:.2},{:.3},{:.1},{:.1}",
-                data.pair.throughput_id,
-                c.config.paper_name(),
-                p.clients,
-                p.ipm,
-                p.error_rate,
-                f(p.web_cpu()),
-                f(p.cpu_of("servlet")),
-                f(p.cpu_of("ejb")),
-                f(p.cpu_of("db")),
-                p.web_nic().unwrap_or(0.0),
-                p.lock_wait_ms_per_interaction,
-                p.latency_p50_ms,
-                p.latency_p90_ms,
-            );
-        }
+    let id = data.pair.throughput_id;
+    let rows: Vec<(&str, StandardConfig, &CurvePoint)> =
+        data.curves.iter().flat_map(|c| c.points.iter().map(move |p| (id, c.config, p))).collect();
+    fn cpu(v: Option<f64>) -> String {
+        v.map_or(String::new(), |u| format!("{u:.4}"))
     }
-    out
+    csv(
+        &[
+            ("figure", |(id, _, _): &(&str, StandardConfig, &CurvePoint)| id.to_string()),
+            ("config", |(_, c, _)| c.paper_name().to_string()),
+            ("clients", |(_, _, p)| p.clients.to_string()),
+            ("ipm", |(_, _, p)| format!("{:.1}", p.ipm)),
+            ("error_rate", |(_, _, p)| format!("{:.4}", p.error_rate)),
+            ("web_cpu", |(_, _, p)| cpu(p.web_cpu())),
+            ("servlet_cpu", |(_, _, p)| cpu(p.cpu_of("servlet"))),
+            ("ejb_cpu", |(_, _, p)| cpu(p.cpu_of("ejb"))),
+            ("db_cpu", |(_, _, p)| cpu(p.cpu_of("db"))),
+            ("web_nic_mbps", |(_, _, p)| format!("{:.2}", p.web_nic().unwrap_or(0.0))),
+            ("lock_wait_ms", |(_, _, p)| format!("{:.3}", p.lock_wait_ms_per_interaction)),
+            ("latency_p50_ms", |(_, _, p)| format!("{:.1}", p.latency_p50_ms)),
+            ("latency_p90_ms", |(_, _, p)| format!("{:.1}", p.latency_p90_ms)),
+        ],
+        &rows,
+    )
 }
 
 /// One-line peak summary per configuration (the paper's in-text numbers).

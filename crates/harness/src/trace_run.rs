@@ -10,11 +10,11 @@
 //! the trace-derived per-tier CPU utilizations against the
 //! processor-sharing counters the untraced figures report, within 1%.
 
-use crate::figures::{make_app, mix_for, sweep_workload, FigurePair};
+use crate::figures::{make_app, mix_for, point_spec, populate, sweep_workload, FigurePair};
 use crate::HarnessConfig;
-use dynamid_core::{CostModel, StandardConfig};
+use dynamid_core::StandardConfig;
 use dynamid_trace::{chrome_trace_json, verify_capture, BottleneckReport, TraceCapture};
-use dynamid_workload::{ExperimentResult, ExperimentSpec};
+use dynamid_workload::ExperimentResult;
 
 /// The absolute CPU-utilization tolerance of the PS cross-check.
 pub const CPU_SHARE_TOLERANCE: f64 = 0.01;
@@ -80,23 +80,9 @@ pub fn default_trace_clients(pair: &FigurePair) -> usize {
 pub fn run_traced(pair: FigurePair, config: StandardConfig, cfg: &HarnessConfig) -> TracedRun {
     let clients = cfg.clients.first().copied().unwrap_or_else(|| default_trace_clients(&pair));
     let mix = mix_for(&pair);
-    let mut db = match pair.benchmark {
-        crate::figures::Benchmark::Bookstore => dynamid_bookstore::build_db(
-            &dynamid_bookstore::BookstoreScale::scaled(cfg.scale),
-            cfg.seed,
-        )
-        .expect("population"),
-        crate::figures::Benchmark::Auction => {
-            dynamid_auction::build_db(&dynamid_auction::AuctionScale::scaled(cfg.scale), cfg.seed)
-                .expect("population")
-        }
-    };
+    let mut db = populate(pair.benchmark, cfg.scale, cfg.seed);
     let app = make_app(pair.benchmark, cfg.scale);
-    let result = ExperimentSpec::for_config(config)
-        .mix(&mix)
-        .costs(CostModel::default())
-        .workload(sweep_workload(cfg, clients))
-        .policy(cfg.policy)
+    let result = point_spec(cfg, config, &mix, sweep_workload(cfg, clients))
         .tracing(true)
         .run(&mut db, app.as_ref());
     let report =

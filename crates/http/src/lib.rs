@@ -1,7 +1,7 @@
 //! # dynamid-http — HTTP and web-server front-end model
 //!
 //! Models the pieces of the paper's front end that sit in front of the
-//! dynamic-content generator: HTTP requests/responses, the Apache 1.3
+//! dynamic-content generator: HTTP responses, the Apache 1.3
 //! process-pool web server (`MaxClients 512` in the paper's configuration),
 //! static-content service, and the connectors joining the web server to a
 //! content generator (in-process module for PHP, AJP12 for Tomcat, RMI for
@@ -18,5 +18,5 @@ pub mod message;
 pub mod server;
 
 pub use connector::{Connector, ConnectorCosts};
-pub use message::{Method, Request, Response, Status};
+pub use message::{Response, Status};
 pub use server::{HttpCosts, StaticAsset, WebServerSpec};

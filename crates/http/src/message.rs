@@ -1,34 +1,13 @@
-//! HTTP request and response messages.
+//! HTTP messages on the wire.
 //!
-//! The client emulator builds [`Request`]s; the middleware tiers produce
-//! [`Response`]s whose body size drives NIC and per-byte CPU charges.
-
-use std::fmt;
+//! The middleware tiers produce [`Response`]s whose body size drives NIC
+//! and per-byte CPU charges; requests are charged a fixed
+//! [`REQUEST_OVERHEAD_BYTES`].
 
 /// Approximate bytes of HTTP request-line + headers on the wire.
 pub const REQUEST_OVERHEAD_BYTES: u64 = 350;
 /// Approximate bytes of HTTP status-line + headers on the wire.
 pub const RESPONSE_OVERHEAD_BYTES: u64 = 250;
-
-/// HTTP request method (the benchmarks use GET for reads and POST for
-/// form submissions).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Method {
-    /// Idempotent page fetch.
-    #[default]
-    Get,
-    /// Form submission.
-    Post,
-}
-
-impl fmt::Display for Method {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Method::Get => write!(f, "GET"),
-            Method::Post => write!(f, "POST"),
-        }
-    }
-}
 
 /// HTTP response status (only what the benchmarks produce).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -50,75 +29,6 @@ impl Status {
             Status::ClientError => 400,
             Status::ServerError => 500,
         }
-    }
-}
-
-/// An HTTP request from an emulated client.
-///
-/// ```
-/// use dynamid_http::{Request, Method};
-/// let req = Request::new(Method::Get, "/item")
-///     .with_param("id", "42")
-///     .secure(true);
-/// assert_eq!(req.path(), "/item");
-/// assert_eq!(req.param("id"), Some("42"));
-/// assert!(req.is_secure());
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Request {
-    method: Method,
-    path: String,
-    params: Vec<(String, String)>,
-    secure: bool,
-}
-
-impl Request {
-    /// Creates a request for `path`.
-    pub fn new(method: Method, path: impl Into<String>) -> Self {
-        Request { method, path: path.into(), params: Vec::new(), secure: false }
-    }
-
-    /// Adds a query/form parameter.
-    pub fn with_param(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.params.push((key.into(), value.into()));
-        self
-    }
-
-    /// Marks the request as HTTPS (TPC-W buy/admin interactions use SSL).
-    pub fn secure(mut self, secure: bool) -> Self {
-        self.secure = secure;
-        self
-    }
-
-    /// The method.
-    pub fn method(&self) -> Method {
-        self.method
-    }
-
-    /// The URL path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Looks up a parameter value.
-    pub fn param(&self, key: &str) -> Option<&str> {
-        self.params.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-    }
-
-    /// All parameters in insertion order.
-    pub fn params(&self) -> &[(String, String)] {
-        &self.params
-    }
-
-    /// Whether the request travels over SSL.
-    pub fn is_secure(&self) -> bool {
-        self.secure
-    }
-
-    /// Approximate size on the wire (path + encoded params + headers).
-    pub fn wire_bytes(&self) -> u64 {
-        let params: usize = self.params.iter().map(|(k, v)| k.len() + v.len() + 2).sum();
-        REQUEST_OVERHEAD_BYTES + self.path.len() as u64 + params as u64
     }
 }
 
@@ -167,22 +77,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn request_builder_and_accessors() {
-        let r = Request::new(Method::Post, "/bid")
-            .with_param("item", "7")
-            .with_param("amount", "12.50");
-        assert_eq!(r.method(), Method::Post);
-        assert_eq!(r.param("amount"), Some("12.50"));
-        assert_eq!(r.param("nope"), None);
-        assert_eq!(r.params().len(), 2);
-        assert!(!r.is_secure());
-    }
-
-    #[test]
     fn wire_bytes_grow_with_content() {
-        let small = Request::new(Method::Get, "/");
-        let big = Request::new(Method::Get, "/search").with_param("q", "dynamic content");
-        assert!(big.wire_bytes() > small.wire_bytes());
         let resp_small = Response::new(Status::Ok, 100);
         let resp_big = Response::new(Status::Ok, 50_000);
         assert_eq!(resp_big.wire_bytes() - resp_small.wire_bytes(), 49_900);
@@ -194,12 +89,6 @@ mod tests {
         assert_eq!(Status::ClientError.code(), 400);
         assert_eq!(Status::ServerError.code(), 500);
     }
-
-    #[test]
-    fn method_display() {
-        assert_eq!(Method::Get.to_string(), "GET");
-        assert_eq!(Method::Post.to_string(), "POST");
-    }
 }
 
 #[cfg(test)]
@@ -207,32 +96,10 @@ mod more_tests {
     use super::*;
 
     #[test]
-    fn default_request_is_plain_get() {
-        let r = Request::default();
-        assert_eq!(r.method(), Method::Get);
-        assert_eq!(r.path(), "");
-        assert!(!r.is_secure());
-        assert!(r.params().is_empty());
-    }
-
-    #[test]
-    fn duplicate_params_keep_first_on_lookup() {
-        let r = Request::new(Method::Get, "/x").with_param("k", "1").with_param("k", "2");
-        assert_eq!(r.param("k"), Some("1"));
-        assert_eq!(r.params().len(), 2);
-    }
-
-    #[test]
     fn response_default_is_empty_ok() {
         let r = Response::default();
         assert_eq!(r.status(), Status::Ok);
         assert_eq!(r.body_bytes(), 0);
         assert_eq!(r.wire_bytes(), RESPONSE_OVERHEAD_BYTES);
-    }
-
-    #[test]
-    fn secure_flag_roundtrip() {
-        let r = Request::new(Method::Post, "/buy").secure(true).secure(false);
-        assert!(!r.is_secure());
     }
 }
