@@ -85,9 +85,6 @@ pub struct RequestCtx<'a> {
     /// Span recorder, present only when the middleware was installed with
     /// tracing enabled; every recording helper is a no-op when `None`.
     pub(crate) spans: Option<SpanRecorder>,
-    /// The middleware's method cache, when installed with one (EJB
-    /// configurations with the caching tier enabled).
-    pub(crate) mcache: Option<&'a std::cell::RefCell<crate::cache::MethodCache>>,
     /// Armed by `facade_cached` around a missing façade run: collects the
     /// catalog ids of every table its statements read (the cache entry's
     /// dependency set) and whether anything was written (never cached).
@@ -141,7 +138,6 @@ impl<'a> RequestCtx<'a> {
             status: Status::Ok,
             stats: RequestStats::default(),
             spans: None,
-            mcache: None,
             read_log: None,
         }
     }
@@ -225,12 +221,12 @@ impl<'a> RequestCtx<'a> {
     pub fn query(&mut self, sql: &str, params: &[Value]) -> AppResult<QueryResult> {
         // Snapshot the plan-cache counters only when tracing: the diff
         // around `execute` yields this statement's hit/miss outcome. The
-        // result-cache counter is snapshot whenever that cache is enabled —
-        // a hit switches the modeled cost to the cache-probe path.
+        // query-cache hit counter is diffed the same way — a hit switches
+        // the modeled cost to the cache-probe path.
         let plan_before = self.spans.is_some().then(|| self.db.stats());
-        let rc_before = self.db.result_cache_enabled().then(|| self.db.stats().result_cache_hits);
+        let rc_before = self.db.caching_enabled().then(|| self.db.cache_stats().query.hits);
         let result = self.db.execute(sql, params).map_err(AppError::Sql)?;
-        let rc_hit = rc_before.is_some_and(|before| self.db.stats().result_cache_hits > before);
+        let rc_hit = rc_before.is_some_and(|before| self.db.cache_stats().query.hits > before);
 
         self.stats.queries += 1;
         if let Some(log) = self.read_log.as_mut() {

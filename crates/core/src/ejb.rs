@@ -18,10 +18,9 @@
 //! ~2,000 small packets/second between EJB server and database).
 
 use crate::app::{AppError, AppResult, LogicStyle};
-use crate::cache::Lookup;
 use crate::ctx::{ReadLog, RequestCtx, Tier};
 use dynamid_sim::Op;
-use dynamid_sqldb::{CacheKey, SqlError, Value};
+use dynamid_sqldb::{CacheKey, Lookup, SqlError, Value};
 use dynamid_trace::SpanKind;
 use std::sync::Arc;
 
@@ -378,9 +377,8 @@ impl RequestCtx<'_> {
         out
     }
 
-    /// Invokes a session façade through the method cache (when the
-    /// middleware was installed with one; otherwise identical to
-    /// [`facade`](Self::facade)).
+    /// Invokes a session façade through the database's method cache (when
+    /// caching is enabled; otherwise identical to [`facade`](Self::facade)).
     ///
     /// `key` identifies the invocation: `(name, key)` is the cache key, so
     /// it must capture every argument the façade's result depends on. A
@@ -389,6 +387,7 @@ impl RequestCtx<'_> {
     /// miss runs the façade with a read log armed and memoizes the result
     /// with its table dependencies — unless the façade wrote something or
     /// the open transaction had already written one of the read tables.
+    /// See `dynamid_sqldb::cache` for the coherence protocol.
     ///
     /// Only read-only façades should be invoked through this; a façade
     /// that writes is never cached (each invocation runs), but its writes
@@ -410,15 +409,13 @@ impl RequestCtx<'_> {
         f: impl FnOnce(&mut EntityManager<'_, '_>) -> AppResult<R>,
     ) -> AppResult<R>
     where
-        R: Clone + 'static,
+        R: Clone + Send + Sync + 'static,
     {
-        let Some(mcache) = self.mcache else { return self.facade(name, f) };
+        if !self.db.caching_enabled() {
+            return self.facade(name, f);
+        }
         let ck = CacheKey::from_values(key);
-        let outcome = {
-            let db = &*self.db;
-            mcache.borrow_mut().lookup(name, &ck, &|tables| db.txn_touches(tables))
-        };
-        match outcome {
+        match self.db.lookup_method(name, &ck) {
             Lookup::Hit(value) => {
                 let micros = self.costs.ejb.per_cache_hit.max(1.0).round() as u64;
                 let span = self.span_open(SpanKind::Cache, name);
@@ -434,8 +431,8 @@ impl RequestCtx<'_> {
                 let out = self.facade(name, f);
                 let log = std::mem::replace(&mut self.read_log, prev).unwrap_or_default();
                 if let Ok(v) = &out {
-                    if !log.wrote && !self.db.txn_touches(&log.tables) {
-                        mcache.borrow_mut().store(name, ck, Arc::new(v.clone()), log.tables);
+                    if !log.wrote {
+                        self.db.store_method(name, ck, Arc::new(v.clone()), log.tables);
                     }
                 }
                 out

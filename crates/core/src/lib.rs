@@ -32,7 +32,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod app;
-pub mod cache;
 pub mod cost;
 pub mod ctx;
 pub mod deploy;
@@ -43,7 +42,6 @@ pub mod replication;
 pub mod session;
 
 pub use app::{AppError, AppLockSpec, AppResult, Application, InteractionSpec, LogicStyle};
-pub use cache::{CacheInvalidation, CachePolicy, CacheScope, MethodCacheConfig, MethodCacheStats};
 pub use cost::{CostModel, EjbCosts, FrontEndCosts, GeneratorCosts};
 pub use ctx::{RequestCtx, RequestStats};
 pub use deploy::{

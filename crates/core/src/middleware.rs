@@ -2,7 +2,6 @@
 //! generator (→ EJB) → database and back, plus embedded static content.
 
 use crate::app::{AppError, Application};
-use crate::cache::{MethodCache, MethodCacheConfig, MethodCacheStats};
 use crate::cost::CostModel;
 use crate::ctx::{RequestCtx, RequestStats};
 use crate::deploy::{
@@ -181,21 +180,18 @@ pub struct Middleware {
     deployment: Deployment,
     costs: CostModel,
     tracing: bool,
-    /// The session-façade method cache, present when installed with one.
+    /// The replicated DB tier's control plane (router, fencing, election),
+    /// present only when installed with `replication.replicas > 0`.
     /// `RefCell` because `run_interaction` takes `&self` (one middleware is
     /// driven single-threaded per experiment worker).
-    method_cache: Option<RefCell<MethodCache>>,
-    /// The replicated DB tier's control plane (router, fencing, election),
-    /// present only when installed with `replication.replicas > 0`. Same
-    /// `RefCell` rationale as the method cache.
     replication: Option<RefCell<ReplicationState>>,
     /// Circuit breaker on the DB connection pool, present only when
     /// installed with an overload-control breaker policy. Same `RefCell`
-    /// rationale as the method cache.
+    /// rationale as the replication state.
     breaker: Option<RefCell<CircuitBreaker>>,
     /// Front-end tier state (balancer scheduler, proxy static cache),
     /// present only for topologies with a front end (C7–C9). Same
-    /// `RefCell` rationale as the method cache.
+    /// `RefCell` rationale as the replication state.
     frontend: Option<RefCell<FrontEndState>>,
 }
 
@@ -211,11 +207,6 @@ pub struct InstallOptions {
     /// default; recording is purely observational, so the compiled traces
     /// and everything downstream are bit-identical either way.
     pub tracing: bool,
-    /// Enable the session-façade method cache (see [`crate::cache`]). Off
-    /// by default — and only EJB-style handlers that call
-    /// [`RequestCtx::facade_cached`](crate::RequestCtx::facade_cached) are
-    /// affected, so every other configuration is bit-identical either way.
-    pub method_cache: Option<MethodCacheConfig>,
     /// The replicated DB tier (see [`crate::replication`]). The default has
     /// `replicas == 0`: no replica machines are created, no router state is
     /// constructed, and runs are bit-identical to the single-DB path.
@@ -271,7 +262,6 @@ impl Middleware {
                 sim.set_semaphore_shed_target(db_pool, Some(target));
             }
         }
-        let method_cache = opts.method_cache.map(|cfg| RefCell::new(MethodCache::new(cfg)));
         let replication = opts.replication.is_enabled().then(|| {
             RefCell::new(ReplicationState::new(
                 opts.replication,
@@ -283,15 +273,7 @@ impl Middleware {
         let frontend =
             FrontEndState::new(deployment.topology().front(), deployment.web_machines().len())
                 .map(RefCell::new);
-        Middleware {
-            deployment,
-            costs,
-            tracing: opts.tracing,
-            method_cache,
-            replication,
-            breaker,
-            frontend,
-        }
+        Middleware { deployment, costs, tracing: opts.tracing, replication, breaker, frontend }
     }
 
     /// Whether span tracing was enabled at install time.
@@ -340,39 +322,6 @@ impl Middleware {
         }
     }
 
-    /// Cumulative method-cache counters, or `None` when installed without a
-    /// method cache.
-    pub fn method_cache_stats(&self) -> Option<MethodCacheStats> {
-        self.method_cache.as_ref().map(|mc| mc.borrow().stats())
-    }
-
-    /// Number of entries currently memoized in the method cache (0 when
-    /// installed without one).
-    pub fn method_cache_len(&self) -> usize {
-        self.method_cache.as_ref().map_or(0, |mc| mc.borrow().len())
-    }
-
-    /// Advances the method cache's notion of simulated time, which drives
-    /// TTL expiry. The driver calls this with `sim.now()` before each
-    /// interaction; a no-op without a method cache or under transactional
-    /// invalidation.
-    pub fn set_cache_clock(&self, micros: u64) {
-        if let Some(mc) = &self.method_cache {
-            mc.borrow_mut().set_clock(micros);
-        }
-    }
-
-    /// Coherence flush for an aborted receipt: drops every method-cache
-    /// entry depending on one of the given tables, without counting
-    /// invalidations. The driver calls this (with the receipt's
-    /// [`touched_tables`](dynamid_sqldb::TxnLog::touched_tables)) before
-    /// `Database::apply_rollback`.
-    pub fn purge_method_tables(&self, tables: &[usize]) {
-        if let Some(mc) = &self.method_cache {
-            mc.borrow_mut().purge_tables(tables);
-        }
-    }
-
     /// Executes interaction `id` of `app` against `db` and compiles the
     /// complete resource trace: network hops, web-server front end,
     /// connector crossings, the handler's queries and locks, response
@@ -415,7 +364,6 @@ impl Middleware {
             // current primary — which may be a promoted replica.
             ctx.db_machine = repl.borrow_mut().route(spec.read_only);
         }
-        ctx.mcache = self.method_cache.as_ref();
         if self.tracing {
             ctx.spans = Some(SpanRecorder::new());
         }
@@ -511,16 +459,8 @@ impl Middleware {
         // Handler errors are page-level failures, not database rollbacks
         // (MyISAM has no statement atomicity either): take the receipt
         // regardless and let the driver decide commit vs. unwind.
+        // The commit also invalidates the database's caches.
         let txn = ctx.db.commit_txn().unwrap_or_default();
-        // The host-side database state is now the committed state the next
-        // interaction reads, so published writes invalidate the method
-        // cache here (the receipt only unwinds on the rare abort path,
-        // where the driver purges conservatively instead).
-        if let Some(mc) = &self.method_cache {
-            if !txn.is_empty() {
-                mc.borrow_mut().invalidate_commit(&txn.touched_tables());
-            }
-        }
         ctx.force_release();
         if let Some(pool) = self.deployment.db_pool() {
             ctx.push(Op::SemRelease { sem: pool });
@@ -671,7 +611,7 @@ mod tests {
     use dynamid_http::StaticAsset;
     use dynamid_sim::engine::NullDriver;
     use dynamid_sim::{SimDuration, SimTime};
-    use dynamid_sqldb::{ColumnType, TableSchema, Value};
+    use dynamid_sqldb::{CacheInvalidation, CachePolicy, ColumnType, TableSchema, Value};
 
     /// A toy two-interaction application used to exercise the full stack.
     struct ToyApp;
@@ -1103,35 +1043,32 @@ mod tests {
         }
     }
 
-    fn cached_mw(invalidation: crate::cache::CacheInvalidation) -> (Database, Middleware) {
-        let db = toy_db();
+    fn cached_mw(invalidation: CacheInvalidation) -> (Database, Middleware) {
+        let mut db = toy_db();
+        db.enable_caching(CachePolicy { capacity: 16, invalidation });
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let mw = Middleware::install_opts(
+        let mw = Middleware::install(
             &mut sim,
             StandardConfig::EjbFourTier,
             &db,
             &CachedApp,
             CostModel::default(),
-            InstallOptions {
-                method_cache: Some(MethodCacheConfig { capacity: 16, invalidation }),
-                ..InstallOptions::default()
-            },
         );
         (db, mw)
     }
 
     #[test]
     fn method_cache_hit_skips_facade_and_cmp_chain() {
-        let (mut db, mw) = cached_mw(crate::cache::CacheInvalidation::Transactional);
+        let (mut db, mw) = cached_mw(CacheInvalidation::Transactional);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);
         let miss = mw.run_interaction(&mut db, &CachedApp, 0, &mut session, &mut rng, true);
         let hit = mw.run_interaction(&mut db, &CachedApp, 0, &mut session, &mut rng, true);
         assert!(miss.is_ok() && hit.is_ok());
         assert_eq!(miss.html, hit.html);
-        let stats = mw.method_cache_stats().unwrap();
+        let stats = db.cache_stats().method;
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        assert_eq!(mw.method_cache_len(), 1);
+        assert_eq!(db.method_cache_len(), 1);
         // The hit never crossed RMI: no façade, no beans, no EJB-machine
         // CPU, no SQL — a strictly shorter trace.
         assert_eq!(hit.stats.facade_calls, 0);
@@ -1145,25 +1082,25 @@ mod tests {
 
     #[test]
     fn method_cache_invalidated_by_committed_write() {
-        let (mut db, mw) = cached_mw(crate::cache::CacheInvalidation::Transactional);
+        let (mut db, mw) = cached_mw(CacheInvalidation::Transactional);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);
         mw.run_interaction(&mut db, &CachedApp, 0, &mut session, &mut rng, false);
         let buy = mw.run_interaction(&mut db, &CachedApp, 1, &mut session, &mut rng, false);
         assert!(buy.is_ok());
-        let stats = mw.method_cache_stats().unwrap();
+        let stats = db.cache_stats().method;
         assert_eq!(stats.invalidations, 1);
-        assert_eq!(mw.method_cache_len(), 0);
+        assert_eq!(db.method_cache_len(), 0);
         // The next view misses and sees the committed write.
         let after = mw.run_interaction(&mut db, &CachedApp, 0, &mut session, &mut rng, true);
         assert_eq!(after.html.as_deref(), Some("<html>qty=99</html>"));
-        let stats = mw.method_cache_stats().unwrap();
+        let stats = db.cache_stats().method;
         assert_eq!((stats.hits, stats.misses), (0, 2));
     }
 
     #[test]
     fn method_cache_bypassed_inside_writing_transaction() {
-        let (mut db, mw) = cached_mw(crate::cache::CacheInvalidation::Transactional);
+        let (mut db, mw) = cached_mw(CacheInvalidation::Transactional);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);
         // Warm the cache with the committed value.
@@ -1173,43 +1110,47 @@ mod tests {
         let combo = mw.run_interaction(&mut db, &CachedApp, 2, &mut session, &mut rng, true);
         assert!(combo.is_ok());
         assert_eq!(combo.html.as_deref(), Some("<html>qty=99</html>"));
-        let stats = mw.method_cache_stats().unwrap();
+        let stats = db.cache_stats().method;
         assert_eq!(stats.bypasses, 1);
         assert_eq!(stats.hits, 0);
     }
 
     #[test]
     fn method_cache_ttl_expires_by_clock_and_ignores_commits() {
-        let (mut db, mw) = cached_mw(crate::cache::CacheInvalidation::Ttl(1_000));
+        let (mut db, mw) = cached_mw(CacheInvalidation::Ttl(1_000));
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);
-        mw.set_cache_clock(0);
+        db.set_cache_clock(0);
         mw.run_interaction(&mut db, &CachedApp, 0, &mut session, &mut rng, true);
         // A committed write does NOT invalidate under TTL…
         mw.run_interaction(&mut db, &CachedApp, 1, &mut session, &mut rng, false);
-        assert_eq!(mw.method_cache_stats().unwrap().invalidations, 0);
+        assert_eq!(db.cache_stats().method.invalidations, 0);
         // …so the next view within the TTL serves the stale value.
         let stale = mw.run_interaction(&mut db, &CachedApp, 0, &mut session, &mut rng, true);
         assert_eq!(stale.html.as_deref(), Some("<html>qty=100</html>"));
-        assert_eq!(mw.method_cache_stats().unwrap().hits, 1);
+        assert_eq!(db.cache_stats().method.hits, 1);
         // Past the TTL the entry expires and the fresh value is read.
-        mw.set_cache_clock(1_000);
+        db.set_cache_clock(1_000);
         let fresh = mw.run_interaction(&mut db, &CachedApp, 0, &mut session, &mut rng, true);
         assert_eq!(fresh.html.as_deref(), Some("<html>qty=99</html>"));
-        assert_eq!(mw.method_cache_stats().unwrap().misses, 2);
+        assert_eq!(db.cache_stats().method.misses, 2);
     }
 
     #[test]
-    fn purge_method_tables_flushes_without_counting() {
-        let (mut db, mw) = cached_mw(crate::cache::CacheInvalidation::Transactional);
+    fn apply_rollback_flushes_method_cache_without_counting() {
+        let (mut db, mw) = cached_mw(CacheInvalidation::Transactional);
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);
+        // A committed receipt that wrote `stock`, taken while nothing was
+        // cached yet.
+        let buy = mw.run_interaction(&mut db, &CachedApp, 1, &mut session, &mut rng, false);
         mw.run_interaction(&mut db, &CachedApp, 0, &mut session, &mut rng, false);
-        assert_eq!(mw.method_cache_len(), 1);
-        let stock = db.table_index("stock").unwrap();
-        mw.purge_method_tables(&[stock]);
-        assert_eq!(mw.method_cache_len(), 0);
-        assert_eq!(mw.method_cache_stats().unwrap().invalidations, 0);
+        assert_eq!(db.method_cache_len(), 1);
+        // Unwinding it, as an aborted request is unwound, flushes the
+        // dependent entry without counting an invalidation.
+        db.apply_rollback(buy.txn);
+        assert_eq!(db.method_cache_len(), 0);
+        assert_eq!(db.cache_stats().method.invalidations, 0);
     }
 
     #[test]
@@ -1223,7 +1164,7 @@ mod tests {
             &CachedApp,
             CostModel::default(),
         );
-        assert!(mw.method_cache_stats().is_none());
+        assert!(!db.caching_enabled());
         let mut db = db;
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);

@@ -129,7 +129,7 @@ pub struct ReplicationStats {
 }
 
 /// The control plane of one installed replicated DB tier. Owned by the
-/// middleware (behind a `RefCell`, like the method cache); mutated by the
+/// middleware (behind a `RefCell`, like its other per-run state); mutated by the
 /// router on every interaction and by the workload driver's heartbeat.
 #[derive(Debug)]
 pub struct ReplicationState {

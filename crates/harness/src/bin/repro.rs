@@ -781,16 +781,16 @@ fn cache_probe() -> Result<String, String> {
          \"equivalent_flags\": \"cache --smoke restricted to C6, clients 40\"}}",
         off.throughput_ipm,
         txn.throughput_ipm,
-        txn.cache.query_hits,
-        txn.cache.query_misses,
-        txn.cache.query_invalidations,
-        txn.cache.query_bypasses,
-        txn.cache.query_hit_rate(),
+        txn.cache.query.hits,
+        txn.cache.query.misses,
+        txn.cache.query.invalidations,
+        txn.cache.query.bypasses,
+        txn.cache.query.hit_rate(),
         txn.cache.method.hits,
         txn.cache.method.misses,
         txn.cache.method.invalidations,
         txn.cache.method.bypasses,
-        txn.cache.method_hit_rate(),
+        txn.cache.method.hit_rate(),
     ))
 }
 

@@ -25,9 +25,9 @@ use crate::figures::{default_clients, make_app, point_spec, populate, sweep_work
 use crate::grid::run_grid;
 use crate::report::{csv, table_head, table_row, Column};
 use crate::HarnessConfig;
-use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope, StandardConfig};
-use dynamid_sqldb::Database;
-use dynamid_workload::{CacheStats, Mix};
+use dynamid_core::StandardConfig;
+use dynamid_sqldb::{CacheInvalidation, CachePolicy, CacheStats, Database};
+use dynamid_workload::Mix;
 
 /// The caching policies the sweep ablates over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,7 +124,7 @@ impl CacheMode {
             CacheMode::Ttl => CacheInvalidation::Ttl(ttl_us),
             CacheMode::Transactional => CacheInvalidation::Transactional,
         };
-        Some(CachePolicy { capacity, scope: CacheScope::Both, invalidation })
+        Some(CachePolicy { capacity, invalidation })
     }
 
     /// Whether the consistency auditor must be clean at this mode's points.
@@ -267,8 +267,8 @@ fn run_cache_point(
             ttl_us,
             clients,
             r.throughput_ipm,
-            cache.query_hit_rate(),
-            cache.method_hit_rate(),
+            cache.query.hit_rate(),
+            cache.method.hit_rate(),
             report.violations.len(),
             report.checks,
         );
@@ -360,10 +360,10 @@ pub fn cache_csv(data: &CacheSweepData) -> String {
         ("clients", |p| p.clients.to_string()),
         ("throughput_ipm", |p| format!("{:.1}", p.throughput_ipm)),
         ("latency_p90_ms", |p| format!("{:.3}", p.latency_p90_ms)),
-        ("query_hits", |p| p.cache.query_hits.to_string()),
-        ("query_misses", |p| p.cache.query_misses.to_string()),
-        ("query_invalidations", |p| p.cache.query_invalidations.to_string()),
-        ("query_bypasses", |p| p.cache.query_bypasses.to_string()),
+        ("query_hits", |p| p.cache.query.hits.to_string()),
+        ("query_misses", |p| p.cache.query.misses.to_string()),
+        ("query_invalidations", |p| p.cache.query.invalidations.to_string()),
+        ("query_bypasses", |p| p.cache.query.bypasses.to_string()),
         ("method_hits", |p| p.cache.method.hits.to_string()),
         ("method_misses", |p| p.cache.method.misses.to_string()),
         ("method_invalidations", |p| p.cache.method.invalidations.to_string()),
@@ -466,7 +466,7 @@ mod tests {
             match p.mode {
                 CacheMode::Off => assert_eq!(p.cache, CacheStats::default()),
                 _ => assert!(
-                    p.cache.query_hits > 0,
+                    p.cache.query.hits > 0,
                     "{} {} {}: query cache never hit",
                     p.config,
                     p.workload.label(),

@@ -1,40 +1,53 @@
-//! Transactional read-query result caching.
+//! Transactional caching: one dependency-tracked cache, used twice.
 //!
-//! An opt-in cache over `Database::execute` for SELECT statements, modeled
-//! on the transactional method/result caching of Pfeifer & Lockemann
+//! Modeled on the transactional method caching of Pfeifer & Lockemann
 //! ("Theory and Practice of Transactional Method Caching"): entries are
-//! keyed by *invocation* — the compiled plan's id plus the bound parameter
-//! values — and invalidated by the write-sets of committing transactions.
+//! keyed by *invocation* and invalidated by the write-sets of committing
+//! transactions. [`Database`](crate::Database) owns two instances under one
+//! [`CachePolicy`] and drives every coherence decision:
 //!
-//! Coherence protocol (host side — the engine executes strictly
+//! * the **query** instance memoizes SELECT results, keyed by the compiled
+//!   plan's id plus the bound parameter values;
+//! * the **method** instance memoizes session-façade return values, keyed
+//!   by façade name plus arguments. The middleware's `facade_cached` asks
+//!   the database for them, and a hit skips the whole modeled RMI +
+//!   container + CMP chain.
+//!
+//! Every entry records the catalog ids of the tables it was computed from.
+//! The coherence protocol (host side — the engine executes strictly
 //! sequentially, one transaction open at a time):
 //!
-//! * **Bypass**: a statement executed inside an open transaction that has
-//!   already written one of the statement's read tables must not be served
-//!   from (or stored into) the cache — the transaction would otherwise not
-//!   see its own uncommitted writes. Reads of untouched tables still hit:
-//!   their content equals the committed state.
+//! * **Bypass**: inside a transaction that has written one of an entry's
+//!   tables, a cached (committed-state) value would hide the transaction's
+//!   own uncommitted writes, so it is neither served nor stored. The query
+//!   instance checks the statement's read tables, known before the lookup;
+//!   the method instance checks the stored entry's tables, since a façade's
+//!   tables are known only after it ran. Reads of untouched tables still
+//!   hit: their content equals the committed state.
 //! * **Invalidation at COMMIT**: when a transaction commits (or an
 //!   auto-commit statement writes), the write-set extracted from its undo
-//!   log drops every dependent entry. Single-table primary-key point reads
-//!   are invalidated per row; everything else per table.
+//!   log drops every dependent entry, counted. Single-table primary-key
+//!   point reads are invalidated per row; everything else per table.
 //! * **Rollback purge**: unwinding an already-committed receipt
-//!   (`Database::apply_rollback`) silently purges dependent entries — the
+//!   (`Database::apply_rollback`) silently drops dependent entries — the
 //!   data they were computed from is being reverted. This is a coherence
-//!   flush, not an invalidation: aborts feed no invalidation keys.
+//!   flush, not an invalidation: it is not counted, and it also runs under
+//!   TTL invalidation.
+//! * **Rewind**: `Database::rewind` reverts the data wholesale and empties
+//!   both instances.
 //!
-//! Under [`CacheInvalidation::Transactional`] these three rules make every
-//! cache hit byte-identical to a fresh execution, so enabling the cache is
+//! Under [`CacheInvalidation::Transactional`] these rules make every cache
+//! hit byte-identical to a fresh execution, so enabling the cache is
 //! observable only through host wall-clock and the modeled cache-hit cost
-//! path. [`CacheInvalidation::Ttl`] replaces commit-driven invalidation
-//! with simulated-time expiry and *may serve stale rows* — that is the
+//! paths. [`CacheInvalidation::Ttl`] replaces commit-driven invalidation
+//! with simulated-time expiry and *may serve stale values* — that is the
 //! point of the cache-ablation experiment, and the consistency auditor is
 //! the staleness oracle. A TTL of zero expires every entry instantly and
 //! is therefore equivalent to running with the cache off.
 
-use crate::exec::QueryResult;
 use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 /// How cached entries are invalidated.
@@ -53,14 +66,52 @@ pub enum CacheInvalidation {
     Ttl(u64),
 }
 
-/// Configuration of the read-query result cache.
+/// The caching policy shared by both cache instances, surfaced through
+/// `ExperimentSpec::caching` in `dynamid-workload`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResultCacheConfig {
-    /// Maximum number of cached result sets; least-recently-used entries
+pub struct CachePolicy {
+    /// Maximum number of entries per instance; least-recently-used entries
     /// are evicted beyond it.
     pub capacity: usize,
     /// Invalidation protocol.
     pub invalidation: CacheInvalidation,
+}
+
+/// Cumulative counters of one cache instance.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheCounters {
+    /// Lookups answered from the cache.
+    pub hits: u64,
+    /// Lookups that missed (including TTL expiry).
+    pub misses: u64,
+    /// Entries dropped by commit-driven invalidation.
+    pub invalidations: u64,
+    /// Lookups skipped because the open transaction had written one of the
+    /// tables the value depends on.
+    pub bypasses: u64,
+}
+
+impl CacheCounters {
+    /// Hits over hits plus misses (0 when nothing was looked up).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+}
+
+/// Counters of both cache instances, snapshot via
+/// [`Database::cache_stats`](crate::Database::cache_stats).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CacheStats {
+    /// The query-result instance.
+    pub query: CacheCounters,
+    /// The session-façade method instance (all zero outside EJB
+    /// configurations, whose handlers are the only ones that consult it).
+    pub method: CacheCounters,
 }
 
 /// A hashable, equality-comparable key built from SQL parameter values.
@@ -77,6 +128,17 @@ enum KeyPart {
     Int(i64),
     Float(u64),
     Str(Arc<crate::value::Istr>),
+}
+
+impl KeyPart {
+    fn of(v: &Value) -> KeyPart {
+        match v {
+            Value::Null => KeyPart::Null,
+            Value::Int(i) => KeyPart::Int(*i),
+            Value::Float(f) => KeyPart::Float(f.to_bits()),
+            Value::Str(s) => KeyPart::Str(Arc::clone(s)),
+        }
+    }
 }
 
 impl PartialEq for KeyPart {
@@ -116,33 +178,8 @@ impl std::hash::Hash for KeyPart {
 impl CacheKey {
     /// Builds a key from parameter values.
     pub fn from_values(values: &[Value]) -> CacheKey {
-        CacheKey(
-            values
-                .iter()
-                .map(|v| match v {
-                    Value::Null => KeyPart::Null,
-                    Value::Int(i) => KeyPart::Int(*i),
-                    Value::Float(f) => KeyPart::Float(f.to_bits()),
-                    Value::Str(s) => KeyPart::Str(Arc::clone(s)),
-                })
-                .collect(),
-        )
+        CacheKey(values.iter().map(KeyPart::of).collect())
     }
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    result: QueryResult,
-    /// Catalog ids of every table the plan reads.
-    tables: Vec<usize>,
-    /// `Some((table, key))` when the entry is a single-table primary-key
-    /// point read: only writes touching that exact row (or wildcard writes
-    /// to the table) invalidate it.
-    pk: Option<(usize, KeyPart)>,
-    /// Cache-clock micros at store time (TTL freshness).
-    stored_at: u64,
-    /// Monotonic LRU tick, refreshed on every hit.
-    tick: u64,
 }
 
 /// One table's contribution to a committing transaction's write-set.
@@ -157,79 +194,115 @@ pub struct TableWrites {
     pub rows: Option<Vec<Value>>,
 }
 
-/// The result cache proper. Owned by [`Database`](crate::Database); all
-/// coherence decisions and hit/miss/invalidation counting are driven from
-/// `Database::execute`, `commit_txn`, and `apply_rollback` — the cache
-/// itself only stores, looks up, and drops entries.
-#[derive(Debug, Clone)]
-pub(crate) struct ResultCache {
-    cfg: ResultCacheConfig,
-    map: HashMap<(u64, CacheKey), Entry>,
-    clock: u64,
-    next_tick: u64,
+/// Outcome of a cache lookup.
+#[derive(Debug)]
+pub enum Lookup<V> {
+    /// Serve this cached value (counted as a hit).
+    Hit(V),
+    /// Compute afresh and do not store: the open transaction wrote one of
+    /// the entry's tables (counted as a bypass).
+    Bypass,
+    /// Compute afresh and store the result (counted as a miss).
+    Miss,
 }
 
-impl ResultCache {
-    pub(crate) fn new(cfg: ResultCacheConfig) -> ResultCache {
-        ResultCache { cfg, map: HashMap::new(), clock: 0, next_tick: 0 }
-    }
+#[derive(Debug, Clone)]
+struct Entry<V> {
+    value: V,
+    /// Catalog ids of every table the value was computed from.
+    tables: Vec<usize>,
+    /// `Some((table, key))` when the entry is a single-table primary-key
+    /// point read: only writes touching that exact row (or wildcard writes
+    /// to the table) invalidate it.
+    pk: Option<(usize, KeyPart)>,
+    /// Cache-clock micros at store time (TTL freshness).
+    stored_at: u64,
+    /// Monotonic LRU tick, refreshed on every hit.
+    tick: u64,
+}
 
-    pub(crate) fn set_clock(&mut self, micros: u64) {
-        self.clock = micros;
+/// One cache instance: values `V` under invocation keys `K`, each entry
+/// tagged with the tables it depends on, with LRU eviction, TTL expiry and
+/// its own [`CacheCounters`]. The instance stores, looks up and drops
+/// entries; [`Database`](crate::Database) decides when (see the module
+/// docs).
+#[derive(Debug, Clone)]
+pub(crate) struct TxnCache<K, V> {
+    policy: CachePolicy,
+    map: HashMap<K, Entry<V>>,
+    next_tick: u64,
+    counters: CacheCounters,
+}
+
+impl<K: Eq + Hash + Clone, V: Clone> TxnCache<K, V> {
+    pub(crate) fn new(policy: CachePolicy) -> Self {
+        TxnCache { policy, map: HashMap::new(), next_tick: 0, counters: CacheCounters::default() }
     }
 
     pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    fn fresh(&self, e: &Entry) -> bool {
-        match self.cfg.invalidation {
-            CacheInvalidation::Transactional => true,
-            CacheInvalidation::Ttl(d) => self.clock.saturating_sub(e.stored_at) < d,
-        }
+    pub(crate) fn counters(&self) -> CacheCounters {
+        self.counters
     }
 
-    /// Looks up a cached result, refreshing its LRU tick. A TTL-expired
-    /// entry is dropped and misses.
-    pub(crate) fn lookup(&mut self, plan_id: u64, key: &CacheKey) -> Option<QueryResult> {
-        let lookup_key = (plan_id, key.clone());
-        match self.map.get(&lookup_key).map(|e| self.fresh(e)) {
-            Some(true) => {
-                let e = self.map.get_mut(&lookup_key).expect("entry present");
-                e.tick = self.next_tick;
-                self.next_tick += 1;
-                Some(e.result.clone())
-            }
-            Some(false) => {
-                self.map.remove(&lookup_key);
-                None
-            }
-            None => None,
-        }
+    /// Counts a lookup the caller skipped because the open transaction
+    /// wrote one of the tables the value would depend on.
+    pub(crate) fn count_bypass(&mut self) {
+        self.counters.bypasses += 1;
     }
 
-    /// Stores a result, evicting the least-recently-used entry when over
-    /// capacity. `pk` marks single-table primary-key point reads for
-    /// per-row invalidation.
+    /// Looks up `key` at cache-clock `now`, counting the outcome. A
+    /// TTL-expired entry is dropped and misses; a fresh entry whose tables
+    /// `written` reports as written by the open transaction is bypassed
+    /// (and kept); otherwise the entry hits and its LRU tick is refreshed.
+    pub(crate) fn lookup(
+        &mut self,
+        key: &K,
+        now: u64,
+        written: impl FnOnce(&[usize]) -> bool,
+    ) -> Lookup<V> {
+        let Some(e) = self.map.get_mut(key) else {
+            self.counters.misses += 1;
+            return Lookup::Miss;
+        };
+        if let CacheInvalidation::Ttl(ttl) = self.policy.invalidation {
+            if now.saturating_sub(e.stored_at) >= ttl {
+                self.map.remove(key);
+                self.counters.misses += 1;
+                return Lookup::Miss;
+            }
+        }
+        if written(&e.tables) {
+            self.counters.bypasses += 1;
+            return Lookup::Bypass;
+        }
+        e.tick = self.next_tick;
+        self.next_tick += 1;
+        self.counters.hits += 1;
+        Lookup::Hit(e.value.clone())
+    }
+
+    /// Stores `value`, computed from `tables` at cache-clock `now`, evicting
+    /// the least-recently-used entry when over capacity. `pk` marks a
+    /// single-table primary-key point read for per-row invalidation.
     pub(crate) fn store(
         &mut self,
-        plan_id: u64,
-        key: CacheKey,
-        result: QueryResult,
+        key: K,
+        value: V,
         tables: Vec<usize>,
         pk: Option<(usize, Value)>,
+        now: u64,
     ) {
-        if self.cfg.capacity == 0 {
+        if self.policy.capacity == 0 {
             return;
         }
-        let pk = pk.map(|(t, v)| {
-            let CacheKey(mut parts) = CacheKey::from_values(std::slice::from_ref(&v));
-            (t, parts.remove(0))
-        });
+        let pk = pk.map(|(t, v)| (t, KeyPart::of(&v)));
         let tick = self.next_tick;
         self.next_tick += 1;
-        self.map.insert((plan_id, key), Entry { result, tables, pk, stored_at: self.clock, tick });
-        while self.map.len() > self.cfg.capacity {
+        self.map.insert(key, Entry { value, tables, pk, stored_at: now, tick });
+        while self.map.len() > self.policy.capacity {
             // Ticks are unique, so the minimum is well defined and the
             // eviction deterministic regardless of hash-map iteration order.
             let victim = self
@@ -242,73 +315,44 @@ impl ResultCache {
         }
     }
 
-    /// Drops every entry dependent on the committed write-set, returning
-    /// the number removed (the caller counts them as invalidations). Under
-    /// TTL invalidation commits do not invalidate — staleness is the
-    /// experiment — and this returns 0 without touching the cache.
-    pub(crate) fn invalidate_commit(&mut self, writes: &[TableWrites]) -> u64 {
-        if self.cfg.invalidation != CacheInvalidation::Transactional {
-            return 0;
+    /// Commit-driven invalidation: drops every entry dependent on the
+    /// committed write-set and counts the removals. Under TTL invalidation
+    /// commits do not invalidate — staleness is the experiment.
+    pub(crate) fn invalidate(&mut self, writes: &[TableWrites]) {
+        if self.policy.invalidation == CacheInvalidation::Transactional {
+            let before = self.map.len();
+            self.purge(writes);
+            self.counters.invalidations += (before - self.map.len()) as u64;
         }
-        let before = self.map.len();
-        self.purge(writes);
-        (before - self.map.len()) as u64
     }
 
-    /// Drops dependent entries *without* counting invalidations: the
-    /// write-set of a rolled-back receipt is a coherence flush, not a
+    /// Drops every entry dependent on the write-set *without* counting:
+    /// the write-set of a rolled-back receipt is a coherence flush, not a
     /// commit.
     pub(crate) fn purge(&mut self, writes: &[TableWrites]) {
         if writes.is_empty() || self.map.is_empty() {
             return;
         }
-        let keys: Vec<(usize, Vec<KeyPart>)> = writes
+        let rows: Vec<Option<Vec<KeyPart>>> = writes
             .iter()
-            .filter_map(|w| {
-                w.rows.as_ref().map(|rows| {
-                    let parts = rows
-                        .iter()
-                        .map(|v| {
-                            let CacheKey(mut p) = CacheKey::from_values(std::slice::from_ref(v));
-                            p.remove(0)
-                        })
-                        .collect();
-                    (w.table, parts)
-                })
-            })
+            .map(|w| w.rows.as_ref().map(|rows| rows.iter().map(KeyPart::of).collect()))
             .collect();
-        let wildcard: Vec<usize> =
-            writes.iter().filter(|w| w.rows.is_none()).map(|w| w.table).collect();
         self.map.retain(|_, e| {
-            for w in writes {
-                if !e.tables.contains(&w.table) {
-                    continue;
-                }
-                // Wildcard write to a dependency: drop.
-                if wildcard.contains(&w.table) {
-                    return false;
-                }
-                match &e.pk {
-                    // A point read survives writes to *other* rows of its
-                    // own table.
-                    Some((pt, pkey)) if *pt == w.table => {
-                        if let Some((_, parts)) = keys.iter().find(|(t, _)| t == pt) {
-                            if parts.iter().any(|p| p == pkey) {
-                                return false;
-                            }
-                        }
+            writes.iter().zip(&rows).all(|(w, rows)| {
+                !e.tables.contains(&w.table)
+                    || match (&e.pk, rows) {
+                        // A point read survives writes to *other* rows of
+                        // its own table.
+                        (Some((t, key)), Some(rows)) if *t == w.table => !rows.contains(key),
+                        // Any other dependent entry is dropped by any write
+                        // to the table.
+                        _ => false,
                     }
-                    // Any other dependent entry is dropped by any write to
-                    // the table.
-                    _ => return false,
-                }
-            }
-            true
+            })
         });
     }
 
-    /// Empties the cache (rewind, cold-cache benchmarking). Counters are
-    /// untouched.
+    /// Empties the instance. Counters are untouched.
     pub(crate) fn clear(&mut self) {
         self.map.clear();
     }

@@ -57,8 +57,8 @@ pub struct CompiledStmt {
     /// database's current version invalidates the plan.
     pub(crate) version: u64,
     /// Unique id minted by the database when the plan enters the plan
-    /// cache; `(id, parameter values)` keys the result cache. `compile`
-    /// leaves it 0 (uncached plans never reach the result cache).
+    /// cache; `(id, parameter values)` keys the query cache. `compile`
+    /// leaves it 0 (uncached plans never reach the query cache).
     pub(crate) id: u64,
     kind: CStmt,
 }
@@ -79,7 +79,7 @@ impl CompiledStmt {
 
     /// `Some((table, key))` when the plan is a join-free SELECT whose access
     /// path is an index-equality probe on the base table's primary key —
-    /// the shape the result cache invalidates per row instead of per table.
+    /// the shape the query cache invalidates per row instead of per table.
     pub(crate) fn pk_point(&self, db: &Database, params: &[Value]) -> Option<(usize, Value)> {
         let CStmt::Select(s) = &self.kind else { return None };
         if !s.joins.is_empty() {

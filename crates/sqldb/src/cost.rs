@@ -57,7 +57,7 @@ pub struct DbCostModel {
     pub per_row_written: f64,
     /// Multiplier for `n * log2(n)` sorting work.
     pub sort_factor: f64,
-    /// Flat charge for a read answered from the result cache: key hash and
+    /// Flat charge for a read answered from the query cache: key hash and
     /// lookup only — no parse, no lock manager, no row access. Modeled on
     /// the MySQL query cache, which answers before the lock manager is
     /// consulted.

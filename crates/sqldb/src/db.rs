@@ -1,7 +1,7 @@
 //! The database facade: catalog, statement cache, execution entry point.
 
 use crate::ast::Stmt;
-use crate::cache::{CacheKey, ResultCache, ResultCacheConfig, TableWrites};
+use crate::cache::{CacheKey, CachePolicy, CacheStats, Lookup, TableWrites, TxnCache};
 use crate::compile::{compile, exec_compiled, CompiledStmt};
 use crate::cost::{DbCostModel, QueryCounters};
 use crate::error::{SqlError, SqlResult};
@@ -11,6 +11,7 @@ use crate::schema::TableSchema;
 use crate::table::{RowId, Table};
 use crate::txn::{TxnLog, UndoOp};
 use crate::value::Value;
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -29,15 +30,6 @@ pub struct DbStats {
     pub plan_cache_misses: u64,
     /// Cached plans discarded because DDL changed the schema version.
     pub plan_invalidations: u64,
-    /// Read statements answered from the result cache without executing.
-    pub result_cache_hits: u64,
-    /// Cacheable read statements that missed the result cache.
-    pub result_cache_misses: u64,
-    /// Result-cache entries dropped by commit-driven invalidation.
-    pub result_cache_invalidations: u64,
-    /// Cacheable reads that skipped the result cache because the open
-    /// transaction had written one of their tables.
-    pub result_cache_bypasses: u64,
 }
 
 impl DbStats {
@@ -113,11 +105,23 @@ pub struct Database {
     /// [`apply_rollback`](Self::apply_rollback) of an already-journaled
     /// receipt). `rewind` then refuses and the caller must re-fork.
     journal_dirty: bool,
-    /// Opt-in transactional read-query result cache (see [`crate::cache`]).
-    result_cache: Option<ResultCache>,
+    /// Opt-in transactional caches (see [`crate::cache`]).
+    caches: Option<Caches>,
     /// Id source for plans entering the plan cache; `(plan id, parameters)`
-    /// keys the result cache.
+    /// keys the query cache.
     next_plan_id: u64,
+}
+
+/// The two transactional cache instances, enabled together under one
+/// [`CachePolicy`], and the simulated-time clock their TTL reads.
+#[derive(Debug, Clone)]
+struct Caches {
+    /// SELECT results keyed by `(plan id, parameters)`.
+    query: TxnCache<(u64, CacheKey), QueryResult>,
+    /// Session-façade return values keyed by `(façade name, arguments)`.
+    method: TxnCache<(String, CacheKey), Arc<dyn Any + Send + Sync>>,
+    /// Micros fed by [`Database::set_cache_clock`].
+    clock: u64,
 }
 
 impl Database {
@@ -139,7 +143,7 @@ impl Database {
             txn: None,
             journal: None,
             journal_dirty: false,
-            result_cache: None,
+            caches: None,
             next_plan_id: 0,
         }
     }
@@ -172,46 +176,108 @@ impl Database {
         Ok(())
     }
 
-    /// Drops both the parsed-statement cache and the compiled-plan cache.
+    /// Drops the parsed-statement cache, the compiled-plan cache, and every
+    /// cached query result and façade return value.
     ///
     /// Every subsequent statement pays the full parse + compile cost once
     /// again; useful for cold-cache benchmarking and cache-equivalence
-    /// tests. Table data and cumulative statistics are untouched.
+    /// tests. Table data, cumulative statistics and cache counters are
+    /// untouched.
     pub fn clear_caches(&mut self) {
         self.stmt_cache.clear();
         self.plan_cache.clear();
-        if let Some(cache) = self.result_cache.as_mut() {
-            cache.clear();
+        if let Some(caches) = self.caches.as_mut() {
+            caches.query.clear();
+            caches.method.clear();
         }
     }
 
-    /// Enables the read-query result cache with the given configuration,
-    /// replacing (and emptying) any previous one. See [`crate::cache`] for
-    /// the coherence protocol.
-    pub fn enable_result_cache(&mut self, cfg: ResultCacheConfig) {
-        self.result_cache = Some(ResultCache::new(cfg));
+    /// Enables both transactional cache instances — query results and
+    /// façade return values — under `policy`, replacing (and emptying) any
+    /// previous ones and zeroing their counters and clock. See
+    /// [`crate::cache`] for the coherence protocol.
+    pub fn enable_caching(&mut self, policy: CachePolicy) {
+        self.caches =
+            Some(Caches { query: TxnCache::new(policy), method: TxnCache::new(policy), clock: 0 });
     }
 
-    /// Disables and drops the result cache. Cumulative statistics remain.
-    pub fn disable_result_cache(&mut self) {
-        self.result_cache = None;
+    /// Disables and drops both cache instances with their counters.
+    pub fn disable_caching(&mut self) {
+        self.caches = None;
     }
 
-    /// `true` while the result cache is enabled.
-    pub fn result_cache_enabled(&self) -> bool {
-        self.result_cache.is_some()
+    /// `true` while caching is enabled.
+    pub fn caching_enabled(&self) -> bool {
+        self.caches.is_some()
     }
 
-    /// Number of result sets currently cached (diagnostics).
-    pub fn result_cache_len(&self) -> usize {
-        self.result_cache.as_ref().map_or(0, ResultCache::len)
+    /// Counters of both cache instances since caching was enabled (all zero
+    /// while it is off).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.caches.as_ref().map_or_else(CacheStats::default, |c| CacheStats {
+            query: c.query.counters(),
+            method: c.method.counters(),
+        })
     }
 
-    /// Feeds the simulated-time clock used by TTL invalidation. A no-op
-    /// while the cache is disabled or under transactional invalidation.
+    /// Number of query results currently cached (diagnostics).
+    pub fn query_cache_len(&self) -> usize {
+        self.caches.as_ref().map_or(0, |c| c.query.len())
+    }
+
+    /// Number of façade return values currently cached (diagnostics).
+    pub fn method_cache_len(&self) -> usize {
+        self.caches.as_ref().map_or(0, |c| c.method.len())
+    }
+
+    /// Feeds the simulated-time clock both instances judge TTL freshness
+    /// by. A no-op while caching is off.
     pub fn set_cache_clock(&mut self, micros: u64) {
-        if let Some(cache) = self.result_cache.as_mut() {
-            cache.set_clock(micros);
+        if let Some(caches) = self.caches.as_mut() {
+            caches.clock = micros;
+        }
+    }
+
+    /// Looks up a memoized session-façade invocation, `(name, key)`,
+    /// counting the outcome. The lookup is bypassed when the open
+    /// transaction wrote one of the stored entry's tables. Returns
+    /// [`Lookup::Miss`] uncounted while caching is off.
+    pub fn lookup_method(
+        &mut self,
+        name: &str,
+        key: &CacheKey,
+    ) -> Lookup<Arc<dyn Any + Send + Sync>> {
+        let Some(caches) = self.caches.as_mut() else { return Lookup::Miss };
+        let txn = &self.txn;
+        caches.method.lookup(&(name.to_string(), key.clone()), caches.clock, |tables| {
+            txn.as_ref().is_some_and(|t| t.touches(tables))
+        })
+    }
+
+    /// Memoizes a session-façade return value computed from `tables` (by
+    /// catalog id). Not stored while caching is off, or when the open
+    /// transaction wrote one of `tables`: the value may reflect its
+    /// uncommitted writes.
+    pub fn store_method(
+        &mut self,
+        name: &str,
+        key: CacheKey,
+        value: Arc<dyn Any + Send + Sync>,
+        tables: Vec<usize>,
+    ) {
+        if self.txn.as_ref().is_some_and(|t| t.touches(&tables)) {
+            return;
+        }
+        if let Some(caches) = self.caches.as_mut() {
+            caches.method.store((name.to_string(), key), value, tables, None, caches.clock);
+        }
+    }
+
+    /// Commit-driven invalidation of both instances.
+    fn invalidate(&mut self, writes: &[TableWrites]) {
+        if let Some(caches) = self.caches.as_mut() {
+            caches.query.invalidate(writes);
+            caches.method.invalidate(writes);
         }
     }
 
@@ -232,17 +298,9 @@ impl Database {
     }
 
     /// Catalog id of a table by name, if it exists. Ids stay valid for one
-    /// schema version; the middleware method cache uses them as dependency
-    /// keys.
+    /// schema version; cached façade values use them as dependency keys.
     pub fn table_index(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).copied()
-    }
-
-    /// `true` when a transaction is open and has written any of the given
-    /// tables (by catalog id) — the bypass predicate shared by the result
-    /// cache and the middleware method cache.
-    pub fn txn_touches(&self, tables: &[usize]) -> bool {
-        self.txn.as_ref().is_some_and(|t| t.touches(tables))
     }
 
     /// Extracts the per-table invalidation write-set from a transaction's
@@ -360,15 +418,11 @@ impl Database {
         if let Some(journal) = self.journal.as_mut() {
             journal.extend_cloned(&log);
         }
-        // The commit publishes the transaction's writes: drop every result
-        // cache entry its write-set invalidates.
-        if self.result_cache.is_some() && !log.is_empty() {
+        // The commit publishes the transaction's writes: drop every cache
+        // entry its write-set invalidates.
+        if self.caches.is_some() && !log.is_empty() {
             let writes = self.write_set(&log);
-            let mut removed = 0;
-            if let Some(cache) = self.result_cache.as_mut() {
-                removed = cache.invalidate_commit(&writes);
-            }
-            self.stats.result_cache_invalidations += removed;
+            self.invalidate(&writes);
         }
         Some(log)
     }
@@ -404,15 +458,14 @@ impl Database {
         // invalidation — aborts are deliberately not counted (and, unlike
         // commits, flush even under TTL invalidation: the receipt's writes
         // are disappearing, not being published).
-        if let Some(cache) = self.result_cache.as_mut() {
-            if !log.is_empty() {
-                let mut tables: Vec<usize> = log.ops().iter().map(UndoOp::table).collect();
-                tables.sort_unstable();
-                tables.dedup();
-                let writes: Vec<TableWrites> =
-                    tables.into_iter().map(|table| TableWrites { table, rows: None }).collect();
-                cache.purge(&writes);
-            }
+        if let Some(caches) = self.caches.as_mut() {
+            let writes: Vec<TableWrites> = log
+                .touched_tables()
+                .into_iter()
+                .map(|table| TableWrites { table, rows: None })
+                .collect();
+            caches.query.purge(&writes);
+            caches.method.purge(&writes);
         }
         self.apply_undo_log(log);
     }
@@ -441,10 +494,12 @@ impl Database {
     /// database untouched) when an un-journalable mutation poisoned the
     /// journal — the caller must discard this instance and re-fork.
     ///
-    /// Caches and statistics are deliberately left alone: statement cost is
-    /// a pure function of per-query counters, never of cache warmth, so a
-    /// rewound database drives byte-identical experiments while keeping its
-    /// warm plan cache.
+    /// The statement and plan caches and all statistics are deliberately
+    /// left alone: statement cost is a pure function of per-query counters,
+    /// never of plan-cache warmth, so a rewound database drives
+    /// byte-identical experiments while keeping its warm plan cache. Cached
+    /// query results and façade values are dropped, since the data they
+    /// were computed from reverts.
     ///
     /// # Panics
     ///
@@ -458,10 +513,11 @@ impl Database {
             self.apply_undo_log(log);
             self.journal = Some(TxnLog::default());
         }
-        // Rewinding reverts the data wholesale; cached result sets computed
-        // since the journal was armed would be stale against it.
-        if let Some(cache) = self.result_cache.as_mut() {
-            cache.clear();
+        // Rewinding reverts the data wholesale; values cached since the
+        // journal was armed would be stale against it.
+        if let Some(caches) = self.caches.as_mut() {
+            caches.query.clear();
+            caches.method.clear();
         }
         true
     }
@@ -680,7 +736,7 @@ impl Database {
                 return Err(e);
             }
         };
-        // Mint the plan's result-cache id as it enters the plan cache; a
+        // Mint the plan's query-cache id as it enters the plan cache; a
         // recompiled (DDL-invalidated) plan gets a fresh id, orphaning any
         // entries of the old one until LRU ages them out.
         self.next_plan_id += 1;
@@ -690,32 +746,29 @@ impl Database {
         self.run_plan(&plan, params)
     }
 
-    /// Executes a cached plan, consulting the result cache for SELECTs.
+    /// Executes a cached plan, consulting the query cache for SELECTs.
     ///
     /// The cache sits *after* all statement/plan-cache bookkeeping and
     /// stores the complete [`QueryResult`] (rows and modeled
     /// [`QueryCounters`] alike), so with transactional invalidation every
-    /// counter visible to the cost model and the legacy [`DbStats`] fields
-    /// stays byte-identical to running with the cache off.
+    /// counter visible to the cost model and every [`DbStats`] field stays
+    /// byte-identical to running with the cache off.
     fn run_plan(&mut self, plan: &Arc<CompiledStmt>, params: &[Value]) -> SqlResult<QueryResult> {
         let mut store: Option<(CacheKey, Vec<usize>)> = None;
-        if self.result_cache.is_some() && plan.id != 0 {
+        if let Some(caches) = self.caches.as_mut() {
             if let Some(ids) = plan.read_table_ids() {
                 if self.txn.as_ref().is_some_and(|t| t.touches(&ids)) {
                     // The open transaction wrote one of the read tables: a
                     // cached (committed-state) result would hide its own
                     // uncommitted writes. Skip both lookup and store.
-                    self.stats.result_cache_bypasses += 1;
+                    caches.query.count_bypass();
                 } else {
                     let key = CacheKey::from_values(params);
-                    let hit =
-                        self.result_cache.as_mut().and_then(|cache| cache.lookup(plan.id, &key));
-                    if let Some(hit) = hit {
-                        self.stats.result_cache_hits += 1;
-                        return Ok(hit);
+                    // The read tables were checked above: never a bypass.
+                    match caches.query.lookup(&(plan.id, key.clone()), caches.clock, |_| false) {
+                        Lookup::Hit(hit) => return Ok(hit),
+                        Lookup::Miss | Lookup::Bypass => store = Some((key, ids)),
                     }
-                    self.stats.result_cache_misses += 1;
-                    store = Some((key, ids));
                 }
             }
         }
@@ -728,33 +781,22 @@ impl Database {
         };
         if let Some((key, ids)) = store {
             let pk = plan.pk_point(self, params);
-            if let Some(cache) = self.result_cache.as_mut() {
-                cache.store(plan.id, key, result.clone(), ids, pk);
+            if let Some(caches) = self.caches.as_mut() {
+                caches.query.store((plan.id, key), result.clone(), ids, pk, caches.clock);
             }
-        } else if result.kind == StatementKind::Write && self.txn.is_none() {
+        } else if result.kind == StatementKind::Write && self.txn.is_none() && self.caches.is_some()
+        {
             // An auto-commit write is an immediate commit. There is no undo
             // log to attribute rows from, so invalidate coarsely by table.
-            self.autocommit_invalidate(&result.write_tables);
+            let writes: Vec<TableWrites> = result
+                .write_tables
+                .iter()
+                .filter_map(|n| self.by_name.get(n).copied())
+                .map(|table| TableWrites { table, rows: None })
+                .collect();
+            self.invalidate(&writes);
         }
         Ok(result)
-    }
-
-    /// Commit-time invalidation for auto-commit writes: wildcard per
-    /// written table name.
-    fn autocommit_invalidate(&mut self, write_tables: &[String]) {
-        if self.result_cache.is_none() || write_tables.is_empty() {
-            return;
-        }
-        let writes: Vec<TableWrites> = write_tables
-            .iter()
-            .filter_map(|n| self.by_name.get(n).copied())
-            .map(|table| TableWrites { table, rows: None })
-            .collect();
-        let mut removed = 0;
-        if let Some(cache) = self.result_cache.as_mut() {
-            removed = cache.invalidate_commit(&writes);
-        }
-        self.stats.result_cache_invalidations += removed;
     }
 
     /// CPU microseconds the database machine should be charged for a
@@ -809,6 +851,7 @@ impl Default for Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::CacheInvalidation;
     use crate::exec::StatementKind;
     use crate::schema::ColumnType;
 
@@ -1081,11 +1124,8 @@ mod tests {
         assert_eq!(r.kind, StatementKind::Commit);
     }
 
-    fn txn_cache() -> crate::cache::ResultCacheConfig {
-        crate::cache::ResultCacheConfig {
-            capacity: 64,
-            invalidation: crate::cache::CacheInvalidation::Transactional,
-        }
+    fn txn_cache() -> CachePolicy {
+        CachePolicy { capacity: 64, invalidation: CacheInvalidation::Transactional }
     }
 
     /// Two-table fixture: `users` (as in [`db_with_users`]) plus a `tags`
@@ -1113,61 +1153,90 @@ mod tests {
     #[test]
     fn result_cache_hit_returns_identical_result() {
         let mut db = db_with_users();
-        db.enable_result_cache(txn_cache());
+        db.enable_caching(txn_cache());
         let sql = "SELECT nickname FROM users WHERE region = ?";
         let first = db.execute(sql, &[Value::Int(1)]).unwrap();
         let second = db.execute(sql, &[Value::Int(1)]).unwrap();
         // The hit is the complete stored result — rows AND counters.
         assert_eq!(first, second);
-        let s = db.stats();
-        assert_eq!((s.result_cache_hits, s.result_cache_misses), (1, 1));
-        assert_eq!(db.result_cache_len(), 1);
+        let s = db.cache_stats().query;
+        assert_eq!((s.hits, s.misses), (1, 1));
+        assert_eq!(db.query_cache_len(), 1);
         // Different parameters are a different key.
         let other = db.execute(sql, &[Value::Int(2)]).unwrap();
         assert_eq!(other.rows.len(), 1);
-        assert_eq!(db.stats().result_cache_misses, 2);
+        assert_eq!(db.cache_stats().query.misses, 2);
     }
 
     #[test]
     fn result_cache_bypassed_only_for_touched_tables() {
         let mut db = db_with_users_and_tags();
-        db.enable_result_cache(txn_cache());
+        db.enable_caching(txn_cache());
         db.begin_txn().unwrap();
         db.execute("UPDATE users SET rating = 0 WHERE id = 1", &[]).unwrap();
         // Read of the table this transaction wrote: bypassed, not cached.
         db.execute("SELECT rating FROM users WHERE id = 1", &[]).unwrap();
-        assert_eq!(db.stats().result_cache_bypasses, 1);
-        assert_eq!(db.result_cache_len(), 0);
+        assert_eq!(db.cache_stats().query.bypasses, 1);
+        assert_eq!(db.query_cache_len(), 0);
         // Read of an untouched table: served from / stored into the cache.
         db.execute("SELECT label FROM tags WHERE id = 1", &[]).unwrap();
         db.execute("SELECT label FROM tags WHERE id = 1", &[]).unwrap();
-        let s = db.stats();
-        assert_eq!((s.result_cache_hits, s.result_cache_misses), (1, 1));
+        let s = db.cache_stats().query;
+        assert_eq!((s.hits, s.misses), (1, 1));
         db.commit_txn();
+    }
+
+    #[test]
+    fn method_cache_bypass_follows_the_stored_entry_tables() {
+        let mut db = db_with_users_and_tags();
+        db.enable_caching(txn_cache());
+        let (users, tags) = (db.table_index("users").unwrap(), db.table_index("tags").unwrap());
+        let key = CacheKey::from_values(&[Value::Int(1)]);
+        db.store_method("Users.view", key.clone(), Arc::new(5i64), vec![users]);
+        db.store_method("Tags.view", key.clone(), Arc::new(7i64), vec![tags]);
+        db.begin_txn().unwrap();
+        db.execute("UPDATE users SET rating = 0 WHERE id = 1", &[]).unwrap();
+        // The stored entry's tables decide: `users` was written, `tags` not.
+        assert!(matches!(db.lookup_method("Users.view", &key), Lookup::Bypass));
+        match db.lookup_method("Tags.view", &key) {
+            Lookup::Hit(v) => assert_eq!(v.downcast_ref::<i64>(), Some(&7)),
+            _ => panic!("untouched dependency must hit"),
+        }
+        // Without an entry there are no tables to check: a plain miss, and
+        // a value computed from a written table is not stored.
+        assert!(matches!(db.lookup_method("Users.list", &key), Lookup::Miss));
+        db.store_method("Users.list", key.clone(), Arc::new(1i64), vec![users]);
+        assert_eq!(db.method_cache_len(), 2);
+        let s = db.cache_stats().method;
+        assert_eq!((s.hits, s.misses, s.bypasses), (1, 1, 1));
+        // The commit drops the `users` entry (per table) and counts it.
+        db.commit_txn().unwrap();
+        assert_eq!(db.cache_stats().method.invalidations, 1);
+        assert_eq!(db.method_cache_len(), 1);
     }
 
     #[test]
     fn commit_invalidates_dependent_entries() {
         let mut db = db_with_users();
-        db.enable_result_cache(txn_cache());
+        db.enable_caching(txn_cache());
         let sql = "SELECT rating FROM users WHERE region = ?";
         db.execute(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(db.result_cache_len(), 1);
+        assert_eq!(db.query_cache_len(), 1);
         db.begin_txn().unwrap();
         db.execute("UPDATE users SET rating = 99 WHERE id = 1", &[]).unwrap();
         // Uncommitted writes invalidate nothing.
-        assert_eq!(db.stats().result_cache_invalidations, 0);
+        assert_eq!(db.cache_stats().query.invalidations, 0);
         db.commit_txn().unwrap();
-        assert_eq!(db.stats().result_cache_invalidations, 1);
+        assert_eq!(db.cache_stats().query.invalidations, 1);
         let fresh = db.execute(sql, &[Value::Int(1)]).unwrap();
         assert!(fresh.rows.iter().any(|r| r[0] == Value::Int(99)));
-        assert_eq!(db.stats().result_cache_hits, 0);
+        assert_eq!(db.cache_stats().query.hits, 0);
     }
 
     #[test]
     fn pk_point_entries_survive_writes_to_other_rows() {
         let mut db = db_with_users();
-        db.enable_result_cache(txn_cache());
+        db.enable_caching(txn_cache());
         let sql = "SELECT nickname FROM users WHERE id = ?";
         db.execute(sql, &[Value::Int(1)]).unwrap();
         db.execute(sql, &[Value::Int(2)]).unwrap();
@@ -1175,18 +1244,40 @@ mod tests {
         db.execute("UPDATE users SET nickname = 'rob' WHERE id = 2", &[]).unwrap();
         db.commit_txn().unwrap();
         // Only the row-2 entry is invalidated; row 1 still hits.
-        assert_eq!(db.stats().result_cache_invalidations, 1);
+        assert_eq!(db.cache_stats().query.invalidations, 1);
         db.execute(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(db.stats().result_cache_hits, 1);
+        assert_eq!(db.cache_stats().query.hits, 1);
         let r = db.execute(sql, &[Value::Int(2)]).unwrap();
         assert_eq!(r.rows[0][0], Value::str("rob"));
-        assert_eq!(db.stats().result_cache_hits, 1);
+        assert_eq!(db.cache_stats().query.hits, 1);
+    }
+
+    #[test]
+    fn renamed_primary_key_invalidates_old_and_new_key() {
+        let mut db = db_with_users();
+        db.enable_caching(txn_cache());
+        let sql = "SELECT nickname FROM users WHERE id = ?";
+        // Point reads of rows 1 and 2, and of the empty id 7.
+        for id in [1, 2, 7] {
+            db.execute(sql, &[Value::Int(id)]).unwrap();
+        }
+        db.begin_txn().unwrap();
+        db.execute("UPDATE users SET id = 7 WHERE id = 1", &[]).unwrap();
+        db.commit_txn().unwrap();
+        // The write-set names both the old key and the new one.
+        assert_eq!(db.cache_stats().query.invalidations, 2);
+        db.execute(sql, &[Value::Int(2)]).unwrap();
+        assert_eq!(db.cache_stats().query.hits, 1);
+        let moved = db.execute(sql, &[Value::Int(7)]).unwrap();
+        assert_eq!(moved.rows, vec![vec![Value::str("ann")]]);
+        assert!(db.execute(sql, &[Value::Int(1)]).unwrap().rows.is_empty());
+        assert_eq!(db.cache_stats().query.hits, 1);
     }
 
     #[test]
     fn rollback_leaves_cache_coherent_and_uncounted() {
         let mut db = db_with_users();
-        db.enable_result_cache(txn_cache());
+        db.enable_caching(txn_cache());
         let sql = "SELECT rating FROM users WHERE id = ?";
         let before = db.execute(sql, &[Value::Int(1)]).unwrap();
         db.begin_txn().unwrap();
@@ -1194,29 +1285,29 @@ mod tests {
         db.rollback_txn();
         // The write never committed: no invalidation, and the cached entry
         // still matches the (restored) table state.
-        assert_eq!(db.stats().result_cache_invalidations, 0);
+        assert_eq!(db.cache_stats().query.invalidations, 0);
         let after = db.execute(sql, &[Value::Int(1)]).unwrap();
         assert_eq!(before, after);
-        assert_eq!(db.stats().result_cache_hits, 1);
+        assert_eq!(db.cache_stats().query.hits, 1);
     }
 
     #[test]
     fn apply_rollback_purges_without_counting() {
         let mut db = db_with_users();
-        db.enable_result_cache(txn_cache());
+        db.enable_caching(txn_cache());
         let sql = "SELECT rating FROM users WHERE id = ?";
         db.begin_txn().unwrap();
         db.execute("UPDATE users SET rating = 99 WHERE id = 1", &[]).unwrap();
         let receipt = db.commit_txn().unwrap();
         // Cached against the committed (rating = 99) state.
         db.execute(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(db.result_cache_len(), 1);
-        let counted = db.stats().result_cache_invalidations;
+        assert_eq!(db.query_cache_len(), 1);
+        let counted = db.cache_stats().query.invalidations;
         db.apply_rollback(receipt);
         // The entry is purged (its data reverted) but the abort is not an
         // invalidation event.
-        assert_eq!(db.result_cache_len(), 0);
-        assert_eq!(db.stats().result_cache_invalidations, counted);
+        assert_eq!(db.query_cache_len(), 0);
+        assert_eq!(db.cache_stats().query.invalidations, counted);
         let r = db.execute(sql, &[Value::Int(1)]).unwrap();
         assert_eq!(r.rows[0][0], Value::Int(5));
     }
@@ -1224,9 +1315,9 @@ mod tests {
     #[test]
     fn ttl_expires_by_cache_clock_and_ignores_commits() {
         let mut db = db_with_users();
-        db.enable_result_cache(crate::cache::ResultCacheConfig {
+        db.enable_caching(CachePolicy {
             capacity: 64,
-            invalidation: crate::cache::CacheInvalidation::Ttl(1_000),
+            invalidation: CacheInvalidation::Ttl(1_000),
         });
         let sql = "SELECT rating FROM users WHERE id = ?";
         db.execute(sql, &[Value::Int(1)]).unwrap();
@@ -1237,7 +1328,7 @@ mod tests {
         db.set_cache_clock(500);
         let stale = db.execute(sql, &[Value::Int(1)]).unwrap();
         assert_eq!(stale.rows[0][0], Value::Int(5));
-        assert_eq!(db.stats().result_cache_invalidations, 0);
+        assert_eq!(db.cache_stats().query.invalidations, 0);
         // Past the TTL the entry expires and the fresh value is read.
         db.set_cache_clock(2_000);
         let fresh = db.execute(sql, &[Value::Int(1)]).unwrap();
@@ -1247,36 +1338,33 @@ mod tests {
     #[test]
     fn ttl_zero_is_equivalent_to_cache_off() {
         let mut db = db_with_users();
-        db.enable_result_cache(crate::cache::ResultCacheConfig {
-            capacity: 64,
-            invalidation: crate::cache::CacheInvalidation::Ttl(0),
-        });
+        db.enable_caching(CachePolicy { capacity: 64, invalidation: CacheInvalidation::Ttl(0) });
         let sql = "SELECT rating FROM users WHERE id = ?";
         db.execute(sql, &[Value::Int(1)]).unwrap();
         db.execute(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(db.stats().result_cache_hits, 0);
-        assert_eq!(db.stats().result_cache_misses, 2);
+        assert_eq!(db.cache_stats().query.hits, 0);
+        assert_eq!(db.cache_stats().query.misses, 2);
     }
 
     #[test]
     fn auto_commit_write_invalidates_immediately() {
         let mut db = db_with_users();
-        db.enable_result_cache(txn_cache());
+        db.enable_caching(txn_cache());
         let sql = "SELECT rating FROM users WHERE region = ?";
         db.execute(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(db.result_cache_len(), 1);
+        assert_eq!(db.query_cache_len(), 1);
         // A bare write is its own commit: coarse per-table invalidation.
         db.execute("UPDATE users SET rating = 7 WHERE id = 3", &[]).unwrap();
-        assert_eq!(db.stats().result_cache_invalidations, 1);
-        assert_eq!(db.result_cache_len(), 0);
+        assert_eq!(db.cache_stats().query.invalidations, 1);
+        assert_eq!(db.query_cache_len(), 0);
     }
 
     #[test]
     fn lru_evicts_least_recently_used() {
         let mut db = db_with_users();
-        db.enable_result_cache(crate::cache::ResultCacheConfig {
+        db.enable_caching(CachePolicy {
             capacity: 2,
-            invalidation: crate::cache::CacheInvalidation::Transactional,
+            invalidation: CacheInvalidation::Transactional,
         });
         let sql = "SELECT nickname FROM users WHERE id = ?";
         db.execute(sql, &[Value::Int(1)]).unwrap();
@@ -1284,22 +1372,22 @@ mod tests {
         // Refresh entry 1, then insert a third: entry 2 is the LRU victim.
         db.execute(sql, &[Value::Int(1)]).unwrap();
         db.execute(sql, &[Value::Int(3)]).unwrap();
-        assert_eq!(db.result_cache_len(), 2);
+        assert_eq!(db.query_cache_len(), 2);
         db.execute(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(db.stats().result_cache_hits, 2);
+        assert_eq!(db.cache_stats().query.hits, 2);
         db.execute(sql, &[Value::Int(2)]).unwrap();
-        assert_eq!(db.stats().result_cache_hits, 2); // evicted → miss
+        assert_eq!(db.cache_stats().query.hits, 2); // evicted → miss
     }
 
     #[test]
     fn rewind_clears_result_cache() {
         let mut db = db_with_users();
-        db.enable_result_cache(txn_cache());
+        db.enable_caching(txn_cache());
         db.begin_rewind();
         db.execute("SELECT nickname FROM users WHERE id = 1", &[]).unwrap();
-        assert_eq!(db.result_cache_len(), 1);
+        assert_eq!(db.query_cache_len(), 1);
         assert!(db.rewind());
-        assert_eq!(db.result_cache_len(), 0);
+        assert_eq!(db.query_cache_len(), 0);
     }
 
     #[test]

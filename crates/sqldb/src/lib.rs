@@ -65,7 +65,9 @@ pub mod table;
 pub mod txn;
 pub mod value;
 
-pub use cache::{CacheInvalidation, CacheKey, ResultCacheConfig, TableWrites};
+pub use cache::{
+    CacheCounters, CacheInvalidation, CacheKey, CachePolicy, CacheStats, Lookup, TableWrites,
+};
 pub use compile::CompiledStmt;
 pub use cost::{DbCostModel, QueryCounters};
 pub use db::{Database, DbStats};

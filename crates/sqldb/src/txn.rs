@@ -117,15 +117,15 @@ impl TxnLog {
     }
 
     /// `true` when the log mutated any of the given table ids. Drives the
-    /// result-cache bypass rule: a transaction that wrote a table must not
-    /// be served cached (committed-state) reads of it.
+    /// caches' bypass rule: a transaction that wrote a table must not be
+    /// served cached (committed-state) values computed from it.
     pub(crate) fn touches(&self, tables: &[usize]) -> bool {
         self.ops.iter().any(|op| tables.contains(&op.table()))
     }
 
     /// Catalog ids of every table the transaction mutated, sorted and
-    /// deduplicated. This is the invalidation key set the middleware feeds
-    /// to its method cache when the receipt commits.
+    /// deduplicated. `Database::apply_rollback` purges the cache entries
+    /// that depend on them when it unwinds the receipt.
     pub fn touched_tables(&self) -> Vec<usize> {
         let mut tables: Vec<usize> = self.ops.iter().map(UndoOp::table).collect();
         tables.sort_unstable();

@@ -6,9 +6,10 @@
 //! backtracking oracle.
 
 use dynamid_sqldb::{
-    CacheInvalidation, ColumnType, Database, ResultCacheConfig, TableSchema, Value,
+    CacheInvalidation, CacheKey, CachePolicy, ColumnType, Database, Lookup, TableSchema, Value,
 };
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Builds two tables with identical content; `fast` has a secondary index
 /// on `k`, `slow` does not.
@@ -542,29 +543,59 @@ proptest! {
     }
 }
 
-/// Zeroes the result-cache counters of a stats snapshot so the remaining
-/// (legacy) fields can be compared against a cache-off run.
-fn legacy_stats(mut s: dynamid_sqldb::DbStats) -> dynamid_sqldb::DbStats {
-    s.result_cache_hits = 0;
-    s.result_cache_misses = 0;
-    s.result_cache_invalidations = 0;
-    s.result_cache_bypasses = 0;
-    s
+/// The façade-style value the cached-schedule property memoizes through
+/// the method cache, and the arguments it is memoized for.
+const TALLY_SQL: &str = "SELECT COUNT(*), SUM(k) FROM fast WHERE k >= ?";
+const TALLY_ARGS: [i64; 4] = [-10, -5, 0, 5];
+
+/// Runs every read template on both twins and compares rows and counters.
+fn read_pass(cached: &mut Database, plain: &mut Database, a: i64, b: i64) {
+    let params = [Value::Int(a), Value::Int(b)];
+    for (sql, nparams) in READ_TEMPLATES {
+        let c = cached.execute(sql, &params[..nparams]).unwrap();
+        let p = plain.execute(sql, &params[..nparams]).unwrap();
+        assert_eq!(c, p, "read diverged on {sql}");
+    }
+}
+
+/// Serves the tally for `arg` through `cached`'s method cache, checking a
+/// hit against `plain`'s fresh value and memoizing a miss. Both twins
+/// compute through the interpreter, which touches neither the statistics
+/// nor the query cache.
+fn memo_tally(cached: &mut Database, plain: &mut Database, arg: i64) {
+    let arg = [Value::Int(arg)];
+    let fresh = plain.execute_interpreted(TALLY_SQL, &arg).unwrap().rows;
+    let key = CacheKey::from_values(&arg);
+    match cached.lookup_method("fast.tally", &key) {
+        Lookup::Hit(v) => {
+            assert_eq!(v.downcast_ref::<Vec<Vec<Value>>>(), Some(&fresh), "stale method hit");
+        }
+        outcome => {
+            let rows = cached.execute_interpreted(TALLY_SQL, &arg).unwrap().rows;
+            assert_eq!(rows, fresh);
+            if matches!(outcome, Lookup::Miss) {
+                let fast = cached.table_index("fast").unwrap();
+                cached.store_method("fast.tally", key, Arc::new(rows), vec![fast]);
+            }
+        }
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The transactional result cache is *invisible*: over random
-    /// interleaved schedules of reads, writes, and transaction boundaries
-    /// (COMMIT and ROLLBACK alike), a cached database returns exactly the
-    /// rows and counters of a cache-off twin, ends with the same data, and
-    /// accumulates identical legacy statistics. The same must hold for
-    /// `Ttl(0)`, where every entry expires before it can be served.
+    /// The transactional caches are *invisible*: over random interleaved
+    /// schedules of reads, writes, memoized façade-style values, transaction
+    /// boundaries (COMMIT and ROLLBACK alike) and unwinds of committed
+    /// receipts, a cached database returns exactly the rows and counters of
+    /// a cache-off twin, every method-cache hit equals the twin's fresh
+    /// value, and both end with the same data and identical statistics. The
+    /// same must hold for `Ttl(0)`, where every entry expires before it can
+    /// be served.
     #[test]
     fn cached_schedule_equals_cache_off(
         rows in prop::collection::vec((1i64..200, -20i64..20), 0..40),
-        script in prop::collection::vec((0usize..10, -25i64..25, 0i64..30), 1..40),
+        script in prop::collection::vec((0usize..12, -25i64..25, 0i64..30), 1..40),
         ttl_zero in any::<bool>(),
     ) {
         let mut seen = std::collections::HashSet::new();
@@ -572,7 +603,7 @@ proptest! {
             rows.into_iter().filter(|(id, _)| seen.insert(*id)).collect();
         let mut plain = twin_tables(&rows);
         let mut cached = twin_tables(&rows);
-        cached.enable_result_cache(ResultCacheConfig {
+        cached.enable_caching(CachePolicy {
             capacity: 32,
             invalidation: if ttl_zero {
                 CacheInvalidation::Ttl(0)
@@ -581,6 +612,8 @@ proptest! {
             },
         });
         let mut in_txn = false;
+        // Committed receipts of both twins, newest last.
+        let mut receipts = Vec::new();
         for (op, a, w) in &script {
             match op {
                 0..=5 => {
@@ -596,18 +629,42 @@ proptest! {
                     txn_write(&mut cached, kind, *a, *w);
                     txn_write(&mut plain, kind, *a, *w);
                 }
-                8 if !in_txn => {
+                8 | 9 if !in_txn => {
                     cached.execute("BEGIN", &[]).unwrap();
                     plain.execute("BEGIN", &[]).unwrap();
                     in_txn = true;
                 }
-                _ if in_txn => {
+                8 | 9 => {
                     // Odd offsets roll back, even ones commit — the cache
                     // must stay coherent through both.
-                    let stmt = if *a % 2 == 0 { "COMMIT" } else { "ROLLBACK" };
-                    cached.execute(stmt, &[]).unwrap();
-                    plain.execute(stmt, &[]).unwrap();
+                    if *a % 2 == 0 {
+                        receipts.extend(cached.commit_txn().zip(plain.commit_txn()));
+                    } else {
+                        cached.execute("ROLLBACK", &[]).unwrap();
+                        plain.execute("ROLLBACK", &[]).unwrap();
+                    }
                     in_txn = false;
+                }
+                10 => {
+                    let arg = TALLY_ARGS[a.rem_euclid(4) as usize];
+                    memo_tally(&mut cached, &mut plain, arg);
+                }
+                11 if !in_txn => {
+                    // Unwind the newest committed receipt, as an aborted
+                    // request is unwound, with reads and tallies cached
+                    // before and checked after.
+                    if let Some((c, p)) = receipts.pop() {
+                        let probe = |cached: &mut Database, plain: &mut Database| {
+                            read_pass(cached, plain, *a, *a + *w);
+                            for arg in TALLY_ARGS {
+                                memo_tally(cached, plain, arg);
+                            }
+                        };
+                        probe(&mut cached, &mut plain);
+                        cached.apply_rollback(c);
+                        plain.apply_rollback(p);
+                        probe(&mut cached, &mut plain);
+                    }
                 }
                 _ => {}
             }
@@ -616,23 +673,18 @@ proptest! {
             cached.execute("COMMIT", &[]).unwrap();
             plain.execute("COMMIT", &[]).unwrap();
         }
-        // Same final data and identical legacy statistics — the cache only
-        // adds its own four counters on top.
+        // Same final data and identical statistics — the caches keep their
+        // counters apart, in `cache_stats`.
         prop_assert!(cached.same_data(&plain), "cached schedule diverged from cache-off twin");
-        prop_assert_eq!(legacy_stats(cached.stats()), legacy_stats(plain.stats()));
+        prop_assert_eq!(cached.stats(), plain.stats());
         if ttl_zero {
             // A zero TTL can never serve: strict equivalence includes the
-            // hit counter itself.
-            prop_assert_eq!(cached.stats().result_cache_hits, 0);
+            // hit counters themselves.
+            prop_assert_eq!(cached.cache_stats().query.hits, 0);
+            prop_assert_eq!(cached.cache_stats().method.hits, 0);
         }
         // One final read pass compares every template end-state to be sure
         // surviving cache entries (if any) are coherent.
-        for (sql, nparams) in READ_TEMPLATES {
-            let params = [Value::Int(3), Value::Int(9)];
-            let params = &params[..nparams];
-            let c = cached.execute(sql, params).unwrap();
-            let p = plain.execute(sql, params).unwrap();
-            prop_assert_eq!(c, p, "post-schedule read diverged on {}", sql);
-        }
+        read_pass(&mut cached, &mut plain, 3, 9);
     }
 }

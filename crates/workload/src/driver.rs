@@ -644,10 +644,7 @@ impl<'a> WorkloadDriver<'a> {
         pending.sort_by_key(|(seq, _)| std::cmp::Reverse(*seq));
         let n = pending.len() as u64;
         for (_, log) in pending {
-            // Flush dependent method-cache entries (uncounted) before the
-            // rows revert; the result cache purges itself inside
-            // `apply_rollback`.
-            self.middleware.purge_method_tables(&log.touched_tables());
+            // `apply_rollback` also flushes the dependent cache entries.
             self.db.apply_rollback(log);
             self.ledger.rolled_back += 1;
         }
@@ -834,12 +831,11 @@ impl<'a> WorkloadDriver<'a> {
                 return;
             }
         }
-        // Advance both cache clocks to simulated time before the eager
+        // Advance the cache clock to simulated time before the eager
         // host-side execution, so TTL freshness is judged at submit time
-        // (no-ops when no cache is enabled, and under transactional
+        // (a no-op when caching is off, and under transactional
         // invalidation the clock is never consulted).
         self.db.set_cache_clock(now.as_micros());
-        self.middleware.set_cache_clock(now.as_micros());
         let seq = self.txn_seq;
         self.txn_seq += 1;
         let client = &mut self.clients[client_id];
@@ -1260,10 +1256,9 @@ impl Driver for WorkloadDriver<'_> {
         // must not survive: roll the transaction back before anything else
         // (in particular before a retry re-executes the interaction).
         if let Some((_, log)) = self.clients[client_id].pending_txn.take() {
-            // Aborted writes never published: flush dependent method-cache
-            // entries (uncounted — this is coherence, not invalidation)
-            // before the rows revert, then unwind the transaction.
-            self.middleware.purge_method_tables(&log.touched_tables());
+            // Aborted writes never published: unwinding also flushes the
+            // dependent cache entries (uncounted — this is coherence, not
+            // invalidation).
             self.db.apply_rollback(log);
             self.ledger.rolled_back += 1;
         }

@@ -8,60 +8,19 @@ use crate::driver::{
 use crate::fault::{ChaosOptions, FaultSpec, ResilienceConfig};
 use crate::mix::Mix;
 use dynamid_core::{
-    AdmissionControl, Application, CachePolicy, CacheScope, CostModel, InstallOptions,
-    MethodCacheConfig, MethodCacheStats, Middleware, OverloadControl, ReplicaPolicy,
-    StandardConfig,
+    AdmissionControl, Application, CostModel, InstallOptions, Middleware, OverloadControl,
+    ReplicaPolicy, StandardConfig,
 };
 use dynamid_sim::fault::{CrashWindow, FaultPlan};
 use dynamid_sim::{
     EngineStats, ErrorCounters, GrantPolicy, LockStats, SimDuration, SimTime, Simulation,
 };
-use dynamid_sqldb::{Database, ResultCacheConfig};
+use dynamid_sqldb::{CachePolicy, CacheStats, Database};
 use dynamid_trace::TraceCapture;
 
 /// One-way LAN latency between the paper's machines (switched 100 Mb/s
 /// Ethernet).
 pub const LAN_LATENCY: SimDuration = SimDuration::from_micros(100);
-
-/// Caching-tier counters for one run, present in the result only when the
-/// spec enabled caching via [`ExperimentSpec::caching`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Result-cache hits inside the database tier.
-    pub query_hits: u64,
-    /// Result-cache misses (cacheable statements that executed).
-    pub query_misses: u64,
-    /// Result-cache entries dropped by commit-driven invalidation.
-    pub query_invalidations: u64,
-    /// Result-cache lookups bypassed because the open transaction had
-    /// written one of the statement's read tables.
-    pub query_bypasses: u64,
-    /// Middleware session-façade method-cache counters (all zero outside
-    /// EJB configurations).
-    pub method: MethodCacheStats,
-}
-
-impl CacheStats {
-    /// Hit rate of the query result cache (0 when it never looked up).
-    pub fn query_hit_rate(&self) -> f64 {
-        let total = self.query_hits + self.query_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.query_hits as f64 / total as f64
-        }
-    }
-
-    /// Hit rate of the method cache (0 when it never looked up).
-    pub fn method_hit_rate(&self) -> f64 {
-        let total = self.method.hits + self.method.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.method.hits as f64 / total as f64
-        }
-    }
-}
 
 /// Everything measured by one experiment run (one configuration at one
 /// client count).
@@ -239,14 +198,13 @@ impl<'a> ExperimentSpec<'a> {
         self
     }
 
-    /// Enables the transactional caching tier: the database-tier read-query
-    /// result cache and/or the middleware session-façade method cache,
-    /// per the policy's [`scope`](CachePolicy::scope). Off by default (the
-    /// paper's setup); the result's
+    /// Enables the transactional caching tier: the database's query-result
+    /// cache and its session-façade method cache (consulted only by EJB
+    /// handlers). Off by default (the paper's setup); the result's
     /// [`cache_stats`](ExperimentResult::cache_stats) is populated when on.
-    /// The result cache is enabled on the database for the duration of the
-    /// run and disabled again before returning, so the caller's database is
-    /// left in its baseline mode.
+    /// Caching is enabled on the database for the duration of the run and
+    /// disabled again before returning, so the caller's database is left in
+    /// its baseline mode.
     pub fn caching(mut self, policy: CachePolicy) -> Self {
         self.caching = Some(policy);
         self
@@ -301,18 +259,9 @@ impl<'a> ExperimentSpec<'a> {
         if self.tracing {
             sim.enable_tracing();
         }
-        let query_cache = self
-            .caching
-            .is_some_and(|p| matches!(p.scope, CacheScope::QueryResults | CacheScope::Both));
-        if let Some(p) = self.caching {
-            if query_cache {
-                db.enable_result_cache(ResultCacheConfig {
-                    capacity: p.capacity,
-                    invalidation: p.invalidation,
-                });
-            }
+        if let Some(policy) = self.caching {
+            db.enable_caching(policy);
         }
-        let db_stats_before = db.stats();
         let middleware = Middleware::install_opts(
             &mut sim,
             config,
@@ -322,11 +271,6 @@ impl<'a> ExperimentSpec<'a> {
             InstallOptions {
                 admission: self.chaos.admission,
                 tracing: self.tracing,
-                method_cache: self.caching.and_then(|p| {
-                    matches!(p.scope, CacheScope::Methods | CacheScope::Both).then_some(
-                        MethodCacheConfig { capacity: p.capacity, invalidation: p.invalidation },
-                    )
-                }),
                 replication: self.replication,
                 overload: self.overload,
             },
@@ -388,21 +332,9 @@ impl<'a> ExperimentSpec<'a> {
         let goodput_ipm = metrics.goodput_ipm(measure);
         let latency_p99 = metrics.latency.quantile(0.99);
         let errors = metrics.errors_detail;
-        let cache_stats = self.caching.map(|_| {
-            let s1 = db.stats();
-            let s0 = db_stats_before;
-            CacheStats {
-                query_hits: s1.result_cache_hits.saturating_sub(s0.result_cache_hits),
-                query_misses: s1.result_cache_misses.saturating_sub(s0.result_cache_misses),
-                query_invalidations: s1
-                    .result_cache_invalidations
-                    .saturating_sub(s0.result_cache_invalidations),
-                query_bypasses: s1.result_cache_bypasses.saturating_sub(s0.result_cache_bypasses),
-                method: middleware.method_cache_stats().unwrap_or_default(),
-            }
-        });
-        if query_cache {
-            db.disable_result_cache();
+        let cache_stats = self.caching.map(|_| db.cache_stats());
+        if self.caching.is_some() {
+            db.disable_caching();
         }
         ExperimentResult {
             config,
@@ -463,8 +395,8 @@ mod tests {
                 0 => {
                     let v = if matches!(ctx.style(), LogicStyle::EntityBean) {
                         // Read-only façade, eligible for the method cache
-                        // (identical to a plain façade when none is
-                        // installed).
+                        // (identical to a plain façade when caching is
+                        // off).
                         ctx.facade_cached("Counter.read", &[Value::Int(key)], |em| {
                             match em.find("counters", Value::Int(key))? {
                                 Some(h) => em.get(h, "v"),
@@ -753,35 +685,31 @@ mod tests {
 
     #[test]
     fn query_cache_serves_hits_and_keeps_the_commit_oracle() {
-        use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope};
+        use dynamid_sqldb::CacheInvalidation;
 
         let mix = mini_mix();
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::PhpColocated)
             .mix(&mix)
             .workload(quick(20))
-            .caching(CachePolicy {
-                capacity: 256,
-                scope: CacheScope::QueryResults,
-                invalidation: CacheInvalidation::Transactional,
-            })
+            .caching(CachePolicy { capacity: 256, invalidation: CacheInvalidation::Transactional })
             .run(&mut db, &MiniApp);
         let cs = r.cache_stats.expect("cache stats populated");
-        assert!(cs.query_hits > 0, "no result-cache hits: {cs:?}");
-        assert!(cs.query_misses > 0);
-        assert!(cs.query_invalidations > 0, "committed writes must invalidate");
+        assert!(cs.query.hits > 0, "no result-cache hits: {cs:?}");
+        assert!(cs.query.misses > 0);
+        assert!(cs.query.invalidations > 0, "committed writes must invalidate");
         // Caching is a read-path shortcut: every write still executed, so
         // the committed-ledger oracle must hold exactly.
         let committed_writes = r.ledger.per_interaction.get(1).copied().unwrap_or(0);
         let total = db.execute("SELECT SUM(v) FROM counters", &[]).unwrap();
         assert_eq!(total.rows[0][0].as_int().unwrap_or(0), committed_writes as i64);
         // The run leaves the database back in baseline (cache-off) mode.
-        assert!(!db.result_cache_enabled());
+        assert!(!db.caching_enabled());
     }
 
     #[test]
     fn method_cache_lifts_ejb_throughput() {
-        use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope};
+        use dynamid_sqldb::CacheInvalidation;
 
         let mix = mini_mix();
         let mut db1 = mini_db();
@@ -793,11 +721,7 @@ mod tests {
         let cached = ExperimentSpec::for_config(StandardConfig::EjbFourTier)
             .mix(&mix)
             .workload(quick(30))
-            .caching(CachePolicy {
-                capacity: 256,
-                scope: CacheScope::Both,
-                invalidation: CacheInvalidation::Transactional,
-            })
+            .caching(CachePolicy { capacity: 256, invalidation: CacheInvalidation::Transactional })
             .run(&mut db2, &MiniApp);
         assert!(plain.cache_stats.is_none());
         let cs = cached.cache_stats.expect("cache stats populated");
@@ -816,7 +740,7 @@ mod tests {
 
     #[test]
     fn ttl_caching_still_satisfies_the_commit_oracle() {
-        use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope};
+        use dynamid_sqldb::CacheInvalidation;
 
         // Stale reads are the TTL ablation's point — but the write path
         // never goes through the cache, so database state and ledger stay
@@ -828,14 +752,13 @@ mod tests {
             .workload(quick(20))
             .caching(CachePolicy {
                 capacity: 256,
-                scope: CacheScope::QueryResults,
                 invalidation: CacheInvalidation::Ttl(10_000_000),
             })
             .run(&mut db, &MiniApp);
         let cs = r.cache_stats.expect("cache stats populated");
-        assert!(cs.query_hits > 0);
+        assert!(cs.query.hits > 0);
         // TTL mode never invalidates at commit.
-        assert_eq!(cs.query_invalidations, 0);
+        assert_eq!(cs.query.invalidations, 0);
         let committed_writes = r.ledger.per_interaction.get(1).copied().unwrap_or(0);
         let total = db.execute("SELECT SUM(v) FROM counters", &[]).unwrap();
         assert_eq!(total.rows[0][0].as_int().unwrap_or(0), committed_writes as i64);
@@ -843,7 +766,7 @@ mod tests {
 
     #[test]
     fn cached_runs_replay_bit_identically() {
-        use dynamid_core::{CacheInvalidation, CachePolicy, CacheScope};
+        use dynamid_sqldb::CacheInvalidation;
 
         let mix = mini_mix();
         let run = || {
@@ -853,7 +776,6 @@ mod tests {
                 .workload(quick(15))
                 .caching(CachePolicy {
                     capacity: 128,
-                    scope: CacheScope::Both,
                     invalidation: CacheInvalidation::Transactional,
                 })
                 .run(&mut db, &MiniApp)

@@ -27,6 +27,6 @@ pub use driver::{
     CommitLedger, ReplicationReport, ResourceWindow, TimelineBucket, WorkloadConfig,
     WorkloadDriver, WorkloadMetrics,
 };
-pub use experiment::{CacheStats, ExperimentResult, ExperimentSpec, LAN_LATENCY};
+pub use experiment::{ExperimentResult, ExperimentSpec, LAN_LATENCY};
 pub use fault::{ChaosOptions, FaultSpec, ResilienceConfig, RetryBudget, RetryTokens};
 pub use mix::{Mix, TransitionMatrix};

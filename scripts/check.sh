@@ -17,6 +17,9 @@ cargo test -q
 echo "== workspace tests"
 cargo test -q --workspace
 
+echo "== benchmark package tests (perfbench sits outside the workspace)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== perf + chaos smoke (writes BENCH_repro.json)"
 cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos
 
