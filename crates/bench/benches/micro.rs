@@ -7,7 +7,8 @@ use dynamid_harness::{find_figure, run_figure, HarnessConfig};
 use dynamid_http::Connector;
 use dynamid_sim::engine::NullDriver;
 use dynamid_sim::{
-    GrantPolicy, LockManager, LockMode, Op, PsResource, SimDuration, SimTime, Simulation, Trace,
+    Driver, GrantPolicy, JobDone, LockManager, LockMode, Op, PsResource, SimDuration, SimTime,
+    Simulation, Trace,
 };
 use dynamid_sqldb::{parse, ColumnType, Database, Table, TableSchema, Value};
 use std::collections::HashMap;
@@ -322,19 +323,21 @@ fn bench_sim_kernel(c: &mut Criterion) {
             || PsResource::new("cpu", 1.0),
             |mut r| {
                 let mut now = SimTime::ZERO;
+                let mut done = Vec::new();
                 for i in 0..1_000u64 {
                     r.enqueue(now, dynamid_sim::JobId(i), 100.0);
                     if i % 4 == 3 {
                         now = r.next_completion(now).unwrap();
-                        black_box(r.pop_completed(now));
+                        black_box(r.pop_completed(now, &mut done));
                     }
                 }
                 while let Some(t) = r.next_completion(now) {
                     now = t;
-                    if r.pop_completed(now).is_empty() {
+                    if r.pop_completed(now, &mut done) == 0 {
                         break;
                     }
                 }
+                black_box(done.len());
             },
             BatchSize::SmallInput,
         )
@@ -384,7 +387,59 @@ fn bench_sim_kernel(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+
+    // The sweeps' shape: a few jobs per resource. 200 closed-loop clients
+    // share a 16-process pool in front of a web -> app -> db chain; every
+    // completion resubmits its client's request at once.
+    g.bench_function("engine_closed_loop_3tier", |b| {
+        b.iter_batched(
+            || {
+                let mut sim = Simulation::new(SimDuration::from_micros(100));
+                let web = sim.add_machine("web", 1.0, 100.0);
+                let app = sim.add_machine("app", 1.0, 100.0);
+                let db = sim.add_machine("db", 1.0, 100.0);
+                let pool = sim.register_semaphore("pool", 16);
+                let traces: Vec<Trace> = (0..200u64)
+                    .map(|client| {
+                        [
+                            Op::SemAcquire { sem: pool },
+                            Op::Cpu { machine: web, micros: 150 + client % 13 },
+                            Op::Net { from: web, to: app, bytes: 600 },
+                            Op::Cpu { machine: app, micros: 300 + client % 29 },
+                            Op::Net { from: app, to: db, bytes: 400 },
+                            Op::Cpu { machine: db, micros: 120 + client % 7 },
+                            Op::SemRelease { sem: pool },
+                        ]
+                        .into_iter()
+                        .collect()
+                    })
+                    .collect();
+                for (client, trace) in traces.iter().enumerate() {
+                    sim.submit(trace.clone(), client as u64);
+                }
+                (sim, Resubmit { traces })
+            },
+            |(mut sim, mut driver)| {
+                sim.run(SimTime::from_micros(1_000_000), &mut driver).unwrap();
+                black_box(sim.stats().events)
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
+}
+
+/// Closed-loop clients with no think time: each completion resubmits the
+/// same client's trace.
+struct Resubmit {
+    traces: Vec<Trace>,
+}
+
+impl Driver for Resubmit {
+    fn on_job_complete(&mut self, sim: &mut Simulation, done: JobDone) {
+        sim.submit(self.traces[done.tag as usize].clone(), done.tag);
+    }
+    fn on_timer(&mut self, _sim: &mut Simulation, _token: u64) {}
 }
 
 /// E11: the §6.1 profiling claim — per-byte cost of moving dynamic content

@@ -32,7 +32,7 @@ use dynamid_harness::{
     DEFAULT_REPLICAS, DEFAULT_SPIKE_MULTS, DEFAULT_STORM_INTENSITIES, FIGURES,
     FRONT_ENDED_OVERLOAD_CONFIGS, OVERLOAD_CONFIGS,
 };
-use dynamid_sim::SimDuration;
+use dynamid_sim::{EventCounts, SimDuration};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -580,6 +580,10 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
         let events: u64 = pts().map(|p| p.engine.events).sum();
         let stale: u64 = pts().map(|p| p.engine.stale_events).sum();
         let peak: u64 = pts().map(|p| p.engine.peak_calendar).max().unwrap_or(0);
+        let mut kinds = EventCounts::default();
+        for p in pts() {
+            kinds += p.engine.by_kind;
+        }
         all_events += events;
         all_stale += stale;
         all_peak = all_peak.max(peak);
@@ -598,8 +602,16 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
         profile_json.push(format!(
             "      {{\"id\": \"{key}\", \"scale\": {scale}, \"wall_secs\": {secs:.3}, \
              \"events\": {events}, \"stale_events\": {stale}, \
-             \"stale_ratio\": {:.4}, \"peak_calendar\": {peak}}}",
-            stale as f64 / events.max(1) as f64
+             \"stale_ratio\": {:.4}, \"peak_calendar\": {peak}, \"events_by_kind\": \
+             {{\"ps_cpu\": {}, \"ps_nic\": {}, \"delay\": {}, \"job_start\": {}, \
+             \"timer\": {}, \"other\": {}}}}}",
+            stale as f64 / events.max(1) as f64,
+            kinds.ps_cpu,
+            kinds.ps_nic,
+            kinds.delay,
+            kinds.job_start,
+            kinds.timer,
+            kinds.other,
         ));
     }
 

@@ -321,6 +321,58 @@ impl<T> CalendarQueue<T> {
         None
     }
 
+    /// Removes and returns the earliest live event if it is due at or
+    /// before `until`; otherwise returns `None` and leaves it queued.
+    ///
+    /// This is [`peek_at`](Self::peek_at) followed, when the peeked time is
+    /// due, by [`pop`](Self::pop), fused so the common case — the next live
+    /// event sits in level 0 — costs one bitmap scan instead of two. It
+    /// discards exactly the tombstones that pair would discard, including
+    /// the level-1 reap when the run stops in front of a later slot, so
+    /// [`stale_popped`](Self::stale_popped) and the queue's layout come out
+    /// the same. The level-0 window never moves past `until`, so callers may
+    /// keep scheduling at `until` after a `None`.
+    pub fn pop_until(&mut self, until: SimTime) -> Option<(SimTime, T)> {
+        if self.live == 0 {
+            return None;
+        }
+        while let Some(b) = first_bit(&self.l0_occ) {
+            while let Some(&(idx, gen)) = self.l0[b].front() {
+                let slot = &self.slots[idx as usize];
+                if slot.gen != gen {
+                    self.l0[b].pop_front();
+                    self.stale_popped += 1;
+                    continue;
+                }
+                if slot.at > until.as_micros() {
+                    return None;
+                }
+                self.l0[b].pop_front();
+                if self.l0[b].is_empty() {
+                    bit_clear(&mut self.l0_occ, b);
+                }
+                return Some(self.take_slot(idx));
+            }
+            bit_clear(&mut self.l0_occ, b);
+        }
+        // Level 0 holds nothing live: the next event is at least a window
+        // away, which is rare enough to take the two-step path.
+        if self.peek_at()? > until {
+            return None;
+        }
+        self.pop()
+    }
+
+    /// Frees the live arena slot `idx` and returns its event.
+    fn take_slot(&mut self, idx: u32) -> (SimTime, T) {
+        let slot = &mut self.slots[idx as usize];
+        let payload = slot.payload.take().expect("live slot has a payload");
+        slot.gen = slot.gen.wrapping_add(1);
+        self.free.push(idx);
+        self.live -= 1;
+        (SimTime::from_micros(slot.at), payload)
+    }
+
     /// Minimum time among the live references in `refs`.
     fn min_live(&self, refs: &[Ref]) -> Option<u64> {
         refs.iter()
@@ -340,20 +392,14 @@ impl<T> CalendarQueue<T> {
             // Drain the earliest occupied level-0 bucket.
             while let Some(b) = first_bit(&self.l0_occ) {
                 while let Some((idx, gen)) = self.l0[b].pop_front() {
-                    let slot = &mut self.slots[idx as usize];
-                    if slot.gen != gen {
+                    if self.slots[idx as usize].gen != gen {
                         self.stale_popped += 1;
                         continue;
                     }
-                    let at = slot.at;
-                    let payload = slot.payload.take().expect("live slot has a payload");
-                    slot.gen = slot.gen.wrapping_add(1);
-                    self.free.push(idx);
-                    self.live -= 1;
                     if self.l0[b].is_empty() {
                         bit_clear(&mut self.l0_occ, b);
                     }
-                    return Some((SimTime::from_micros(at), payload));
+                    return Some(self.take_slot(idx));
                 }
                 bit_clear(&mut self.l0_occ, b);
             }
@@ -583,10 +629,27 @@ mod tests {
     }
 
     #[test]
+    fn pop_until_stops_in_front_of_later_events() {
+        let mut q = CalendarQueue::new();
+        q.schedule(t(3), "a");
+        q.schedule(t(L0_SPAN + 5), "b");
+        assert_eq!(q.pop_until(t(2)), None);
+        assert_eq!(q.pop_until(t(3)), Some((t(3), "a")));
+        // "b" lies beyond level 0; stopping short must not move the window,
+        // so an event scheduled at the stop time still pops first.
+        assert_eq!(q.pop_until(t(10)), None);
+        q.schedule(t(10), "c");
+        assert_eq!(q.pop_until(t(L0_SPAN + 5)), Some((t(10), "c")));
+        assert_eq!(q.pop_until(t(L0_SPAN + 5)), Some((t(L0_SPAN + 5), "b")));
+        assert_eq!(q.pop_until(t(u64::MAX)), None);
+    }
+
+    #[test]
     fn empty_queue_behaves() {
         let mut q: CalendarQueue<()> = CalendarQueue::new();
         assert!(q.is_empty());
         assert_eq!(q.peek_at(), None);
         assert!(q.pop().is_none());
+        assert!(q.pop_until(t(5)).is_none());
     }
 }

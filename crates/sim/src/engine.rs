@@ -13,13 +13,14 @@
 
 use crate::calendar::{CalendarQueue, EventId};
 use crate::fault::FaultPlan;
+use crate::hash::IdSet;
 use crate::lock::{GrantPolicy, LockId, LockManager, LockStats, SemGrant, SemaphoreId};
 use crate::op::{Op, Trace};
 use crate::ps::{PsResource, PsStats};
 use crate::rng::SimRng;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{Activity, IntervalColumns, TraceRecorder};
-use std::collections::{HashMap, HashSet};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies a simulated machine.
@@ -202,6 +203,51 @@ struct Job {
     deadline_ev: Option<EventId>,
 }
 
+/// The jobs in flight, indexed by id. Ids are issued in ascending order, so
+/// the table is a window of slots starting at the oldest live id: lookups
+/// are one subtraction, and finished jobs at the front are trimmed as they
+/// go. A long-lived job only holds the window open; it never slows a lookup.
+#[derive(Debug, Default)]
+struct JobTable {
+    /// Id of `slots[0]`.
+    base: u64,
+    slots: VecDeque<Option<Job>>,
+    live: usize,
+}
+
+impl JobTable {
+    /// Adds the job with the next id, which must be `base + slots.len()`.
+    fn push(&mut self, id: JobId, job: Job) {
+        debug_assert_eq!(id.0, self.base + self.slots.len() as u64, "job ids must be dense");
+        self.slots.push_back(Some(job));
+        self.live += 1;
+    }
+
+    fn index(&self, id: JobId) -> Option<usize> {
+        usize::try_from(id.0.checked_sub(self.base)?).ok()
+    }
+
+    fn get_mut(&mut self, id: JobId) -> Option<&mut Job> {
+        let i = self.index(id)?;
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    fn remove(&mut self, id: JobId) -> Option<Job> {
+        let i = self.index(id)?;
+        let job = self.slots.get_mut(i)?.take()?;
+        self.live -= 1;
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(job)
+    }
+
+    fn len(&self) -> usize {
+        self.live
+    }
+}
+
 #[derive(Debug)]
 struct Machine {
     name: String,
@@ -240,6 +286,59 @@ pub struct EngineStats {
     pub stale_events: u64,
     /// High-water mark of pending events on the calendar.
     pub peak_calendar: u64,
+    /// `events` split by kind. Observational only.
+    pub by_kind: EventCounts,
+}
+
+/// Dispatched calendar events by kind; the fields sum to
+/// [`EngineStats::events`]. Stale events count under their own kind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct EventCounts {
+    /// Processor-sharing completions on a CPU.
+    pub ps_cpu: u64,
+    /// Processor-sharing completions on a NIC.
+    pub ps_nic: u64,
+    /// Finished `Delay` ops and latency legs of `Net` ops.
+    pub delay: u64,
+    /// Deferred starts of submitted jobs and resumptions of granted ones.
+    pub job_start: u64,
+    /// Driver timers.
+    pub timer: u64,
+    /// Deadlines, shed teardowns, crashes and restarts.
+    pub other: u64,
+}
+
+impl EventCounts {
+    /// Sum over every kind.
+    pub fn total(&self) -> u64 {
+        self.ps_cpu + self.ps_nic + self.delay + self.job_start + self.timer + self.other
+    }
+
+    fn count(&mut self, kind: &EventKind) {
+        let n = match kind {
+            EventKind::Ps { res: ResKey::Cpu(_), .. } => &mut self.ps_cpu,
+            EventKind::Ps { res: ResKey::Nic(_), .. } => &mut self.ps_nic,
+            EventKind::DelayDone { .. } => &mut self.delay,
+            EventKind::JobStart { .. } => &mut self.job_start,
+            EventKind::Timer { .. } => &mut self.timer,
+            EventKind::Deadline { .. }
+            | EventKind::ShedJob { .. }
+            | EventKind::Crash { .. }
+            | EventKind::Restart { .. } => &mut self.other,
+        };
+        *n += 1;
+    }
+}
+
+impl std::ops::AddAssign for EventCounts {
+    fn add_assign(&mut self, o: EventCounts) {
+        self.ps_cpu += o.ps_cpu;
+        self.ps_nic += o.ps_nic;
+        self.delay += o.delay;
+        self.job_start += o.job_start;
+        self.timer += o.timer;
+        self.other += o.other;
+    }
 }
 
 /// Fault-injection state: the plan plus its private random stream, present
@@ -269,12 +368,18 @@ pub struct Simulation {
     queue: CalendarQueue<EventKind>,
     machines: Vec<Machine>,
     locks: LockManager,
-    jobs: HashMap<JobId, Job>,
+    jobs: JobTable,
     next_job: u64,
     link_latency: SimDuration,
     stats: EngineStats,
     faults: Option<FaultState>,
     trace: Option<TraceRecorder>,
+    /// Scratch buffers reused by every dispatch: jobs a PS completion
+    /// finished, and the queue of jobs to step. `run` is not re-entrant
+    /// (callbacks only submit, set timers and cancel), so one pair
+    /// suffices; each is taken out while in use and put back empty.
+    done_buf: Vec<JobId>,
+    work_buf: Vec<JobId>,
 }
 
 impl Simulation {
@@ -292,12 +397,14 @@ impl Simulation {
             queue: CalendarQueue::new(),
             machines: Vec::new(),
             locks: LockManager::new(policy),
-            jobs: HashMap::new(),
+            jobs: JobTable::default(),
             next_job: 0,
             link_latency,
             stats: EngineStats::default(),
             faults: None,
             trace: None,
+            done_buf: Vec::new(),
+            work_buf: Vec::new(),
         }
     }
 
@@ -537,7 +644,7 @@ impl Simulation {
             // path free of mid-run reallocations.
             t.reserve(trace.len());
         }
-        self.jobs.insert(
+        self.jobs.push(
             id,
             Job {
                 trace,
@@ -562,7 +669,7 @@ impl Simulation {
     pub fn submit_with_deadline(&mut self, trace: Trace, tag: u64, deadline: SimDuration) -> JobId {
         let id = self.submit(trace, tag);
         let ev = self.schedule(self.now + deadline, EventKind::Deadline { job: id });
-        self.jobs.get_mut(&id).expect("just submitted").deadline_ev = Some(ev);
+        self.jobs.get_mut(id).expect("just submitted").deadline_ev = Some(ev);
         id
     }
 
@@ -605,11 +712,7 @@ impl Simulation {
     /// semaphore over-release). The simulation should be discarded after an
     /// error: partial state of the offending job is not unwound.
     pub fn run<D: Driver>(&mut self, until: SimTime, driver: &mut D) -> Result<(), SimError> {
-        while let Some(at) = self.queue.peek_at() {
-            if at > until {
-                break;
-            }
-            let (at, kind) = self.queue.pop().expect("peeked event is poppable");
+        while let Some((at, kind)) = self.queue.pop_until(until) {
             debug_assert!(at >= self.now, "event in the past");
             self.now = at;
             self.stats.events += 1;
@@ -639,6 +742,7 @@ impl Simulation {
     }
 
     fn dispatch<D: Driver>(&mut self, kind: EventKind, driver: &mut D) -> Result<(), SimError> {
+        self.stats.by_kind.count(&kind);
         match kind {
             EventKind::Ps { res, epoch } => {
                 let resource = self.resource_mut(res);
@@ -649,22 +753,27 @@ impl Simulation {
                     return Ok(()); // stale prediction
                 }
                 let now = self.now;
-                let resource = self.resource_mut(res);
-                resource.advance(now);
-                let done = resource.pop_completed(now);
-                let mut work: Vec<JobId> = Vec::with_capacity(done.len());
-                for job in done {
+                let mut done = std::mem::take(&mut self.done_buf);
+                self.resource_mut(res).pop_completed(now, &mut done);
+                let mut work = std::mem::take(&mut self.work_buf);
+                for &job in &done {
                     self.on_service_done(res, job, &mut work, driver);
                 }
+                done.clear();
+                self.done_buf = done;
                 self.refresh_ps(res);
                 self.drain(work, driver)
             }
             EventKind::DelayDone { job } => {
-                let mut work = Vec::new();
+                let mut work = std::mem::take(&mut self.work_buf);
                 self.on_delay_done(job, &mut work, driver);
                 self.drain(work, driver)
             }
-            EventKind::JobStart { job } => self.drain(vec![job], driver),
+            EventKind::JobStart { job } => {
+                let mut work = std::mem::take(&mut self.work_buf);
+                work.push(job);
+                self.drain(work, driver)
+            }
             EventKind::Timer { token } => {
                 driver.on_timer(self, token);
                 Ok(())
@@ -772,13 +881,13 @@ impl Simulation {
         work: &mut Vec<JobId>,
         driver: &mut D,
     ) {
-        let job = self.jobs.get_mut(&job_id).expect("service for unknown job");
+        let job = self.jobs.get_mut(job_id).expect("service for unknown job");
         match res {
             ResKey::Cpu(_) => {
                 if let Some(t) = &mut self.trace {
                     t.end(job_id, self.now);
                 }
-                let job = self.jobs.get_mut(&job_id).expect("service for unknown job");
+                let job = self.jobs.get_mut(job_id).expect("service for unknown job");
                 job.pc += 1;
                 work.push(job_id);
             }
@@ -811,7 +920,7 @@ impl Simulation {
         work: &mut Vec<JobId>,
         driver: &mut D,
     ) {
-        let job = self.jobs.get_mut(&job_id).expect("unknown job");
+        let job = self.jobs.get_mut(job_id).expect("unknown job");
         let Op::Net { to, bytes, .. } = job.trace.ops()[job.pc] else {
             panic!("receiver phase on non-Net op");
         };
@@ -822,7 +931,7 @@ impl Simulation {
             }
             return;
         }
-        let job = self.jobs.get_mut(&job_id).expect("unknown job");
+        let job = self.jobs.get_mut(job_id).expect("unknown job");
         job.net_phase = NetPhase::ReceiverNic;
         let mut demand = bytes as f64;
         if let Some(f) = &self.faults {
@@ -838,7 +947,7 @@ impl Simulation {
     fn on_delay_done<D: Driver>(&mut self, job_id: JobId, work: &mut Vec<JobId>, driver: &mut D) {
         // Stale when the job aborted while its delay (or the latency leg of
         // its transfer) was pending.
-        let Some(job) = self.jobs.get_mut(&job_id) else {
+        let Some(job) = self.jobs.get_mut(job_id) else {
             self.stats.stale_events += 1;
             return;
         };
@@ -856,12 +965,13 @@ impl Simulation {
     }
 
     /// Steps every job in `work` (and any jobs they unblock) until each is
-    /// parked in a resource, waiting on a lock, delayed, or complete.
-    fn drain<D: Driver>(&mut self, work: Vec<JobId>, driver: &mut D) -> Result<(), SimError> {
-        let mut queue: Vec<JobId> = work;
-        while let Some(job_id) = queue.pop() {
-            self.step_job(job_id, &mut queue, driver)?;
+    /// parked in a resource, waiting on a lock, delayed, or complete, then
+    /// hands the emptied buffer back for the next dispatch.
+    fn drain<D: Driver>(&mut self, mut work: Vec<JobId>, driver: &mut D) -> Result<(), SimError> {
+        while let Some(job_id) = work.pop() {
+            self.step_job(job_id, &mut work, driver)?;
         }
+        self.work_buf = work;
         Ok(())
     }
 
@@ -894,7 +1004,7 @@ impl Simulation {
         loop {
             // Stale when the job was aborted between being scheduled to
             // start/resume and the event firing.
-            let Some(job) = self.jobs.get_mut(&job_id) else {
+            let Some(job) = self.jobs.get_mut(job_id) else {
                 return Ok(());
             };
             if job.pc >= job.trace.len() {
@@ -905,7 +1015,7 @@ impl Simulation {
                     completed: self.now,
                 };
                 let deadline_ev = job.deadline_ev;
-                self.jobs.remove(&job_id);
+                self.jobs.remove(job_id);
                 if let Some(ev) = deadline_ev {
                     self.queue.cancel(ev);
                 }
@@ -950,7 +1060,7 @@ impl Simulation {
                         self.abort_in_step(job_id, AbortReason::TransientFault, driver);
                         return Ok(());
                     }
-                    let job = self.jobs.get_mut(&job_id).expect("job");
+                    let job = self.jobs.get_mut(job_id).expect("job");
                     job.net_phase = NetPhase::SenderNic;
                     let mut demand = bytes as f64;
                     if let Some(f) = &self.faults {
@@ -981,7 +1091,7 @@ impl Simulation {
                         });
                     }
                     if self.locks.acquire(self.now, lock, mode, job_id) {
-                        let job = self.jobs.get_mut(&job_id).expect("job");
+                        let job = self.jobs.get_mut(job_id).expect("job");
                         job.pc += 1;
                         continue;
                     }
@@ -1012,17 +1122,17 @@ impl Simulation {
                         if let Some(t) = &mut self.trace {
                             t.end(g, self.now);
                         }
-                        let gj = self.jobs.get_mut(&g).expect("granted unknown job");
+                        let gj = self.jobs.get_mut(g).expect("granted unknown job");
                         gj.pc += 1;
                         queue.push(g);
                     }
-                    let job = self.jobs.get_mut(&job_id).expect("job");
+                    let job = self.jobs.get_mut(job_id).expect("job");
                     job.pc += 1;
                     continue;
                 }
                 Op::SemAcquire { sem } => match self.locks.sem_acquire(self.now, sem, job_id) {
                     SemGrant::Granted => {
-                        let job = self.jobs.get_mut(&job_id).expect("job");
+                        let job = self.jobs.get_mut(job_id).expect("job");
                         job.pc += 1;
                         continue;
                     }
@@ -1055,11 +1165,11 @@ impl Simulation {
                         if let Some(t) = &mut self.trace {
                             t.end(g, self.now);
                         }
-                        let gj = self.jobs.get_mut(&g).expect("granted unknown job");
+                        let gj = self.jobs.get_mut(g).expect("granted unknown job");
                         gj.pc += 1;
                         queue.push(g);
                     }
-                    let job = self.jobs.get_mut(&job_id).expect("job");
+                    let job = self.jobs.get_mut(job_id).expect("job");
                     job.pc += 1;
                     continue;
                 }
@@ -1073,7 +1183,7 @@ impl Simulation {
     /// borrow), and updates the abort/reject counters. Returns `None` when
     /// the job is unknown (stale deadline, double cancel).
     fn abort_job(&mut self, job_id: JobId, reason: AbortReason) -> Option<JobAborted> {
-        let job = self.jobs.remove(&job_id)?;
+        let job = self.jobs.remove(job_id)?;
         if let Some(ev) = job.deadline_ev {
             self.queue.cancel(ev);
         }
@@ -1161,7 +1271,7 @@ impl Simulation {
     /// globally).
     fn find_deadlock_victim(&self, start: JobId) -> Option<JobId> {
         let mut path = vec![start];
-        let mut visited: HashSet<JobId> = HashSet::new();
+        let mut visited: IdSet<JobId> = IdSet::default();
         visited.insert(start);
         if self.deadlock_dfs(start, start, &mut path, &mut visited) {
             path.into_iter().max()
@@ -1175,7 +1285,7 @@ impl Simulation {
         node: JobId,
         start: JobId,
         path: &mut Vec<JobId>,
-        visited: &mut HashSet<JobId>,
+        visited: &mut IdSet<JobId>,
     ) -> bool {
         let Some(lock) = self.locks.waiting_on(node) else {
             return false;
@@ -1201,7 +1311,7 @@ impl Simulation {
         if let Some(t) = &mut self.trace {
             t.end(g, self.now);
         }
-        let gj = self.jobs.get_mut(&g).expect("granted unknown job");
+        let gj = self.jobs.get_mut(g).expect("granted unknown job");
         gj.pc += 1;
         self.schedule(self.now, EventKind::JobStart { job: g });
     }
@@ -1773,6 +1883,54 @@ mod tests {
         let st = sim.stats();
         assert_eq!((st.completed, st.aborted), (1, 1));
         assert!(sim.leak_report().is_none(), "{:?}", sim.leak_report());
+    }
+
+    #[test]
+    fn event_kind_counts_sum_to_events() {
+        let mut sim = Simulation::new(SimDuration::from_micros(50));
+        let web = sim.add_machine("web", 1.0, 100.0);
+        let db = sim.add_machine("db", 1.0, 100.0);
+        sim.install_faults(FaultPlan {
+            seed: 3,
+            transient_fail_prob: 0.0,
+            crashes: vec![crate::fault::CrashWindow {
+                machine: db,
+                at: t(6_000),
+                restart: t(7_000),
+            }],
+            degradations: Vec::new(),
+        });
+        for i in 0..20 {
+            let trace: Trace = [
+                Op::Cpu { machine: web, micros: 30 },
+                Op::Net { from: web, to: db, bytes: 500 },
+                Op::Delay { micros: 100 },
+                Op::Cpu { machine: db, micros: 20 + i },
+            ]
+            .into_iter()
+            .collect();
+            sim.submit_with_deadline(trace, i, SimDuration::from_micros(5_000));
+        }
+        // Outlives its deadline, then its delay fires stale.
+        let slow: Trace = [Op::Delay { micros: 9_000 }].into_iter().collect();
+        sim.submit_with_deadline(slow, 20, SimDuration::from_micros(5_000));
+        // In service on the db when it crashes.
+        let long: Trace = [Op::Cpu { machine: db, micros: 10_000 }].into_iter().collect();
+        sim.submit(long, 21);
+        sim.set_timer(t(1_000), 1);
+        sim.set_timer(t(9_000), 2);
+        let mut rec = Recorder::new();
+        sim.run(t(20_000), &mut rec).unwrap();
+        let st = sim.stats();
+        let k = st.by_kind;
+        assert_eq!(k.total(), st.events, "{k:?}");
+        assert_eq!((st.completed, st.aborted), (20, 2));
+        assert_eq!((k.job_start, k.timer), (22, 2));
+        // One deadline, the crash and the restart.
+        assert_eq!(k.other, 3);
+        // Twenty latency legs and twenty Delay ops, plus the stale delay.
+        assert_eq!(k.delay, 41);
+        assert!(k.ps_cpu > 0 && k.ps_nic > 0, "{k:?}");
     }
 
     #[test]

@@ -42,6 +42,7 @@
 pub mod calendar;
 pub mod engine;
 pub mod fault;
+mod hash;
 pub mod lock;
 pub mod metrics;
 pub mod op;
@@ -51,7 +52,7 @@ pub mod time;
 pub mod trace;
 
 pub use engine::{
-    AbortReason, Driver, EngineStats, JobAborted, JobDone, JobId, MachineId, SimError,
+    AbortReason, Driver, EngineStats, EventCounts, JobAborted, JobDone, JobId, MachineId, SimError,
     SimErrorKind, Simulation,
 };
 pub use fault::{CrashWindow, Degradation, FaultPlan};

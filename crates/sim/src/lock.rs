@@ -9,8 +9,9 @@
 //! this is what produces the paper's lock-contention plateaus and dips.
 
 use crate::engine::JobId;
+use crate::hash::IdMap;
 use crate::time::SimTime;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies a lock registered with a [`LockManager`].
@@ -92,7 +93,7 @@ struct LockState {
     readers: Vec<JobId>,
     writer: Option<JobId>,
     queue: VecDeque<(JobId, LockMode, SimTime)>,
-    granted_at: HashMap<JobId, SimTime>,
+    granted_at: IdMap<JobId, SimTime>,
     stats: LockStats,
 }
 
@@ -177,7 +178,7 @@ impl LockManager {
             readers: Vec::new(),
             writer: None,
             queue: VecDeque::new(),
-            granted_at: HashMap::new(),
+            granted_at: IdMap::default(),
             stats: LockStats::default(),
         });
         id

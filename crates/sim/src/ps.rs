@@ -12,10 +12,19 @@
 //! `V` advances at rate `capacity / n`, a job arriving with service demand
 //! `d` is assigned virtual finish time `V + d`, and jobs complete in virtual
 //! finish order.
+//!
+//! The jobs in service sit in one binary min-heap keyed on
+//! `(finish, seq)`. The arrival sequence number makes that key a total
+//! order, so the heap pops in exactly the order an ordered set would; a
+//! resource rarely holds more than a few jobs, and the heap keeps them in
+//! one contiguous buffer. Only the abort path needs to find a job by id,
+//! and it removes it with a linear `retain`.
 
 use crate::engine::JobId;
+use crate::hash::IdSet;
 use crate::time::SimTime;
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Tolerance (in service units) when popping completed jobs, to absorb
 /// floating-point rounding from the virtual-time bookkeeping.
@@ -83,9 +92,10 @@ pub struct PsResource {
     /// period.
     virt: f64,
     last_update: SimTime,
-    active: BTreeSet<VirtKey>,
-    by_job: HashMap<JobId, VirtKey>,
-    jobs: HashMap<u64, JobId>,
+    /// Jobs in service, earliest virtual finish on top.
+    active: BinaryHeap<Reverse<(VirtKey, JobId)>>,
+    /// The ids in `active`, for the duplicate-enqueue check and `cancel`.
+    members: IdSet<JobId>,
     seq: u64,
     /// Epoch counter used by the engine to invalidate stale completion
     /// events after the active set changes.
@@ -125,9 +135,8 @@ impl PsResource {
             per_job_cap,
             virt: 0.0,
             last_update: SimTime::ZERO,
-            active: BTreeSet::new(),
-            by_job: HashMap::new(),
-            jobs: HashMap::new(),
+            active: BinaryHeap::new(),
+            members: IdSet::default(),
             seq: 0,
             epoch: 0,
             stats: PsStats::default(),
@@ -153,7 +162,9 @@ impl PsResource {
     /// deterministic, which matters when a machine crash aborts all of them:
     /// the abort sequence must be identical across runs.
     pub fn active_jobs(&self) -> Vec<JobId> {
-        self.active.iter().map(|k| self.jobs[&k.seq]).collect()
+        let mut keyed: Vec<(VirtKey, JobId)> = self.active.iter().map(|Reverse(e)| *e).collect();
+        keyed.sort_unstable();
+        keyed.into_iter().map(|(_, job)| job).collect()
     }
 
     /// Current epoch; bumped whenever the completion schedule may change.
@@ -202,12 +213,11 @@ impl PsResource {
     /// Panics if the job is already in service here.
     pub fn enqueue(&mut self, now: SimTime, job: JobId, demand: f64) {
         self.advance(now);
-        assert!(!self.by_job.contains_key(&job), "job {job:?} already in service on {}", self.name);
+        let fresh = self.members.insert(job);
+        assert!(fresh, "job {job:?} already in service on {}", self.name);
         let key = VirtKey { finish: self.virt + demand.max(0.0), seq: self.seq };
         self.seq += 1;
-        self.active.insert(key);
-        self.by_job.insert(job, key);
-        self.jobs.insert(key.seq, job);
+        self.active.push(Reverse((key, job)));
         self.epoch += 1;
         self.stats.arrivals += 1;
     }
@@ -216,15 +226,13 @@ impl PsResource {
     /// Returns `true` if the job was present.
     pub fn cancel(&mut self, now: SimTime, job: JobId) -> bool {
         self.advance(now);
-        if let Some(key) = self.by_job.remove(&job) {
-            self.active.remove(&key);
-            self.jobs.remove(&key.seq);
-            self.epoch += 1;
-            self.reset_if_idle();
-            true
-        } else {
-            false
+        if !self.members.remove(&job) {
+            return false;
         }
+        self.active.retain(|Reverse((_, j))| *j != job);
+        self.epoch += 1;
+        self.reset_if_idle();
+        true
     }
 
     /// The absolute time of the next completion, or `None` when idle.
@@ -232,7 +240,7 @@ impl PsResource {
     /// engine's clock).
     pub fn next_completion(&mut self, now: SimTime) -> Option<SimTime> {
         self.advance(now);
-        let first = self.active.iter().next()?;
+        let Reverse((first, _)) = self.active.peek()?;
         let remaining = (first.finish - self.virt).max(0.0);
         let micros = (remaining / self.per_job_rate(self.active.len())).ceil() as u64;
         Some(now + crate::time::SimDuration::from_micros(micros))
@@ -244,9 +252,10 @@ impl PsResource {
         (self.capacity / n as f64).min(self.per_job_cap)
     }
 
-    /// Pops every job whose service is complete as of `now`, in virtual
-    /// finish order.
-    pub fn pop_completed(&mut self, now: SimTime) -> Vec<JobId> {
+    /// Pops every job whose service is complete as of `now`, appending
+    /// them to `done` in virtual finish order, and returns how many it
+    /// popped. The caller owns the buffer so the hot path never allocates.
+    pub fn pop_completed(&mut self, now: SimTime, done: &mut Vec<JobId>) -> usize {
         self.advance(now);
         // Completions are scheduled by `next_completion`, which rounds the
         // remaining service up to a whole microsecond — so by the time a
@@ -260,30 +269,29 @@ impl PsResource {
         // stale prediction leaked through), which would silently inflate
         // the busy/work integrals.
         let overshoot_bound = self.per_job_cap * 1.0 + COMPLETION_EPS;
-        let mut done = Vec::new();
-        while let Some(first) = self.active.iter().next().copied() {
-            if first.finish <= self.virt + COMPLETION_EPS {
-                debug_assert!(
-                    self.virt - first.finish <= overshoot_bound,
-                    "{}: completion overshoot {} exceeds one microsecond of service ({})",
-                    self.name,
-                    self.virt - first.finish,
-                    overshoot_bound,
-                );
-                self.active.remove(&first);
-                let job = self.jobs.remove(&first.seq).expect("active key without job");
-                self.by_job.remove(&job);
-                self.stats.completions += 1;
-                done.push(job);
-            } else {
+        let before = done.len();
+        while let Some(&Reverse((first, job))) = self.active.peek() {
+            if first.finish > self.virt + COMPLETION_EPS {
                 break;
             }
+            debug_assert!(
+                self.virt - first.finish <= overshoot_bound,
+                "{}: completion overshoot {} exceeds one microsecond of service ({})",
+                self.name,
+                self.virt - first.finish,
+                overshoot_bound,
+            );
+            self.active.pop();
+            self.members.remove(&job);
+            self.stats.completions += 1;
+            done.push(job);
         }
-        if !done.is_empty() {
+        let popped = done.len() - before;
+        if popped > 0 {
             self.epoch += 1;
             self.reset_if_idle();
         }
-        done
+        popped
     }
 
     /// Re-anchors the virtual clock at zero when the resource idles, keeping
@@ -305,13 +313,20 @@ mod tests {
         SimTime::from_micros(micros)
     }
 
+    fn pop(r: &mut PsResource, now: SimTime) -> Vec<JobId> {
+        let mut done = Vec::new();
+        let n = r.pop_completed(now, &mut done);
+        assert_eq!(n, done.len());
+        done
+    }
+
     #[test]
     fn single_job_runs_at_full_capacity() {
         let mut r = PsResource::new("cpu", 1.0);
         r.enqueue(t(0), JobId(1), 1_000.0);
         assert_eq!(r.next_completion(t(0)), Some(t(1_000)));
-        assert!(r.pop_completed(t(999)).is_empty());
-        assert_eq!(r.pop_completed(t(1_000)), vec![JobId(1)]);
+        assert!(pop(&mut r, t(999)).is_empty());
+        assert_eq!(pop(&mut r, t(1_000)), vec![JobId(1)]);
         assert_eq!(r.in_service(), 0);
     }
 
@@ -322,7 +337,7 @@ mod tests {
         r.enqueue(t(0), JobId(2), 1_000.0);
         // Each gets half the CPU, so both finish at 2000.
         assert_eq!(r.next_completion(t(0)), Some(t(2_000)));
-        let done = r.pop_completed(t(2_000));
+        let done = pop(&mut r, t(2_000));
         assert_eq!(done, vec![JobId(1), JobId(2)]);
     }
 
@@ -334,10 +349,10 @@ mod tests {
         r.enqueue(t(500), JobId(2), 1_000.0);
         // First finishes after another 500*2 = 1000us -> at 1500.
         assert_eq!(r.next_completion(t(500)), Some(t(1_500)));
-        assert_eq!(r.pop_completed(t(1_500)), vec![JobId(1)]);
+        assert_eq!(pop(&mut r, t(1_500)), vec![JobId(1)]);
         // Second has 500 units left, now alone -> finishes at 2000.
         assert_eq!(r.next_completion(t(1_500)), Some(t(2_000)));
-        assert_eq!(r.pop_completed(t(2_000)), vec![JobId(2)]);
+        assert_eq!(pop(&mut r, t(2_000)), vec![JobId(2)]);
     }
 
     #[test]
@@ -352,7 +367,7 @@ mod tests {
         let mut r = PsResource::new("cpu", 1.0);
         r.advance(t(1_000)); // idle
         r.enqueue(t(1_000), JobId(1), 500.0);
-        r.pop_completed(t(1_500));
+        pop(&mut r, t(1_500));
         r.advance(t(3_000)); // idle again
         let s = r.stats();
         assert!((s.busy_micros - 500.0).abs() < 1e-9, "{s:?}");
@@ -372,7 +387,7 @@ mod tests {
         // each job got 50 units by t=100), then runs alone.
         let done_at = r.next_completion(t(100)).unwrap();
         assert_eq!(done_at, t(100 + 950));
-        assert_eq!(r.pop_completed(done_at), vec![JobId(2)]);
+        assert_eq!(pop(&mut r, done_at), vec![JobId(2)]);
         assert_eq!(r.stats().completions, 1);
     }
 
@@ -381,7 +396,7 @@ mod tests {
         let mut r = PsResource::new("cpu", 1.0);
         r.enqueue(t(0), JobId(7), 0.0);
         assert_eq!(r.next_completion(t(0)), Some(t(0)));
-        assert_eq!(r.pop_completed(t(0)), vec![JobId(7)]);
+        assert_eq!(pop(&mut r, t(0)), vec![JobId(7)]);
     }
 
     #[test]
@@ -391,7 +406,7 @@ mod tests {
         r.enqueue(t(0), JobId(1), 10.0);
         assert!(r.epoch() > e0);
         let e1 = r.epoch();
-        r.pop_completed(t(10));
+        pop(&mut r, t(10));
         assert!(r.epoch() > e1);
     }
 
@@ -413,7 +428,7 @@ mod tests {
             assert!(guard < 100, "did not drain");
             let nc = r.next_completion(now).expect("still busy");
             now = nc;
-            completed += r.pop_completed(now).len();
+            completed += pop(&mut r, now).len();
         }
         let s = r.stats();
         let total: f64 = demands.iter().sum();
@@ -434,7 +449,7 @@ mod tests {
         let mut r = PsResource::with_job_cap("cpu4", 4.0, 1.0);
         r.enqueue(t(0), JobId(1), 1_000.0);
         assert_eq!(r.next_completion(t(0)), Some(t(1_000)));
-        assert_eq!(r.pop_completed(t(1_000)), vec![JobId(1)]);
+        assert_eq!(pop(&mut r, t(1_000)), vec![JobId(1)]);
         // Utilization over the kilo-microsecond: 1 of 4 cores -> 250us busy.
         assert!((r.stats().busy_micros - 250.0).abs() < 1e-9);
     }
@@ -447,7 +462,7 @@ mod tests {
             r.enqueue(t(0), JobId(j), 1_000.0);
         }
         assert_eq!(r.next_completion(t(0)), Some(t(2_000)));
-        assert_eq!(r.pop_completed(t(2_000)).len(), 8);
+        assert_eq!(pop(&mut r, t(2_000)).len(), 8);
         assert!((r.stats().busy_micros - 2_000.0).abs() < 1e-9);
     }
 

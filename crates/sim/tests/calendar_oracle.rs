@@ -132,6 +132,95 @@ proptest! {
         prop_assert!(q.pop().is_none());
         prop_assert!(q.is_empty());
     }
+
+    /// `pop_until` against the `peek_at` + `pop` pair it replaces in the
+    /// engine's run loop. Two calendars take the same schedules, cancels and
+    /// reschedules; runs to a horizon `t` drain one with `pop_until(t)` and
+    /// the other with peek-then-pop. After each run stops, both get new
+    /// events at exactly `t` — what a driver does when the next run starts
+    /// at the previous horizon — which the fused pop must still order
+    /// correctly. Pops, live counts, tombstone counts and the success of
+    /// every in-place reschedule (which depends on bucket layout) must
+    /// agree at every step.
+    #[test]
+    fn pop_until_matches_peek_then_pop(
+        steps in prop::collection::vec((0u8..10, any::<u64>(), 0u16..u16::MAX), 1..300)
+    ) {
+        let mut fused: CalendarQueue<u32> = CalendarQueue::new();
+        let mut paired: CalendarQueue<u32> = CalendarQueue::new();
+        // Live events as (fused handle, paired handle, payload).
+        let mut live: Vec<(EventId, EventId, u32)> = Vec::new();
+        let mut now = 0u64;
+        let mut seq = 0u32;
+
+        for (action, raw, pick) in steps {
+            match action % 5 {
+                0 | 1 => {
+                    let at = SimTime::from_micros(now + offset(raw));
+                    live.push((fused.schedule(at, seq), paired.schedule(at, seq), seq));
+                    seq += 1;
+                }
+                2 => {
+                    // A run to the horizon `until`, then arrivals at it.
+                    let until = now + offset(raw);
+                    let horizon = SimTime::from_micros(until);
+                    loop {
+                        let a = fused.pop_until(horizon);
+                        let b = match paired.peek_at() {
+                            Some(at) if at <= horizon => paired.pop(),
+                            _ => None,
+                        };
+                        prop_assert_eq!(a, b, "pop diverged");
+                        let Some((_, got)) = a else { break };
+                        live.retain(|&(_, _, s)| s != got);
+                    }
+                    now = until;
+                    for _ in 0..=(pick % 3) {
+                        live.push((fused.schedule(horizon, seq), paired.schedule(horizon, seq), seq));
+                        seq += 1;
+                    }
+                }
+                3 => {
+                    if !live.is_empty() {
+                        let i = pick as usize % live.len();
+                        let (fid, pid, _) = live[i];
+                        let at = SimTime::from_micros(now + offset(raw));
+                        let moved = fused.reschedule(fid, at, seq);
+                        prop_assert_eq!(moved, paired.reschedule(pid, at, seq), "layout diverged");
+                        if moved {
+                            live[i].2 = seq;
+                        } else {
+                            let nf = fused.schedule(at, seq);
+                            let np = paired.schedule(at, seq);
+                            prop_assert!(fused.cancel(fid) && paired.cancel(pid));
+                            live[i] = (nf, np, seq);
+                        }
+                        seq += 1;
+                    }
+                }
+                _ => {
+                    if !live.is_empty() {
+                        let (fid, pid, _) = live.swap_remove(pick as usize % live.len());
+                        prop_assert!(fused.cancel(fid) && paired.cancel(pid));
+                    }
+                }
+            }
+            prop_assert_eq!(fused.len(), paired.len(), "live counts diverged");
+            prop_assert_eq!(fused.stale_popped(), paired.stale_popped(), "tombstone counts diverged");
+        }
+
+        // Drain both completely.
+        loop {
+            let a = fused.pop_until(SimTime::from_micros(u64::MAX));
+            let b = paired.peek_at().and_then(|_| paired.pop());
+            prop_assert_eq!(a, b, "drain diverged");
+            if a.is_none() {
+                break;
+            }
+        }
+        prop_assert_eq!(fused.stale_popped(), paired.stale_popped());
+        prop_assert!(fused.is_empty() && paired.is_empty());
+    }
 }
 
 /// Starvation regression at the paper's highest smoke load (60 clients,

@@ -22,6 +22,7 @@ proptest! {
         let mut r = PsResource::new("cpu", 1.0);
         let mut now = SimTime::ZERO;
         let mut done = 0usize;
+        let mut popped = Vec::new();
         let mut guard = 0;
         for (i, (demand, gap)) in jobs.iter().enumerate() {
             let arrive = now + SimDuration::from_micros(*gap);
@@ -34,7 +35,7 @@ proptest! {
                     break;
                 }
                 now = t;
-                done += r.pop_completed(now).len();
+                done += r.pop_completed(now, &mut popped);
             }
             now = arrive;
             r.enqueue(now, JobId(i as u64), *demand as f64);
@@ -43,7 +44,7 @@ proptest! {
             guard += 1;
             prop_assert!(guard < 20_000, "did not drain");
             now = t;
-            done += r.pop_completed(now).len();
+            done += r.pop_completed(now, &mut popped);
             if done == jobs.len() {
                 break;
             }
