@@ -8,7 +8,7 @@
 //! set the scan/index cost ratios — are the same.
 
 use crate::schema::{create_schema, CATEGORY_COUNT, REGION_COUNT};
-use dynamid_sim::SimRng;
+use dynamid_sim::{SimRng, Zipf};
 use dynamid_sqldb::{Database, SqlResult, Value};
 
 /// Reference epoch for synthetic dates (2001-09-09, epoch seconds).
@@ -100,8 +100,8 @@ fn item_row(rng: &mut SimRng, users: i64, live: bool) -> Vec<Value> {
     };
     vec![
         Value::Null,
-        Value::str(format!("ITEM {}", rng.ascii_string(14))),
-        Value::str(rng.ascii_string(60)),
+        Value::from(format!("ITEM {}", rng.ascii_string(14))),
+        Value::from(rng.ascii_string(60)),
         Value::Float(initial),
         Value::Int(rng.uniform_i64(1, 10)),
         Value::Float(initial * 1.1),
@@ -115,7 +115,10 @@ fn item_row(rng: &mut SimRng, users: i64, live: bool) -> Vec<Value> {
     ]
 }
 
-/// Populates an empty auction schema (direct storage inserts).
+/// Populates an empty auction schema (direct storage inserts). Rows
+/// stream through one [`Database::bulk_load`] scope, formatted strings
+/// become values without a copy, and the repeated password is one value
+/// cloned per row.
 ///
 /// # Errors
 ///
@@ -123,128 +126,150 @@ fn item_row(rng: &mut SimRng, users: i64, live: bool) -> Vec<Value> {
 pub fn populate(db: &mut Database, scale: &AuctionScale, seed: u64) -> SqlResult<()> {
     let mut rng = SimRng::new(seed);
     let users = scale.users as i64;
-
-    {
-        let t = db.table_mut("categories")?;
+    let total_bids = scale.live_items * scale.bids_per_item;
+    for (table, rows) in [
+        ("users", scale.users),
+        ("items", scale.live_items),
+        ("old_items", scale.old_items),
+        ("bids", total_bids),
+        ("buy_now", scale.buy_nows),
+        ("comments", scale.comments),
+    ] {
+        db.table_mut(table)?.reserve(rows);
+    }
+    db.bulk_load(|load| {
         for i in 0..CATEGORY_COUNT {
-            t.insert(vec![Value::Null, Value::str(format!("CATEGORY{i:02}"))])?;
+            load.insert("categories", vec![Value::Null, Value::from(format!("CATEGORY{i:02}"))])?;
         }
-    }
-    {
-        let t = db.table_mut("regions")?;
         for i in 0..REGION_COUNT {
-            t.insert(vec![Value::Null, Value::str(format!("REGION{i:02}"))])?;
+            load.insert("regions", vec![Value::Null, Value::from(format!("REGION{i:02}"))])?;
         }
-    }
-    {
         let mut urng = rng.fork(1);
-        let t = db.table_mut("users")?;
-        t.reserve(scale.users);
+        let password = Value::str("pw");
         for i in 0..scale.users {
-            t.insert(vec![
-                Value::Null,
-                Value::str(format!("FN{}", urng.uniform_u64(0, 9_999))),
-                Value::str(format!("LN{}", urng.uniform_u64(0, 9_999))),
-                Value::str(format!("U{i}")),
-                Value::str("pw"),
-                Value::str(format!("u{i}@example.com")),
-                Value::Int(urng.uniform_i64(-5, 100)),
-                Value::Float(urng.uniform_i64(0, 100_000) as f64 / 100.0),
-                Value::Int(BASE_DATE - urng.uniform_i64(0, 900) * DAY),
-                Value::Int(urng.uniform_i64(1, REGION_COUNT as i64)),
-            ])?;
+            load.insert(
+                "users",
+                vec![
+                    Value::Null,
+                    Value::from(format!("FN{}", urng.uniform_u64(0, 9_999))),
+                    Value::from(format!("LN{}", urng.uniform_u64(0, 9_999))),
+                    Value::from(format!("U{i}")),
+                    password.clone(),
+                    Value::from(format!("u{i}@example.com")),
+                    Value::Int(urng.uniform_i64(-5, 100)),
+                    Value::Float(urng.uniform_i64(0, 100_000) as f64 / 100.0),
+                    Value::Int(BASE_DATE - urng.uniform_i64(0, 900) * DAY),
+                    Value::Int(urng.uniform_i64(1, REGION_COUNT as i64)),
+                ],
+            )?;
         }
-    }
-    {
         let mut irng = rng.fork(2);
-        let t = db.table_mut("items")?;
-        t.reserve(scale.live_items);
         for _ in 0..scale.live_items {
-            let row = item_row(&mut irng, users, true);
-            t.insert(row)?;
+            load.insert("items", item_row(&mut irng, users, true))?;
         }
-    }
-    {
         let mut org = rng.fork(3);
-        let t = db.table_mut("old_items")?;
-        t.reserve(scale.old_items);
         for _ in 0..scale.old_items {
-            let row = item_row(&mut org, users, false);
-            t.insert(row)?;
+            load.insert("old_items", item_row(&mut org, users, false))?;
         }
-    }
-    {
         let mut brng = rng.fork(4);
-        let live = scale.live_items as i64;
-        let total_bids = scale.live_items * scale.bids_per_item;
-        let t = db.table_mut("bids")?;
-        t.reserve(total_bids);
+        // Zipf-skew bids toward popular items.
+        let popularity = Zipf::new(scale.live_items, 0.6);
         for _ in 0..total_bids {
-            // Zipf-skew bids toward popular items.
-            let item = brng.zipf(live as usize, 0.6) as i64 + 1;
+            let item = popularity.sample(&mut brng) as i64 + 1;
             let bid = brng.uniform_i64(100, 60_000) as f64 / 100.0;
-            t.insert(vec![
-                Value::Null,
-                Value::Int(brng.uniform_i64(1, users)),
-                Value::Int(item),
-                Value::Int(brng.uniform_i64(1, 3)),
-                Value::Float(bid),
-                Value::Float(bid * 1.2),
-                Value::Int(BASE_DATE - brng.uniform_i64(0, 6) * DAY),
-            ])?;
+            load.insert(
+                "bids",
+                vec![
+                    Value::Null,
+                    Value::Int(brng.uniform_i64(1, users)),
+                    Value::Int(item),
+                    Value::Int(brng.uniform_i64(1, 3)),
+                    Value::Float(bid),
+                    Value::Float(bid * 1.2),
+                    Value::Int(BASE_DATE - brng.uniform_i64(0, 6) * DAY),
+                ],
+            )?;
         }
-    }
-    {
         let mut bnr = rng.fork(5);
-        let t = db.table_mut("buy_now")?;
-        t.reserve(scale.buy_nows);
         for _ in 0..scale.buy_nows {
-            t.insert(vec![
-                Value::Null,
-                Value::Int(bnr.uniform_i64(1, users)),
-                Value::Int(bnr.uniform_i64(1, scale.old_items.max(1) as i64)),
-                Value::Int(bnr.uniform_i64(1, 3)),
-                Value::Int(BASE_DATE - bnr.uniform_i64(0, 200) * DAY),
-            ])?;
+            load.insert(
+                "buy_now",
+                vec![
+                    Value::Null,
+                    Value::Int(bnr.uniform_i64(1, users)),
+                    Value::Int(bnr.uniform_i64(1, scale.old_items.max(1) as i64)),
+                    Value::Int(bnr.uniform_i64(1, 3)),
+                    Value::Int(BASE_DATE - bnr.uniform_i64(0, 200) * DAY),
+                ],
+            )?;
         }
-    }
-    {
         let mut crng = rng.fork(6);
-        let t = db.table_mut("comments")?;
-        t.reserve(scale.comments);
         for _ in 0..scale.comments {
-            t.insert(vec![
-                Value::Null,
-                Value::Int(crng.uniform_i64(1, users)),
-                Value::Int(crng.uniform_i64(1, users)),
-                Value::Int(crng.uniform_i64(1, scale.old_items.max(1) as i64)),
-                Value::Int(crng.uniform_i64(-5, 5)),
-                Value::Int(BASE_DATE - crng.uniform_i64(0, 300) * DAY),
-                Value::str(crng.ascii_string(40)),
-            ])?;
+            load.insert(
+                "comments",
+                vec![
+                    Value::Null,
+                    Value::Int(crng.uniform_i64(1, users)),
+                    Value::Int(crng.uniform_i64(1, users)),
+                    Value::Int(crng.uniform_i64(1, scale.old_items.max(1) as i64)),
+                    Value::Int(crng.uniform_i64(-5, 5)),
+                    Value::Int(BASE_DATE - crng.uniform_i64(0, 300) * DAY),
+                    Value::from(crng.ascii_string(40)),
+                ],
+            )?;
         }
-    }
-    {
-        let t = db.table_mut("ids")?;
         // Next-id bookkeeping rows, one per user-visible table (RUBiS keeps
         // this even with auto-increment keys).
         for (i, name) in ["users", "items", "bids", "buy_now", "comments"].iter().enumerate() {
             let value = match *name {
                 "users" => scale.users,
                 "items" => scale.live_items,
-                "bids" => scale.live_items * scale.bids_per_item,
+                "bids" => total_bids,
                 "buy_now" => scale.buy_nows,
                 _ => scale.comments,
             };
-            t.insert(vec![Value::Int(i as i64 + 1), Value::str(*name), Value::Int(value as i64)])?;
+            load.insert(
+                "ids",
+                vec![Value::Int(i as i64 + 1), Value::str(*name), Value::Int(value as i64)],
+            )?;
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rebuilds every table by replaying its live rows, in slot order,
+    /// through `Table::insert` into a fresh table of the same schema.
+    fn replayed(db: &Database) -> Database {
+        let mut copy = Database::new();
+        for name in db.table_names() {
+            let table = db.table(name).unwrap();
+            copy.create_table(table.schema().clone()).unwrap();
+            let fresh = copy.table_mut(name).unwrap();
+            for (_, row) in table.scan() {
+                fresh.insert(row.to_vec()).unwrap();
+            }
+        }
+        copy
+    }
+
+    #[test]
+    fn population_equals_a_per_row_replay() {
+        for scale in
+            [AuctionScale::small(), AuctionScale::scaled(0.001), AuctionScale::scaled(0.005)]
+        {
+            let db = build_db(&scale, 11).unwrap();
+            let replay = replayed(&db);
+            for name in db.table_names() {
+                let (built, replayed) = (db.table(name).unwrap(), replay.table(name).unwrap());
+                assert!(built == replayed, "{name} differs from its replay at {scale:?}");
+            }
+            assert!(db.same_data(&replay));
+        }
+    }
 
     #[test]
     fn small_population_cardinalities() {

@@ -3,7 +3,7 @@
 //! large archive).
 
 use crate::schema::{create_schema, CATEGORY_COUNT};
-use dynamid_sim::SimRng;
+use dynamid_sim::{SimRng, Zipf};
 use dynamid_sqldb::{Database, SqlResult, Value};
 
 /// Reference epoch for synthetic dates (2001-09-09, epoch seconds).
@@ -48,7 +48,9 @@ impl BboardScale {
     }
 }
 
-/// Builds and populates a bulletin-board database.
+/// Builds and populates a bulletin-board database. Rows stream through one
+/// [`Database::bulk_load`] scope; the denormalized comment counts are
+/// refreshed through SQL once it has closed.
 ///
 /// # Errors
 ///
@@ -57,32 +59,13 @@ pub fn build_db(scale: &BboardScale, seed: u64) -> SqlResult<Database> {
     let mut db = Database::new();
     create_schema(&mut db)?;
     let mut rng = SimRng::new(seed);
-    {
-        let t = db.table_mut("categories")?;
-        for i in 0..CATEGORY_COUNT {
-            t.insert(vec![Value::Int(i as i64 + 1), Value::str(format!("SECTION{i:02}"))])?;
-        }
-    }
-    {
-        let mut urng = rng.fork(1);
-        let t = db.table_mut("users")?;
-        for i in 0..scale.users {
-            t.insert(vec![
-                Value::Null,
-                Value::str(format!("B{i}")),
-                Value::str("pw"),
-                Value::Int(urng.uniform_i64(-10, 100)),
-                Value::Int(BASE_DATE - urng.uniform_i64(0, 500) * DAY),
-            ])?;
-        }
-    }
     let users = scale.users as i64;
     let story = |rng: &mut SimRng, live: bool| -> Vec<Value> {
         let age = if live { rng.uniform_i64(0, 6) } else { rng.uniform_i64(7, 400) };
         vec![
             Value::Null,
-            Value::str(format!("STORY {}", rng.ascii_string(16))),
-            Value::str(rng.ascii_string(200)),
+            Value::from(format!("STORY {}", rng.ascii_string(16))),
+            Value::from(rng.ascii_string(200)),
             Value::Int(rng.uniform_i64(1, users)),
             Value::Int(rng.uniform_i64(1, CATEGORY_COUNT as i64)),
             Value::Int(BASE_DATE - age * DAY),
@@ -90,50 +73,106 @@ pub fn build_db(scale: &BboardScale, seed: u64) -> SqlResult<Database> {
             Value::Int(rng.uniform_i64(-1, 5)),
         ]
     };
-    {
-        let mut srng = rng.fork(2);
-        for _ in 0..scale.stories {
-            let row = story(&mut srng, true);
-            db.table_mut("stories")?.insert(row)?;
-        }
-        for _ in 0..scale.old_stories {
-            let row = story(&mut srng, false);
-            db.table_mut("old_stories")?.insert(row)?;
-        }
-    }
-    {
-        let mut crng = rng.fork(3);
-        let total = scale.stories * scale.comments_per_story;
-        for _ in 0..total {
-            let story_id = crng.zipf(scale.stories, 0.7) as i64 + 1;
-            let t = db.table_mut("comments")?;
-            t.insert(vec![
-                Value::Null,
-                Value::Int(story_id),
-                Value::Int(0),
-                Value::Int(crng.uniform_i64(1, users)),
-                Value::Int(BASE_DATE - crng.uniform_i64(0, 6) * DAY),
-                Value::str(format!("RE {}", crng.ascii_string(10))),
-                Value::str(crng.ascii_string(80)),
-                Value::Int(crng.uniform_i64(-1, 5)),
-            ])?;
-        }
-        // Refresh the denormalized per-story comment counts.
-        let counts =
-            db.execute("SELECT story_id, COUNT(*) AS n FROM comments GROUP BY story_id", &[])?;
-        for row in counts.rows {
-            db.execute(
-                "UPDATE stories SET nb_comments = ? WHERE id = ?",
-                &[row[1].clone(), row[0].clone()],
+    db.bulk_load(|load| {
+        for i in 0..CATEGORY_COUNT {
+            load.insert(
+                "categories",
+                vec![Value::Int(i as i64 + 1), Value::from(format!("SECTION{i:02}"))],
             )?;
         }
-    }
+        let mut urng = rng.fork(1);
+        let password = Value::str("pw");
+        for i in 0..scale.users {
+            load.insert(
+                "users",
+                vec![
+                    Value::Null,
+                    Value::from(format!("B{i}")),
+                    password.clone(),
+                    Value::Int(urng.uniform_i64(-10, 100)),
+                    Value::Int(BASE_DATE - urng.uniform_i64(0, 500) * DAY),
+                ],
+            )?;
+        }
+        let mut srng = rng.fork(2);
+        for _ in 0..scale.stories {
+            load.insert("stories", story(&mut srng, true))?;
+        }
+        for _ in 0..scale.old_stories {
+            load.insert("old_stories", story(&mut srng, false))?;
+        }
+        let mut crng = rng.fork(3);
+        let popularity = Zipf::new(scale.stories, 0.7);
+        for _ in 0..scale.stories * scale.comments_per_story {
+            let story_id = popularity.sample(&mut crng) as i64 + 1;
+            load.insert(
+                "comments",
+                vec![
+                    Value::Null,
+                    Value::Int(story_id),
+                    Value::Int(0),
+                    Value::Int(crng.uniform_i64(1, users)),
+                    Value::Int(BASE_DATE - crng.uniform_i64(0, 6) * DAY),
+                    Value::from(format!("RE {}", crng.ascii_string(10))),
+                    Value::from(crng.ascii_string(80)),
+                    Value::Int(crng.uniform_i64(-1, 5)),
+                ],
+            )?;
+        }
+        Ok(())
+    })?;
+    refresh_comment_counts(&mut db)?;
     Ok(db)
+}
+
+/// Refreshes the denormalized per-story comment counts.
+fn refresh_comment_counts(db: &mut Database) -> SqlResult<()> {
+    let counts =
+        db.execute("SELECT story_id, COUNT(*) AS n FROM comments GROUP BY story_id", &[])?;
+    for row in counts.rows {
+        db.execute(
+            "UPDATE stories SET nb_comments = ? WHERE id = ?",
+            &[row[1].clone(), row[0].clone()],
+        )?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rebuilds every table by replaying its live rows, in slot order,
+    /// through `Table::insert` into a fresh table of the same schema, then
+    /// re-runs the count refresh: its UPDATEs move each updated story to
+    /// the end of its secondary-index entries, which a replay of the final
+    /// rows alone would not.
+    fn replayed(db: &Database) -> Database {
+        let mut copy = Database::new();
+        for name in db.table_names() {
+            let table = db.table(name).unwrap();
+            copy.create_table(table.schema().clone()).unwrap();
+            let fresh = copy.table_mut(name).unwrap();
+            for (_, row) in table.scan() {
+                fresh.insert(row.to_vec()).unwrap();
+            }
+        }
+        refresh_comment_counts(&mut copy).unwrap();
+        copy
+    }
+
+    #[test]
+    fn population_equals_a_per_row_replay() {
+        for scale in [BboardScale::small(), BboardScale::scaled(0.002), BboardScale::scaled(0.05)] {
+            let db = build_db(&scale, 11).unwrap();
+            let replay = replayed(&db);
+            for name in db.table_names() {
+                let (built, replayed) = (db.table(name).unwrap(), replay.table(name).unwrap());
+                assert!(built == replayed, "{name} differs from its replay at {scale:?}");
+            }
+            assert!(db.same_data(&replay));
+        }
+    }
 
     #[test]
     fn small_population() {

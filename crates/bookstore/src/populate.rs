@@ -5,7 +5,7 @@
 //! for tests via [`BookstoreScale::small`] or an explicit factor.
 
 use crate::schema::{create_schema, subjects};
-use dynamid_sim::SimRng;
+use dynamid_sim::{SimRng, Zipf};
 use dynamid_sqldb::{Database, SqlResult, Value};
 
 /// Reference epoch for synthetic dates (2001-09-09, epoch seconds).
@@ -62,165 +62,223 @@ pub fn build_db(scale: &BookstoreScale, seed: u64) -> SqlResult<Database> {
 }
 
 /// Populates an empty bookstore schema (direct storage inserts, bypassing
-/// SQL for speed).
+/// SQL for speed). Rows stream through one [`Database::bulk_load`] scope,
+/// formatted strings become values without a copy, and each repeated
+/// literal is one value cloned per row.
 ///
 /// # Errors
 ///
 /// Propagates insertion failures.
 pub fn populate(db: &mut Database, scale: &BookstoreScale, seed: u64) -> SqlResult<()> {
     let mut rng = SimRng::new(seed);
-    let subj = subjects();
-
-    // Countries: the 92 of TPC-W.
-    {
-        let t = db.table_mut("countries")?;
-        for i in 0..92 {
-            t.insert(vec![
-                Value::Null,
-                Value::str(format!("COUNTRY{i:02}")),
-                Value::Float(1.0 + i as f64 / 10.0),
-            ])?;
-        }
-    }
-
-    // Authors.
+    let subjects: Vec<Value> = subjects().into_iter().map(Value::from).collect();
     let n_authors = scale.authors();
-    {
-        let mut arng = rng.fork(1);
-        let t = db.table_mut("authors")?;
-        t.reserve(n_authors);
-        for i in 0..n_authors {
-            t.insert(vec![
-                Value::Null,
-                Value::str(format!("AF{i}")),
-                Value::str(format!("AUTHOR{i}")),
-                Value::str(arng.ascii_string(120)),
-            ])?;
-        }
+    for (table, rows) in [
+        ("authors", n_authors),
+        ("items", scale.items),
+        ("address", scale.customers),
+        ("customers", scale.customers),
+        ("orders", scale.orders),
+        ("order_line", scale.orders * 3),
+        ("credit_info", scale.orders),
+    ] {
+        db.table_mut(table)?.reserve(rows);
     }
+    db.bulk_load(|load| {
+        // Countries: the 92 of TPC-W.
+        for i in 0..92 {
+            load.insert(
+                "countries",
+                vec![
+                    Value::Null,
+                    Value::from(format!("COUNTRY{i:02}")),
+                    Value::Float(1.0 + i as f64 / 10.0),
+                ],
+            )?;
+        }
 
-    // Items.
-    {
+        // Authors.
+        let mut arng = rng.fork(1);
+        for i in 0..n_authors {
+            load.insert(
+                "authors",
+                vec![
+                    Value::Null,
+                    Value::from(format!("AF{i}")),
+                    Value::from(format!("AUTHOR{i}")),
+                    Value::from(arng.ascii_string(120)),
+                ],
+            )?;
+        }
+
+        // Items.
         let mut irng = rng.fork(2);
         let items = scale.items as i64;
-        let t = db.table_mut("items")?;
-        t.reserve(scale.items);
         for i in 0..scale.items {
             let related: Vec<Value> =
                 (0..5).map(|_| Value::Int(irng.uniform_i64(1, items))).collect();
             let mut row = vec![
                 Value::Null,
-                Value::str(format!("TITLE {} {}", i, irng.ascii_string(18))),
+                Value::from(format!("TITLE {} {}", i, irng.ascii_string(18))),
                 Value::Int(irng.uniform_i64(1, n_authors as i64)),
                 Value::Int(BASE_DATE - irng.uniform_i64(0, 3 * 365) * DAY),
-                Value::str(format!("PUBLISHER{}", irng.uniform_u64(0, 99))),
-                Value::str(&subj[irng.index(subj.len())]),
-                Value::str(irng.ascii_string(100)),
+                Value::from(format!("PUBLISHER{}", irng.uniform_u64(0, 99))),
+                subjects[irng.index(subjects.len())].clone(),
+                Value::from(irng.ascii_string(100)),
                 Value::Float(irng.uniform_i64(100, 9999) as f64 / 100.0),
                 Value::Int(irng.uniform_i64(10, 30)),
-                Value::str(format!("ISBN{i:09}")),
+                Value::from(format!("ISBN{i:09}")),
             ];
             row.extend(related);
-            t.insert(row)?;
+            load.insert("items", row)?;
         }
-    }
 
-    // Addresses + customers (one address each).
-    {
+        // Addresses + customers (one address each).
         let mut crng = rng.fork(3);
-        db.table_mut("address")?.reserve(scale.customers);
-        db.table_mut("customers")?.reserve(scale.customers);
         for i in 0..scale.customers {
-            let addr = {
-                let t = db.table_mut("address")?;
-                let (_, id) = t.insert(vec![
+            let (_, addr) = load.insert(
+                "address",
+                vec![
                     Value::Null,
-                    Value::str(format!("{} MAIN ST", i + 1)),
-                    Value::str(format!("CITY{}", crng.uniform_u64(0, 999))),
-                    Value::str(format!("{:05}", crng.uniform_u64(10_000, 99_999))),
+                    Value::from(format!("{} MAIN ST", i + 1)),
+                    Value::from(format!("CITY{}", crng.uniform_u64(0, 999))),
+                    Value::from(format!("{:05}", crng.uniform_u64(10_000, 99_999))),
                     Value::Int(crng.uniform_i64(1, 92)),
-                ])?;
-                id.expect("auto id")
-            };
-            let t = db.table_mut("customers")?;
-            t.insert(vec![
-                Value::Null,
-                Value::str(format!("C{i}")),
-                Value::str(format!("PW{i}")),
-                Value::str(format!("FN{}", crng.uniform_u64(0, 999))),
-                Value::str(format!("LN{}", crng.uniform_u64(0, 999))),
-                Value::Int(addr),
-                Value::str(format!("555{:07}", crng.uniform_u64(0, 9_999_999))),
-                Value::str(format!("c{i}@example.com")),
-                Value::Int(BASE_DATE - crng.uniform_i64(0, 2 * 365) * DAY),
-                Value::Float(crng.uniform_i64(0, 50) as f64 / 100.0),
-            ])?;
+                ],
+            )?;
+            load.insert(
+                "customers",
+                vec![
+                    Value::Null,
+                    Value::from(format!("C{i}")),
+                    Value::from(format!("PW{i}")),
+                    Value::from(format!("FN{}", crng.uniform_u64(0, 999))),
+                    Value::from(format!("LN{}", crng.uniform_u64(0, 999))),
+                    Value::Int(addr.expect("auto id")),
+                    Value::from(format!("555{:07}", crng.uniform_u64(0, 9_999_999))),
+                    Value::from(format!("c{i}@example.com")),
+                    Value::Int(BASE_DATE - crng.uniform_i64(0, 2 * 365) * DAY),
+                    Value::Float(crng.uniform_i64(0, 50) as f64 / 100.0),
+                ],
+            )?;
         }
-    }
 
-    // Orders with 1–5 lines plus credit-card info.
-    {
+        // Orders with 1–5 lines plus credit-card info.
         let mut orng = rng.fork(4);
-        let items = scale.items as i64;
         let customers = scale.customers as i64;
-        db.table_mut("orders")?.reserve(scale.orders);
-        db.table_mut("order_line")?.reserve(scale.orders * 3);
-        db.table_mut("credit_info")?.reserve(scale.orders);
+        // Zipf-skewed item popularity so best-seller lists are meaningful.
+        let popularity = Zipf::new(scale.items, 0.8);
+        let (air, shipped, ok) = (Value::str("AIR"), Value::str("SHIPPED"), Value::str("OK"));
+        let (visa, holder) = (Value::str("VISA"), Value::str("CARD HOLDER"));
         for _ in 0..scale.orders {
             let lines = orng.uniform_u64(1, 5);
             let subtotal = orng.uniform_i64(100, 50_000) as f64 / 100.0;
             let date = BASE_DATE - orng.uniform_i64(0, 60) * DAY;
-            let order_id = {
-                let t = db.table_mut("orders")?;
-                let (_, id) = t.insert(vec![
+            let (_, order_id) = load.insert(
+                "orders",
+                vec![
                     Value::Null,
                     Value::Int(orng.uniform_i64(1, customers)),
                     Value::Int(date),
                     Value::Float(subtotal),
                     Value::Float(subtotal * 0.0825),
                     Value::Float(subtotal * 1.0825 + 3.0),
-                    Value::str("AIR"),
+                    air.clone(),
                     Value::Int(date + orng.uniform_i64(1, 7) * DAY),
-                    Value::str("SHIPPED"),
-                ])?;
-                id.expect("auto id")
-            };
-            {
-                let t = db.table_mut("order_line")?;
-                for _ in 0..lines {
-                    // Zipf-skewed item popularity so best-seller lists are
-                    // meaningful.
-                    let item = orng.zipf(items as usize, 0.8) as i64 + 1;
-                    t.insert(vec![
+                    shipped.clone(),
+                ],
+            )?;
+            let order_id = order_id.expect("auto id");
+            for _ in 0..lines {
+                let item = popularity.sample(&mut orng) as i64 + 1;
+                load.insert(
+                    "order_line",
+                    vec![
                         Value::Null,
                         Value::Int(order_id),
                         Value::Int(item),
                         Value::Int(orng.uniform_i64(1, 5)),
                         Value::Float(orng.uniform_i64(0, 30) as f64 / 100.0),
-                        Value::str("OK"),
-                    ])?;
-                }
+                        ok.clone(),
+                    ],
+                )?;
             }
-            let t = db.table_mut("credit_info")?;
-            t.insert(vec![
-                Value::Null,
-                Value::Int(order_id),
-                Value::str("VISA"),
-                Value::str(format!("4{:015}", orng.uniform_u64(0, 999_999_999))),
-                Value::str("CARD HOLDER"),
-                Value::Int(date + 365 * DAY),
-                Value::str(format!("AUTH{}", orng.uniform_u64(0, 999_999))),
-                Value::Float(subtotal),
-                Value::Int(date),
-            ])?;
+            load.insert(
+                "credit_info",
+                vec![
+                    Value::Null,
+                    Value::Int(order_id),
+                    visa.clone(),
+                    Value::from(format!("4{:015}", orng.uniform_u64(0, 999_999_999))),
+                    holder.clone(),
+                    Value::Int(date + 365 * DAY),
+                    Value::from(format!("AUTH{}", orng.uniform_u64(0, 999_999))),
+                    Value::Float(subtotal),
+                    Value::Int(date),
+                ],
+            )?;
         }
-    }
-    Ok(())
+        Ok(())
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
+    use std::sync::Arc;
+
+    /// Rebuilds every table by replaying its live rows, in slot order,
+    /// through `Table::insert` into a fresh table of the same schema.
+    fn replayed(db: &Database) -> Database {
+        let mut copy = Database::new();
+        for name in db.table_names() {
+            let table = db.table(name).unwrap();
+            copy.create_table(table.schema().clone()).unwrap();
+            let fresh = copy.table_mut(name).unwrap();
+            for (_, row) in table.scan() {
+                fresh.insert(row.to_vec()).unwrap();
+            }
+        }
+        copy
+    }
+
+    #[test]
+    fn population_equals_a_per_row_replay() {
+        for scale in
+            [BookstoreScale::small(), BookstoreScale::scaled(0.003), BookstoreScale::scaled(0.02)]
+        {
+            let db = build_db(&scale, 11).unwrap();
+            let replay = replayed(&db);
+            for name in db.table_names() {
+                let (built, replayed) = (db.table(name).unwrap(), replay.table(name).unwrap());
+                assert!(built == replayed, "{name} differs from its replay at {scale:?}");
+            }
+            assert!(db.same_data(&replay));
+        }
+    }
+
+    #[test]
+    fn equal_strings_share_one_allocation() {
+        let db = build_db(&BookstoreScale::small(), 3).unwrap();
+        let same_arc = |a: &Value, b: &Value| matches!((a, b), (Value::Str(x), Value::Str(y)) if Arc::ptr_eq(x, y));
+        for (table, col) in
+            [("order_line", "comment"), ("orders", "status"), ("customers", "fname")]
+        {
+            let t = db.table(table).unwrap();
+            let c = t.schema().column_index(col).unwrap();
+            let mut first: HashMap<&str, &Value> = HashMap::new();
+            let mut repeats = 0;
+            for (_, row) in t.scan() {
+                let v = &row[c];
+                if let Some(seen) = first.insert(v.as_str().unwrap(), v) {
+                    assert!(same_arc(seen, v), "{table}.{col} = {v} is not shared");
+                    repeats += 1;
+                }
+            }
+            assert!(repeats > 0, "{table}.{col} has no repeated value");
+        }
+    }
 
     #[test]
     fn small_population_has_expected_cardinalities() {

@@ -615,10 +615,35 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
         ));
     }
 
+    // Database lifecycle: what every sweep pays to populate its base and,
+    // at the end, to free it. The last base built serves the probes below
+    // and is dropped (timed) after the plan-cache probe; the others are
+    // dropped at once. Not part of `total_wall_secs`.
+    let build_base = || {
+        let t0 = Instant::now();
+        let base =
+            dynamid_bookstore::build_db(&BookstoreScale::scaled(0.1), 42).expect("population");
+        (t0.elapsed().as_secs_f64(), base)
+    };
+    let timed_drop = |base: dynamid_sqldb::Database| {
+        let t0 = Instant::now();
+        drop(base);
+        t0.elapsed().as_secs_f64()
+    };
+    let (mut build_secs, mut drop_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 1..SMOKE_TIMING_REPS {
+        let (secs, base) = build_base();
+        build_secs = build_secs.min(secs);
+        drop_secs = drop_secs.min(timed_drop(base));
+    }
+    let (secs, base) = build_base();
+    build_secs = build_secs.min(secs);
+    let rows: usize =
+        base.table_names().iter().map(|t| base.table(t).expect("listed table").row_count()).sum();
+
     // Snapshot forks: what every sweep point pays to get its private
     // database. Copy-on-write makes this O(tables); the deep clone is the
     // pre-CoW cost, kept as the comparison baseline.
-    let base = dynamid_bookstore::build_db(&BookstoreScale::scaled(0.1), 42).expect("population");
     let t0 = Instant::now();
     const FORKS: u32 = 200;
     for _ in 0..FORKS {
@@ -647,6 +672,10 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
     let hits = after.plan_cache_hits - before.plan_cache_hits;
     let misses = after.plan_cache_misses - before.plan_cache_misses;
     let rate = if hits + misses == 0 { 0.0 } else { hits as f64 / (hits + misses) as f64 };
+    // The fork shares the base's unwritten tables; free it first so the
+    // timed drop releases the whole base.
+    drop(db);
+    drop_secs = drop_secs.min(timed_drop(base));
 
     // The probes, each recorded under its key after the fixed sections.
     let mut records = String::new();
@@ -723,7 +752,8 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
          \"total_wall_secs\": {total_secs:.3},\n{profile},\n  \
          \"plan_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {rate:.4}}},\n  \
          \"snapshot_fork\": {{\"cow_micros\": {cow_micros:.1}, \
-         \"deep_clone_micros\": {deep_micros:.1}}}{records}\n}}\n",
+         \"deep_clone_micros\": {deep_micros:.1}, \"build_secs\": {build_secs:.3}, \
+         \"drop_secs\": {drop_secs:.3}, \"rows\": {rows}}}{records}\n}}\n",
         fig_json.join(",\n"),
     );
     // Written atomically (temp file + rename) so an interrupted run can

@@ -62,6 +62,6 @@ pub use lock::{
 pub use metrics::{ErrorCounters, LatencyHistogram, WindowSnapshot};
 pub use op::{Op, Trace};
 pub use ps::{PsResource, PsStats};
-pub use rng::SimRng;
+pub use rng::{SimRng, Zipf};
 pub use time::{SimDuration, SimTime};
 pub use trace::{Activity, IntervalColumns, OpInterval, TraceRecorder};

@@ -86,35 +86,15 @@ impl SimRng {
     /// Used to skew item popularity. `theta == 0` degenerates to uniform.
     ///
     /// Sampling is by inversion on the (approximated) harmonic CDF, which is
-    /// O(log n) and good enough for workload skew.
+    /// O(log n) and good enough for workload skew. [`Zipf`] draws the same
+    /// ranks from a table built once per `(n, theta)`.
     pub fn zipf(&mut self, n: usize, theta: f64) -> usize {
         assert!(n > 0, "zipf: empty range");
         if theta <= 0.0 || n == 1 {
             return self.index(n);
         }
-        // Inverse-transform on the generalized harmonic numbers via binary
-        // search over a partial-sum approximation using the integral of
-        // x^-theta: H(k) ~ (k^(1-theta) - 1) / (1 - theta) for theta != 1,
-        // H(k) ~ ln(k) for theta == 1. Close enough for load skew.
-        let h = |k: f64| -> f64 {
-            if (theta - 1.0).abs() < 1e-9 {
-                (k + 1.0).ln()
-            } else {
-                ((k + 1.0).powf(1.0 - theta) - 1.0) / (1.0 - theta)
-            }
-        };
-        let total = h(n as f64);
-        let target = self.unit() * total;
-        let (mut lo, mut hi) = (0usize, n - 1);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if h(mid as f64 + 1.0) < target {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        lo
+        let target = self.unit() * zipf_h(n as f64, theta);
+        zipf_rank(n, target, |k| zipf_h(k as f64, theta))
     }
 
     /// Chooses an index with probability proportional to `weights[i]`.
@@ -142,6 +122,76 @@ impl SimRng {
     /// names, descriptions, etc.).
     pub fn ascii_string(&mut self, len: usize) -> String {
         (0..len).map(|_| (b'a' + self.inner.gen_range(0..26u8)) as char).collect()
+    }
+}
+
+/// The generalized harmonic number the Zipf samplers invert, approximated
+/// by the integral of x^-theta: H(k) ~ (k^(1-theta) - 1) / (1 - theta) for
+/// theta != 1, H(k) ~ ln(k) for theta == 1. Close enough for load skew.
+fn zipf_h(k: f64, theta: f64) -> f64 {
+    if (theta - 1.0).abs() < 1e-9 {
+        (k + 1.0).ln()
+    } else {
+        ((k + 1.0).powf(1.0 - theta) - 1.0) / (1.0 - theta)
+    }
+}
+
+/// The binary search both Zipf samplers run: the first rank `k` in
+/// `[0, n)` with `h(k + 1) >= target`, else `n - 1`.
+fn zipf_rank(n: usize, target: f64, h: impl Fn(usize) -> f64) -> usize {
+    let (mut lo, mut hi) = (0usize, n - 1);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if h(mid + 1) < target {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// [`SimRng::zipf`] for one fixed `(n, theta)`, with the harmonic
+/// approximation tabulated once: a draw reads the table where `zipf`
+/// calls `powf` about `log2(n)` times. Each draw consumes exactly the
+/// generator state `zipf` consumes and returns the same rank, so
+/// population loops can switch to it without moving a value.
+///
+/// ```
+/// use dynamid_sim::{SimRng, Zipf};
+/// let items = Zipf::new(3000, 0.8);
+/// let (mut a, mut b) = (SimRng::new(7), SimRng::new(7));
+/// assert_eq!(items.sample(&mut a), b.zipf(3000, 0.8));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Zipf {
+    n: usize,
+    /// `zipf_h(k)` for `k` in `0..=n`; empty when draws are uniform.
+    h: Vec<f64>,
+}
+
+impl Zipf {
+    /// Tabulates the sampler for ranks `[0, n)` with exponent `theta`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n == 0`.
+    pub fn new(n: usize, theta: f64) -> Zipf {
+        assert!(n > 0, "zipf: empty range");
+        let h = if theta <= 0.0 || n == 1 {
+            Vec::new()
+        } else {
+            (0..=n).map(|k| zipf_h(k as f64, theta)).collect()
+        };
+        Zipf { n, h }
+    }
+
+    /// One draw in `[0, n)`, identical to `rng.zipf(n, theta)`.
+    pub fn sample(&self, rng: &mut SimRng) -> usize {
+        if self.h.is_empty() {
+            return rng.index(self.n);
+        }
+        zipf_rank(self.n, rng.unit() * self.h[self.n], |k| self.h[k])
     }
 }
 
@@ -210,6 +260,21 @@ mod tests {
         }
         for c in counts {
             assert!((8_000..12_000).contains(&c), "not uniform: {counts:?}");
+        }
+    }
+
+    #[test]
+    fn tabulated_zipf_matches_zipf_draw_for_draw() {
+        for n in [1, 2, 3000, 3300] {
+            for theta in [0.0, 0.4, 0.6, 0.7, 0.8, 1.0] {
+                let sampler = Zipf::new(n, theta);
+                let mut a = SimRng::new(n as u64 ^ theta.to_bits());
+                let mut b = a.clone();
+                for _ in 0..10_000 {
+                    assert_eq!(sampler.sample(&mut a), b.zipf(n, theta), "n={n} theta={theta}");
+                }
+                assert_eq!(a.unit().to_bits(), b.unit().to_bits(), "n={n} theta={theta}");
+            }
         }
     }
 

@@ -385,6 +385,55 @@ impl Database {
         }
     }
 
+    /// Loads rows in bulk: `load` inserts them through [`BulkLoad::insert`],
+    /// which does all of [`Table::insert`]'s work except the
+    /// secondary-index pushes. When the scope ends — returning `Ok` or
+    /// `Err`, or unwinding — each index it touched is built once from a
+    /// stable sort of its deferred `(key, row id)` pairs, so every table
+    /// ends exactly as per-row inserts would have left it: same slots,
+    /// free list, keys, auto-increment counter and posting order, and
+    /// complete indexes for every row that was stored before an error.
+    ///
+    /// The loader borrows the database mutably, so nothing can read the
+    /// half-indexed tables while the scope is open. Like inserts through
+    /// [`table_mut`](Self::table_mut), bulk-loaded rows bypass the undo
+    /// log, the rewind journal and the caches; benchmark population is
+    /// the intended caller.
+    ///
+    /// # Errors
+    ///
+    /// Returns whatever `load` returns.
+    ///
+    /// ```
+    /// use dynamid_sqldb::{Database, TableSchema, ColumnType, Value};
+    /// let mut db = Database::new();
+    /// db.create_table(
+    ///     TableSchema::builder("users")
+    ///         .column("id", ColumnType::Int)
+    ///         .column("name", ColumnType::Str)
+    ///         .primary_key("id")
+    ///         .auto_increment()
+    ///         .index("name")
+    ///         .build()?,
+    /// )?;
+    /// db.bulk_load(|load| {
+    ///     for name in ["bob", "ann", "bob"] {
+    ///         load.insert("users", vec![Value::Null, Value::str(name)])?;
+    ///     }
+    ///     Ok(())
+    /// })?;
+    /// assert_eq!(db.table("users")?.index_lookup(1, &Value::str("bob")), vec![0, 2]);
+    /// # Ok::<(), dynamid_sqldb::SqlError>(())
+    /// ```
+    pub fn bulk_load<T>(
+        &mut self,
+        load: impl FnOnce(&mut BulkLoad<'_>) -> SqlResult<T>,
+    ) -> SqlResult<T> {
+        let pending =
+            self.tables.iter().map(|t| vec![Vec::new(); t.schema().indexes().len()]).collect();
+        load(&mut BulkLoad { db: self, pending })
+    }
+
     /// Opens a transaction. Subsequent statements record undo entries until
     /// [`commit_txn`](Self::commit_txn) or [`rollback_txn`](Self::rollback_txn).
     ///
@@ -840,6 +889,41 @@ fn txn_control(sql: &str) -> Option<StatementKind> {
         return Some(StatementKind::Begin);
     }
     None
+}
+
+/// The open scope of a [`Database::bulk_load`].
+#[derive(Debug)]
+pub struct BulkLoad<'a> {
+    db: &'a mut Database,
+    /// Per table, per secondary index: the deferred `(key, row id)` pushes
+    /// in insertion order.
+    pending: Vec<Vec<Vec<(Value, RowId)>>>,
+}
+
+impl BulkLoad<'_> {
+    /// Inserts a row into `table`, exactly as [`Table::insert`] does
+    /// except that the secondary-index pushes wait for the end of the
+    /// scope. Returns the row id and the auto-assigned key, if any.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the table does not exist, and otherwise exactly when
+    /// [`Table::insert`] would, leaving the table as that failure would.
+    pub fn insert(&mut self, table: &str, row: Vec<Value>) -> SqlResult<(RowId, Option<i64>)> {
+        let id = self.db.table_id(table)?;
+        Arc::make_mut(&mut self.db.tables[id]).insert_deferred(row, &mut self.pending[id])
+    }
+}
+
+/// The end of the scope: builds every index the scope deferred pushes to.
+impl Drop for BulkLoad<'_> {
+    fn drop(&mut self) {
+        for (table, pending) in self.db.tables.iter_mut().zip(std::mem::take(&mut self.pending)) {
+            if pending.iter().any(|run| !run.is_empty()) {
+                Arc::make_mut(table).build_deferred(pending);
+            }
+        }
+    }
 }
 
 impl Default for Database {

@@ -70,7 +70,7 @@ pub use cache::{
 };
 pub use compile::CompiledStmt;
 pub use cost::{DbCostModel, QueryCounters};
-pub use db::{Database, DbStats};
+pub use db::{BulkLoad, Database, DbStats};
 pub use error::{SqlError, SqlResult};
 pub use exec::{QueryResult, StatementKind};
 pub use parser::{count_params, parse};

@@ -5,6 +5,7 @@ use crate::schema::TableSchema;
 use crate::value::{Istr, Value};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::ops::Bound;
 use std::sync::Arc;
 
@@ -13,26 +14,55 @@ use std::sync::Arc;
 pub type RowId = usize;
 
 /// Per-table string interner: one canonical `Arc<Istr>` per distinct byte
-/// string, bucketed by the cached FNV-1a hash. Interning at insert/update
-/// time means equal strings across rows share one allocation, so the
-/// `Arc::ptr_eq` fast paths in `Value::cmp`/`Value::eq` fire on index
-/// probes and join keys instead of falling back to byte scans.
+/// string. Interning at insert/update time means equal strings across rows
+/// share one allocation, so the `Arc::ptr_eq` fast paths in
+/// `Value::cmp`/`Value::eq` fire on index probes and join keys instead of
+/// falling back to byte scans.
 ///
-/// Buckets are keyed by the cached hash directly (rather than wrapping a
-/// `HashMap<Arc<Istr>, _>`) because lookups start from an already-hashed
-/// `Istr`; no hasher runs during interning.
+/// The canonical strings sit in a `Vec` in first-seen order, and a map
+/// keyed by the cached FNV-1a hash holds each one's position. For a
+/// populated table the interner holds the last reference to every distinct
+/// string, so it decides the order they are freed in when the table drops:
+/// the `Vec` frees them in allocation order, while draining a hash map
+/// would visit them in bucket order — random memory order, several times
+/// slower for a populated database. The key is already a hash, so the map
+/// runs it through one multiply instead of SipHash.
 #[derive(Debug, Default)]
 struct StrInterner {
-    buckets: HashMap<u64, Arc<Istr>>,
+    strs: Vec<Arc<Istr>>,
+    by_hash: HashMap<u64, u32, BuildHasherDefault<PrehashedHasher>>,
+}
+
+/// Hasher for keys that are already well-mixed 64-bit hashes: one multiply
+/// by the Fibonacci constant spreads them over both the bucket bits and the
+/// tag bits `HashMap` reads. The keys are the program's own FNV-1a hashes,
+/// never crafted input the map would need SipHash's protection against.
+#[derive(Debug, Default)]
+struct PrehashedHasher(u64);
+
+impl Hasher for PrehashedHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
 }
 
 /// The interner is a sharing cache, not table state (`PartialEq` for
-/// `Table` already ignores it), and for a populated table its bucket map
-/// is as big as an index. Cloning it would make the copy-on-write table
-/// fork — the hot path under per-point experiment forks — pay for a
-/// structure the clone can rebuild lazily, so a cloned interner starts
-/// empty. Existing rows keep their shared `Arc`s; only post-clone inserts
-/// re-establish sharing as they go.
+/// `Table` already ignores it), and for a populated table it is as big as
+/// an index. Cloning it would make the copy-on-write table fork — the hot
+/// path under per-point experiment forks — pay for a structure the clone
+/// can rebuild lazily, so a cloned interner starts empty. Existing rows
+/// keep their shared `Arc`s; only post-clone inserts re-establish sharing
+/// as they go.
 impl Clone for StrInterner {
     fn clone(&self) -> StrInterner {
         StrInterner::default()
@@ -48,14 +78,16 @@ impl StrInterner {
     /// so correctness only ever rests on `Value`'s byte-level equality.
     fn intern(&mut self, v: &mut Value) {
         let Value::Str(s) = v else { return };
-        match self.buckets.entry(s.cached_hash()) {
+        match self.by_hash.entry(s.cached_hash()) {
             Entry::Occupied(e) => {
-                if e.get().as_str() == s.as_str() {
-                    *s = Arc::clone(e.get());
+                let canonical = &self.strs[*e.get() as usize];
+                if canonical.as_str() == s.as_str() {
+                    *s = Arc::clone(canonical);
                 }
             }
             Entry::Vacant(e) => {
-                e.insert(Arc::clone(s));
+                e.insert(u32::try_from(self.strs.len()).expect("fewer than 2^32 distinct strings"));
+                self.strs.push(Arc::clone(s));
             }
         }
     }
@@ -323,6 +355,8 @@ pub struct Table {
     /// Parallel to `schema.indexes()`: one B-tree per secondary index.
     sec: Vec<BTreeMap<Value, Vec<RowId>>>,
     next_auto: i64,
+    /// Declared last, so it drops after the cells and indexes and frees
+    /// each distinct string's last reference in first-seen order.
     interner: StrInterner,
 }
 
@@ -394,7 +428,54 @@ impl Table {
     ///
     /// Fails on arity/type/nullability violations or a duplicate primary
     /// key.
-    pub fn insert(&mut self, mut row: Vec<Value>) -> SqlResult<(RowId, Option<i64>)> {
+    pub fn insert(&mut self, row: Vec<Value>) -> SqlResult<(RowId, Option<i64>)> {
+        let (rid, assigned) = self.store(row)?;
+        self.sec_push(rid);
+        Ok((rid, assigned))
+    }
+
+    /// [`insert`](Self::insert) with the secondary-index pushes deferred:
+    /// each index's `(key, rid)` pair is appended to its run in `pending`
+    /// (parallel to `schema.indexes()`) for
+    /// [`build_deferred`](Self::build_deferred).
+    pub(crate) fn insert_deferred(
+        &mut self,
+        row: Vec<Value>,
+        pending: &mut [Vec<(Value, RowId)>],
+    ) -> SqlResult<(RowId, Option<i64>)> {
+        let (rid, assigned) = self.store(row)?;
+        let row = &self.cells[rid * self.width..(rid + 1) * self.width];
+        for (run, col) in pending.iter_mut().zip(self.schema.indexes()) {
+            run.push((row[*col].clone(), rid));
+        }
+        Ok((rid, assigned))
+    }
+
+    /// Applies the pushes [`insert_deferred`](Self::insert_deferred)
+    /// collected. A stable sort by key keeps equal keys in insertion
+    /// order, which is the posting order per-row pushes produce. An empty
+    /// index is then built in one pass from the sorted run; a non-empty
+    /// one appends each key's ids to its entry.
+    pub(crate) fn build_deferred(&mut self, pending: Vec<Vec<(Value, RowId)>>) {
+        for (index, mut run) in self.sec.iter_mut().zip(pending) {
+            run.sort_by(|a, b| a.0.cmp(&b.0));
+            let postings = run
+                .chunk_by(|a, b| a.0 == b.0)
+                .map(|group| (group[0].0.clone(), group.iter().map(|(_, rid)| *rid).collect()));
+            if index.is_empty() {
+                *index = postings.collect();
+            } else {
+                for (key, rids) in postings {
+                    index.entry(key).or_default().extend(rids);
+                }
+            }
+        }
+    }
+
+    /// Everything [`insert`](Self::insert) does except the secondary-index
+    /// pushes: auto-increment, row checks, the duplicate-key check,
+    /// interning, slot reuse and the primary-key index.
+    fn store(&mut self, mut row: Vec<Value>) -> SqlResult<(RowId, Option<i64>)> {
         let mut assigned = None;
         if let Some(pk) = self.schema.primary_key() {
             if self.schema.is_auto_increment() && row.get(pk).is_some_and(Value::is_null) {
@@ -438,7 +519,7 @@ impl Table {
             }
         };
         self.live += 1;
-        self.index_insert(rid);
+        self.pk_insert(rid);
         Ok((rid, assigned))
     }
 
@@ -749,11 +830,20 @@ impl Table {
     }
 
     fn index_insert(&mut self, rid: RowId) {
-        let Table { schema, cells, width, pk_index, sec, .. } = self;
-        let row = &cells[rid * *width..(rid + 1) * *width];
-        if let Some(pk) = schema.primary_key() {
-            pk_index.insert(row[pk].clone(), rid);
+        self.pk_insert(rid);
+        self.sec_push(rid);
+    }
+
+    fn pk_insert(&mut self, rid: RowId) {
+        if let Some(pk) = self.schema.primary_key() {
+            self.pk_index.insert(self.cells[rid * self.width + pk].clone(), rid);
         }
+    }
+
+    /// Appends `rid` to its key's entry in every secondary index.
+    fn sec_push(&mut self, rid: RowId) {
+        let Table { schema, cells, width, sec, .. } = self;
+        let row = &cells[rid * *width..(rid + 1) * *width];
         for (slot, col) in schema.indexes().iter().enumerate() {
             sec[slot].entry(row[*col].clone()).or_default().push(rid);
         }
@@ -934,6 +1024,17 @@ mod tests {
             (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(a, b)),
             other => panic!("expected strings, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn interner_keeps_strings_in_first_seen_order() {
+        let mut t = users();
+        for nick in ["bob", "ann", "bob", "cy"] {
+            t.insert(row(nick, 1)).unwrap();
+        }
+        let order: Vec<&str> = t.interner.strs.iter().map(|s| s.as_str()).collect();
+        assert_eq!(order, ["bob", "ann", "cy"]);
+        assert!(t.clone().interner.strs.is_empty());
     }
 
     #[test]

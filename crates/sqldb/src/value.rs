@@ -19,8 +19,10 @@ pub struct Istr {
 }
 
 impl Istr {
-    fn new(s: &str) -> Istr {
-        Istr { hash: fnv1a(s.as_bytes()), s: s.into() }
+    /// Takes ownership of the bytes: a `String` converts through
+    /// `into_boxed_str` without copying them.
+    fn new(s: Box<str>) -> Istr {
+        Istr { hash: fnv1a(s.as_bytes()), s }
     }
 
     /// The string slice.
@@ -105,9 +107,10 @@ pub enum Value {
 }
 
 impl Value {
-    /// Creates a string value.
+    /// Creates a string value, copying the bytes. An owned `String` goes
+    /// through [`Value::from`] instead, which keeps its buffer.
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::new(Istr::new(s.as_ref())))
+        Value::Str(Arc::new(Istr::new(s.as_ref().into())))
     }
 
     /// `true` if the value is NULL.
@@ -397,9 +400,11 @@ impl From<&str> for Value {
     }
 }
 
+/// The string's buffer becomes the value's storage: no byte copy, at most
+/// a shrink of spare capacity.
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::str(v)
+        Value::Str(Arc::new(Istr::new(v.into_boxed_str())))
     }
 }
 
@@ -521,5 +526,33 @@ mod tests {
         assert_eq!(Value::from("s"), Value::str("s"));
         assert_eq!(Value::from(String::from("s")), Value::str("s"));
         assert_eq!(Value::from(2.5f64), Value::Float(2.5));
+    }
+
+    #[test]
+    fn owned_string_conversion_matches_copy_and_keeps_the_buffer() {
+        use std::collections::hash_map::DefaultHasher;
+        let h = |v: &Value| {
+            let mut s = DefaultHasher::new();
+            v.hash(&mut s);
+            s.finish()
+        };
+        for text in ["", "OK", "CARD HOLDER", "héllo wörld", "c12345@example.com"] {
+            // Spare capacity exercises the shrink path.
+            let mut owned = String::with_capacity(text.len() + 7);
+            owned.push_str(text);
+            let (from, copied) = (Value::from(owned), Value::str(text));
+            let (Value::Str(a), Value::Str(b)) = (&from, &copied) else { unreachable!() };
+            assert!(!Arc::ptr_eq(a, b));
+            assert_eq!(a.as_str().as_bytes(), b.as_str().as_bytes());
+            assert_eq!(a.cached_hash(), b.cached_hash());
+            assert_eq!(from, copied);
+            assert_eq!(from.cmp(&copied), Ordering::Equal);
+            assert_eq!(from.cmp(&Value::str("P")), copied.cmp(&Value::str("P")));
+            assert_eq!(h(&from), h(&copied));
+        }
+        let exact = String::from("no copy");
+        let ptr = exact.as_ptr();
+        assert_eq!(Value::from(exact).as_str().map(str::as_ptr), Some(ptr));
+        assert_eq!(std::mem::size_of::<Value>(), 16);
     }
 }
