@@ -4,7 +4,7 @@
 //! Every chaos/availability run ends with the driver's crash-consistent
 //! unwind: aborted and in-flight transactions are rolled back, committed
 //! ones keep their writes and leave a receipt in the
-//! [`CommitLedger`](dynamid_workload::CommitLedger). The auditor then
+//! [`CommitLedger`]. The auditor then
 //! checks that the surviving database is exactly "baseline + committed
 //! transactions":
 //!

@@ -6,9 +6,9 @@
 //! crash and restart at planned instants, individual resource operations
 //! fail with a seeded per-op probability, and CPU/NIC service degrades by a
 //! factor over planned intervals. Because the plan is data (not callbacks)
-//! and every random draw comes from a dedicated [`SimRng`] stream owned by
-//! the plan, two runs with the same seed and plan produce identical event
-//! orders and metrics — chaos is replayable.
+//! and every random draw comes from a dedicated [`SimRng`](crate::SimRng)
+//! stream owned by the plan, two runs with the same seed and plan produce
+//! identical event orders and metrics — chaos is replayable.
 //!
 //! The healthy path pays nothing: a simulation without an installed plan
 //! (or with [`FaultPlan::none`]) schedules no fault events and draws no

@@ -7,18 +7,18 @@
 //! module moves all of that to a one-time compilation step:
 //!
 //! * column references are resolved to positions in the concatenated
-//!   FROM + JOIN row ([`CExpr::Col`] holds a `usize`, not a name);
+//!   FROM + JOIN row (`CExpr::Col` holds a `usize`, not a name);
 //! * the access-path *shape* (primary-key equality, secondary-index
 //!   equality, index range, or full scan) is chosen from the WHERE
-//!   conjuncts with the parameter slots left open ([`CPath`]); binding a
-//!   concrete [`AccessPath`] at execute time is a constant-expression
+//!   conjuncts with the parameter slots left open (`CPath`); binding a
+//!   concrete `AccessPath` at execute time is a constant-expression
 //!   evaluation;
 //! * the projection list, GROUP BY column, ORDER BY keys, join columns
 //!   (and whether the inner side is indexed), output column names, and the
 //!   read/write table sets are all precomputed;
 //! * execution is **late-materializing**: the working set is a stream of
 //!   [`RowId`] tuples (one id per FROM/JOIN table), values are fetched from
-//!   the base tables through a [`RowView`], and rows are cloned only at
+//!   the base tables through a `RowView`, and rows are cloned only at
 //!   projection time. Equality joins run as hash joins when the probe side
 //!   is large enough to amortize the build, `ORDER BY … LIMIT` keeps a
 //!   bounded top-K heap instead of sorting everything, and GROUP BY folds
@@ -27,12 +27,13 @@
 //! [`Database::execute`](crate::Database::execute) caches one
 //! [`CompiledStmt`] per SQL text; a plan records the schema version it was
 //! compiled against and is invalidated (recompiled) when DDL bumps the
-//! version. The executor here mirrors the AST interpreter in `exec`
-//! operation for operation, so [`QueryCounters`] — and therefore the cost
-//! model — are byte-identical between the two paths: counters keep the
-//! paper's MyISAM nested-index-loop charging no matter which physical
-//! strategy runs, so only host wall-clock changes. The unit tests below
-//! and `tests/proptests.rs` enforce that equivalence.
+//! version. This is the crate's only executor. [`QueryCounters`] — and
+//! therefore the cost model — keep the paper's MyISAM nested-index-loop
+//! charging no matter which physical strategy runs, so the strategies
+//! change only host wall-clock. The charging rules are specified by the
+//! naive reference executor in `tests/reference/mod.rs`, which
+//! `tests/executor.rs` and `tests/proptests.rs` compare this executor
+//! against: rows, order, columns, lock sets and every counter.
 
 use crate::ast::{
     BinOp, ColRef, Expr, InsertStmt, Join, SelectItem, SelectStmt, Stmt, TableLockKind, UpdateStmt,
@@ -40,12 +41,12 @@ use crate::ast::{
 use crate::cost::QueryCounters;
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{apply_limit, candidate_rows, compare, expr_name, QueryResult, StatementKind};
-use crate::plan::{col_on_table, conjuncts, flip, is_const, AccessPath, OwnedBound};
+use crate::exec::{QueryResult, StatementKind};
 use crate::table::{RowId, Table};
 use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::ops::Bound;
 
 /// A statement compiled against one schema version: names resolved,
 /// access-path shape selected, projection planned. Produced and cached by
@@ -120,6 +121,51 @@ enum CExpr {
     Between { expr: Box<CExpr>, lo: Box<CExpr>, hi: Box<CExpr> },
     InList { expr: Box<CExpr>, list: Vec<CExpr> },
     IsNull { expr: Box<CExpr>, negated: bool },
+}
+
+/// How the executor will locate candidate rows in one table.
+#[derive(Debug, Clone, PartialEq)]
+enum AccessPath {
+    /// Visit every live row.
+    FullScan,
+    /// Probe an index with an equality key.
+    IndexEq {
+        /// Column position.
+        col: usize,
+        /// Bound key value.
+        key: Value,
+    },
+    /// Walk an index over a key range.
+    IndexRange {
+        /// Column position.
+        col: usize,
+        /// Lower bound.
+        lo: OwnedBound,
+        /// Upper bound.
+        hi: OwnedBound,
+    },
+}
+
+/// An owned interval endpoint (mirrors [`std::ops::Bound`]).
+#[derive(Debug, Clone, PartialEq)]
+enum OwnedBound {
+    /// Endpoint included.
+    Included(Value),
+    /// Endpoint excluded.
+    Excluded(Value),
+    /// No bound on this side.
+    Unbounded,
+}
+
+impl OwnedBound {
+    /// View as a [`std::ops::Bound`] for B-tree range queries.
+    fn as_bound(&self) -> Bound<&Value> {
+        match self {
+            OwnedBound::Included(v) => Bound::Included(v),
+            OwnedBound::Excluded(v) => Bound::Excluded(v),
+            OwnedBound::Unbounded => Bound::Unbounded,
+        }
+    }
 }
 
 /// An access-path shape with its key expressions left unbound (they may
@@ -251,7 +297,8 @@ struct CDelete {
 }
 
 /// Name resolution at compile time: aliases to (table, offset) over the
-/// concatenated row, mirroring the interpreter's `Scope`.
+/// concatenated row. A qualified name must match an alias; an unqualified
+/// one must exist in exactly one table.
 struct CScope<'a> {
     entries: Vec<(String, &'a Table, usize)>,
     width: usize,
@@ -383,9 +430,28 @@ impl RowView<'_> {
     }
 }
 
-/// Evaluates a compiled expression; mirrors the interpreter's `eval`
-/// (including SQL NULL short-circuit semantics) with column access reduced
-/// to an index into the combined row view.
+/// SQL comparison: NULL operands yield NULL (filtered as false).
+fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
+    if l.is_null() || r.is_null() {
+        return Value::Null;
+    }
+    let ord = l.cmp(r);
+    let b = match op {
+        BinOp::Eq => ord == Ordering::Equal,
+        BinOp::Ne => ord != Ordering::Equal,
+        BinOp::Lt => ord == Ordering::Less,
+        BinOp::Le => ord != Ordering::Greater,
+        BinOp::Gt => ord == Ordering::Greater,
+        BinOp::Ge => ord != Ordering::Less,
+        _ => unreachable!("not a comparison"),
+    };
+    Value::Int(b as i64)
+}
+
+/// Evaluates a compiled expression with SQL's three-valued logic: AND and
+/// OR short-circuit on a definite operand, and comparisons, NOT, LIKE,
+/// BETWEEN and IN yield NULL on a NULL operand. Column access is an index
+/// into the combined row view.
 fn ceval(expr: &CExpr, row: Option<RowView<'_>>, params: &[Value]) -> SqlResult<Value> {
     match expr {
         CExpr::Lit(v) => Ok(v.clone()),
@@ -494,9 +560,62 @@ fn ceval(expr: &CExpr, row: Option<RowView<'_>>, params: &[Value]) -> SqlResult<
     }
 }
 
-/// Chooses the access-path shape from WHERE conjuncts; same preference
-/// order as the interpreter's `choose_path` (primary-key equality,
-/// secondary equality, indexed range, full scan), but key expressions stay
+/// Splits an expression tree into its top-level AND conjuncts.
+fn conjuncts(expr: &Expr) -> Vec<&Expr> {
+    let mut out = Vec::new();
+    fn walk<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+        match e {
+            Expr::Binary { op: BinOp::And, lhs, rhs } => {
+                walk(lhs, out);
+                walk(rhs, out);
+            }
+            other => out.push(other),
+        }
+    }
+    walk(expr, &mut out);
+    out
+}
+
+/// `true` when the expression can be evaluated without a row (only
+/// literals, parameters, and arithmetic over them).
+fn is_const(expr: &Expr) -> bool {
+    match expr {
+        Expr::Lit(_) | Expr::Param(_) => true,
+        Expr::Neg(e) => is_const(e),
+        Expr::Binary { op, lhs, rhs } => {
+            matches!(op, BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div)
+                && is_const(lhs)
+                && is_const(rhs)
+        }
+        _ => false,
+    }
+}
+
+/// `true` when `col` refers to `alias` (or is unqualified) and names an
+/// existing column of `table`; returns the column position.
+fn col_on_table(col: &ColRef, alias: &str, table: &Table) -> Option<usize> {
+    if let Some(t) = &col.table {
+        if t != alias {
+            return None;
+        }
+    }
+    table.schema().column_index(&col.column)
+}
+
+fn flip(op: BinOp) -> BinOp {
+    match op {
+        BinOp::Lt => BinOp::Gt,
+        BinOp::Le => BinOp::Ge,
+        BinOp::Gt => BinOp::Lt,
+        BinOp::Ge => BinOp::Le,
+        other => other,
+    }
+}
+
+/// Chooses the access-path shape from WHERE conjuncts, in MySQL 3.23's
+/// preference order: primary-key equality, the first secondary-index
+/// equality, a range on the first indexed column with one (later bounds on
+/// that column replace earlier ones), full scan. Key expressions stay
 /// unevaluated so parameters bind at execute time. The shape depends only
 /// on column positions and the schema, never on parameter values, so
 /// choosing it once is exact.
@@ -622,6 +741,28 @@ pub(crate) fn compile(db: &Database, stmt: &Stmt) -> SqlResult<CompiledStmt> {
         Stmt::Rollback => CStmt::Rollback,
     };
     Ok(CompiledStmt { version: db.schema_version(), id: 0, kind })
+}
+
+/// Output name for an expression select item without an alias.
+fn expr_name(expr: &Expr) -> String {
+    use crate::ast::AggFunc;
+    match expr {
+        Expr::Col(c) => c.column.clone(),
+        Expr::Agg { func, col } => {
+            let f = match func {
+                AggFunc::Count => "count",
+                AggFunc::Sum => "sum",
+                AggFunc::Max => "max",
+                AggFunc::Min => "min",
+                AggFunc::Avg => "avg",
+            };
+            match col {
+                Some(c) => format!("{f}({})", c.column),
+                None => format!("{f}(*)"),
+            }
+        }
+        _ => "expr".to_string(),
+    }
 }
 
 fn compile_select(db: &Database, s: &SelectStmt) -> SqlResult<CSelect> {
@@ -778,9 +919,10 @@ fn compile_select(db: &Database, s: &SelectStmt) -> SqlResult<CSelect> {
     })
 }
 
-/// Resolves the ON clause exactly as the interpreter does: returns (column
-/// position in the combined row so far, column position in the joined
-/// table).
+/// Resolves the ON clause: returns (column position in the combined row so
+/// far, column position in the joined table). `right` is tried as the
+/// joined table's side first (the common `JOIN t ON outer.x = t.y` shape),
+/// then `left`.
 fn classify_join_cols(
     j: &Join,
     j_alias: &str,
@@ -1065,6 +1207,26 @@ fn heap_push<T>(heap: &mut Vec<T>, item: T, k: usize, cmp: &impl Fn(&T, &T) -> O
     }
 }
 
+/// Applies `LIMIT offset, count` in place. Truncating to the window's end
+/// first means `split_off` moves only the kept rows (at most `count`),
+/// instead of `drain(..offset)` shifting the entire tail across the gap.
+/// Offsets past the end clear the vector; `offset + count` saturates rather
+/// than overflowing.
+fn apply_limit<T>(rows: &mut Vec<T>, limit: Option<(u64, u64)>) {
+    if let Some((offset, count)) = limit {
+        let offset = usize::try_from(offset).unwrap_or(usize::MAX);
+        let count = usize::try_from(count).unwrap_or(usize::MAX);
+        if offset >= rows.len() {
+            rows.clear();
+            return;
+        }
+        rows.truncate(offset.saturating_add(count).min(rows.len()));
+        if offset > 0 {
+            *rows = rows.split_off(offset);
+        }
+    }
+}
+
 /// The number of leading sorted rows the LIMIT window can expose:
 /// `offset + count` saturating, capped at `n`. `None` means all rows.
 fn limit_window(limit: Option<(u64, u64)>, n: usize) -> usize {
@@ -1075,6 +1237,29 @@ fn limit_window(limit: Option<(u64, u64)>, n: usize) -> usize {
             offset.saturating_add(count).min(n)
         }
         None => n,
+    }
+}
+
+/// Collects candidate row ids for one table according to an access path.
+fn candidate_rows(table: &Table, path: &AccessPath, counters: &mut QueryCounters) -> Vec<RowId> {
+    match path {
+        AccessPath::FullScan => {
+            let ids: Vec<RowId> = table.scan().map(|(rid, _)| rid).collect();
+            counters.rows_examined += ids.len() as u64;
+            ids
+        }
+        AccessPath::IndexEq { col, key } => {
+            counters.index_lookups += 1;
+            let ids = table.index_lookup(*col, key);
+            counters.rows_examined += ids.len() as u64;
+            ids
+        }
+        AccessPath::IndexRange { col, lo, hi } => {
+            counters.index_lookups += 1;
+            let ids = table.index_range(*col, lo.as_bound(), hi.as_bound());
+            counters.rows_examined += ids.len() as u64;
+            ids
+        }
     }
 }
 
@@ -1151,9 +1336,8 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
         CProjKind::Agg { items, group_by } => {
             // Single-pass hash aggregation: one walk over the source rows
             // folds every accumulator; groups are then emitted in ascending
-            // key order, matching the interpreter's BTreeMap grouping.
-            // Every source row lands in exactly one group, so the total
-            // charged to rows_examined is unchanged.
+            // key order. Every source row lands in exactly one group, so
+            // each is charged to rows_examined once.
             counters.rows_examined += rows.len() as u64;
             let mut out: Vec<Vec<Value>>;
             match group_by {
@@ -1197,8 +1381,8 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
                             return ord;
                         }
                     }
-                    // Position tie-break = the stable sort the interpreter
-                    // runs, preserving ascending-group-key order among ties.
+                    // Position tie-break = a stable sort, preserving
+                    // ascending-group-key order among ties.
                     a.1.cmp(&b.1)
                 };
                 let mut decorated: Vec<(Vec<Value>, usize)> =
@@ -1290,11 +1474,10 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
 }
 
 /// One aggregate accumulator, folded in a single pass over a group's rows.
-/// Tie-breaking and overflow semantics replicate the interpreter's
-/// collect-then-fold implementation exactly: MAX keeps the *last* of equal
-/// maxima and MIN the *first* of equal minima (observable when an Int and a
-/// Float compare equal), and SUM raises the integer-overflow error only
-/// when every input value is an Int.
+/// MAX keeps the *last* of equal maxima and MIN the *first* of equal minima
+/// (observable when an Int and a Float compare equal), and SUM raises the
+/// integer-overflow error only when every input value is an Int — the
+/// rules the reference executor's spec (`tests/reference/mod.rs`) states.
 enum Acc {
     /// COUNT(*) — answered from the group's row count.
     CountStar,
@@ -1541,275 +1724,157 @@ fn exec_cdelete(db: &mut Database, d: &CDelete, params: &[Value]) -> SqlResult<Q
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::execute_stmt;
     use crate::parser::parse;
     use crate::schema::{ColumnType, TableSchema};
 
-    /// A small auction-shaped catalog matching the executor fixtures.
-    fn auction_db() -> Database {
-        let mut db = Database::new();
-        db.create_table(
-            TableSchema::builder("users")
-                .column("id", ColumnType::Int)
-                .column("nickname", ColumnType::Str)
-                .column("region", ColumnType::Int)
-                .primary_key("id")
-                .auto_increment()
-                .index("region")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        db.create_table(
-            TableSchema::builder("items")
-                .column("id", ColumnType::Int)
-                .column("name", ColumnType::Str)
-                .column("seller", ColumnType::Int)
-                .column("category", ColumnType::Int)
-                .column("max_bid", ColumnType::Float)
-                .column("nb_of_bids", ColumnType::Int)
-                .primary_key("id")
-                .auto_increment()
-                .index("seller")
-                .index("category")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        db.create_table(
-            TableSchema::builder("bids")
-                .column("id", ColumnType::Int)
-                .column("item_id", ColumnType::Int)
-                .column("user_id", ColumnType::Int)
-                .column("bid", ColumnType::Float)
-                .column("qty", ColumnType::Int)
-                .primary_key("id")
-                .auto_increment()
-                .index("item_id")
-                .index("user_id")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        for (nick, region) in [("ann", 1), ("bob", 1), ("cat", 2)] {
-            db.execute(
-                "INSERT INTO users (id, nickname, region) VALUES (NULL, ?, ?)",
-                &[Value::str(nick), Value::Int(region)],
-            )
+    fn table() -> Table {
+        let schema = TableSchema::builder("items")
+            .column("id", ColumnType::Int)
+            .column("category", ColumnType::Int)
+            .column("name", ColumnType::Str)
+            .column("price", ColumnType::Float)
+            .primary_key("id")
+            .index("category")
+            .build()
+            .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..10 {
+            t.insert(vec![
+                Value::Int(i),
+                Value::Int(i % 3),
+                Value::str(format!("item{i}")),
+                Value::Float(i as f64),
+            ])
             .unwrap();
         }
-        for (name, seller, cat, max_bid, nb) in [
-            ("lamp", 1, 10, 25.0, 3),
-            ("desk", 1, 20, 80.0, 1),
-            ("book", 2, 10, 5.0, 0),
-            ("vase", 3, 10, 12.0, 2),
-        ] {
-            db.execute(
-                "INSERT INTO items (id, name, seller, category, max_bid, nb_of_bids) \
-                 VALUES (NULL, ?, ?, ?, ?, ?)",
-                &[
-                    Value::str(name),
-                    Value::Int(seller),
-                    Value::Int(cat),
-                    Value::Float(max_bid),
-                    Value::Int(nb),
-                ],
-            )
-            .unwrap();
-        }
-        for (item, user, bid, qty) in [
-            (1, 2, 20.0, 1),
-            (1, 3, 22.5, 1),
-            (1, 2, 25.0, 2),
-            (2, 3, 80.0, 1),
-            (4, 1, 12.0, 1),
-            (4, 2, 11.0, 3),
-        ] {
-            db.execute(
-                "INSERT INTO bids (id, item_id, user_id, bid, qty) VALUES (NULL, ?, ?, ?, ?)",
-                &[Value::Int(item), Value::Int(user), Value::Float(bid), Value::Int(qty)],
-            )
-            .unwrap();
-        }
-        db
+        t
     }
 
-    /// Queries covering every plan shape: point/secondary/range access,
-    /// joins, aggregates, sorting, limits, expressions, writes.
-    fn battery() -> Vec<(&'static str, Vec<Value>)> {
-        vec![
-            ("SELECT * FROM items WHERE id = ?", vec![Value::Int(2)]),
-            ("SELECT * FROM items WHERE category = 10 ORDER BY id", vec![]),
-            ("SELECT name FROM items WHERE id > 1 AND id <= 3", vec![]),
-            ("SELECT name FROM items WHERE id BETWEEN ? AND ?", vec![Value::Int(1), Value::Int(3)]),
-            ("SELECT * FROM items WHERE name = 'desk'", vec![]),
-            (
-                "SELECT i.name, u.nickname FROM items i \
-                 INNER JOIN users u ON i.seller = u.id WHERE i.category = 10",
-                vec![],
-            ),
-            (
-                "SELECT u.nickname, i.name, b.bid FROM bids b \
-                 JOIN items i ON b.item_id = i.id \
-                 JOIN users u ON b.user_id = u.id \
-                 WHERE b.qty > 0 ORDER BY b.bid DESC LIMIT 2",
-                vec![],
-            ),
-            (
-                "SELECT item_id, SUM(qty) AS total, COUNT(*) AS n, MAX(bid) AS top \
-                 FROM bids GROUP BY item_id ORDER BY total DESC",
-                vec![],
-            ),
-            ("SELECT COUNT(*), MAX(bid), SUM(qty) FROM bids WHERE bid > 1000", vec![]),
-            ("SELECT AVG(qty), MIN(bid) FROM bids WHERE item_id = 1", vec![]),
-            ("SELECT name, category AS cat FROM items ORDER BY cat, name DESC", vec![]),
-            ("SELECT id FROM items ORDER BY id LIMIT 1, 2", vec![]),
-            ("SELECT u.* FROM items i JOIN users u ON i.seller = u.id WHERE i.id = 1", vec![]),
-            (
-                "SELECT name, max_bid * 2 AS doubled FROM items \
-                 WHERE max_bid + 1 > 13 ORDER BY doubled",
-                vec![],
-            ),
-            ("SELECT name FROM items WHERE name LIKE '%a%' ORDER BY name", vec![]),
-            ("SELECT name FROM items WHERE category IN (20, 30)", vec![]),
-            ("SELECT name FROM items WHERE NULL = NULL", vec![]),
-            (
-                "SELECT i.name, b.bid FROM items i JOIN bids b ON i.id = b.item_id \
-                 ORDER BY b.bid LIMIT 2, 3",
-                vec![],
-            ),
-            ("SELECT id FROM items ORDER BY id LIMIT 2, 0", vec![]),
-            ("SELECT id FROM items ORDER BY id LIMIT 9, 4", vec![]),
-            (
-                "SELECT item_id, COUNT(*) AS n FROM bids GROUP BY item_id \
-                 ORDER BY n DESC LIMIT 1, 1",
-                vec![],
-            ),
-            (
-                "SELECT user_id, MIN(bid), AVG(qty) FROM bids GROUP BY user_id \
-                 ORDER BY user_id LIMIT 2",
-                vec![],
-            ),
-            (
-                "SELECT i.name, b.qty FROM items i JOIN bids b ON i.nb_of_bids = b.qty \
-                 ORDER BY i.id, b.id",
-                vec![],
-            ),
-            (
-                "SELECT i.name, b.qty FROM items i JOIN bids b ON i.nb_of_bids = b.qty \
-                 WHERE i.id = 1",
-                vec![],
-            ),
-            (
-                "UPDATE items SET nb_of_bids = nb_of_bids + 1, max_bid = ? WHERE id = ?",
-                vec![Value::Float(30.0), Value::Int(1)],
-            ),
-            ("DELETE FROM bids WHERE item_id = ?", vec![Value::Int(4)]),
-            ("INSERT INTO users (id, nickname, region) VALUES (NULL, 'zed', 7)", vec![]),
-            ("INSERT INTO users VALUES (99, 'yak', 8)", vec![]),
-            ("SELECT COUNT(*) FROM bids", vec![]),
-            ("LOCK TABLES users WRITE, items READ", vec![]),
-            ("UNLOCK TABLES", vec![]),
-        ]
+    fn where_of(sql: &str) -> Expr {
+        match parse(sql).unwrap() {
+            Stmt::Select(s) => s.where_clause.unwrap(),
+            _ => panic!(),
+        }
     }
 
-    /// The compiled path must produce byte-identical results — rows,
-    /// columns, lock sets, and every counter — to the AST interpreter, on
-    /// reads and writes alike.
+    /// The access path `compile_path` picks for `alias`, bound to `params`.
+    fn path_as(sql: &str, alias: &str, params: &[Value]) -> AccessPath {
+        let w = where_of(sql);
+        compile_path(&table(), alias, &conjuncts(&w)).unwrap().bind(params).unwrap()
+    }
+
+    fn path(sql: &str, params: &[Value]) -> AccessPath {
+        path_as(sql, "items", params)
+    }
+
     #[test]
-    fn compiled_matches_interpreter_on_battery() {
-        let mut compiled_db = auction_db();
-        let mut interp_db = auction_db();
-        for (sql, params) in battery() {
-            let got = compiled_db.execute(sql, &params).expect(sql);
-            let stmt = parse(sql).unwrap();
-            let want = execute_stmt(&mut interp_db, &stmt, &params).expect(sql);
-            assert_eq!(got, want, "divergence on {sql}");
-        }
+    fn pk_equality_wins() {
+        let p = path("SELECT * FROM items WHERE category = 1 AND id = ?", &[Value::Int(5)]);
+        assert_eq!(p, AccessPath::IndexEq { col: 0, key: Value::Int(5) });
     }
 
-    /// Warm plan-cache executions are identical to cold ones.
     #[test]
-    fn warm_plan_equals_cold_plan() {
-        let mut warm = auction_db();
-        for (sql, params) in battery() {
-            // Prime the cache (skip writes: they mutate state).
-            if sql.starts_with("SELECT") {
-                warm.execute(sql, &params).unwrap();
+    fn secondary_equality_used() {
+        let p = path("SELECT * FROM items WHERE category = 2", &[]);
+        assert_eq!(p, AccessPath::IndexEq { col: 1, key: Value::Int(2) });
+    }
+
+    #[test]
+    fn reversed_operands_normalized() {
+        let p = path("SELECT * FROM items WHERE 5 = id", &[]);
+        assert_eq!(p, AccessPath::IndexEq { col: 0, key: Value::Int(5) });
+    }
+
+    #[test]
+    fn range_predicates_merge() {
+        let p = path("SELECT * FROM items WHERE id > 2 AND id <= 7", &[]);
+        assert_eq!(
+            p,
+            AccessPath::IndexRange {
+                col: 0,
+                lo: OwnedBound::Excluded(Value::Int(2)),
+                hi: OwnedBound::Included(Value::Int(7)),
             }
-        }
-        let mut cold = warm.clone();
-        cold.clear_caches();
-        for (sql, params) in battery() {
-            if !sql.starts_with("SELECT") {
-                continue;
+        );
+    }
+
+    #[test]
+    fn between_becomes_range() {
+        let p =
+            path("SELECT * FROM items WHERE id BETWEEN ? AND ?", &[Value::Int(1), Value::Int(3)]);
+        assert_eq!(
+            p,
+            AccessPath::IndexRange {
+                col: 0,
+                lo: OwnedBound::Included(Value::Int(1)),
+                hi: OwnedBound::Included(Value::Int(3)),
             }
-            let w = warm.execute(sql, &params).unwrap();
-            let c = cold.execute(sql, &params).unwrap();
-            assert_eq!(w, c, "warm/cold divergence on {sql}");
-        }
+        );
     }
 
-    /// DDL bumps the schema version and invalidates cached plans; the
-    /// recompiled plan still answers correctly and the stats record the
-    /// invalidation.
     #[test]
-    fn ddl_invalidates_plans() {
-        let mut db = auction_db();
-        let sql = "SELECT nickname FROM users WHERE id = ?";
-        db.execute(sql, &[Value::Int(1)]).unwrap();
-        db.execute(sql, &[Value::Int(2)]).unwrap();
-        let before = db.stats();
-        assert!(before.plan_cache_hits >= 1);
-
-        db.create_table(
-            TableSchema::builder("regions")
-                .column("id", ColumnType::Int)
-                .primary_key("id")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-
-        let r = db.execute(sql, &[Value::Int(1)]).unwrap();
-        assert_eq!(r.rows[0][0], Value::str("ann"));
-        let after = db.stats();
-        assert_eq!(after.plan_invalidations - before.plan_invalidations, 1);
-        // And the freshly compiled plan is hit again afterwards.
-        db.execute(sql, &[Value::Int(3)]).unwrap();
-        assert_eq!(db.stats().plan_cache_hits, after.plan_cache_hits + 1);
+    fn unindexed_column_scans() {
+        let p = path("SELECT * FROM items WHERE name = 'item3'", &[]);
+        assert_eq!(p, AccessPath::FullScan);
+        let p = path("SELECT * FROM items WHERE price < 3.0", &[]);
+        assert_eq!(p, AccessPath::FullScan);
     }
 
-    /// One plan serves all parameter bindings.
     #[test]
-    fn parameters_bind_into_cached_plan() {
-        let mut db = auction_db();
-        let before = db.stats().plan_cache_hits;
-        let sql = "SELECT name FROM items WHERE id = ?";
-        let names: Vec<String> = (1..=4)
-            .map(|i| {
-                db.execute(sql, &[Value::Int(i)]).unwrap().rows[0][0].as_str().unwrap().to_string()
-            })
-            .collect();
-        assert_eq!(names, vec!["lamp", "desk", "book", "vase"]);
-        // 3 of the 4 executions reused the plan.
-        assert_eq!(db.stats().plan_cache_hits - before, 3);
+    fn eq_beats_range() {
+        let p = path("SELECT * FROM items WHERE id > 2 AND category = 1", &[]);
+        assert_eq!(p, AccessPath::IndexEq { col: 1, key: Value::Int(1) });
     }
 
-    /// Compile errors are not cached: each call recompiles and reports.
     #[test]
-    fn compile_errors_surface_every_call() {
-        let mut db = auction_db();
-        let before = db.stats().errors;
-        assert!(db.execute("SELECT zz FROM users", &[]).is_err());
-        assert!(db.execute("SELECT zz FROM users", &[]).is_err());
-        assert_eq!(db.stats().errors, before + 2);
-        // A bind-time error on a cached plan also reports per call.
-        db.execute("SELECT * FROM users WHERE id = ?", &[Value::Int(1)]).unwrap();
-        assert!(db.execute("SELECT * FROM users WHERE id = ?", &[]).is_err());
-        assert!(matches!(
-            db.execute("SELECT * FROM users WHERE id = ?", &[]).unwrap_err(),
-            SqlError::MissingParam(0)
-        ));
+    fn qualified_alias_respected() {
+        let sql = "SELECT * FROM items i WHERE i.id = 4";
+        assert_eq!(path_as(sql, "i", &[]), AccessPath::IndexEq { col: 0, key: Value::Int(4) });
+        // Wrong alias: predicate is about another table.
+        assert_eq!(path_as(sql, "other", &[]), AccessPath::FullScan);
+    }
+
+    #[test]
+    fn or_disables_indexing() {
+        let p = path("SELECT * FROM items WHERE id = 1 OR category = 2", &[]);
+        assert_eq!(p, AccessPath::FullScan);
+    }
+
+    #[test]
+    fn conjunct_split() {
+        let w = where_of("SELECT * FROM items WHERE id = 1 AND category = 2 AND name LIKE 'a%'");
+        assert_eq!(conjuncts(&w).len(), 3);
+        let w = where_of("SELECT * FROM items WHERE id = 1 OR category = 2");
+        assert_eq!(conjuncts(&w).len(), 1);
+    }
+
+    #[test]
+    fn apply_limit_window_edges() {
+        // Offset past the end clears.
+        let mut v: Vec<i32> = (0..5).collect();
+        apply_limit(&mut v, Some((5, 3)));
+        assert!(v.is_empty());
+        let mut v: Vec<i32> = (0..5).collect();
+        apply_limit(&mut v, Some((100, 3)));
+        assert!(v.is_empty());
+        // offset + count saturates instead of overflowing.
+        let mut v: Vec<i32> = (0..5).collect();
+        apply_limit(&mut v, Some((2, u64::MAX)));
+        assert_eq!(v, vec![2, 3, 4]);
+        let mut v: Vec<i32> = (0..5).collect();
+        apply_limit(&mut v, Some((u64::MAX, u64::MAX)));
+        assert!(v.is_empty());
+        // Zero-count window is empty even with a valid offset.
+        let mut v: Vec<i32> = (0..5).collect();
+        apply_limit(&mut v, Some((2, 0)));
+        assert!(v.is_empty());
+        // Interior window.
+        let mut v: Vec<i32> = (0..10).collect();
+        apply_limit(&mut v, Some((3, 4)));
+        assert_eq!(v, vec![3, 4, 5, 6]);
+        // No limit leaves rows alone.
+        let mut v: Vec<i32> = (0..3).collect();
+        apply_limit(&mut v, None);
+        assert_eq!(v, vec![0, 1, 2]);
     }
 }

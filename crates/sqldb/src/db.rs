@@ -705,23 +705,6 @@ impl Database {
         copy
     }
 
-    /// Executes a statement through the retained AST interpreter instead of
-    /// the compiled-plan path.
-    ///
-    /// The interpreter is the reference implementation the executor-parity
-    /// tests compare against: results and counters must be byte-identical
-    /// to [`execute`](Self::execute). It re-parses on every call and
-    /// bypasses both caches and the [`DbStats`] accounting, so it is slow
-    /// on purpose — use it only as an oracle.
-    ///
-    /// # Errors
-    ///
-    /// Same error surface as [`execute`](Self::execute).
-    pub fn execute_interpreted(&mut self, sql: &str, params: &[Value]) -> SqlResult<QueryResult> {
-        let stmt = parse(sql)?;
-        crate::exec::execute_stmt(self, &stmt, params)
-    }
-
     /// Executes one SQL statement with positional `?` parameters.
     ///
     /// Statements are compiled once per SQL text and schema version: the
@@ -1092,15 +1075,6 @@ mod tests {
     }
 
     #[test]
-    fn interpreter_oracle_agrees_with_compiled_path() {
-        let mut db = db_with_users();
-        let q = "SELECT region, COUNT(*) AS n FROM users GROUP BY region ORDER BY n DESC";
-        let compiled = db.execute(q, &[]).unwrap();
-        let interpreted = db.execute_interpreted(q, &[]).unwrap();
-        assert_eq!(compiled, interpreted);
-    }
-
-    #[test]
     fn rollback_restores_exact_pre_begin_state() {
         let mut db = db_with_users();
         let baseline = db.deep_clone();
@@ -1194,18 +1168,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.last_insert_id, Some(7));
-    }
-
-    #[test]
-    fn interpreter_handles_txn_control_like_execute() {
-        let mut db = db_with_users();
-        let baseline = db.deep_clone();
-        db.execute_interpreted("BEGIN", &[]).unwrap();
-        db.execute_interpreted("DELETE FROM users WHERE region = 1", &[]).unwrap();
-        db.execute_interpreted("ROLLBACK", &[]).unwrap();
-        assert!(db.same_data(&baseline));
-        let r = db.execute_interpreted("COMMIT", &[]).unwrap();
-        assert_eq!(r.kind, StatementKind::Commit);
     }
 
     fn txn_cache() -> CachePolicy {

@@ -1,15 +1,9 @@
-//! Statement execution: scans, joins, filters, aggregation, ordering,
-//! projection, and data modification.
+//! Statement results: the rows, counters and lock sets one executed
+//! statement reports.
 
-use crate::ast::*;
+use crate::ast::TableLockKind;
 use crate::cost::QueryCounters;
-use crate::db::Database;
-use crate::error::{SqlError, SqlResult};
-use crate::plan::{choose_path, conjuncts, AccessPath};
-use crate::table::{RowId, Table};
 use crate::value::Value;
-use std::cmp::Ordering;
-use std::collections::BTreeMap;
 
 /// What kind of statement a [`QueryResult`] came from; the middleware layer
 /// uses this to drive implicit table locking.
@@ -93,1264 +87,5 @@ impl QueryResult {
     /// Number of result rows.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-}
-
-/// Evaluates an expression that must not reference any column (used by the
-/// planner for predicate constants and by INSERT values).
-///
-/// # Errors
-///
-/// Fails on column references, aggregates, or missing parameters.
-pub fn eval_row_free(expr: &Expr, params: &[Value]) -> SqlResult<Value> {
-    eval(expr, None, params)
-}
-
-struct ScopeEntry<'a> {
-    alias: String,
-    table: &'a Table,
-    offset: usize,
-}
-
-/// Column-name resolution over the concatenated row of FROM + JOIN tables.
-struct Scope<'a> {
-    entries: Vec<ScopeEntry<'a>>,
-    width: usize,
-}
-
-impl<'a> Scope<'a> {
-    fn new() -> Self {
-        Scope { entries: Vec::new(), width: 0 }
-    }
-
-    fn add(&mut self, alias: &str, table: &'a Table) {
-        let offset = self.width;
-        self.width += table.schema().columns().len();
-        self.entries.push(ScopeEntry { alias: alias.to_string(), table, offset });
-    }
-
-    fn resolve(&self, col: &ColRef) -> SqlResult<usize> {
-        match &col.table {
-            Some(t) => {
-                let e = self
-                    .entries
-                    .iter()
-                    .find(|e| e.alias == *t)
-                    .ok_or_else(|| SqlError::UnknownTable(t.clone()))?;
-                let idx = e
-                    .table
-                    .schema()
-                    .column_index(&col.column)
-                    .ok_or_else(|| SqlError::UnknownColumn(format!("{t}.{}", col.column)))?;
-                Ok(e.offset + idx)
-            }
-            None => {
-                let mut found = None;
-                for e in &self.entries {
-                    if let Some(idx) = e.table.schema().column_index(&col.column) {
-                        if found.is_some() {
-                            return Err(SqlError::AmbiguousColumn(col.column.clone()));
-                        }
-                        found = Some(e.offset + idx);
-                    }
-                }
-                found.ok_or_else(|| SqlError::UnknownColumn(col.column.clone()))
-            }
-        }
-    }
-
-    /// Output column names for `alias.*` (or all tables when `None`).
-    fn star_columns(&self, alias: Option<&str>) -> SqlResult<Vec<(usize, String)>> {
-        let mut out = Vec::new();
-        let mut matched = false;
-        for e in &self.entries {
-            if alias.is_none() || alias == Some(e.alias.as_str()) {
-                matched = true;
-                for (i, c) in e.table.schema().columns().iter().enumerate() {
-                    out.push((e.offset + i, c.name().to_string()));
-                }
-            }
-        }
-        if !matched {
-            return Err(SqlError::UnknownTable(alias.unwrap_or("*").to_string()));
-        }
-        Ok(out)
-    }
-}
-
-struct RowEnv<'a> {
-    scope: &'a Scope<'a>,
-    row: &'a [Value],
-}
-
-/// SQL comparison: NULL operands yield NULL (filtered as false).
-pub(crate) fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
-    if l.is_null() || r.is_null() {
-        return Value::Null;
-    }
-    let ord = l.cmp(r);
-    let b = match op {
-        BinOp::Eq => ord == Ordering::Equal,
-        BinOp::Ne => ord != Ordering::Equal,
-        BinOp::Lt => ord == Ordering::Less,
-        BinOp::Le => ord != Ordering::Greater,
-        BinOp::Gt => ord == Ordering::Greater,
-        BinOp::Ge => ord != Ordering::Less,
-        _ => unreachable!("not a comparison"),
-    };
-    Value::Int(b as i64)
-}
-
-fn eval(expr: &Expr, env: Option<&RowEnv<'_>>, params: &[Value]) -> SqlResult<Value> {
-    match expr {
-        Expr::Lit(v) => Ok(v.clone()),
-        Expr::Param(i) => params.get(*i).cloned().ok_or(SqlError::MissingParam(*i)),
-        Expr::Col(c) => {
-            let env = env.ok_or_else(|| {
-                SqlError::Unsupported(format!("column '{}' in row-free context", c.column))
-            })?;
-            let idx = env.scope.resolve(c)?;
-            Ok(env.row[idx].clone())
-        }
-        Expr::Neg(e) => {
-            let v = eval(e, env, params)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(f) => Ok(Value::Float(-f)),
-                other => Err(SqlError::TypeMismatch {
-                    expected: "number",
-                    found: other.type_name().to_string(),
-                }),
-            }
-        }
-        Expr::Not(e) => {
-            let v = eval(e, env, params)?;
-            if v.is_null() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Int(!v.is_truthy() as i64))
-            }
-        }
-        Expr::Binary { op, lhs, rhs } => match op {
-            BinOp::And => {
-                let l = eval(lhs, env, params)?;
-                if !l.is_null() && !l.is_truthy() {
-                    return Ok(Value::Int(0));
-                }
-                let r = eval(rhs, env, params)?;
-                if !r.is_null() && !r.is_truthy() {
-                    return Ok(Value::Int(0));
-                }
-                if l.is_null() || r.is_null() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Int(1))
-                }
-            }
-            BinOp::Or => {
-                let l = eval(lhs, env, params)?;
-                if l.is_truthy() {
-                    return Ok(Value::Int(1));
-                }
-                let r = eval(rhs, env, params)?;
-                if r.is_truthy() {
-                    return Ok(Value::Int(1));
-                }
-                if l.is_null() || r.is_null() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Int(0))
-                }
-            }
-            BinOp::Add => eval(lhs, env, params)?.add(&eval(rhs, env, params)?),
-            BinOp::Sub => eval(lhs, env, params)?.sub(&eval(rhs, env, params)?),
-            BinOp::Mul => eval(lhs, env, params)?.mul(&eval(rhs, env, params)?),
-            BinOp::Div => eval(lhs, env, params)?.div(&eval(rhs, env, params)?),
-            cmp => {
-                let l = eval(lhs, env, params)?;
-                let r = eval(rhs, env, params)?;
-                Ok(compare(*cmp, &l, &r))
-            }
-        },
-        Expr::Like { expr, pattern, negated } => {
-            let v = eval(expr, env, params)?;
-            let p = eval(pattern, env, params)?;
-            if v.is_null() || p.is_null() {
-                return Ok(Value::Null);
-            }
-            let m = v.like(&p)?;
-            Ok(Value::Int((m != *negated) as i64))
-        }
-        Expr::Between { expr, lo, hi } => {
-            let v = eval(expr, env, params)?;
-            let l = eval(lo, env, params)?;
-            let h = eval(hi, env, params)?;
-            if v.is_null() || l.is_null() || h.is_null() {
-                return Ok(Value::Null);
-            }
-            Ok(Value::Int((v >= l && v <= h) as i64))
-        }
-        Expr::InList { expr, list } => {
-            let v = eval(expr, env, params)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            for item in list {
-                let c = eval(item, env, params)?;
-                if !c.is_null() && c == v {
-                    return Ok(Value::Int(1));
-                }
-            }
-            Ok(Value::Int(0))
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, env, params)?;
-            Ok(Value::Int((v.is_null() != *negated) as i64))
-        }
-        Expr::Agg { .. } => Err(SqlError::Unsupported("aggregate outside of SELECT output".into())),
-    }
-}
-
-/// Executes a parsed statement by walking the AST directly.
-///
-/// `Database::execute` runs statements through the compiled-plan path in
-/// [`crate::compile`]; this interpreter is kept as the reference
-/// implementation the parity tests compare against (results and counters
-/// must be byte-identical between the two). Exposed to callers through
-/// `Database::execute_interpreted`.
-pub(crate) fn execute_stmt(
-    db: &mut Database,
-    stmt: &Stmt,
-    params: &[Value],
-) -> SqlResult<QueryResult> {
-    match stmt {
-        Stmt::Select(s) => exec_select(db, s, params),
-        Stmt::Insert(i) => exec_insert(db, i, params),
-        Stmt::Update(u) => exec_update(db, u, params),
-        Stmt::Delete(d) => exec_delete(db, d, params),
-        Stmt::LockTables(locks) => {
-            for (t, _) in locks {
-                db.table(t)?; // validate the tables exist
-            }
-            Ok(QueryResult::empty(StatementKind::LockTables(locks.clone())))
-        }
-        Stmt::UnlockTables => Ok(QueryResult::empty(StatementKind::UnlockTables)),
-        Stmt::Begin => db.exec_txn_control(StatementKind::Begin),
-        Stmt::Commit => db.exec_txn_control(StatementKind::Commit),
-        Stmt::Rollback => db.exec_txn_control(StatementKind::Rollback),
-    }
-}
-
-/// Collects candidate row ids for one table according to an access path.
-pub(crate) fn candidate_rows(
-    table: &Table,
-    path: &AccessPath,
-    counters: &mut QueryCounters,
-) -> Vec<RowId> {
-    match path {
-        AccessPath::FullScan => {
-            let ids: Vec<RowId> = table.scan().map(|(rid, _)| rid).collect();
-            counters.rows_examined += ids.len() as u64;
-            ids
-        }
-        AccessPath::IndexEq { col, key } => {
-            counters.index_lookups += 1;
-            let ids = table.index_lookup(*col, key);
-            counters.rows_examined += ids.len() as u64;
-            ids
-        }
-        AccessPath::IndexRange { col, lo, hi } => {
-            counters.index_lookups += 1;
-            let ids = table.index_range(*col, lo.as_bound(), hi.as_bound());
-            counters.rows_examined += ids.len() as u64;
-            ids
-        }
-    }
-}
-
-fn exec_select(db: &Database, s: &SelectStmt, params: &[Value]) -> SqlResult<QueryResult> {
-    let mut counters = QueryCounters::default();
-    let mut read_tables = vec![s.from.name.clone()];
-    for j in &s.joins {
-        if !read_tables.contains(&j.table.name) {
-            read_tables.push(j.table.name.clone());
-        }
-    }
-
-    // Build the scope in FROM, JOIN order.
-    let base_table = db.table(&s.from.name)?;
-    let mut scope = Scope::new();
-    scope.add(s.from.effective_alias(), base_table);
-    let join_tables: Vec<&Table> =
-        s.joins.iter().map(|j| db.table(&j.table.name)).collect::<SqlResult<_>>()?;
-    for (j, t) in s.joins.iter().zip(&join_tables) {
-        scope.add(j.table.effective_alias(), t);
-    }
-
-    // Base access path from WHERE conjuncts.
-    let conj: Vec<&Expr> = s.where_clause.as_ref().map(|w| conjuncts(w)).unwrap_or_default();
-    let path = choose_path(base_table, s.from.effective_alias(), &conj, params)?;
-    let base_ids = candidate_rows(base_table, &path, &mut counters);
-
-    // Materialize combined rows, joining left to right.
-    let mut combined: Vec<Vec<Value>> =
-        base_ids.iter().filter_map(|rid| base_table.get(*rid)).map(|r| r.to_vec()).collect();
-
-    for (jidx, (j, jt)) in s.joins.iter().zip(&join_tables).enumerate() {
-        // Determine which side of ON references the joined table.
-        let mut partial = Scope::new();
-        partial.add(s.from.effective_alias(), base_table);
-        for (k, t) in s.joins.iter().zip(&join_tables).take(jidx) {
-            partial.add(k.table.effective_alias(), t);
-        }
-        let j_alias = j.table.effective_alias();
-        let (outer_col, inner_col) = classify_join_cols(j, j_alias, jt, &partial)?;
-
-        let mut next: Vec<Vec<Value>> = Vec::new();
-        for row in &combined {
-            let key = &row[outer_col];
-            let matches: Vec<RowId> = if jt.has_index_on(inner_col) {
-                counters.index_lookups += 1;
-                jt.index_lookup(inner_col, key)
-            } else {
-                jt.scan().filter(|(_, r)| &r[inner_col] == key).map(|(rid, _)| rid).collect()
-            };
-            counters.rows_examined += matches.len().max(1) as u64;
-            for rid in matches {
-                if let Some(jrow) = jt.get(rid) {
-                    let mut out = row.clone();
-                    out.extend_from_slice(jrow);
-                    next.push(out);
-                }
-            }
-        }
-        combined = next;
-    }
-
-    // Residual filter.
-    if let Some(w) = &s.where_clause {
-        let mut kept = Vec::with_capacity(combined.len());
-        for row in combined {
-            let env = RowEnv { scope: &scope, row: &row };
-            if eval(w, Some(&env), params)?.is_truthy() {
-                kept.push(row);
-            }
-        }
-        combined = kept;
-    }
-
-    // Aggregation?
-    let has_agg = s.group_by.is_some()
-        || s.items.iter().any(|i| match i {
-            SelectItem::Expr { expr, .. } => expr.contains_agg(),
-            _ => false,
-        });
-
-    let (columns, mut out_rows) = if has_agg {
-        aggregate(s, &scope, combined, params, &mut counters)?
-    } else {
-        // ORDER BY over source rows (can use non-projected columns).
-        if !s.order_by.is_empty() {
-            counters.sort_rows += combined.len() as u64;
-            sort_source_rows(s, &scope, &mut combined, params)?;
-        }
-        apply_limit(&mut combined, s.limit);
-        project(s, &scope, combined, params)?
-    };
-
-    if has_agg {
-        // ORDER BY over the aggregated output.
-        if !s.order_by.is_empty() {
-            counters.sort_rows += out_rows.len() as u64;
-            sort_output_rows(s, &columns, &mut out_rows, params)?;
-        }
-        apply_limit(&mut out_rows, s.limit);
-    }
-
-    counters.rows_returned += out_rows.len() as u64;
-    counters.bytes_returned += out_rows
-        .iter()
-        .map(|r| r.iter().map(Value::wire_size).sum::<u64>() + 4 * r.len() as u64)
-        .sum::<u64>();
-
-    Ok(QueryResult {
-        columns,
-        rows: out_rows,
-        affected: 0,
-        last_insert_id: None,
-        counters,
-        read_tables,
-        write_tables: Vec::new(),
-        kind: StatementKind::Read,
-    })
-}
-
-/// Resolves the ON clause: returns (column position in the combined row so
-/// far, column position within the joined table).
-fn classify_join_cols(
-    j: &Join,
-    j_alias: &str,
-    jt: &Table,
-    outer_scope: &Scope<'_>,
-) -> SqlResult<(usize, usize)> {
-    let on_joined = |c: &ColRef| -> Option<usize> {
-        match &c.table {
-            Some(t) if t == j_alias => jt.schema().column_index(&c.column),
-            Some(_) => None,
-            None => jt.schema().column_index(&c.column),
-        }
-    };
-    // Prefer interpreting `right` as the joined-table side (the common
-    // `JOIN t ON outer.x = t.y` shape), then try the reverse.
-    if let Some(inner) = on_joined(&j.right) {
-        if let Ok(outer) = outer_scope.resolve(&j.left) {
-            return Ok((outer, inner));
-        }
-    }
-    if let Some(inner) = on_joined(&j.left) {
-        if let Ok(outer) = outer_scope.resolve(&j.right) {
-            return Ok((outer, inner));
-        }
-    }
-    Err(SqlError::Unsupported(format!(
-        "JOIN ON must equate an earlier table's column with {j_alias}'s column"
-    )))
-}
-
-/// Output name for an expression select item without an alias.
-pub(crate) fn expr_name(expr: &Expr) -> String {
-    match expr {
-        Expr::Col(c) => c.column.clone(),
-        Expr::Agg { func, col } => {
-            let f = match func {
-                AggFunc::Count => "count",
-                AggFunc::Sum => "sum",
-                AggFunc::Max => "max",
-                AggFunc::Min => "min",
-                AggFunc::Avg => "avg",
-            };
-            match col {
-                Some(c) => format!("{f}({})", c.column),
-                None => format!("{f}(*)"),
-            }
-        }
-        _ => "expr".to_string(),
-    }
-}
-
-fn project(
-    s: &SelectStmt,
-    scope: &Scope<'_>,
-    rows: Vec<Vec<Value>>,
-    params: &[Value],
-) -> SqlResult<(Vec<String>, Vec<Vec<Value>>)> {
-    // Pre-resolve the projection plan.
-    enum Proj {
-        Cols(Vec<(usize, String)>),
-        Expr(Expr, String),
-    }
-    let mut plan = Vec::new();
-    for item in &s.items {
-        match item {
-            SelectItem::Star => plan.push(Proj::Cols(scope.star_columns(None)?)),
-            SelectItem::TableStar(t) => plan.push(Proj::Cols(scope.star_columns(Some(t))?)),
-            SelectItem::Expr { expr, alias } => {
-                let name = alias.clone().unwrap_or_else(|| expr_name(expr));
-                plan.push(Proj::Expr(expr.clone(), name));
-            }
-        }
-    }
-    let mut columns = Vec::new();
-    for p in &plan {
-        match p {
-            Proj::Cols(cols) => columns.extend(cols.iter().map(|(_, n)| n.clone())),
-            Proj::Expr(_, name) => columns.push(name.clone()),
-        }
-    }
-    let mut out = Vec::with_capacity(rows.len());
-    for row in rows {
-        let mut o = Vec::with_capacity(columns.len());
-        for p in &plan {
-            match p {
-                Proj::Cols(cols) => o.extend(cols.iter().map(|(i, _)| row[*i].clone())),
-                Proj::Expr(e, _) => {
-                    let env = RowEnv { scope, row: &row };
-                    o.push(eval(e, Some(&env), params)?);
-                }
-            }
-        }
-        out.push(o);
-    }
-    Ok((columns, out))
-}
-
-/// GROUP BY / aggregate evaluation. Non-aggregate select items take their
-/// value from the first row of each group (MySQL 3.23 semantics).
-fn aggregate(
-    s: &SelectStmt,
-    scope: &Scope<'_>,
-    rows: Vec<Vec<Value>>,
-    params: &[Value],
-    counters: &mut QueryCounters,
-) -> SqlResult<(Vec<String>, Vec<Vec<Value>>)> {
-    let group_col = match &s.group_by {
-        Some(c) => Some(scope.resolve(c)?),
-        None => None,
-    };
-    // Group rows (BTreeMap gives deterministic group order).
-    let mut groups: BTreeMap<Value, Vec<Vec<Value>>> = BTreeMap::new();
-    match group_col {
-        Some(gc) => {
-            for row in rows {
-                groups.entry(row[gc].clone()).or_default().push(row);
-            }
-        }
-        None => {
-            groups.insert(Value::Int(0), rows);
-        }
-    }
-
-    let mut columns = Vec::new();
-    for item in &s.items {
-        match item {
-            SelectItem::Expr { expr, alias } => {
-                columns.push(alias.clone().unwrap_or_else(|| expr_name(expr)));
-            }
-            _ => return Err(SqlError::Unsupported("'*' in an aggregate SELECT".into())),
-        }
-    }
-
-    let mut out = Vec::with_capacity(groups.len());
-    for (_, grows) in groups {
-        counters.rows_examined += grows.len() as u64;
-        let mut orow = Vec::with_capacity(columns.len());
-        for item in &s.items {
-            let SelectItem::Expr { expr, .. } = item else { unreachable!("checked above") };
-            orow.push(eval_agg_item(expr, scope, &grows, params)?);
-        }
-        // A global aggregate over zero rows still yields one output row
-        // (COUNT(*) = 0); a GROUP BY over zero rows yields none, which the
-        // empty `groups` map already handles.
-        out.push(orow);
-    }
-    if out.is_empty() && group_col.is_none() {
-        let mut orow = Vec::with_capacity(columns.len());
-        for item in &s.items {
-            let SelectItem::Expr { expr, .. } = item else { unreachable!() };
-            orow.push(eval_agg_item(expr, scope, &[], params)?);
-        }
-        out.push(orow);
-    }
-    Ok((columns, out))
-}
-
-/// Evaluates one select item over a group of rows.
-fn eval_agg_item(
-    expr: &Expr,
-    scope: &Scope<'_>,
-    rows: &[Vec<Value>],
-    params: &[Value],
-) -> SqlResult<Value> {
-    match expr {
-        Expr::Agg { func, col } => {
-            let values: Vec<Value> = match col {
-                None => return Ok(Value::Int(rows.len() as i64)),
-                Some(c) => {
-                    let idx = scope.resolve(c)?;
-                    rows.iter().map(|r| r[idx].clone()).filter(|v| !v.is_null()).collect()
-                }
-            };
-            match func {
-                AggFunc::Count => Ok(Value::Int(values.len() as i64)),
-                AggFunc::Max => Ok(values.into_iter().max().unwrap_or(Value::Null)),
-                AggFunc::Min => Ok(values.into_iter().min().unwrap_or(Value::Null)),
-                AggFunc::Sum | AggFunc::Avg => {
-                    if values.is_empty() {
-                        return Ok(Value::Null);
-                    }
-                    let n = values.len();
-                    let all_int = values.iter().all(|v| matches!(v, Value::Int(_)));
-                    if all_int && *func == AggFunc::Sum {
-                        let mut acc: i64 = 0;
-                        for v in &values {
-                            acc = acc
-                                .checked_add(v.as_int().expect("int"))
-                                .ok_or_else(|| SqlError::Arithmetic("SUM overflow".into()))?;
-                        }
-                        Ok(Value::Int(acc))
-                    } else {
-                        let total: f64 = values.iter().filter_map(Value::as_float).sum();
-                        if *func == AggFunc::Sum {
-                            Ok(Value::Float(total))
-                        } else {
-                            Ok(Value::Float(total / n as f64))
-                        }
-                    }
-                }
-            }
-        }
-        // Non-aggregate item: value from the group's first row.
-        other => match rows.first() {
-            Some(row) => {
-                let env = RowEnv { scope, row };
-                eval(other, Some(&env), params)
-            }
-            None => Ok(Value::Null),
-        },
-    }
-}
-
-/// Sorts pre-projection rows by ORDER BY keys (columns or select aliases).
-fn sort_source_rows(
-    s: &SelectStmt,
-    scope: &Scope<'_>,
-    rows: &mut [Vec<Value>],
-    params: &[Value],
-) -> SqlResult<()> {
-    // Resolve each key to an expression evaluable in row scope.
-    let mut keys: Vec<(Expr, bool)> = Vec::new();
-    for k in &s.order_by {
-        let expr = match &k.expr {
-            Expr::Col(c) if c.table.is_none() => {
-                // Try select-item alias first.
-                let aliased = s.items.iter().find_map(|i| match i {
-                    SelectItem::Expr { expr, alias: Some(a) } if *a == c.column => {
-                        Some(expr.clone())
-                    }
-                    _ => None,
-                });
-                aliased.unwrap_or_else(|| k.expr.clone())
-            }
-            _ => k.expr.clone(),
-        };
-        keys.push((expr, k.desc));
-    }
-    // Precompute sort keys to avoid re-evaluating during comparisons.
-    let mut decorated: Vec<(Vec<Value>, usize)> = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let env = RowEnv { scope, row };
-        let kv: Vec<Value> =
-            keys.iter().map(|(e, _)| eval(e, Some(&env), params)).collect::<SqlResult<_>>()?;
-        decorated.push((kv, i));
-    }
-    decorated.sort_by(|(a, ai), (b, bi)| {
-        for ((av, bv), (_, desc)) in a.iter().zip(b).zip(&keys) {
-            let ord = av.cmp(bv);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        ai.cmp(bi) // stable tie-break
-    });
-    let order: Vec<usize> = decorated.into_iter().map(|(_, i)| i).collect();
-    apply_permutation(rows, &order);
-    Ok(())
-}
-
-/// Sorts aggregated output rows by ORDER BY keys (aliases, output columns,
-/// or structurally matching aggregate expressions).
-fn sort_output_rows(
-    s: &SelectStmt,
-    columns: &[String],
-    rows: &mut [Vec<Value>],
-    params: &[Value],
-) -> SqlResult<()> {
-    let mut keys: Vec<(usize, bool)> = Vec::new();
-    for k in &s.order_by {
-        let idx = match &k.expr {
-            Expr::Col(c) if c.table.is_none() => columns.iter().position(|n| *n == c.column),
-            Expr::Agg { .. } => {
-                // Find a select item with the same expression.
-                s.items.iter().enumerate().find_map(|(i, item)| match item {
-                    SelectItem::Expr { expr, .. } if *expr == k.expr => Some(i),
-                    _ => None,
-                })
-            }
-            _ => None,
-        };
-        let idx = idx.ok_or_else(|| {
-            SqlError::Unsupported("ORDER BY in aggregate SELECT must name an output column".into())
-        })?;
-        keys.push((idx, k.desc));
-    }
-    let _ = params;
-    rows.sort_by(|a, b| {
-        for (idx, desc) in &keys {
-            let ord = a[*idx].cmp(&b[*idx]);
-            let ord = if *desc { ord.reverse() } else { ord };
-            if ord != Ordering::Equal {
-                return ord;
-            }
-        }
-        Ordering::Equal
-    });
-    Ok(())
-}
-
-fn apply_permutation(rows: &mut [Vec<Value>], order: &[usize]) {
-    let snapshot: Vec<Vec<Value>> = order.iter().map(|i| rows[*i].clone()).collect();
-    for (dst, row) in rows.iter_mut().zip(snapshot) {
-        *dst = row;
-    }
-}
-
-/// Applies `LIMIT offset, count` in place. Truncating to the window's end
-/// first means `split_off` moves only the kept rows (at most `count`),
-/// instead of `drain(..offset)` shifting the entire tail across the gap.
-/// Offsets past the end clear the vector; `offset + count` saturates rather
-/// than overflowing.
-pub(crate) fn apply_limit<T>(rows: &mut Vec<T>, limit: Option<(u64, u64)>) {
-    if let Some((offset, count)) = limit {
-        let offset = usize::try_from(offset).unwrap_or(usize::MAX);
-        let count = usize::try_from(count).unwrap_or(usize::MAX);
-        if offset >= rows.len() {
-            rows.clear();
-            return;
-        }
-        rows.truncate(offset.saturating_add(count).min(rows.len()));
-        if offset > 0 {
-            *rows = rows.split_off(offset);
-        }
-    }
-}
-
-fn exec_insert(db: &mut Database, i: &InsertStmt, params: &[Value]) -> SqlResult<QueryResult> {
-    let mut counters = QueryCounters::default();
-    let values: Vec<Value> =
-        i.values.iter().map(|e| eval_row_free(e, params)).collect::<SqlResult<_>>()?;
-    let tid = db.table_id(&i.table)?;
-    let table = db.table_at(tid);
-    let row = match &i.columns {
-        None => {
-            if values.len() != table.schema().columns().len() {
-                return Err(SqlError::Constraint(format!(
-                    "INSERT supplies {} values for {} columns",
-                    values.len(),
-                    table.schema().columns().len()
-                )));
-            }
-            values
-        }
-        Some(cols) => {
-            if cols.len() != values.len() {
-                return Err(SqlError::Constraint("INSERT column/value count mismatch".into()));
-            }
-            let mut row = vec![Value::Null; table.schema().columns().len()];
-            for (c, v) in cols.iter().zip(values) {
-                let idx = table
-                    .schema()
-                    .column_index(c)
-                    .ok_or_else(|| SqlError::UnknownColumn(c.clone()))?;
-                row[idx] = v;
-            }
-            row
-        }
-    };
-    let n_indexes = table.schema().indexes().len() as u64;
-    let (_, assigned) = db.insert_into(tid, row)?;
-    counters.rows_written += 1;
-    counters.index_lookups += 1 + n_indexes;
-    Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Vec::new(),
-        affected: 1,
-        last_insert_id: assigned,
-        counters,
-        read_tables: Vec::new(),
-        write_tables: vec![i.table.clone()],
-        kind: StatementKind::Write,
-    })
-}
-
-fn exec_update(db: &mut Database, u: &UpdateStmt, params: &[Value]) -> SqlResult<QueryResult> {
-    let mut counters = QueryCounters::default();
-    let tid = db.table_id(&u.table)?;
-    let table = db.table_at(tid);
-    let conj: Vec<&Expr> = u.where_clause.as_ref().map(|w| conjuncts(w)).unwrap_or_default();
-    let path = choose_path(table, &u.table, &conj, params)?;
-    let candidates = candidate_rows(table, &path, &mut counters);
-
-    // Filter and compute new rows immutably, then apply.
-    let mut scope = Scope::new();
-    scope.add(&u.table, table);
-    let set_indices: Vec<usize> = u
-        .sets
-        .iter()
-        .map(|(c, _)| {
-            table.schema().column_index(c).ok_or_else(|| SqlError::UnknownColumn(c.clone()))
-        })
-        .collect::<SqlResult<_>>()?;
-    let mut updates: Vec<(RowId, Vec<Value>)> = Vec::new();
-    for rid in candidates {
-        let Some(row) = table.get(rid) else { continue };
-        if let Some(w) = &u.where_clause {
-            let env = RowEnv { scope: &scope, row };
-            if !eval(w, Some(&env), params)?.is_truthy() {
-                continue;
-            }
-        }
-        let mut new_row = row.to_vec();
-        for ((_, e), idx) in u.sets.iter().zip(&set_indices) {
-            let env = RowEnv { scope: &scope, row };
-            new_row[*idx] = eval(e, Some(&env), params)?;
-        }
-        updates.push((rid, new_row));
-    }
-    drop(scope);
-    let affected = updates.len() as u64;
-    for (rid, new_row) in updates {
-        db.update_row(tid, rid, new_row)?;
-        counters.rows_written += 1;
-    }
-    Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Vec::new(),
-        affected,
-        last_insert_id: None,
-        counters,
-        read_tables: Vec::new(),
-        write_tables: vec![u.table.clone()],
-        kind: StatementKind::Write,
-    })
-}
-
-fn exec_delete(db: &mut Database, d: &DeleteStmt, params: &[Value]) -> SqlResult<QueryResult> {
-    let mut counters = QueryCounters::default();
-    let tid = db.table_id(&d.table)?;
-    let table = db.table_at(tid);
-    let conj: Vec<&Expr> = d.where_clause.as_ref().map(|w| conjuncts(w)).unwrap_or_default();
-    let path = choose_path(table, &d.table, &conj, params)?;
-    let candidates = candidate_rows(table, &path, &mut counters);
-
-    let mut scope = Scope::new();
-    scope.add(&d.table, table);
-    let mut doomed: Vec<RowId> = Vec::new();
-    for rid in candidates {
-        let Some(row) = table.get(rid) else { continue };
-        if let Some(w) = &d.where_clause {
-            let env = RowEnv { scope: &scope, row };
-            if !eval(w, Some(&env), params)?.is_truthy() {
-                continue;
-            }
-        }
-        doomed.push(rid);
-    }
-    drop(scope);
-    let affected = doomed.len() as u64;
-    for rid in doomed {
-        db.delete_row(tid, rid)?;
-        counters.rows_written += 1;
-    }
-    Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Vec::new(),
-        affected,
-        last_insert_id: None,
-        counters,
-        read_tables: Vec::new(),
-        write_tables: vec![d.table.clone()],
-        kind: StatementKind::Write,
-    })
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::db::Database;
-    use crate::schema::{ColumnType, TableSchema};
-
-    /// A small auction-shaped catalog: users, items, bids.
-    fn auction_db() -> Database {
-        let mut db = Database::new();
-        db.create_table(
-            TableSchema::builder("users")
-                .column("id", ColumnType::Int)
-                .column("nickname", ColumnType::Str)
-                .column("region", ColumnType::Int)
-                .primary_key("id")
-                .auto_increment()
-                .index("region")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        db.create_table(
-            TableSchema::builder("items")
-                .column("id", ColumnType::Int)
-                .column("name", ColumnType::Str)
-                .column("seller", ColumnType::Int)
-                .column("category", ColumnType::Int)
-                .column("max_bid", ColumnType::Float)
-                .column("nb_of_bids", ColumnType::Int)
-                .primary_key("id")
-                .auto_increment()
-                .index("seller")
-                .index("category")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        db.create_table(
-            TableSchema::builder("bids")
-                .column("id", ColumnType::Int)
-                .column("item_id", ColumnType::Int)
-                .column("user_id", ColumnType::Int)
-                .column("bid", ColumnType::Float)
-                .column("qty", ColumnType::Int)
-                .primary_key("id")
-                .auto_increment()
-                .index("item_id")
-                .index("user_id")
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        for (nick, region) in [("ann", 1), ("bob", 1), ("cat", 2)] {
-            db.execute(
-                "INSERT INTO users (id, nickname, region) VALUES (NULL, ?, ?)",
-                &[Value::str(nick), Value::Int(region)],
-            )
-            .unwrap();
-        }
-        for (name, seller, cat, max_bid, nb) in [
-            ("lamp", 1, 10, 25.0, 3),
-            ("desk", 1, 20, 80.0, 1),
-            ("book", 2, 10, 5.0, 0),
-            ("vase", 3, 10, 12.0, 2),
-        ] {
-            db.execute(
-                "INSERT INTO items (id, name, seller, category, max_bid, nb_of_bids) \
-                 VALUES (NULL, ?, ?, ?, ?, ?)",
-                &[
-                    Value::str(name),
-                    Value::Int(seller),
-                    Value::Int(cat),
-                    Value::Float(max_bid),
-                    Value::Int(nb),
-                ],
-            )
-            .unwrap();
-        }
-        for (item, user, bid, qty) in [
-            (1, 2, 20.0, 1),
-            (1, 3, 22.5, 1),
-            (1, 2, 25.0, 2),
-            (2, 3, 80.0, 1),
-            (4, 1, 12.0, 1),
-            (4, 2, 11.0, 3),
-        ] {
-            db.execute(
-                "INSERT INTO bids (id, item_id, user_id, bid, qty) VALUES (NULL, ?, ?, ?, ?)",
-                &[Value::Int(item), Value::Int(user), Value::Float(bid), Value::Int(qty)],
-            )
-            .unwrap();
-        }
-        db
-    }
-
-    #[test]
-    fn join_with_index_lookup() {
-        let mut db = auction_db();
-        let r = db
-            .execute(
-                "SELECT i.name, u.nickname FROM items i \
-                 INNER JOIN users u ON i.seller = u.id WHERE i.category = 10",
-                &[],
-            )
-            .unwrap();
-        let mut pairs: Vec<(String, String)> = r
-            .rows
-            .iter()
-            .map(|row| (row[0].as_str().unwrap().to_string(), row[1].as_str().unwrap().to_string()))
-            .collect();
-        pairs.sort();
-        assert_eq!(
-            pairs,
-            vec![
-                ("book".into(), "bob".into()),
-                ("lamp".into(), "ann".into()),
-                ("vase".into(), "cat".into()),
-            ]
-        );
-        assert_eq!(r.columns, vec!["name", "nickname"]);
-        // Both tables appear in the lock set.
-        assert_eq!(r.read_tables, vec!["items", "users"]);
-    }
-
-    #[test]
-    fn join_reversed_on_clause() {
-        let mut db = auction_db();
-        let r = db
-            .execute(
-                "SELECT b.bid FROM items i JOIN bids b ON i.id = b.item_id WHERE i.id = 1",
-                &[],
-            )
-            .unwrap();
-        assert_eq!(r.rows.len(), 3);
-    }
-
-    #[test]
-    fn two_joins_chain() {
-        let mut db = auction_db();
-        let r = db
-            .execute(
-                "SELECT u.nickname, i.name, b.bid FROM bids b \
-                 JOIN items i ON b.item_id = i.id \
-                 JOIN users u ON b.user_id = u.id \
-                 WHERE b.qty > 0 ORDER BY b.bid DESC LIMIT 2",
-                &[],
-            )
-            .unwrap();
-        assert_eq!(r.rows.len(), 2);
-        assert_eq!(r.rows[0][2], Value::Float(80.0));
-        assert_eq!(r.rows[1][2], Value::Float(25.0));
-    }
-
-    #[test]
-    fn group_by_with_aggregates_and_order() {
-        let mut db = auction_db();
-        // Total quantity bid per item, best sellers style.
-        let r = db
-            .execute(
-                "SELECT item_id, SUM(qty) AS total, COUNT(*) AS n, MAX(bid) AS top \
-                 FROM bids GROUP BY item_id ORDER BY total DESC",
-                &[],
-            )
-            .unwrap();
-        assert_eq!(r.columns, vec!["item_id", "total", "n", "top"]);
-        assert_eq!(r.rows.len(), 3);
-        // item 1 and item 4 both have qty total 4; BTreeMap order then sort
-        // by total desc with stable ordering keeps item 1 first.
-        assert_eq!(r.rows[0][1], Value::Int(4));
-        assert_eq!(r.rows[2][1], Value::Int(1));
-        let top_of_first = r.rows[0][3].as_float().unwrap();
-        assert!(top_of_first > 0.0);
-    }
-
-    #[test]
-    fn global_aggregates_over_empty_set() {
-        let mut db = auction_db();
-        let r = db
-            .execute("SELECT COUNT(*), MAX(bid), SUM(qty) FROM bids WHERE bid > 1000", &[])
-            .unwrap();
-        assert_eq!(r.rows.len(), 1);
-        assert_eq!(r.rows[0][0], Value::Int(0));
-        assert_eq!(r.rows[0][1], Value::Null);
-        assert_eq!(r.rows[0][2], Value::Null);
-    }
-
-    #[test]
-    fn group_by_over_empty_set_returns_no_rows() {
-        let mut db = auction_db();
-        let r = db
-            .execute("SELECT item_id, COUNT(*) FROM bids WHERE bid > 1000 GROUP BY item_id", &[])
-            .unwrap();
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn avg_and_min() {
-        let mut db = auction_db();
-        let r = db.execute("SELECT AVG(qty), MIN(bid) FROM bids WHERE item_id = 1", &[]).unwrap();
-        let avg = r.rows[0][0].as_float().unwrap();
-        assert!((avg - 4.0 / 3.0).abs() < 1e-9);
-        assert_eq!(r.rows[0][1], Value::Float(20.0));
-    }
-
-    #[test]
-    fn order_by_alias_and_multiple_keys() {
-        let mut db = auction_db();
-        let r = db
-            .execute("SELECT name, category AS cat FROM items ORDER BY cat, name DESC", &[])
-            .unwrap();
-        let names: Vec<&str> = r.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
-        assert_eq!(names, vec!["vase", "lamp", "book", "desk"]);
-    }
-
-    #[test]
-    fn limit_and_offset() {
-        let mut db = auction_db();
-        let all = db.execute("SELECT id FROM items ORDER BY id", &[]).unwrap();
-        assert_eq!(all.rows.len(), 4);
-        let page = db.execute("SELECT id FROM items ORDER BY id LIMIT 1, 2", &[]).unwrap();
-        assert_eq!(page.rows, vec![vec![Value::Int(2)], vec![Value::Int(3)]]);
-        let beyond = db.execute("SELECT id FROM items ORDER BY id LIMIT 100, 5", &[]).unwrap();
-        assert!(beyond.is_empty());
-    }
-
-    #[test]
-    fn apply_limit_window_edges() {
-        // Offset past the end clears.
-        let mut v: Vec<i32> = (0..5).collect();
-        apply_limit(&mut v, Some((5, 3)));
-        assert!(v.is_empty());
-        let mut v: Vec<i32> = (0..5).collect();
-        apply_limit(&mut v, Some((100, 3)));
-        assert!(v.is_empty());
-        // offset + count saturates instead of overflowing.
-        let mut v: Vec<i32> = (0..5).collect();
-        apply_limit(&mut v, Some((2, u64::MAX)));
-        assert_eq!(v, vec![2, 3, 4]);
-        let mut v: Vec<i32> = (0..5).collect();
-        apply_limit(&mut v, Some((u64::MAX, u64::MAX)));
-        assert!(v.is_empty());
-        // Zero-count window is empty even with a valid offset.
-        let mut v: Vec<i32> = (0..5).collect();
-        apply_limit(&mut v, Some((2, 0)));
-        assert!(v.is_empty());
-        // Interior window.
-        let mut v: Vec<i32> = (0..10).collect();
-        apply_limit(&mut v, Some((3, 4)));
-        assert_eq!(v, vec![3, 4, 5, 6]);
-        // No limit leaves rows alone.
-        let mut v: Vec<i32> = (0..3).collect();
-        apply_limit(&mut v, None);
-        assert_eq!(v, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn select_star_and_table_star() {
-        let mut db = auction_db();
-        let r = db.execute("SELECT * FROM users WHERE id = 1", &[]).unwrap();
-        assert_eq!(r.columns, vec!["id", "nickname", "region"]);
-        let r = db
-            .execute("SELECT u.* FROM items i JOIN users u ON i.seller = u.id WHERE i.id = 1", &[])
-            .unwrap();
-        assert_eq!(r.columns, vec!["id", "nickname", "region"]);
-        assert_eq!(r.rows[0][1], Value::str("ann"));
-    }
-
-    #[test]
-    fn expression_projection_and_where_arithmetic() {
-        let mut db = auction_db();
-        let r = db
-            .execute(
-                "SELECT name, max_bid * 2 AS doubled FROM items WHERE max_bid + 1 > 13 ORDER BY doubled",
-                &[],
-            )
-            .unwrap();
-        let names: Vec<&str> = r.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
-        assert_eq!(names, vec!["lamp", "desk"]);
-        assert_eq!(r.rows[0][1], Value::Float(50.0));
-    }
-
-    #[test]
-    fn like_and_in_and_null_semantics() {
-        let mut db = auction_db();
-        let r =
-            db.execute("SELECT name FROM items WHERE name LIKE '%a%' ORDER BY name", &[]).unwrap();
-        let names: Vec<&str> = r.rows.iter().map(|r| r[0].as_str().unwrap()).collect();
-        assert_eq!(names, vec!["lamp", "vase"]);
-        let r = db.execute("SELECT name FROM items WHERE category IN (20, 30)", &[]).unwrap();
-        assert_eq!(r.rows.len(), 1);
-        // NULL never matches a comparison.
-        let r = db.execute("SELECT name FROM items WHERE NULL = NULL", &[]).unwrap();
-        assert!(r.is_empty());
-    }
-
-    #[test]
-    fn ambiguous_column_is_an_error() {
-        let mut db = auction_db();
-        let err =
-            db.execute("SELECT id FROM items i JOIN users u ON i.seller = u.id", &[]).unwrap_err();
-        assert!(matches!(err, SqlError::AmbiguousColumn(_)));
-    }
-
-    #[test]
-    fn unknown_references_error() {
-        let mut db = auction_db();
-        assert!(matches!(
-            db.execute("SELECT zz FROM users", &[]).unwrap_err(),
-            SqlError::UnknownColumn(_)
-        ));
-        assert!(matches!(
-            db.execute("SELECT u.id FROM users x", &[]).unwrap_err(),
-            SqlError::UnknownTable(_)
-        ));
-    }
-
-    #[test]
-    fn update_with_expression_and_index_path() {
-        let mut db = auction_db();
-        let r = db
-            .execute(
-                "UPDATE items SET nb_of_bids = nb_of_bids + 1, max_bid = ? WHERE id = ?",
-                &[Value::Float(30.0), Value::Int(1)],
-            )
-            .unwrap();
-        assert_eq!(r.affected, 1);
-        // Point update examined only the one row.
-        assert_eq!(r.counters.rows_examined, 1);
-        let r = db.execute("SELECT nb_of_bids, max_bid FROM items WHERE id = 1", &[]).unwrap();
-        assert_eq!(r.rows[0], vec![Value::Int(4), Value::Float(30.0)]);
-    }
-
-    #[test]
-    fn delete_via_secondary_index() {
-        let mut db = auction_db();
-        let r = db.execute("DELETE FROM bids WHERE item_id = ?", &[Value::Int(1)]).unwrap();
-        assert_eq!(r.affected, 3);
-        let left = db.execute("SELECT COUNT(*) FROM bids", &[]).unwrap();
-        assert_eq!(left.scalar(), Some(&Value::Int(3)));
-    }
-
-    #[test]
-    fn insert_without_column_list() {
-        let mut db = auction_db();
-        db.execute("INSERT INTO users VALUES (99, 'zed', 7)", &[]).unwrap();
-        let r = db.execute("SELECT nickname FROM users WHERE id = 99", &[]).unwrap();
-        assert_eq!(r.rows[0][0], Value::str("zed"));
-        // Arity mismatch is caught.
-        assert!(db.execute("INSERT INTO users VALUES (1, 'x')", &[]).is_err());
-    }
-
-    #[test]
-    fn insert_missing_not_null_column_fails() {
-        let mut db = auction_db();
-        let err = db.execute("INSERT INTO users (id) VALUES (NULL)", &[]).unwrap_err();
-        assert!(matches!(err, SqlError::Constraint(_)));
-    }
-
-    #[test]
-    fn counters_distinguish_scan_from_lookup() {
-        let mut db = auction_db();
-        let by_pk = db.execute("SELECT * FROM items WHERE id = 2", &[]).unwrap();
-        assert_eq!(by_pk.counters.rows_examined, 1);
-        let scan = db.execute("SELECT * FROM items WHERE name = 'desk'", &[]).unwrap();
-        assert_eq!(scan.counters.rows_examined, 4);
-        assert!(scan.counters.bytes_returned > 0);
-    }
-
-    #[test]
-    fn sort_counters_accumulate() {
-        let mut db = auction_db();
-        let r = db.execute("SELECT * FROM items ORDER BY max_bid DESC", &[]).unwrap();
-        assert_eq!(r.counters.sort_rows, 4);
-    }
-
-    #[test]
-    fn row_free_eval() {
-        assert_eq!(
-            eval_row_free(
-                &Expr::binary(BinOp::Add, Expr::Lit(Value::Int(2)), Expr::Param(0)),
-                &[Value::Int(5)]
-            )
-            .unwrap(),
-            Value::Int(7)
-        );
-        assert!(eval_row_free(&Expr::Col(ColRef::new("x")), &[]).is_err());
-    }
-
-    #[test]
-    fn query_result_helpers() {
-        let mut db = auction_db();
-        let r = db.execute("SELECT nickname, region FROM users WHERE id = 1", &[]).unwrap();
-        assert_eq!(r.col_index("region"), Some(1));
-        assert_eq!(r.get(0, "nickname"), Some(&Value::str("ann")));
-        assert_eq!(r.get(0, "missing"), None);
-        assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
     }
 }

@@ -12,8 +12,8 @@
 //!   MyISAM's `LOCK TABLES` / `UNLOCK TABLES`;
 //! * real storage with primary-key and secondary B-tree indexes
 //!   ([`Table`]), so queries return real, data-dependent results;
-//! * an access-path planner (index equality / range / full scan) and an
-//!   executor that counts the work it does;
+//! * a compile-once executor ([`CompiledStmt`]) that picks an access path
+//!   (index equality / range / full scan) and counts the work it does;
 //! * an analytic [`DbCostModel`] converting those counters into the CPU
 //!   microseconds the simulated database machine is charged.
 //!
@@ -58,7 +58,6 @@ pub mod error;
 pub mod exec;
 pub mod lexer;
 pub mod parser;
-pub mod plan;
 pub mod replication;
 pub mod schema;
 pub mod table;

@@ -1,6 +1,6 @@
 //! Per-transaction undo logging.
 //!
-//! While a transaction is open the database records one [`UndoOp`] per
+//! While a transaction is open the database records one `UndoOp` per
 //! successful row mutation. Rolling back applies the log in reverse, which
 //! restores the pre-transaction state *exactly* — row slots, free-list
 //! order, secondary-index entry positions, and (when no later insert

@@ -330,7 +330,7 @@ impl IntervalTable {
 /// One completed request: identity, timing, and its span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobRecord {
-    /// Engine job id (joins against [`RawInterval::job`]).
+    /// Engine job id (joins against [`IntervalTable::job`]).
     pub job: u64,
     /// Emulated-client index that issued the request.
     pub client: u64,

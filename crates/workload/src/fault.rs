@@ -1,7 +1,7 @@
 //! Client-side resilience policy and role-based fault specification.
 //!
 //! The simulation kernel consumes a fully materialized
-//! [`FaultPlan`](dynamid_sim::FaultPlan) — explicit crash windows against
+//! [`FaultPlan`] — explicit crash windows against
 //! concrete machine ids. Experiments want to talk about faults one level
 //! up: "this much fault intensity against whatever machines the deployment
 //! has". [`FaultSpec`] is that description; [`FaultSpec::compile`] lowers

@@ -10,6 +10,9 @@ cargo fmt --all --check
 echo "== cargo clippy (workspace, warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== rustdoc (workspace, warnings are errors: broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
 cargo test -q
