@@ -119,19 +119,82 @@ fn join_db(items: i64, lines: i64) -> Database {
     db
 }
 
-/// The late-materialization executor's new physical operators: hash joins
-/// over wide probes vs B-tree probes for point outers, bounded top-K vs a
-/// full sort, single-pass hash aggregation, and copy-on-write snapshot
-/// forks vs deep clones. Modeled counters are identical across paths; these
-/// measure the host-cost side only.
+/// A TPC-W-shaped catalog at scale 0.3 for the bookstore's heaviest reads:
+/// 3,000 items in 24 subjects, 750 authors, and 20,000 order lines over
+/// 6,667 orders, `order_line.order_id` indexed.
+fn bookstore_db() -> Database {
+    let mut db = Database::new();
+    let tables = [
+        TableSchema::builder("authors")
+            .column("id", ColumnType::Int)
+            .column("lname", ColumnType::Str)
+            .primary_key("id")
+            .auto_increment(),
+        TableSchema::builder("items")
+            .column("id", ColumnType::Int)
+            .column("title", ColumnType::Str)
+            .column("subject", ColumnType::Str)
+            .column("author_id", ColumnType::Int)
+            .column("cost", ColumnType::Float)
+            .primary_key("id")
+            .auto_increment()
+            .index("subject"),
+        TableSchema::builder("order_line")
+            .column("id", ColumnType::Int)
+            .column("order_id", ColumnType::Int)
+            .column("item_id", ColumnType::Int)
+            .column("qty", ColumnType::Int)
+            .primary_key("id")
+            .auto_increment()
+            .index("order_id"),
+    ];
+    for t in tables {
+        db.create_table(t.build().unwrap()).unwrap();
+    }
+    for i in 0..750 {
+        db.execute(
+            "INSERT INTO authors (id, lname) VALUES (NULL, ?)",
+            &[Value::from(format!("AUTHOR{i}"))],
+        )
+        .unwrap();
+    }
+    for i in 0..3_000i64 {
+        db.execute(
+            "INSERT INTO items (id, title, subject, author_id, cost) VALUES (NULL, ?, ?, ?, ?)",
+            &[
+                Value::from(format!("TITLE {i} OF THE CATALOG")),
+                Value::from(format!("SUBJECT{}", i % 24)),
+                Value::Int(i % 750 + 1),
+                Value::Float(i as f64 * 0.25),
+            ],
+        )
+        .unwrap();
+    }
+    for l in 0..20_000i64 {
+        db.execute(
+            "INSERT INTO order_line (id, order_id, item_id, qty) VALUES (NULL, ?, ?, ?)",
+            &[Value::Int(l / 3 + 1), Value::Int(l * 7 % 3_000 + 1), Value::Int(l % 5 + 1)],
+        )
+        .unwrap();
+    }
+    db
+}
+
+/// The late-materialization executor's physical operators: primary-key
+/// probes in place, hash joins over wide probes of a secondary index vs
+/// B-tree probes for point outers, bounded top-K vs a full sort,
+/// single-pass hash aggregation, the filter and LIKE kernels on the
+/// bookstore's two heaviest reads, and copy-on-write snapshot forks vs
+/// deep clones. Modeled counters are identical across paths; these measure
+/// the host-cost side only.
 fn bench_exec(c: &mut Criterion) {
     let mut g = c.benchmark_group("exec");
     g.measurement_time(Duration::from_secs(2)).sample_size(30);
 
-    // Wide probe: every line row probes items — the executor builds a hash
-    // table from the items index instead of 4k B-tree descents.
+    // Wide probe of a primary key: each of 4k line rows probes the items
+    // key in place, one array read per row.
     let mut db = join_db(500, 4_000);
-    g.bench_function("join_wide_probe_hash", |b| {
+    g.bench_function("join_wide_probe_pk", |b| {
         b.iter(|| {
             db.execute(
                 black_box(
@@ -144,14 +207,31 @@ fn bench_exec(c: &mut Criterion) {
         })
     });
 
-    // Point outer: one row probes the index directly; building a hash
-    // table would be pure overhead, so the executor stays on the B-tree.
+    // Wide probe of a secondary index: 500 items probe `lines.item_id`, so
+    // the executor builds a hash table from that index instead of 500
+    // B-tree descents.
+    g.bench_function("join_wide_probe_hash_secondary", |b| {
+        b.iter(|| {
+            db.execute(
+                black_box(
+                    "SELECT i.name, l.qty FROM items i JOIN lines l ON i.id = l.item_id \
+                     WHERE l.qty > 5 LIMIT 50",
+                ),
+                &[],
+            )
+            .unwrap()
+        })
+    });
+
+    // Point outer: one item probes the secondary index on `lines.item_id`
+    // directly; building a hash table would be pure overhead, so the
+    // executor stays on the B-tree.
     g.bench_function("join_point_outer_btree", |b| {
         b.iter(|| {
             db.execute(
-                "SELECT i.name, l.qty FROM lines l JOIN items i ON l.item_id = i.id \
-                 WHERE l.id = ?",
-                &[Value::Int(1_234)],
+                "SELECT i.name, l.qty FROM items i JOIN lines l ON i.id = l.item_id \
+                 WHERE i.id = ?",
+                &[Value::Int(123)],
             )
             .unwrap()
         })
@@ -164,6 +244,43 @@ fn bench_exec(c: &mut Criterion) {
     });
     g.bench_function("order_by_full_sort", |b| {
         b.iter(|| db.execute("SELECT id FROM lines ORDER BY qty DESC, id", &[]).unwrap())
+    });
+
+    // BestSellers: an index range over ~10k order lines, two primary-key
+    // joins, a two-conjunct filter, GROUP BY and a top-50.
+    let mut store = bookstore_db();
+    g.bench_function("best_sellers_shape", |b| {
+        b.iter(|| {
+            store
+                .execute(
+                    black_box(
+                        "SELECT i.id, i.title, i.cost, a.lname, SUM(ol.qty) AS total \
+                         FROM order_line ol \
+                         JOIN items i ON ol.item_id = i.id \
+                         JOIN authors a ON i.author_id = a.id \
+                         WHERE ol.order_id > ? AND i.subject = ? \
+                         GROUP BY i.id ORDER BY total DESC LIMIT 50",
+                    ),
+                    &[Value::Int(3_334), Value::str("SUBJECT7")],
+                )
+                .unwrap()
+        })
+    });
+
+    // SearchResults by title: a `%lit%` LIKE over every item, then the
+    // top 50 by title.
+    g.bench_function("like_contains_scan", |b| {
+        b.iter(|| {
+            store
+                .execute(
+                    black_box(
+                        "SELECT i.id, i.title, i.cost FROM items i \
+                         WHERE i.title LIKE ? ORDER BY i.title LIMIT 50",
+                    ),
+                    &[Value::str("%TITLE 120%")],
+                )
+                .unwrap()
+        })
     });
 
     g.bench_function("group_by_hash_agg", |b| {

@@ -373,24 +373,26 @@ fn run_overload_point(
 /// Runs the flash-crowd sweep over an explicit configuration list ×
 /// [`OVERLOAD_MODES`] × `spike_mults` on the shared sweep runner
 /// (`run_grid`), each point on a fresh fork of the populated database
-/// (results are bit-identical for any `--jobs` value). Capacities are calibrated once
-/// per configuration up front.
+/// (results are bit-identical for any `--jobs` value). Capacities are
+/// calibrated once per configuration up front, the configurations' rate
+/// ladders on the same runner; a ladder depends only on its configuration.
 pub fn run_overload_configs(
     cfg: &HarnessConfig,
     configs: &[StandardConfig],
     spike_mults: &[f64],
 ) -> OverloadData {
     let base_db = populate(Benchmark::Bookstore, cfg.scale, cfg.seed);
-    let capacities: Vec<f64> = configs
-        .iter()
-        .map(|&c| {
-            let ips = calibrate_capacity_ips(cfg, &base_db, c);
-            if cfg.verbose {
-                eprintln!("  {:<22} capacity ~{ips:.1} req/s", c.paper_name());
-            }
-            ips
-        })
-        .collect();
+    let capacities = run_grid(
+        configs,
+        cfg.effective_jobs(),
+        || (),
+        |(), &c| calibrate_capacity_ips(cfg, &base_db, c),
+    );
+    if cfg.verbose {
+        for (c, ips) in configs.iter().zip(&capacities) {
+            eprintln!("  {:<22} capacity ~{ips:.1} req/s", c.paper_name());
+        }
+    }
     let cells: Vec<(StandardConfig, f64, OverloadMode, f64)> = configs
         .iter()
         .zip(&capacities)

@@ -19,10 +19,20 @@
 //! * execution is **late-materializing**: the working set is a stream of
 //!   [`RowId`] tuples (one id per FROM/JOIN table), values are fetched from
 //!   the base tables through a `RowView`, and rows are cloned only at
-//!   projection time. Equality joins run as hash joins when the probe side
-//!   is large enough to amortize the build, `ORDER BY … LIMIT` keeps a
-//!   bounded top-K heap instead of sorting everything, and GROUP BY folds
-//!   aggregate accumulators in a single hash pass.
+//!   projection time. A join on the inner table's primary key probes
+//!   [`Table::pk_lookup`] in place per outer row; other equality joins run
+//!   as hash joins when the probe side is large enough to amortize the
+//!   build. `ORDER BY … LIMIT` keeps a bounded top-K heap instead of
+//!   sorting everything, and GROUP BY folds aggregate accumulators in a
+//!   single hash pass;
+//! * WHERE is compiled into its top-level AND conjuncts (`CFilter`), run in
+//!   source order. A comparison of two columns, parameters or literals and
+//!   `column LIKE ?` (or a literal pattern) are kernels that compare
+//!   borrowed cells, read through `(slot, column)` positions resolved at
+//!   compile time; a LIKE pattern is classified once per execution. Every
+//!   other conjunct goes through `ceval`, which also borrows its leaves.
+//!   Which physical path runs is decided by the plan's shape, never by a
+//!   setting.
 //!
 //! [`Database::execute`](crate::Database::execute) caches one
 //! [`CompiledStmt`] per SQL text; a plan records the schema version it was
@@ -43,7 +53,8 @@ use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{QueryResult, StatementKind};
 use crate::table::{RowId, Table};
-use crate::value::Value;
+use crate::value::{LikePattern, Value};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::ops::Bound;
@@ -248,7 +259,7 @@ struct CSelect {
     base: usize,
     path: CPath,
     joins: Vec<CJoin>,
-    filter: Option<CExpr>,
+    filter: CFilter,
     proj: CProjKind,
     /// Pre-projection sort keys (non-aggregate SELECTs).
     order_source: Vec<(CExpr, bool)>,
@@ -284,7 +295,7 @@ struct CUpdate {
     table: usize,
     table_name: String,
     path: CPath,
-    filter: Option<CExpr>,
+    filter: CFilter,
     sets: Vec<(usize, CExpr)>,
 }
 
@@ -293,7 +304,7 @@ struct CDelete {
     table: usize,
     table_name: String,
     path: CPath,
-    filter: Option<CExpr>,
+    filter: CFilter,
 }
 
 /// Name resolution at compile time: aliases to (table, offset) over the
@@ -362,6 +373,17 @@ impl<'a> CScope<'a> {
         }
         Ok((idxs, names))
     }
+
+    /// Combined-row position → (table slot, column within that table).
+    fn col_map(&self) -> Vec<(u32, u32)> {
+        let mut map = Vec::with_capacity(self.width);
+        for (slot, (_, table, _)) in self.entries.iter().enumerate() {
+            for ci in 0..table.schema().columns().len() {
+                map.push((slot as u32, ci as u32));
+            }
+        }
+        map
+    }
 }
 
 fn compile_expr(e: &Expr, scope: Option<&CScope<'_>>) -> SqlResult<CExpr> {
@@ -417,26 +439,37 @@ enum RowView<'a> {
     Tuple { tables: &'a [&'a Table], col_map: &'a [(u32, u32)], rids: &'a [RowId] },
 }
 
-impl RowView<'_> {
-    fn get(&self, i: usize) -> &Value {
+impl<'a> RowView<'a> {
+    /// The cell at combined-row position `i`.
+    fn get(self, i: usize) -> &'a Value {
         match self {
             RowView::Slice(row) => &row[i],
-            RowView::Tuple { tables, col_map, rids } => {
+            RowView::Tuple { col_map, .. } => {
                 let (slot, col) = col_map[i];
-                let slot = slot as usize;
-                &tables[slot].get(rids[slot]).expect("live row")[col as usize]
+                self.cell(slot as usize, col as usize)
+            }
+        }
+    }
+
+    /// The cell at column `col` of table slot `slot` (always 0 for a
+    /// slice).
+    fn cell(self, slot: usize, col: usize) -> &'a Value {
+        match self {
+            RowView::Slice(row) => &row[col],
+            RowView::Tuple { tables, rids, .. } => {
+                &tables[slot].get(rids[slot]).expect("live row")[col]
             }
         }
     }
 }
 
-/// SQL comparison: NULL operands yield NULL (filtered as false).
-fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
+/// SQL comparison: `None` (NULL) when either operand is NULL.
+fn compare(op: BinOp, l: &Value, r: &Value) -> Option<bool> {
     if l.is_null() || r.is_null() {
-        return Value::Null;
+        return None;
     }
     let ord = l.cmp(r);
-    let b = match op {
+    Some(match op {
         BinOp::Eq => ord == Ordering::Equal,
         BinOp::Ne => ord != Ordering::Equal,
         BinOp::Lt => ord == Ordering::Less,
@@ -444,119 +477,277 @@ fn compare(op: BinOp, l: &Value, r: &Value) -> Value {
         BinOp::Gt => ord == Ordering::Greater,
         BinOp::Ge => ord != Ordering::Less,
         _ => unreachable!("not a comparison"),
-    };
+    })
+}
+
+fn truth(b: bool) -> Value {
     Value::Int(b as i64)
+}
+
+/// The cell at combined-row position `i`; an error without a row.
+fn column(row: Option<RowView<'_>>, i: usize) -> SqlResult<&Value> {
+    let row =
+        row.ok_or_else(|| SqlError::Unsupported(format!("column #{i} in row-free context")))?;
+    Ok(row.get(i))
+}
+
+/// An operand of `ceval`: a column, parameter or literal by reference,
+/// anything else evaluated.
+fn operand<'a>(
+    expr: &'a CExpr,
+    row: Option<RowView<'a>>,
+    params: &'a [Value],
+) -> SqlResult<Cow<'a, Value>> {
+    Ok(match expr {
+        CExpr::Lit(v) => Cow::Borrowed(v),
+        CExpr::Param(i) => Cow::Borrowed(params.get(*i).ok_or(SqlError::MissingParam(*i))?),
+        CExpr::Col(i) => Cow::Borrowed(column(row, *i)?),
+        other => Cow::Owned(ceval(other, row, params)?),
+    })
 }
 
 /// Evaluates a compiled expression with SQL's three-valued logic: AND and
 /// OR short-circuit on a definite operand, and comparisons, NOT, LIKE,
 /// BETWEEN and IN yield NULL on a NULL operand. Column access is an index
-/// into the combined row view.
+/// into the combined row view; columns, parameters and literals are read
+/// by reference and cloned only when they are the result.
 fn ceval(expr: &CExpr, row: Option<RowView<'_>>, params: &[Value]) -> SqlResult<Value> {
+    let is_false = |v: &Value| !v.is_null() && !v.is_truthy();
     match expr {
         CExpr::Lit(v) => Ok(v.clone()),
         CExpr::Param(i) => params.get(*i).cloned().ok_or(SqlError::MissingParam(*i)),
-        CExpr::Col(i) => {
-            let row = row
-                .ok_or_else(|| SqlError::Unsupported(format!("column #{i} in row-free context")))?;
-            Ok(row.get(*i).clone())
-        }
-        CExpr::Neg(e) => {
-            let v = ceval(e, row, params)?;
-            match v {
-                Value::Null => Ok(Value::Null),
-                Value::Int(i) => Ok(Value::Int(-i)),
-                Value::Float(f) => Ok(Value::Float(-f)),
-                other => Err(SqlError::TypeMismatch {
-                    expected: "number",
-                    found: other.type_name().to_string(),
-                }),
-            }
-        }
-        CExpr::Not(e) => {
-            let v = ceval(e, row, params)?;
-            if v.is_null() {
-                Ok(Value::Null)
-            } else {
-                Ok(Value::Int(!v.is_truthy() as i64))
-            }
-        }
-        CExpr::Binary { op, lhs, rhs } => match op {
-            BinOp::And => {
-                let l = ceval(lhs, row, params)?;
-                if !l.is_null() && !l.is_truthy() {
-                    return Ok(Value::Int(0));
-                }
-                let r = ceval(rhs, row, params)?;
-                if !r.is_null() && !r.is_truthy() {
-                    return Ok(Value::Int(0));
-                }
-                if l.is_null() || r.is_null() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Int(1))
-                }
-            }
-            BinOp::Or => {
-                let l = ceval(lhs, row, params)?;
-                if l.is_truthy() {
-                    return Ok(Value::Int(1));
-                }
-                let r = ceval(rhs, row, params)?;
-                if r.is_truthy() {
-                    return Ok(Value::Int(1));
-                }
-                if l.is_null() || r.is_null() {
-                    Ok(Value::Null)
-                } else {
-                    Ok(Value::Int(0))
-                }
-            }
-            BinOp::Add => ceval(lhs, row, params)?.add(&ceval(rhs, row, params)?),
-            BinOp::Sub => ceval(lhs, row, params)?.sub(&ceval(rhs, row, params)?),
-            BinOp::Mul => ceval(lhs, row, params)?.mul(&ceval(rhs, row, params)?),
-            BinOp::Div => ceval(lhs, row, params)?.div(&ceval(rhs, row, params)?),
-            cmp => {
-                let l = ceval(lhs, row, params)?;
-                let r = ceval(rhs, row, params)?;
-                Ok(compare(*cmp, &l, &r))
-            }
+        CExpr::Col(i) => column(row, *i).cloned(),
+        CExpr::Neg(e) => match *operand(e, row, params)? {
+            Value::Null => Ok(Value::Null),
+            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Float(f) => Ok(Value::Float(-f)),
+            ref other => Err(SqlError::TypeMismatch {
+                expected: "number",
+                found: other.type_name().to_string(),
+            }),
         },
+        CExpr::Not(e) => {
+            let v = operand(e, row, params)?;
+            Ok(if v.is_null() { Value::Null } else { truth(!v.is_truthy()) })
+        }
+        CExpr::Binary { op, lhs, rhs } => {
+            let l = operand(lhs, row, params)?;
+            match op {
+                BinOp::And if is_false(&l) => return Ok(truth(false)),
+                BinOp::Or if l.is_truthy() => return Ok(truth(true)),
+                _ => {}
+            }
+            let r = operand(rhs, row, params)?;
+            match op {
+                BinOp::And if is_false(&r) => Ok(truth(false)),
+                BinOp::Or if r.is_truthy() => Ok(truth(true)),
+                BinOp::And | BinOp::Or if l.is_null() || r.is_null() => Ok(Value::Null),
+                BinOp::And => Ok(truth(true)),
+                BinOp::Or => Ok(truth(false)),
+                BinOp::Add => l.add(&r),
+                BinOp::Sub => l.sub(&r),
+                BinOp::Mul => l.mul(&r),
+                BinOp::Div => l.div(&r),
+                cmp => Ok(compare(*cmp, &l, &r).map_or(Value::Null, truth)),
+            }
+        }
         CExpr::Like { expr, pattern, negated } => {
-            let v = ceval(expr, row, params)?;
-            let p = ceval(pattern, row, params)?;
+            let v = operand(expr, row, params)?;
+            let p = operand(pattern, row, params)?;
             if v.is_null() || p.is_null() {
                 return Ok(Value::Null);
             }
-            let m = v.like(&p)?;
-            Ok(Value::Int((m != *negated) as i64))
+            Ok(truth(v.like(&p)? != *negated))
         }
         CExpr::Between { expr, lo, hi } => {
-            let v = ceval(expr, row, params)?;
-            let l = ceval(lo, row, params)?;
-            let h = ceval(hi, row, params)?;
+            let v = operand(expr, row, params)?;
+            let l = operand(lo, row, params)?;
+            let h = operand(hi, row, params)?;
             if v.is_null() || l.is_null() || h.is_null() {
                 return Ok(Value::Null);
             }
-            Ok(Value::Int((v >= l && v <= h) as i64))
+            Ok(truth(v >= l && v <= h))
         }
         CExpr::InList { expr, list } => {
-            let v = ceval(expr, row, params)?;
+            let v = operand(expr, row, params)?;
             if v.is_null() {
                 return Ok(Value::Null);
             }
             for item in list {
-                let c = ceval(item, row, params)?;
+                let c = operand(item, row, params)?;
                 if !c.is_null() && c == v {
-                    return Ok(Value::Int(1));
+                    return Ok(truth(true));
                 }
             }
-            Ok(Value::Int(0))
+            Ok(truth(false))
         }
         CExpr::IsNull { expr, negated } => {
-            let v = ceval(expr, row, params)?;
-            Ok(Value::Int((v.is_null() != *negated) as i64))
+            Ok(truth(operand(expr, row, params)?.is_null() != *negated))
         }
+    }
+}
+
+/// A WHERE clause compiled into its top-level AND conjuncts, in source
+/// order; no WHERE is no conjunct.
+#[derive(Debug, Default)]
+struct CFilter(Vec<Conjunct>);
+
+/// One conjunct. Two shapes are kernels that read their operands by
+/// reference, columns through a `(slot, column)` position resolved at
+/// compile time; every other conjunct runs through [`ceval`].
+#[derive(Debug)]
+enum Conjunct {
+    /// A comparison of two leaves, either way round.
+    Cmp {
+        op: BinOp,
+        lhs: Leaf,
+        rhs: Leaf,
+    },
+    /// `column [NOT] LIKE pattern`, the pattern a parameter or literal.
+    Like {
+        slot: usize,
+        col: usize,
+        pattern: Leaf,
+        negated: bool,
+    },
+    Expr(CExpr),
+}
+
+/// A kernel operand: a column at (table slot, column within that table),
+/// a parameter or a literal.
+#[derive(Debug)]
+enum Leaf {
+    Col { slot: usize, col: usize },
+    Param(usize),
+    Lit(Value),
+}
+
+impl Leaf {
+    /// `Some` when `e` is a column, parameter or literal.
+    fn compile(e: &Expr, scope: &CScope<'_>, col_map: &[(u32, u32)]) -> SqlResult<Option<Leaf>> {
+        Ok(Some(match e {
+            Expr::Col(c) => {
+                let (slot, col) = col_map[scope.resolve(c)?];
+                Leaf::Col { slot: slot as usize, col: col as usize }
+            }
+            Expr::Param(i) => Leaf::Param(*i),
+            Expr::Lit(v) => Leaf::Lit(v.clone()),
+            _ => return Ok(None),
+        }))
+    }
+
+    fn get<'a>(&'a self, row: RowView<'a>, params: &'a [Value]) -> SqlResult<&'a Value> {
+        match self {
+            Leaf::Col { slot, col } => Ok(row.cell(*slot, *col)),
+            Leaf::Param(i) => params.get(*i).ok_or(SqlError::MissingParam(*i)),
+            Leaf::Lit(v) => Ok(v),
+        }
+    }
+}
+
+impl CFilter {
+    fn compile(w: Option<&Expr>, scope: &CScope<'_>) -> SqlResult<CFilter> {
+        let Some(w) = w else { return Ok(CFilter::default()) };
+        let col_map = scope.col_map();
+        let leaf = |e: &Expr| Leaf::compile(e, scope, &col_map);
+        let mut out = Vec::new();
+        for e in conjuncts(w) {
+            // Leaves are resolved left to right, and a shape that is not a
+            // kernel recompiles whole, so errors come in `compile_expr`'s
+            // order.
+            let kernel = match e {
+                Expr::Binary { op, lhs, rhs } if op.is_comparison() => match leaf(lhs)? {
+                    Some(l) => leaf(rhs)?.map(|r| Conjunct::Cmp { op: *op, lhs: l, rhs: r }),
+                    None => None,
+                },
+                Expr::Like { expr, pattern, negated } => match leaf(expr)? {
+                    Some(Leaf::Col { slot, col }) => match leaf(pattern)? {
+                        Some(p @ (Leaf::Param(_) | Leaf::Lit(_))) => {
+                            Some(Conjunct::Like { slot, col, pattern: p, negated: *negated })
+                        }
+                        _ => None,
+                    },
+                    _ => None,
+                },
+                _ => None,
+            };
+            out.push(match kernel {
+                Some(k) => k,
+                None => Conjunct::Expr(compile_expr(e, Some(scope))?),
+            });
+        }
+        Ok(CFilter(out))
+    }
+
+    /// Binds the filter to one execution's parameters: each LIKE kernel's
+    /// pattern is classified here, once.
+    fn bind<'a>(&'a self, params: &'a [Value]) -> Filter<'a> {
+        let conjuncts = self
+            .0
+            .iter()
+            .map(|c| {
+                let like = match c {
+                    Conjunct::Like { pattern: Leaf::Param(i), .. } => params.get(*i),
+                    Conjunct::Like { pattern: Leaf::Lit(v), .. } => Some(v),
+                    _ => None,
+                };
+                (c, like.and_then(Value::as_str).map(LikePattern::new))
+            })
+            .collect();
+        Filter { conjuncts, params }
+    }
+}
+
+/// A [`CFilter`] bound for one execution.
+struct Filter<'a> {
+    conjuncts: Vec<(&'a Conjunct, Option<LikePattern<'a>>)>,
+    params: &'a [Value],
+}
+
+impl Filter<'_> {
+    fn is_empty(&self) -> bool {
+        self.conjuncts.is_empty()
+    }
+
+    /// Whether WHERE keeps `row`. Conjuncts run in source order; the first
+    /// definite FALSE rejects the row without evaluating the rest, a NULL
+    /// rejects it only after the rest ran, and errors propagate. That is
+    /// the walk `ceval` makes over the AND tree, so the same rows are kept
+    /// and the same errors raised.
+    fn keeps(&self, row: RowView<'_>) -> SqlResult<bool> {
+        let params = self.params;
+        let mut null = false;
+        for &(conjunct, like) in &self.conjuncts {
+            let truth = match conjunct {
+                Conjunct::Cmp { op, lhs, rhs } => {
+                    compare(*op, lhs.get(row, params)?, rhs.get(row, params)?)
+                }
+                Conjunct::Like { slot, col, pattern, negated } => {
+                    let v = row.cell(*slot, *col);
+                    let p = pattern.get(row, params)?;
+                    if v.is_null() || p.is_null() {
+                        None
+                    } else {
+                        let m = match (v, like) {
+                            (Value::Str(s), Some(like)) => like.matches(s),
+                            // A non-string operand: the error `Value::like` raises.
+                            _ => v.like(p)?,
+                        };
+                        Some(m != *negated)
+                    }
+                }
+                Conjunct::Expr(e) => {
+                    let v = ceval(e, Some(row), params)?;
+                    (!v.is_null()).then(|| v.is_truthy())
+                }
+            };
+            match truth {
+                Some(false) => return Ok(false),
+                None => null = true,
+                Some(true) => {}
+            }
+        }
+        Ok(!null)
     }
 }
 
@@ -726,7 +917,7 @@ pub(crate) fn compile(db: &Database, stmt: &Stmt) -> SqlResult<CompiledStmt> {
                 let t = db.table(&d.table)?;
                 let mut scope = CScope::new();
                 scope.add(&d.table, t);
-                d.where_clause.as_ref().map(|w| compile_expr(w, Some(&scope))).transpose()?
+                CFilter::compile(d.where_clause.as_ref(), &scope)?
             },
         }),
         Stmt::LockTables(locks) => {
@@ -803,7 +994,7 @@ fn compile_select(db: &Database, s: &SelectStmt) -> SqlResult<CSelect> {
 
     let conj: Vec<&Expr> = s.where_clause.as_ref().map(|w| conjuncts(w)).unwrap_or_default();
     let path = compile_path(base_table, s.from.effective_alias(), &conj)?;
-    let filter = s.where_clause.as_ref().map(|w| compile_expr(w, Some(&scope))).transpose()?;
+    let filter = CFilter::compile(s.where_clause.as_ref(), &scope)?;
 
     let has_agg = s.group_by.is_some()
         || s.items.iter().any(|i| match i {
@@ -897,13 +1088,6 @@ fn compile_select(db: &Database, s: &SelectStmt) -> SqlResult<CSelect> {
         }
     }
 
-    let mut col_map = Vec::with_capacity(scope.width);
-    for (slot, (_, table, _)) in scope.entries.iter().enumerate() {
-        for ci in 0..table.schema().columns().len() {
-            col_map.push((slot as u32, ci as u32));
-        }
-    }
-
     Ok(CSelect {
         base,
         path,
@@ -915,7 +1099,7 @@ fn compile_select(db: &Database, s: &SelectStmt) -> SqlResult<CSelect> {
         limit: s.limit,
         read_tables,
         columns,
-        col_map,
+        col_map: scope.col_map(),
     })
 }
 
@@ -993,7 +1177,7 @@ fn compile_update(db: &Database, u: &UpdateStmt) -> SqlResult<CUpdate> {
     let path = compile_path(table, &u.table, &conj)?;
     let mut scope = CScope::new();
     scope.add(&u.table, table);
-    let filter = u.where_clause.as_ref().map(|w| compile_expr(w, Some(&scope))).transpose()?;
+    let filter = CFilter::compile(u.where_clause.as_ref(), &scope)?;
     let sets = u
         .sets
         .iter()
@@ -1121,14 +1305,21 @@ impl RowSet<'_> {
     }
 }
 
-/// The physical inner side of one equality join. All variants produce the
-/// same matches in the same order, and the caller charges the modeled
-/// counters identically for each — the variants differ only in host cost.
+/// The physical inner side of one equality join, chosen from the plan's
+/// shape and the outer cardinality. All variants produce the same matches
+/// in the same order, and the caller charges the modeled counters
+/// identically for each — the variants differ only in host cost.
 enum JoinProbe<'a> {
-    /// B-tree probe per outer row; cheapest when the outer side is tiny.
+    /// The inner column is the primary key: each outer row probes
+    /// [`Table::pk_lookup`] in place, one array read on the dense index, so
+    /// no snapshot pays off at any outer cardinality.
+    Pk(&'a Table),
+    /// B-tree probe per outer row on a secondary index; cheapest when the
+    /// outer side is tiny.
     Index { jt: &'a Table, col: usize },
-    /// Hash table snapshotted from the index in one pass (preserves the
-    /// index's per-key row-id order, so results match `Index` exactly).
+    /// Hash table snapshotted from a secondary index in one pass
+    /// (preserves the index's per-key row-id order, so results match
+    /// `Index` exactly).
     HashIdx(HashMap<&'a Value, &'a [RowId]>),
     /// Hash table built from a scan of an unindexed inner (per-key ids in
     /// scan order, matching what a scan per outer row would find).
@@ -1144,7 +1335,9 @@ impl<'a> JoinProbe<'a> {
         inner_indexed: bool,
         n_outer: usize,
     ) -> JoinProbe<'a> {
-        if inner_indexed {
+        if jt.schema().primary_key() == Some(inner_col) {
+            JoinProbe::Pk(jt)
+        } else if inner_indexed {
             // Building costs one pass over the index's keys; probing the
             // B-tree costs O(log keys) per outer row. Build only when the
             // probe side is large enough to amortize it.
@@ -1288,8 +1481,13 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
             let mut next: Vec<RowId> = Vec::with_capacity(tuples.len() + n_outer);
             for tuple in tuples.chunks_exact(stride) {
                 let key = &tables[oslot].get(tuple[oslot]).expect("live row")[ocol];
+                let found: Option<RowId>;
                 let scratch: Vec<RowId>;
                 let matches: &[RowId] = match &probe {
+                    JoinProbe::Pk(jt) => {
+                        found = jt.pk_lookup(key);
+                        found.as_slice()
+                    }
                     JoinProbe::Index { jt, col } => {
                         scratch = jt.index_lookup(*col, key);
                         &scratch
@@ -1322,10 +1520,11 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
     };
 
     // Residual filter.
-    if let Some(f) = &c.filter {
+    let filter = c.filter.bind(params);
+    if !filter.is_empty() {
         let mut keep = Vec::with_capacity(rows.len());
         for i in 0..rows.len() {
-            if ceval(f, Some(rows.view(i)), params)?.is_truthy() {
+            if filter.keeps(rows.view(i))? {
                 keep.push(i);
             }
         }
@@ -1657,13 +1856,12 @@ fn exec_cupdate(db: &mut Database, u: &CUpdate, params: &[Value]) -> SqlResult<Q
 
     // Filter and compute new rows immutably, then apply; SET expressions
     // see the old row.
+    let filter = u.filter.bind(params);
     let mut updates: Vec<(RowId, Vec<Value>)> = Vec::new();
     for rid in candidates {
         let Some(row) = table.get(rid) else { continue };
-        if let Some(f) = &u.filter {
-            if !ceval(f, Some(RowView::Slice(row)), params)?.is_truthy() {
-                continue;
-            }
+        if !filter.keeps(RowView::Slice(row))? {
+            continue;
         }
         let mut new_row = row.to_vec();
         for (idx, e) in &u.sets {
@@ -1694,13 +1892,12 @@ fn exec_cdelete(db: &mut Database, d: &CDelete, params: &[Value]) -> SqlResult<Q
     let path = d.path.bind(params)?;
     let candidates = candidate_rows(table, &path, &mut counters);
 
+    let filter = d.filter.bind(params);
     let mut doomed: Vec<RowId> = Vec::new();
     for rid in candidates {
         let Some(row) = table.get(rid) else { continue };
-        if let Some(f) = &d.filter {
-            if !ceval(f, Some(RowView::Slice(row)), params)?.is_truthy() {
-                continue;
-            }
+        if !filter.keeps(RowView::Slice(row))? {
+            continue;
         }
         doomed.push(rid);
     }
@@ -1846,6 +2043,41 @@ mod tests {
         assert_eq!(conjuncts(&w).len(), 3);
         let w = where_of("SELECT * FROM items WHERE id = 1 OR category = 2");
         assert_eq!(conjuncts(&w).len(), 1);
+    }
+
+    /// Which WHERE conjuncts compile to kernels and which go to `ceval`.
+    #[test]
+    fn filter_kernels_are_chosen_by_shape() {
+        let t = table();
+        let mut scope = CScope::new();
+        scope.add("items", &t);
+        let shapes = |sql: &str| -> Vec<&str> {
+            let filter = CFilter::compile(Some(&where_of(sql)), &scope).unwrap();
+            let shape = |c: &Conjunct| match c {
+                Conjunct::Cmp { .. } => "cmp",
+                Conjunct::Like { .. } => "like",
+                Conjunct::Expr(_) => "expr",
+            };
+            filter.0.iter().map(shape).collect()
+        };
+        assert_eq!(
+            shapes(
+                "SELECT * FROM items WHERE ? < id AND name NOT LIKE 'x%' AND price + 1 > 2 \
+                 AND 'a' LIKE name AND name LIKE name AND 1 = ?"
+            ),
+            ["cmp", "like", "expr", "expr", "expr", "cmp"]
+        );
+        assert_eq!(shapes("SELECT * FROM items WHERE id = 1 OR id = 2"), ["expr"]);
+    }
+
+    #[test]
+    fn primary_key_joins_probe_in_place_at_any_outer_size() {
+        let t = table();
+        for n_outer in [1, 5, 1_000] {
+            assert!(matches!(JoinProbe::build(&t, 0, true, n_outer), JoinProbe::Pk(_)));
+        }
+        assert!(matches!(JoinProbe::build(&t, 1, true, 1), JoinProbe::Index { .. }));
+        assert!(matches!(JoinProbe::build(&t, 1, true, 1_000), JoinProbe::HashIdx(_)));
     }
 
     #[test]

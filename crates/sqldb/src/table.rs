@@ -136,10 +136,11 @@ impl PkIndex {
         }
     }
 
+    /// The row whose key equals `key` under `Value` equality.
     fn get(&self, key: &Value) -> Option<RowId> {
         match self {
             PkIndex::Dense { base, slots, .. } => {
-                let k = key.as_int()?;
+                let k = Self::dense_key(key)?;
                 let off = usize::try_from(k.checked_sub(*base)?).ok()?;
                 match slots.get(off) {
                     Some(&rid) if rid != PK_NONE => Some(rid),
@@ -147,6 +148,22 @@ impl PkIndex {
                 }
             }
             PkIndex::Sparse(m) => m.get(key).copied(),
+        }
+    }
+
+    /// The integer key a dense slot would hold for `key`: an `Int` itself,
+    /// or an integral `Float` within ±2^53. `Value::cmp` compares an `Int`
+    /// with a `Float` as `f64`, so in that range such a float equals exactly
+    /// one `Int`; `-0.0` equals none, since `total_cmp` orders it below `0`.
+    fn dense_key(key: &Value) -> Option<i64> {
+        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        match *key {
+            Value::Int(k) => Some(k),
+            Value::Float(f) if f.abs() <= EXACT => {
+                let k = f as i64;
+                (Value::Int(k) == *key).then_some(k)
+            }
+            _ => None,
         }
     }
 
@@ -617,12 +634,24 @@ impl Table {
     }
 
     /// Row ids with column `col` in the given bounds, in key order, using an
-    /// index.
+    /// index. Bounds that cross, or meet with either one excluded, hold no
+    /// key and return no rows.
     ///
     /// # Panics
     ///
     /// Panics if the column is not indexed.
     pub fn index_range(&self, col: usize, lo: Bound<&Value>, hi: Bound<&Value>) -> Vec<RowId> {
+        // `BTreeMap::range` panics on crossing bounds.
+        let empty = match (lo, hi) {
+            (Bound::Included(l), Bound::Included(h)) => l > h,
+            (Bound::Included(l) | Bound::Excluded(l), Bound::Included(h) | Bound::Excluded(h)) => {
+                l >= h
+            }
+            _ => false,
+        };
+        if empty {
+            return Vec::new();
+        }
         if self.schema.primary_key() == Some(col) {
             return self.pk_index.range(lo, hi);
         }
@@ -938,6 +967,72 @@ mod tests {
         assert_eq!(ids.len(), 2);
         let regs = t.index_range(2, Bound::Excluded(&Value::Int(2)), Bound::Unbounded);
         assert_eq!(regs.len(), 2);
+    }
+
+    /// A users table whose primary key has gone sparse (a B-tree), holding
+    /// the keys `ids` and one far-off key.
+    fn sparse_users(ids: &[i64]) -> Table {
+        let mut t = users();
+        t.insert(vec![Value::Int(1 << 40), Value::str("far"), Value::Int(0)]).unwrap();
+        for &id in ids {
+            t.insert(vec![Value::Int(id), Value::str("s"), Value::Int(id)]).unwrap();
+        }
+        assert!(matches!(t.pk_index, PkIndex::Sparse(_)));
+        t
+    }
+
+    #[test]
+    fn crossing_range_bounds_return_no_rows() {
+        let mut dense = users();
+        for id in 1..=4 {
+            dense.insert(vec![Value::Int(id), Value::str("d"), Value::Int(id)]).unwrap();
+        }
+        assert!(matches!(dense.pk_index, PkIndex::Dense { .. }));
+        let sparse = sparse_users(&[1, 2, 3, 4]);
+        let (inc, exc) = (Bound::Included, Bound::Excluded);
+        let (one, three, four) = (Value::Int(1), Value::Int(3), Value::Int(4));
+        // The primary key in both representations, then the secondary
+        // index on `region`, whose keys are 1..=4 in both tables.
+        for (t, col) in [(&dense, 0), (&sparse, 0), (&dense, 2), (&sparse, 2)] {
+            for (lo, hi) in [
+                (exc(&four), exc(&three)),
+                (exc(&three), exc(&three)),
+                (inc(&four), inc(&one)),
+                (inc(&three), exc(&three)),
+                (exc(&three), inc(&three)),
+                (inc(&Value::Float(3.5)), inc(&three)),
+            ] {
+                assert!(t.index_range(col, lo, hi).is_empty(), "col {col}: {lo:?}..{hi:?}");
+            }
+            assert_eq!(t.index_range(col, inc(&three), inc(&three)).len(), 1);
+        }
+    }
+
+    #[test]
+    fn integral_float_keys_find_their_int_row_in_both_pk_representations() {
+        let mut dense = users();
+        for id in [0, 1, 3] {
+            dense.insert(vec![Value::Int(id), Value::str("d"), Value::Int(id)]).unwrap();
+        }
+        assert!(matches!(dense.pk_index, PkIndex::Dense { .. }));
+        let sparse = sparse_users(&[0, 1, 3]);
+        for t in [&dense, &sparse] {
+            let three = t.pk_lookup(&Value::Int(3));
+            assert!(three.is_some());
+            assert_eq!(t.pk_lookup(&Value::Float(3.0)), three);
+            assert_eq!(t.index_lookup(0, &Value::Float(3.0)), t.index_lookup(0, &Value::Int(3)));
+            for miss in [3.5, 2.0, -3.0, f64::NAN, f64::INFINITY, 1e300] {
+                assert_eq!(t.pk_lookup(&Value::Float(miss)), None, "{miss}");
+            }
+            // `Value` tells -0.0 from the integer 0, and so does the index.
+            assert_ne!(Value::Float(-0.0), Value::Int(0));
+            assert_eq!(t.pk_lookup(&Value::Float(-0.0)), None);
+            assert_eq!(t.pk_lookup(&Value::Float(0.0)), t.pk_lookup(&Value::Int(0)));
+        }
+        assert_eq!(
+            sparse.pk_lookup(&Value::Float((1u64 << 40) as f64)),
+            sparse.pk_lookup(&Value::Int(1 << 40))
+        );
     }
 
     #[test]

@@ -229,7 +229,8 @@ impl Value {
         if self.is_null() || pattern.is_null() {
             return Ok(false);
         }
-        Ok(like_match(self.expect_str()?, pattern.expect_str()?))
+        let text = self.expect_str()?;
+        Ok(LikePattern::new(pattern.expect_str()?).matches(text))
     }
 }
 
@@ -257,34 +258,100 @@ fn numeric_op(
     }
 }
 
-/// Iterative `LIKE` matcher (no recursion, no allocation).
+/// A `LIKE` pattern classified once, so that a parameter or literal
+/// pattern tested against many rows is read only once. A pattern of the
+/// form `lit%`, `%lit` or `%lit%`, with no other wildcard, is a prefix,
+/// suffix or substring test; any other goes to the general matcher.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum LikePattern<'p> {
+    /// `lit%`
+    Prefix(&'p str),
+    /// `%lit`
+    Suffix(&'p str),
+    /// `%lit%`
+    Contains(&'p str),
+    /// Any other pattern, kept whole.
+    General(&'p str),
+}
+
+impl<'p> LikePattern<'p> {
+    pub(crate) fn new(pattern: &'p str) -> LikePattern<'p> {
+        let (lead, rest) = match pattern.strip_prefix('%') {
+            Some(rest) => (true, rest),
+            None => (false, pattern),
+        };
+        let (trail, lit) = match rest.strip_suffix('%') {
+            Some(lit) => (true, lit),
+            None => (false, rest),
+        };
+        match (lead, trail) {
+            _ if lit.contains(['%', '_']) => LikePattern::General(pattern),
+            (true, true) => LikePattern::Contains(lit),
+            (false, true) => LikePattern::Prefix(lit),
+            (true, false) => LikePattern::Suffix(lit),
+            (false, false) => LikePattern::General(pattern),
+        }
+    }
+
+    /// `true` when `text` matches the pattern.
+    pub(crate) fn matches(&self, text: &str) -> bool {
+        match *self {
+            LikePattern::Prefix(lit) => text.starts_with(lit),
+            LikePattern::Suffix(lit) => text.ends_with(lit),
+            LikePattern::Contains(lit) => text.contains(lit),
+            LikePattern::General(pattern) => like_match(text, pattern),
+        }
+    }
+}
+
+/// Iterative `LIKE` matcher: no recursion, no allocation. It steps over
+/// bytes when that gives the same answer as stepping over characters — the
+/// pattern has no `_`, or the text is ASCII — and over characters
+/// otherwise, because `_` matches one character, not one byte. Without
+/// `_`, literal runs of valid UTF-8 can only match at character
+/// boundaries, so the bytes a `%` skips are always whole characters.
 fn like_match(text: &str, pattern: &str) -> bool {
-    let t: Vec<char> = text.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
+    if !pattern.contains('_') || text.is_ascii() {
+        wildcard_match(text, pattern, |s, i| (u32::from(s.as_bytes()[i]), 1))
+    } else {
+        wildcard_match(text, pattern, |s, i| {
+            let c = s[i..].chars().next().expect("the matcher stops at character boundaries");
+            (u32::from(c), c.len_utf8())
+        })
+    }
+}
+
+/// The backtracking matcher over byte offsets; `unit(s, i)` reads the unit
+/// (byte or character) at offset `i` of `s` as a number and its width.
+fn wildcard_match(text: &str, pattern: &str, unit: impl Fn(&str, usize) -> (u32, usize)) -> bool {
+    let (t, p) = (text.as_bytes(), pattern.as_bytes());
     let (mut ti, mut pi) = (0usize, 0usize);
     let (mut star_p, mut star_t) = (usize::MAX, 0usize);
     while ti < t.len() {
         // '%' must be tested first: it is a wildcard even when the text
         // itself contains a literal '%' character.
-        if pi < p.len() && p[pi] == '%' {
+        if pi < p.len() && p[pi] == b'%' {
             star_p = pi;
             star_t = ti;
             pi += 1;
-        } else if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
-            ti += 1;
-            pi += 1;
-        } else if star_p != usize::MAX {
-            star_t += 1;
-            ti = star_t;
-            pi = star_p + 1;
-        } else {
+            continue;
+        }
+        if pi < p.len() {
+            let ((pc, pw), (tc, tw)) = (unit(pattern, pi), unit(text, ti));
+            if p[pi] == b'_' || pc == tc {
+                ti += tw;
+                pi += pw;
+                continue;
+            }
+        }
+        if star_p == usize::MAX {
             return false;
         }
+        star_t += unit(text, star_t).1;
+        ti = star_t;
+        pi = star_p + 1;
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    p[pi..].iter().all(|&b| b == b'%')
 }
 
 impl PartialEq for Value {
@@ -493,6 +560,22 @@ mod tests {
         // Multiple wildcards with backtracking.
         assert!(Value::str("abcabc").like(&Value::str("%b%bc")).unwrap());
         assert!(!Value::str("abcabc").like(&Value::str("%b%bd")).unwrap());
+        // `_` is one character, not one byte.
+        assert!(Value::str("né").like(&Value::str("n_")).unwrap());
+        assert!(!Value::str("né").like(&Value::str("n__")).unwrap());
+        assert!(Value::str("éa").like(&Value::str("%a")).unwrap());
+    }
+
+    #[test]
+    fn like_pattern_shapes() {
+        assert!(matches!(LikePattern::new("%TITLE 120%"), LikePattern::Contains("TITLE 120")));
+        assert!(matches!(LikePattern::new("%%"), LikePattern::Contains("")));
+        assert!(matches!(LikePattern::new("AUTHOR1%"), LikePattern::Prefix("AUTHOR1")));
+        assert!(matches!(LikePattern::new("%1"), LikePattern::Suffix("1")));
+        assert!(matches!(LikePattern::new("%"), LikePattern::Suffix("")));
+        for general in ["", "a", "a%b", "%a_%", "_%", "%%a%"] {
+            assert!(matches!(LikePattern::new(general), LikePattern::General(p) if p == general));
+        }
     }
 
     #[test]

@@ -103,7 +103,28 @@ fn battery() -> Vec<(&'static str, Vec<Value>)> {
         ("SELECT * FROM items WHERE category = 10 ORDER BY id", vec![]),
         ("SELECT name FROM items WHERE id > 1 AND id <= 3", vec![]),
         ("SELECT name FROM items WHERE id BETWEEN ? AND ?", vec![Value::Int(1), Value::Int(3)]),
+        // An integral Float finds its Int key; a fractional one finds none.
+        ("SELECT name FROM items WHERE id = ?", vec![Value::Float(2.0)]),
+        ("SELECT name FROM items WHERE id = ?", vec![Value::Float(2.5)]),
+        // Range bounds that cross hold no key, on a secondary index as on
+        // the primary key.
+        ("SELECT name FROM items WHERE category > 20 AND category < 10", vec![]),
+        ("SELECT name FROM items WHERE category > 10 AND category < 10", vec![]),
+        ("SELECT name FROM items WHERE category BETWEEN 20 AND 10", vec![]),
+        ("SELECT name FROM items WHERE id > 3 AND id < 2", vec![]),
         ("SELECT * FROM items WHERE name = 'desk'", vec![]),
+        // Multi-conjunct filters: reversed operands, a Float parameter
+        // against an Int column, LIKE kernels and a conjunct for `ceval`.
+        (
+            "SELECT name FROM items WHERE ? < nb_of_bids AND name NOT LIKE ? \
+             AND max_bid * 1 >= ?",
+            vec![Value::Float(0.5), Value::str("%es%"), Value::Int(10)],
+        ),
+        (
+            "SELECT i.name, u.nickname FROM items i JOIN users u ON i.seller = u.id \
+             WHERE u.nickname LIKE 'a%' AND i.max_bid > u.region",
+            vec![],
+        ),
         (
             "SELECT i.name, u.nickname FROM items i \
              INNER JOIN users u ON i.seller = u.id WHERE i.category = 10",
@@ -198,6 +219,51 @@ fn compiled_matches_reference_on_battery() {
         let want = reference::run(&mut reference, sql, &params).expect(sql);
         assert_eq!(format!("{got:?}"), format!("{want:?}"), "divergence on {sql}");
         assert!(compiled.same_data(&reference), "data diverged after {sql}");
+    }
+}
+
+/// A join whose outer keys are Floats equal to the inner primary key's
+/// Ints finds those rows whatever the outer cardinality (5 outer rows
+/// probe per row; 50 are enough for a hash table to pay off on a
+/// secondary index), and the reference agrees. `-0.0` and fractional keys
+/// match nothing, as `Value` equality says.
+#[test]
+fn float_keys_join_a_dense_primary_key_at_any_outer_size() {
+    let build = || {
+        let mut db = Database::new();
+        for (name, ty) in [("p", ColumnType::Str), ("f", ColumnType::Float)] {
+            let schema = TableSchema::builder(name)
+                .column("id", ColumnType::Int)
+                .column("v", ty)
+                .primary_key("id")
+                .build()
+                .unwrap();
+            db.create_table(schema).unwrap();
+        }
+        for id in 0..60 {
+            let sql = "INSERT INTO p (id, v) VALUES (?, ?)";
+            db.execute(sql, &[Value::Int(id), Value::str(format!("p{id}"))]).unwrap();
+        }
+        for id in 1..=55 {
+            let key = match id % 11 {
+                0 => -0.0,
+                5 => id as f64 + 0.5,
+                _ => id as f64,
+            };
+            let sql = "INSERT INTO f (id, v) VALUES (?, ?)";
+            db.execute(sql, &[Value::Int(id), Value::Float(key)]).unwrap();
+        }
+        db
+    };
+    let (mut compiled, mut reference) = (build(), build());
+    let sql = "SELECT f.id, p.v FROM f JOIN p ON f.v = p.id WHERE f.id <= ?";
+    for (outer, matched) in [(5, 4), (50, 50 - 4 - 5)] {
+        let params = [Value::Int(outer)];
+        let got = compiled.execute(sql, &params).unwrap();
+        let want = reference::run(&mut reference, sql, &params).unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{outer} outer rows");
+        assert_eq!(got.rows.len(), matched, "{outer} outer rows");
+        assert_eq!(got.counters.index_lookups, 1 + outer as u64);
     }
 }
 

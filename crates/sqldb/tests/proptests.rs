@@ -223,9 +223,28 @@ proptest! {
         prop_assert!(rematch.is_empty());
     }
 
-    /// The LIKE matcher agrees with a naive recursive oracle.
+    /// The LIKE matcher agrees with a naive recursive oracle, over text
+    /// with a multi-byte character and over patterns of every shape: a
+    /// general one, a prefix, suffix or substring form, and the text itself
+    /// with the characters `mask` picks turned into `_`.
     #[test]
-    fn like_matches_oracle(text in "[ab_%]{0,10}", pattern in "[ab_%]{0,8}") {
+    fn like_matches_oracle(
+        text in "[abé_%]{0,10}",
+        general in "[abé_%]{0,8}",
+        lit in "[abé]{0,3}",
+        shape in 0usize..3,
+        mask in any::<u64>(),
+    ) {
+        let shaped = match shape {
+            0 => format!("%{lit}%"),
+            1 => format!("{lit}%"),
+            _ => format!("%{lit}"),
+        };
+        let masked: String = text
+            .chars()
+            .enumerate()
+            .map(|(i, c)| if mask >> i & 1 == 1 { '_' } else { c })
+            .collect();
         fn oracle(t: &[char], p: &[char]) -> bool {
             match p.first() {
                 None => t.is_empty(),
@@ -237,10 +256,12 @@ proptest! {
             }
         }
         let tc: Vec<char> = text.chars().collect();
-        let pc: Vec<char> = pattern.chars().collect();
-        let expect = oracle(&tc, &pc);
-        let got = Value::str(&text).like(&Value::str(&pattern)).unwrap();
-        prop_assert_eq!(got, expect, "text={:?} pattern={:?}", text, pattern);
+        for pattern in [general, shaped, masked] {
+            let pc: Vec<char> = pattern.chars().collect();
+            let expect = oracle(&tc, &pc);
+            let got = Value::str(&text).like(&Value::str(&pattern)).unwrap();
+            prop_assert_eq!(got, expect, "text={:?} pattern={:?}", text, pattern);
+        }
     }
 
     /// UPDATE arithmetic matches the reference computation.
@@ -366,11 +387,12 @@ proptest! {
 
 /// Builds a parent/child pair with randomized index coverage. `parent.grp`
 /// and `child.pid` are secondary-indexed only when the flags say so, which
-/// steers the compiled executor between hash-of-index, hash-of-scan, B-tree
-/// probe, and scan join strategies.
+/// steers the compiled executor between primary-key, hash-of-index,
+/// hash-of-scan, B-tree probe, and scan join strategies. `child.w` is
+/// NULL where the generated value is negative.
 fn parent_child(
     parents: &[(i64, String, i64)],
-    children: &[(i64, i64, i64)],
+    children: &[(i64, i64, i64, i64)],
     grp_indexed: bool,
     pid_indexed: bool,
 ) -> Database {
@@ -388,6 +410,7 @@ fn parent_child(
         .column("id", ColumnType::Int)
         .column("pid", ColumnType::Int)
         .column("v", ColumnType::Int)
+        .nullable_column("w", ColumnType::Int)
         .primary_key("id");
     if pid_indexed {
         cb = cb.index("pid");
@@ -400,10 +423,11 @@ fn parent_child(
         )
         .unwrap();
     }
-    for (id, pid, v) in children {
+    for (id, pid, v, w) in children {
+        let w = if *w < 0 { Value::Null } else { Value::Int(*w) };
         db.execute(
-            "INSERT INTO child (id, pid, v) VALUES (?, ?, ?)",
-            &[Value::Int(*id), Value::Int(*pid), Value::Int(*v)],
+            "INSERT INTO child (id, pid, v, w) VALUES (?, ?, ?, ?)",
+            &[Value::Int(*id), Value::Int(*pid), Value::Int(*v), w],
         )
         .unwrap();
     }
@@ -440,22 +464,29 @@ proptest! {
     #[test]
     fn compiled_executor_matches_reference(
         parents in prop::collection::vec((1i64..80, "[a-e]{1,4}", 0i64..6), 1..60),
-        children in prop::collection::vec((1i64..200, 0i64..90, -8i64..8), 0..150),
+        children in prop::collection::vec((1i64..200, 0i64..90, -8i64..8, -3i64..8), 0..150),
         grp_indexed in any::<bool>(),
         pid_indexed in any::<bool>(),
         offset in 0u64..12,
         count in 0u64..15,
         probe in -8i64..8,
-        writes in prop::collection::vec((0usize..4, 0i64..90, -8i64..8, 0i64..12), 0..16),
+        like in ("[ae_%]{0,2}", 0usize..4),
+        writes in prop::collection::vec((0usize..5, 0i64..90, -8i64..8, 0i64..12), 0..16),
     ) {
         let parents: Vec<(i64, (String, i64))> =
             dedup_by_id(parents.into_iter().map(|(id, n, g)| (id, (n, g))).collect());
         let parents: Vec<(i64, String, i64)> =
             parents.into_iter().map(|(id, (n, g))| (id, n, g)).collect();
-        let children: Vec<(i64, (i64, i64))> =
-            dedup_by_id(children.into_iter().map(|(id, p, v)| (id, (p, v))).collect());
-        let children: Vec<(i64, i64, i64)> =
-            children.into_iter().map(|(id, (p, v))| (id, p, v)).collect();
+        let children: Vec<(i64, (i64, i64, i64))> =
+            dedup_by_id(children.into_iter().map(|(id, p, v, w)| (id, (p, v, w))).collect());
+        let children: Vec<(i64, i64, i64, i64)> =
+            children.into_iter().map(|(id, (p, v, w))| (id, p, v, w)).collect();
+        let pattern = match like {
+            (lit, 0) => format!("%{lit}%"),
+            (lit, 1) => format!("{lit}%"),
+            (lit, 2) => format!("%{lit}"),
+            (lit, _) => lit,
+        };
         let mut db = parent_child(&parents, &children, grp_indexed, pid_indexed);
         let mut twin = parent_child(&parents, &children, grp_indexed, pid_indexed);
 
@@ -492,6 +523,30 @@ proptest! {
                 vec![]),
             ("SELECT id, pid FROM child WHERE pid BETWEEN ? AND ?".to_string(),
                 vec![Value::Int(pid), Value::Int(pid + 20)]),
+            // Multi-conjunct filters over both tables: reversed operands,
+            // Float parameters against Int columns and LIKE on
+            // `parent.name` (filter kernels) beside conjuncts `ceval` runs.
+            (format!(
+                "SELECT c.id, p.name FROM child c JOIN parent p ON c.pid = p.id \
+                 WHERE c.v >= ? AND ? < p.grp AND p.name LIKE ? ORDER BY c.id LIMIT {count}"
+            ), vec![
+                Value::Float(probe as f64 / 2.0),
+                Value::Int(probe.rem_euclid(6) - 1),
+                Value::str(&pattern),
+            ]),
+            ("SELECT c.id, c.w, p.name FROM parent p JOIN child c ON p.id = c.pid \
+              WHERE p.name NOT LIKE ? AND c.v + 0 <> ? AND ? >= c.w".to_string(),
+                vec![Value::str(&pattern), Value::Int(probe), Value::Float(probe as f64 / 2.0)]),
+            ("SELECT id, v FROM child WHERE id = ? AND v >= ?".to_string(),
+                vec![Value::Float(pid as f64), Value::Int(probe)]),
+            // A NULL conjunct does not stop the walk, so a later one that
+            // errors (LIKE on an integer, division by zero) still raises;
+            // a FALSE one does stop it.
+            ("SELECT c.id FROM child c JOIN parent p ON c.pid = p.id \
+              WHERE c.w < ? AND p.name LIKE ?".to_string(),
+                vec![Value::Int(probe), Value::Int(1)]),
+            ("SELECT id FROM child WHERE w = ? AND v / ? > 0".to_string(),
+                vec![Value::Int(probe.rem_euclid(8)), Value::Int(0)]),
         ];
         for (sql, params) in &queries {
             parity(&mut db, &mut twin, sql, params);
@@ -505,6 +560,8 @@ proptest! {
                 1 => ("UPDATE child SET pid = ?, v = v + 1 WHERE pid = ?",
                     vec![Value::Int(a), Value::Int((a + w) % 90)]),
                 2 => ("DELETE FROM child WHERE v < ?", vec![Value::Int(b - 4)]),
+                3 => ("UPDATE child SET w = ? WHERE w IS NULL AND ? <= v",
+                    vec![Value::Int(w), Value::Float(b as f64 / 2.0)]),
                 _ => ("UPDATE parent SET grp = grp + ? WHERE id BETWEEN ? AND ?",
                     vec![Value::Int(b), Value::Int(a), Value::Int(a + w)]),
             };

@@ -26,12 +26,18 @@
 //!    an earlier one on the same side;
 //! 3. otherwise a full scan.
 //!
+//! A range whose bounds cross, or meet with either one excluded
+//! (`k > 5 AND k < 3`, `k > 5 AND k < 5`, `k BETWEEN 9 AND 1`), is still
+//! that index read and still charged as one, but it returns no rows.
+//!
 //! An index read returns row ids in index order: ascending key, and within
 //! one secondary key, the order the rows entered it. A scan returns slot
 //! order. Either order is part of the result wherever ORDER BY leaves it
 //! open, and slot reuse and re-keyed rows change it. Index reads come from
 //! `Table::index_lookup` and `Table::index_range`, and each is asserted
-//! equal, as a set, to a scan for the same predicate.
+//! equal, as a set, to a scan for the same predicate, so a key finds the
+//! rows whose column equals it as `Value`s: an integral `Float` finds its
+//! `Int`.
 //!
 //! A `JOIN t ON a = b` equates a column of an earlier table with one of
 //! `t` (`b` is tried as `t`'s column first). It is a nested index loop: per
