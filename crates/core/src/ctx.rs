@@ -73,8 +73,9 @@ pub struct RequestCtx<'a> {
     style: LogicStyle,
     pub(crate) trace: Trace,
     pub(crate) tier: Tier,
-    /// Tables held via explicit LOCK TABLES, with the granted mode.
-    held_tables: Vec<(String, TableLockKind, LockId)>,
+    /// Tables (catalog ids) held via explicit LOCK TABLES, with the
+    /// granted mode.
+    held_tables: Vec<(usize, TableLockKind, LockId)>,
     /// Application-level locks held, with a re-entrancy count.
     held_app: Vec<(LockId, u32)>,
     output_bytes: u64,
@@ -233,12 +234,9 @@ impl<'a> RequestCtx<'a> {
             if !result.write_tables.is_empty() {
                 log.wrote = true;
             }
-            let db = &*self.db;
-            for t in &result.read_tables {
-                if let Some(id) = db.table_index(t) {
-                    if !log.tables.contains(&id) {
-                        log.tables.push(id);
-                    }
+            for &id in &result.read_tables {
+                if !log.tables.contains(&id) {
+                    log.tables.push(id);
                 }
             }
         }
@@ -309,10 +307,8 @@ impl<'a> RequestCtx<'a> {
                 self.push(Op::Cpu { machine: gen, micros: g.per_query.round() as u64 });
                 self.push(Op::Net { from: gen, to: db_machine, bytes: req_bytes });
                 // Acquire in lock-id order: deadlock-free by global order.
-                let mut to_take: Vec<(String, TableLockKind, LockId)> = list
-                    .iter()
-                    .map(|(t, k)| (t.clone(), *k, self.deployment.table_lock(t)))
-                    .collect();
+                let mut to_take: Vec<(usize, TableLockKind, LockId)> =
+                    list.iter().map(|&(t, k)| (t, k, self.deployment.table_lock(t))).collect();
                 to_take.sort_by_key(|(_, _, id)| *id);
                 for (t, k, id) in to_take {
                     self.push(Op::Lock {
@@ -358,10 +354,10 @@ impl<'a> RequestCtx<'a> {
                 // Implicit per-statement locks for tables not already
                 // covered by LOCK TABLES.
                 let mut needed: Vec<(LockId, LockMode)> = Vec::new();
-                for t in &result.read_tables {
+                for &t in &result.read_tables {
                     self.check_or_collect(t, TableLockKind::Read, &mut needed)?;
                 }
-                for t in &result.write_tables {
+                for &t in &result.write_tables {
                     self.check_or_collect(t, TableLockKind::Write, &mut needed)?;
                 }
                 needed.sort_by_key(|(id, _)| *id);
@@ -391,26 +387,26 @@ impl<'a> RequestCtx<'a> {
         Ok(())
     }
 
-    /// Validates MyISAM's locking discipline for one table touched by a
-    /// statement, or records the implicit lock to take.
+    /// Validates MyISAM's locking discipline for one table (catalog id)
+    /// touched by a statement, or records the implicit lock to take.
     fn check_or_collect(
         &self,
-        table: &str,
+        table: usize,
         want: TableLockKind,
         needed: &mut Vec<(LockId, LockMode)>,
     ) -> AppResult<()> {
-        if let Some((_, held_kind, _)) = self.held_tables.iter().find(|(t, _, _)| t == table) {
+        let refuse = |why: &str| {
+            let name = self.db.table_names()[table];
+            Err(AppError::Sql(SqlError::Constraint(format!("table '{name}' {why}"))))
+        };
+        if let Some((_, held_kind, _)) = self.held_tables.iter().find(|(t, _, _)| *t == table) {
             if want == TableLockKind::Write && *held_kind == TableLockKind::Read {
-                return Err(AppError::Sql(SqlError::Constraint(format!(
-                    "table '{table}' was locked READ but the statement writes it"
-                ))));
+                return refuse("was locked READ but the statement writes it");
             }
             return Ok(()); // covered by the explicit lock
         }
         if !self.held_tables.is_empty() {
-            return Err(AppError::Sql(SqlError::Constraint(format!(
-                "table '{table}' was not mentioned in LOCK TABLES"
-            ))));
+            return refuse("was not mentioned in LOCK TABLES");
         }
         let mode = match want {
             TableLockKind::Read => LockMode::Shared,
@@ -653,7 +649,7 @@ mod tests {
     #[test]
     fn explicit_lock_tables_span_statements() {
         let (_sim, mut db, dep, costs) = setup(PhpColocated);
-        let items_lock = dep.table_lock("items");
+        let items_lock = dep.table_lock(db.table_index("items").unwrap());
         let mut ctx =
             RequestCtx::new(&mut db, &dep, &costs, LogicStyle::ExplicitSql { sync: false }, false);
         ctx.query("LOCK TABLES items WRITE", &[]).unwrap();

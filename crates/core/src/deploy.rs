@@ -518,7 +518,8 @@ pub struct Deployment {
     /// Read-replica machines of the replicated DB tier, in replica-id
     /// order (`db-r1`, `db-r2`, …). Empty unless replication is enabled.
     replicas: Vec<MachineId>,
-    table_locks: HashMap<String, LockId>,
+    /// One lock per database table, indexed by catalog id.
+    table_locks: Vec<LockId>,
     app_locks: HashMap<String, Vec<LockId>>,
     /// One process-pool semaphore per web machine, in route order.
     web_pools: Vec<SemaphoreId>,
@@ -592,11 +593,11 @@ impl Deployment {
             .map(|i| sim.add_machine(format!("db-r{i}"), MACHINE_CORES, MACHINE_NIC_MBPS))
             .collect();
 
-        let mut table_locks = HashMap::new();
-        for name in db.table_names() {
-            let id = sim.register_lock(format!("table:{name}"));
-            table_locks.insert(name.to_string(), id);
-        }
+        let table_locks: Vec<LockId> = db
+            .table_names()
+            .iter()
+            .map(|name| sim.register_lock(format!("table:{name}")))
+            .collect();
         let mut app_locks = HashMap::new();
         for AppLockSpec { group, stripes } in app.app_locks() {
             let ids: Vec<LockId> =
@@ -693,19 +694,14 @@ impl Deployment {
         &self.replicas
     }
 
-    /// Lock protecting a database table.
+    /// Lock protecting the database table with catalog id `table`.
     ///
     /// # Panics
     ///
     /// Panics when the table does not exist (tables are registered at
     /// install time from the live catalog).
-    pub fn table_lock(&self, table: &str) -> LockId {
-        *self.table_locks.get(table).unwrap_or_else(|| panic!("no lock for table '{table}'"))
-    }
-
-    /// Whether the table exists in the lock registry.
-    pub fn has_table(&self, table: &str) -> bool {
-        self.table_locks.contains_key(table)
+    pub fn table_lock(&self, table: usize) -> LockId {
+        self.table_locks[table]
     }
 
     /// Container-level lock for `group`, striped by `key`.
@@ -1010,7 +1006,7 @@ mod tests {
             // Lock registry: one table lock + 4 app stripes, ids in the
             // legacy registration order (tables before stripes).
             assert_eq!(sim.lock_count(), 1 + 4, "{config}");
-            assert_eq!(d.table_lock("items"), LockId(0), "{config}");
+            assert_eq!(d.table_lock(0), LockId(0), "{config}");
             assert_eq!(d.app_lock("items", 0), LockId(1), "{config}");
 
             // One web pool, registered before any db pool, id 0.
@@ -1025,9 +1021,7 @@ mod tests {
         let mut sim = Simulation::new(SimDuration::from_micros(100));
         let db = small_db();
         let d = Deployment::install(&mut sim, StandardConfig::PhpColocated, &db, &NoApp, 512);
-        let l = d.table_lock("items");
-        assert!(d.has_table("items"));
-        assert!(!d.has_table("users"));
+        let l = d.table_lock(db.table_index("items").unwrap());
         // Striped app locks map keys deterministically.
         let a = d.app_lock("items", 1);
         let b = d.app_lock("items", 5); // 5 % 4 == 1

@@ -59,11 +59,6 @@ impl Response {
     pub fn body_bytes(&self) -> u64 {
         self.body_bytes
     }
-
-    /// Approximate size on the wire (body + headers).
-    pub fn wire_bytes(&self) -> u64 {
-        RESPONSE_OVERHEAD_BYTES + self.body_bytes
-    }
 }
 
 impl Default for Response {
@@ -75,13 +70,6 @@ impl Default for Response {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_bytes_grow_with_content() {
-        let resp_small = Response::new(Status::Ok, 100);
-        let resp_big = Response::new(Status::Ok, 50_000);
-        assert_eq!(resp_big.wire_bytes() - resp_small.wire_bytes(), 49_900);
-    }
 
     #[test]
     fn status_codes() {
@@ -100,6 +88,5 @@ mod more_tests {
         let r = Response::default();
         assert_eq!(r.status(), Status::Ok);
         assert_eq!(r.body_bytes(), 0);
-        assert_eq!(r.wire_bytes(), RESPONSE_OVERHEAD_BYTES);
     }
 }

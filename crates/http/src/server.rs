@@ -83,25 +83,10 @@ impl WebServerSpec {
         WebServerSpec { max_processes: 512, costs: HttpCosts::default() }
     }
 
-    /// A deliberately small pool, for experiments on process-limit
-    /// bottlenecks (an ablation the paper rules out by configuration).
-    pub fn with_processes(mut self, max_processes: u32) -> Self {
-        self.max_processes = max_processes;
-        self
-    }
-
     /// CPU microseconds to serve one static asset (excluding network).
     pub fn static_service_micros(&self, asset: StaticAsset) -> u64 {
         (self.costs.static_per_request + self.costs.static_per_byte * asset.bytes as f64).round()
             as u64
-    }
-
-    /// CPU microseconds of front-end work for a dynamic request that ships
-    /// `response_bytes`, before the content generator runs.
-    pub fn dynamic_service_micros(&self, response_bytes: u64, secure: bool) -> u64 {
-        let ssl = if secure { self.costs.ssl_per_request } else { 0.0 };
-        (self.costs.per_request + ssl + self.costs.per_response_byte * response_bytes as f64)
-            .round() as u64
     }
 }
 
@@ -123,12 +108,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_override() {
-        let s = WebServerSpec::apache_like().with_processes(16);
-        assert_eq!(s.max_processes, 16);
-    }
-
-    #[test]
     fn static_costs_scale_with_size() {
         let s = WebServerSpec::apache_like();
         let small = s.static_service_micros(StaticAsset::button());
@@ -136,25 +115,11 @@ mod tests {
         assert!(big > small);
         assert_eq!(StaticAsset::thumbnail().bytes, 5_120);
     }
-
-    #[test]
-    fn ssl_adds_cost() {
-        let s = WebServerSpec::apache_like();
-        let plain = s.dynamic_service_micros(10_000, false);
-        let tls = s.dynamic_service_micros(10_000, true);
-        assert_eq!(tls - plain, 900);
-    }
 }
 
 #[cfg(test)]
 mod more_tests {
     use super::*;
-
-    #[test]
-    fn zero_byte_dynamic_response_still_costs_dispatch() {
-        let s = WebServerSpec::apache_like();
-        assert!(s.dynamic_service_micros(0, false) > 0);
-    }
 
     #[test]
     fn static_fixed_cost_dominates_tiny_assets() {

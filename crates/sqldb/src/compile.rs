@@ -4,26 +4,28 @@
 //! resolution, access-path selection, and projection planning on *every*
 //! call — and the benchmark applications execute the same handful of
 //! parameterized statements millions of times per simulated run. This
-//! module moves all of that to a one-time compilation step:
+//! module moves all of that to a one-time compilation step, and keeps each
+//! decision it takes in one form, the one the executor uses:
 //!
 //! * column references are resolved to positions in the concatenated
 //!   FROM + JOIN row (`CExpr::Col` holds a `usize`, not a name);
 //! * the access-path *shape* (primary-key equality, secondary-index
 //!   equality, index range, or full scan) is chosen from the WHERE
-//!   conjuncts with the parameter slots left open (`CPath`); binding a
-//!   concrete `AccessPath` at execute time is a constant-expression
-//!   evaluation;
-//! * the projection list, GROUP BY column, ORDER BY keys, join columns
-//!   (and whether the inner side is indexed), output column names, and the
-//!   read/write table sets are all precomputed;
+//!   conjuncts (`CPath`); its keys stay expressions, which may hold
+//!   parameters, and are evaluated where the index is walked;
+//! * the projection list, GROUP BY column, ORDER BY keys, join columns,
+//!   output column names, and the read/write table sets (catalog ids) are
+//!   all precomputed;
+//! * each join's probe is fixed from the schema alone (`JoinProbe`): the
+//!   inner table's primary key is probed in place with
+//!   [`Table::pk_lookup`], a secondary index with one B-tree probe per
+//!   outer row, and an unindexed inner column through a hash table built
+//!   from one scan;
 //! * execution is **late-materializing**: the working set is a stream of
 //!   [`RowId`] tuples (one id per FROM/JOIN table), values are fetched from
 //!   the base tables through a `RowView`, and rows are cloned only at
-//!   projection time. A join on the inner table's primary key probes
-//!   [`Table::pk_lookup`] in place per outer row; other equality joins run
-//!   as hash joins when the probe side is large enough to amortize the
-//!   build. `ORDER BY … LIMIT` keeps a bounded top-K heap instead of
-//!   sorting everything, and GROUP BY folds aggregate accumulators in a
+//!   projection time. `ORDER BY … LIMIT` keeps a bounded top-K heap instead
+//!   of sorting everything, and GROUP BY folds aggregate accumulators in a
 //!   single hash pass;
 //! * WHERE is compiled into its top-level AND conjuncts (`CFilter`), run in
 //!   source order. A comparison of two columns, parameters or literals and
@@ -46,7 +48,7 @@
 //! against: rows, order, columns, lock sets and every counter.
 
 use crate::ast::{
-    BinOp, ColRef, Expr, InsertStmt, Join, SelectItem, SelectStmt, Stmt, TableLockKind, UpdateStmt,
+    BinOp, ColRef, Expr, InsertStmt, Join, SelectItem, SelectStmt, Stmt, TableLockKind,
 };
 use crate::cost::QueryCounters;
 use crate::db::Database;
@@ -78,15 +80,9 @@ pub struct CompiledStmt {
 impl CompiledStmt {
     /// Catalog ids of every table a SELECT plan reads (base first, then
     /// joins, deduplicated); `None` for non-SELECT statements.
-    pub(crate) fn read_table_ids(&self) -> Option<Vec<usize>> {
+    pub(crate) fn read_tables(&self) -> Option<&[usize]> {
         let CStmt::Select(s) = &self.kind else { return None };
-        let mut ids = vec![s.base];
-        for j in &s.joins {
-            if !ids.contains(&j.table) {
-                ids.push(j.table);
-            }
-        }
-        Some(ids)
+        Some(&s.read_tables)
     }
 
     /// `Some((table, key))` when the plan is a join-free SELECT whose access
@@ -109,9 +105,10 @@ impl CompiledStmt {
 enum CStmt {
     Select(CSelect),
     Insert(CInsert),
-    Update(CUpdate),
-    Delete(CDelete),
-    LockTables(Vec<(String, TableLockKind)>),
+    /// An UPDATE or a DELETE.
+    Modify(CModify),
+    /// Catalog ids, each at most once.
+    LockTables(Vec<(usize, TableLockKind)>),
     UnlockTables,
     Begin,
     Commit,
@@ -134,90 +131,17 @@ enum CExpr {
     IsNull { expr: Box<CExpr>, negated: bool },
 }
 
-/// How the executor will locate candidate rows in one table.
-#[derive(Debug, Clone, PartialEq)]
-enum AccessPath {
-    /// Visit every live row.
-    FullScan,
-    /// Probe an index with an equality key.
-    IndexEq {
-        /// Column position.
-        col: usize,
-        /// Bound key value.
-        key: Value,
-    },
-    /// Walk an index over a key range.
-    IndexRange {
-        /// Column position.
-        col: usize,
-        /// Lower bound.
-        lo: OwnedBound,
-        /// Upper bound.
-        hi: OwnedBound,
-    },
-}
-
-/// An owned interval endpoint (mirrors [`std::ops::Bound`]).
-#[derive(Debug, Clone, PartialEq)]
-enum OwnedBound {
-    /// Endpoint included.
-    Included(Value),
-    /// Endpoint excluded.
-    Excluded(Value),
-    /// No bound on this side.
-    Unbounded,
-}
-
-impl OwnedBound {
-    /// View as a [`std::ops::Bound`] for B-tree range queries.
-    fn as_bound(&self) -> Bound<&Value> {
-        match self {
-            OwnedBound::Included(v) => Bound::Included(v),
-            OwnedBound::Excluded(v) => Bound::Excluded(v),
-            OwnedBound::Unbounded => Bound::Unbounded,
-        }
-    }
-}
-
-/// An access-path shape with its key expressions left unbound (they may
-/// contain parameters); [`CPath::bind`] produces the concrete
-/// [`AccessPath`] for one parameter set.
+/// How the executor locates one table's candidate rows. The keys stay
+/// expressions (they may hold parameters) and are evaluated where the
+/// index is walked.
 #[derive(Debug)]
 enum CPath {
+    /// Visit every live row.
     FullScan,
+    /// Probe the index on `col` with an equality key.
     IndexEq { col: usize, key: CExpr },
-    IndexRange { col: usize, lo: CBound, hi: CBound },
-}
-
-#[derive(Debug)]
-enum CBound {
-    Included(CExpr),
-    Excluded(CExpr),
-    Unbounded,
-}
-
-impl CBound {
-    fn bind(&self, params: &[Value]) -> SqlResult<OwnedBound> {
-        Ok(match self {
-            CBound::Included(e) => OwnedBound::Included(ceval(e, None, params)?),
-            CBound::Excluded(e) => OwnedBound::Excluded(ceval(e, None, params)?),
-            CBound::Unbounded => OwnedBound::Unbounded,
-        })
-    }
-}
-
-impl CPath {
-    fn bind(&self, params: &[Value]) -> SqlResult<AccessPath> {
-        Ok(match self {
-            CPath::FullScan => AccessPath::FullScan,
-            CPath::IndexEq { col, key } => {
-                AccessPath::IndexEq { col: *col, key: ceval(key, None, params)? }
-            }
-            CPath::IndexRange { col, lo, hi } => {
-                AccessPath::IndexRange { col: *col, lo: lo.bind(params)?, hi: hi.bind(params)? }
-            }
-        })
-    }
+    /// Walk the index on `col` over a key range.
+    IndexRange { col: usize, lo: Bound<CExpr>, hi: Bound<CExpr> },
 }
 
 #[derive(Debug)]
@@ -228,10 +152,37 @@ struct CJoin {
     outer_col: usize,
     /// Join-key position within the joined table.
     inner_col: usize,
-    /// Whether the inner column has an index. This decides the *modeled*
-    /// counter charging (an index probe per outer row vs a scan); the
-    /// physical executor is free to build a hash table either way.
-    inner_indexed: bool,
+    probe: JoinProbe,
+}
+
+/// How a join finds the inner rows matching one outer key, chosen at
+/// compile time from the inner column's index alone. Every variant yields
+/// the matches in the order the modeled nested index loop finds them
+/// (index order, or slot order without an index), and the counters charge
+/// that loop whichever variant runs: one index probe per outer row when
+/// the column is indexed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum JoinProbe {
+    /// The inner column is the primary key: [`Table::pk_lookup`] in place,
+    /// one array read on the dense index.
+    Pk,
+    /// A secondary index: one B-tree probe per outer row.
+    Index,
+    /// No index: a hash table built from one scan of the inner table per
+    /// execution, each key's row ids in slot order.
+    Hash,
+}
+
+impl JoinProbe {
+    fn for_column(table: &Table, col: usize) -> JoinProbe {
+        if table.schema().primary_key() == Some(col) {
+            JoinProbe::Pk
+        } else if table.has_index_on(col) {
+            JoinProbe::Index
+        } else {
+            JoinProbe::Hash
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -266,7 +217,8 @@ struct CSelect {
     /// Output-column sort keys (aggregate SELECTs).
     order_output: Vec<(usize, bool)>,
     limit: Option<(u64, u64)>,
-    read_tables: Vec<String>,
+    /// Catalog ids: the base table, then each joined table not yet listed.
+    read_tables: Vec<usize>,
     columns: Vec<String>,
     /// Combined-row position → (table slot, column within that table), so
     /// the executor can resolve any column from a tuple of row ids without
@@ -285,26 +237,18 @@ enum CInsertShape {
 #[derive(Debug)]
 struct CInsert {
     table: usize,
-    table_name: String,
     n_columns: usize,
     shape: CInsertShape,
 }
 
+/// An UPDATE (`sets` present) or a DELETE: the rows the access path and
+/// the filter choose in one table.
 #[derive(Debug)]
-struct CUpdate {
+struct CModify {
     table: usize,
-    table_name: String,
     path: CPath,
     filter: CFilter,
-    sets: Vec<(usize, CExpr)>,
-}
-
-#[derive(Debug)]
-struct CDelete {
-    table: usize,
-    table_name: String,
-    path: CPath,
-    filter: CFilter,
+    sets: Option<Vec<(usize, CExpr)>>,
 }
 
 /// Name resolution at compile time: aliases to (table, offset) over the
@@ -813,7 +757,7 @@ fn flip(op: BinOp) -> BinOp {
 fn compile_path(table: &Table, alias: &str, conj: &[&Expr]) -> SqlResult<CPath> {
     let pk = table.schema().primary_key();
     let mut best_eq: Option<(usize, CExpr)> = None;
-    let mut best_range: Option<(usize, CBound, CBound)> = None;
+    let mut best_range: Option<(usize, Bound<CExpr>, Bound<CExpr>)> = None;
 
     for e in conj {
         match e {
@@ -841,16 +785,16 @@ fn compile_path(table: &Table, alias: &str, conj: &[&Expr]) -> SqlResult<CPath> 
                         }
                     }
                     BinOp::Lt => {
-                        merge_range(&mut best_range, pos, CBound::Unbounded, CBound::Excluded(key));
+                        merge_range(&mut best_range, pos, Bound::Unbounded, Bound::Excluded(key));
                     }
                     BinOp::Le => {
-                        merge_range(&mut best_range, pos, CBound::Unbounded, CBound::Included(key));
+                        merge_range(&mut best_range, pos, Bound::Unbounded, Bound::Included(key));
                     }
                     BinOp::Gt => {
-                        merge_range(&mut best_range, pos, CBound::Excluded(key), CBound::Unbounded);
+                        merge_range(&mut best_range, pos, Bound::Excluded(key), Bound::Unbounded);
                     }
                     BinOp::Ge => {
-                        merge_range(&mut best_range, pos, CBound::Included(key), CBound::Unbounded);
+                        merge_range(&mut best_range, pos, Bound::Included(key), Bound::Unbounded);
                     }
                     _ => {}
                 }
@@ -868,7 +812,7 @@ fn compile_path(table: &Table, alias: &str, conj: &[&Expr]) -> SqlResult<CPath> 
                 }
                 let lov = compile_expr(lo, None)?;
                 let hiv = compile_expr(hi, None)?;
-                merge_range(&mut best_range, pos, CBound::Included(lov), CBound::Included(hiv));
+                merge_range(&mut best_range, pos, Bound::Included(lov), Bound::Included(hiv));
             }
             _ => {}
         }
@@ -883,13 +827,18 @@ fn compile_path(table: &Table, alias: &str, conj: &[&Expr]) -> SqlResult<CPath> 
     Ok(CPath::FullScan)
 }
 
-fn merge_range(best: &mut Option<(usize, CBound, CBound)>, col: usize, lo: CBound, hi: CBound) {
+fn merge_range(
+    best: &mut Option<(usize, Bound<CExpr>, Bound<CExpr>)>,
+    col: usize,
+    lo: Bound<CExpr>,
+    hi: Bound<CExpr>,
+) {
     match best {
         Some((cur, cur_lo, cur_hi)) if *cur == col => {
-            if !matches!(lo, CBound::Unbounded) {
+            if !matches!(lo, Bound::Unbounded) {
                 *cur_lo = lo;
             }
-            if !matches!(hi, CBound::Unbounded) {
+            if !matches!(hi, Bound::Unbounded) {
                 *cur_hi = hi;
             }
         }
@@ -903,28 +852,24 @@ pub(crate) fn compile(db: &Database, stmt: &Stmt) -> SqlResult<CompiledStmt> {
     let kind = match stmt {
         Stmt::Select(s) => CStmt::Select(compile_select(db, s)?),
         Stmt::Insert(i) => CStmt::Insert(compile_insert(db, i)?),
-        Stmt::Update(u) => CStmt::Update(compile_update(db, u)?),
-        Stmt::Delete(d) => CStmt::Delete(CDelete {
-            table: db.table_id(&d.table)?,
-            table_name: d.table.clone(),
-            path: {
-                let t = db.table(&d.table)?;
-                let conj: Vec<&Expr> =
-                    d.where_clause.as_ref().map(|w| conjuncts(w)).unwrap_or_default();
-                compile_path(t, &d.table, &conj)?
-            },
-            filter: {
-                let t = db.table(&d.table)?;
-                let mut scope = CScope::new();
-                scope.add(&d.table, t);
-                CFilter::compile(d.where_clause.as_ref(), &scope)?
-            },
-        }),
+        Stmt::Update(u) => {
+            CStmt::Modify(compile_modify(db, &u.table, Some(&u.sets), u.where_clause.as_ref())?)
+        }
+        Stmt::Delete(d) => {
+            CStmt::Modify(compile_modify(db, &d.table, None, d.where_clause.as_ref())?)
+        }
         Stmt::LockTables(locks) => {
-            for (t, _) in locks {
-                db.table(t)?; // validate the tables exist
+            // MySQL refuses a table named twice ("Not unique table/alias"):
+            // each entry would take the same lock again.
+            let mut ids: Vec<(usize, TableLockKind)> = Vec::with_capacity(locks.len());
+            for (name, kind) in locks {
+                let id = db.table_id(name)?;
+                if ids.iter().any(|(seen, _)| *seen == id) {
+                    return Err(SqlError::Constraint(format!("Not unique table/alias: '{name}'")));
+                }
+                ids.push((id, *kind));
             }
-            CStmt::LockTables(locks.clone())
+            CStmt::LockTables(ids)
         }
         Stmt::UnlockTables => CStmt::UnlockTables,
         Stmt::Begin => CStmt::Begin,
@@ -957,21 +902,18 @@ fn expr_name(expr: &Expr) -> String {
 }
 
 fn compile_select(db: &Database, s: &SelectStmt) -> SqlResult<CSelect> {
-    let mut read_tables = vec![s.from.name.clone()];
-    for j in &s.joins {
-        if !read_tables.contains(&j.table.name) {
-            read_tables.push(j.table.name.clone());
-        }
-    }
-
     let base = db.table_id(&s.from.name)?;
     let base_table = db.table_at(base);
     let mut scope = CScope::new();
     scope.add(s.from.effective_alias(), base_table);
     let join_ids: Vec<usize> =
         s.joins.iter().map(|j| db.table_id(&j.table.name)).collect::<SqlResult<_>>()?;
+    let mut read_tables = vec![base];
     for (j, id) in s.joins.iter().zip(&join_ids) {
         scope.add(j.table.effective_alias(), db.table_at(*id));
+        if !read_tables.contains(id) {
+            read_tables.push(*id);
+        }
     }
 
     let mut joins = Vec::new();
@@ -988,7 +930,7 @@ fn compile_select(db: &Database, s: &SelectStmt) -> SqlResult<CSelect> {
             table: *id,
             outer_col,
             inner_col,
-            inner_indexed: jt.has_index_on(inner_col),
+            probe: JoinProbe::for_column(jt, inner_col),
         });
     }
 
@@ -1167,27 +1109,37 @@ fn compile_insert(db: &Database, i: &InsertStmt) -> SqlResult<CInsert> {
             CInsertShape::Sparse(pairs)
         }
     };
-    Ok(CInsert { table: table_id, table_name: i.table.clone(), n_columns, shape })
+    Ok(CInsert { table: table_id, n_columns, shape })
 }
 
-fn compile_update(db: &Database, u: &UpdateStmt) -> SqlResult<CUpdate> {
-    let table_id = db.table_id(&u.table)?;
-    let table = db.table_at(table_id);
-    let conj: Vec<&Expr> = u.where_clause.as_ref().map(|w| conjuncts(w)).unwrap_or_default();
-    let path = compile_path(table, &u.table, &conj)?;
+/// Compiles an UPDATE (`sets` present) or a DELETE of table `name`.
+fn compile_modify(
+    db: &Database,
+    name: &str,
+    sets: Option<&[(String, Expr)]>,
+    w: Option<&Expr>,
+) -> SqlResult<CModify> {
+    let table = db.table_id(name)?;
+    let t = db.table_at(table);
+    let conj: Vec<&Expr> = w.map(conjuncts).unwrap_or_default();
+    let path = compile_path(t, name, &conj)?;
     let mut scope = CScope::new();
-    scope.add(&u.table, table);
-    let filter = CFilter::compile(u.where_clause.as_ref(), &scope)?;
-    let sets = u
-        .sets
-        .iter()
-        .map(|(c, e)| {
-            let idx =
-                table.schema().column_index(c).ok_or_else(|| SqlError::UnknownColumn(c.clone()))?;
-            Ok((idx, compile_expr(e, Some(&scope))?))
+    scope.add(name, t);
+    let filter = CFilter::compile(w, &scope)?;
+    let sets = sets
+        .map(|sets| {
+            sets.iter()
+                .map(|(c, e)| {
+                    let idx = t
+                        .schema()
+                        .column_index(c)
+                        .ok_or_else(|| SqlError::UnknownColumn(c.clone()))?;
+                    Ok((idx, compile_expr(e, Some(&scope))?))
+                })
+                .collect::<SqlResult<_>>()
         })
-        .collect::<SqlResult<_>>()?;
-    Ok(CUpdate { table: table_id, table_name: u.table.clone(), path, filter, sets })
+        .transpose()?;
+    Ok(CModify { table, path, filter, sets })
 }
 
 /// Executes a compiled statement; the entry point `Database::execute` uses
@@ -1200,8 +1152,7 @@ pub(crate) fn exec_compiled(
     match &c.kind {
         CStmt::Select(s) => exec_cselect(db, s, params),
         CStmt::Insert(i) => exec_cinsert(db, i, params),
-        CStmt::Update(u) => exec_cupdate(db, u, params),
-        CStmt::Delete(d) => exec_cdelete(db, d, params),
+        CStmt::Modify(m) => exec_cmodify(db, m, params),
         CStmt::LockTables(locks) => {
             Ok(QueryResult::empty(StatementKind::LockTables(locks.clone())))
         }
@@ -1287,73 +1238,12 @@ impl RowSet<'_> {
         match self {
             RowSet::Single { ids, .. } => apply_limit(ids, limit),
             RowSet::Joined { stride, tuples, .. } => {
-                if let Some((offset, count)) = limit {
-                    let n = tuples.len() / *stride;
-                    let offset = usize::try_from(offset).unwrap_or(usize::MAX);
-                    let count = usize::try_from(count).unwrap_or(usize::MAX);
-                    if offset >= n {
-                        tuples.clear();
-                        return;
-                    }
-                    tuples.truncate(offset.saturating_add(count).min(n) * *stride);
-                    if offset > 0 {
-                        *tuples = tuples.split_off(offset * *stride);
-                    }
+                let window = limit_window(limit, tuples.len() / *stride);
+                tuples.truncate(window.end * *stride);
+                if window.start > 0 {
+                    *tuples = tuples.split_off(window.start * *stride);
                 }
             }
-        }
-    }
-}
-
-/// The physical inner side of one equality join, chosen from the plan's
-/// shape and the outer cardinality. All variants produce the same matches
-/// in the same order, and the caller charges the modeled counters
-/// identically for each — the variants differ only in host cost.
-enum JoinProbe<'a> {
-    /// The inner column is the primary key: each outer row probes
-    /// [`Table::pk_lookup`] in place, one array read on the dense index, so
-    /// no snapshot pays off at any outer cardinality.
-    Pk(&'a Table),
-    /// B-tree probe per outer row on a secondary index; cheapest when the
-    /// outer side is tiny.
-    Index { jt: &'a Table, col: usize },
-    /// Hash table snapshotted from a secondary index in one pass
-    /// (preserves the index's per-key row-id order, so results match
-    /// `Index` exactly).
-    HashIdx(HashMap<&'a Value, &'a [RowId]>),
-    /// Hash table built from a scan of an unindexed inner (per-key ids in
-    /// scan order, matching what a scan per outer row would find).
-    HashScan(HashMap<&'a Value, Vec<RowId>>),
-    /// Single scan of an unindexed inner; only worth it for one outer row.
-    Scan { jt: &'a Table, col: usize },
-}
-
-impl<'a> JoinProbe<'a> {
-    fn build(
-        jt: &'a Table,
-        inner_col: usize,
-        inner_indexed: bool,
-        n_outer: usize,
-    ) -> JoinProbe<'a> {
-        if jt.schema().primary_key() == Some(inner_col) {
-            JoinProbe::Pk(jt)
-        } else if inner_indexed {
-            // Building costs one pass over the index's keys; probing the
-            // B-tree costs O(log keys) per outer row. Build only when the
-            // probe side is large enough to amortize it.
-            if n_outer >= 32 && n_outer.saturating_mul(8) >= jt.index_cardinality(inner_col) {
-                JoinProbe::HashIdx(jt.index_groups(inner_col).collect())
-            } else {
-                JoinProbe::Index { jt, col: inner_col }
-            }
-        } else if n_outer > 1 {
-            let mut map: HashMap<&'a Value, Vec<RowId>> = HashMap::new();
-            for (rid, row) in jt.scan() {
-                map.entry(&row[inner_col]).or_default().push(rid);
-            }
-            JoinProbe::HashScan(map)
-        } else {
-            JoinProbe::Scan { jt, col: inner_col }
         }
     }
 }
@@ -1400,74 +1290,108 @@ fn heap_push<T>(heap: &mut Vec<T>, item: T, k: usize, cmp: &impl Fn(&T, &T) -> O
     }
 }
 
+/// The rows `LIMIT offset, count` keeps of `n`: `offset..offset + count`,
+/// saturating rather than overflowing and capped at `n`, so an offset past
+/// the end keeps none. `None` keeps all rows.
+fn limit_window(limit: Option<(u64, u64)>, n: usize) -> std::ops::Range<usize> {
+    let Some((offset, count)) = limit else { return 0..n };
+    let offset = usize::try_from(offset).unwrap_or(usize::MAX);
+    let count = usize::try_from(count).unwrap_or(usize::MAX);
+    let end = offset.saturating_add(count).min(n);
+    offset.min(end)..end
+}
+
 /// Applies `LIMIT offset, count` in place. Truncating to the window's end
 /// first means `split_off` moves only the kept rows (at most `count`),
 /// instead of `drain(..offset)` shifting the entire tail across the gap.
-/// Offsets past the end clear the vector; `offset + count` saturates rather
-/// than overflowing.
 fn apply_limit<T>(rows: &mut Vec<T>, limit: Option<(u64, u64)>) {
-    if let Some((offset, count)) = limit {
-        let offset = usize::try_from(offset).unwrap_or(usize::MAX);
-        let count = usize::try_from(count).unwrap_or(usize::MAX);
-        if offset >= rows.len() {
-            rows.clear();
-            return;
-        }
-        rows.truncate(offset.saturating_add(count).min(rows.len()));
-        if offset > 0 {
-            *rows = rows.split_off(offset);
-        }
+    let window = limit_window(limit, rows.len());
+    rows.truncate(window.end);
+    if window.start > 0 {
+        *rows = rows.split_off(window.start);
     }
 }
 
-/// The number of leading sorted rows the LIMIT window can expose:
-/// `offset + count` saturating, capped at `n`. `None` means all rows.
-fn limit_window(limit: Option<(u64, u64)>, n: usize) -> usize {
-    match limit {
-        Some((offset, count)) => {
-            let offset = usize::try_from(offset).unwrap_or(usize::MAX);
-            let count = usize::try_from(count).unwrap_or(usize::MAX);
-            offset.saturating_add(count).min(n)
+/// The sort both ORDER BY branches share: of the `n` items fed, the first
+/// `limit_window(limit, n).end` under `cmp` with ties in feed order, which
+/// is the head of a stable sort, each with its feed position. A window
+/// smaller than the input is kept in a bounded heap, so at most that many
+/// items stay alive. All `n` are charged to `sort_rows`: the model sorts
+/// everything.
+fn top_k<T>(
+    items: impl Iterator<Item = SqlResult<T>>,
+    n: usize,
+    limit: Option<(u64, u64)>,
+    counters: &mut QueryCounters,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> SqlResult<Vec<(T, usize)>> {
+    counters.sort_rows += n as u64;
+    let k = limit_window(limit, n).end;
+    let cmp = |a: &(T, usize), b: &(T, usize)| cmp(&a.0, &b.0).then_with(|| a.1.cmp(&b.1));
+    let mut kept = Vec::with_capacity(k.saturating_add(1));
+    for (i, item) in items.enumerate() {
+        if k >= n {
+            kept.push((item?, i));
+        } else {
+            heap_push(&mut kept, (item?, i), k, &cmp);
         }
-        None => n,
+    }
+    kept.sort_by(&cmp);
+    Ok(kept)
+}
+
+/// `a` against `b` under a sort key's direction.
+fn directed(a: &Value, b: &Value, desc: bool) -> Ordering {
+    let ord = a.cmp(b);
+    if desc {
+        ord.reverse()
+    } else {
+        ord
     }
 }
 
-/// Collects candidate row ids for one table according to an access path.
-fn candidate_rows(table: &Table, path: &AccessPath, counters: &mut QueryCounters) -> Vec<RowId> {
-    match path {
-        AccessPath::FullScan => {
-            let ids: Vec<RowId> = table.scan().map(|(rid, _)| rid).collect();
-            counters.rows_examined += ids.len() as u64;
-            ids
-        }
-        AccessPath::IndexEq { col, key } => {
+/// Collects candidate row ids for one table along its access path,
+/// evaluating the path's keys against `params`.
+fn candidate_rows(
+    table: &Table,
+    path: &CPath,
+    params: &[Value],
+    counters: &mut QueryCounters,
+) -> SqlResult<Vec<RowId>> {
+    let bound = |b: &Bound<CExpr>| -> SqlResult<Bound<Value>> {
+        Ok(match b {
+            Bound::Included(e) => Bound::Included(ceval(e, None, params)?),
+            Bound::Excluded(e) => Bound::Excluded(ceval(e, None, params)?),
+            Bound::Unbounded => Bound::Unbounded,
+        })
+    };
+    let ids = match path {
+        CPath::FullScan => table.scan().map(|(rid, _)| rid).collect(),
+        CPath::IndexEq { col, key } => {
             counters.index_lookups += 1;
-            let ids = table.index_lookup(*col, key);
-            counters.rows_examined += ids.len() as u64;
-            ids
+            table.index_lookup(*col, &*operand(key, None, params)?)
         }
-        AccessPath::IndexRange { col, lo, hi } => {
+        CPath::IndexRange { col, lo, hi } => {
             counters.index_lookups += 1;
-            let ids = table.index_range(*col, lo.as_bound(), hi.as_bound());
-            counters.rows_examined += ids.len() as u64;
-            ids
+            let (lo, hi) = (bound(lo)?, bound(hi)?);
+            table.index_range(*col, lo.as_ref(), hi.as_ref())
         }
-    }
+    };
+    counters.rows_examined += ids.len() as u64;
+    Ok(ids)
 }
 
 fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<QueryResult> {
     let mut counters = QueryCounters::default();
     let base_table = db.table_at(c.base);
-    let path = c.path.bind(params)?;
-    let base_ids = candidate_rows(base_table, &path, &mut counters);
+    let base_ids = candidate_rows(base_table, &c.path, params, &mut counters)?;
 
     let mut rows = if c.joins.is_empty() {
         RowSet::Single { table: base_table, ids: base_ids }
     } else {
         // Late-materialized joins: grow flat RowId tuples one table at a
         // time. The counters are charged per outer row with the modeled
-        // nested-index-loop formula regardless of the probe strategy.
+        // nested-index-loop formula whichever probe runs.
         let mut tables: Vec<&Table> = Vec::with_capacity(1 + c.joins.len());
         tables.push(base_table);
         let mut tuples: Vec<RowId> = base_ids;
@@ -1476,34 +1400,29 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
             let jt = db.table_at(cj.table);
             let (oslot, ocol) = c.col_map[cj.outer_col];
             let (oslot, ocol) = (oslot as usize, ocol as usize);
-            let n_outer = tuples.len() / stride;
-            let probe = JoinProbe::build(jt, cj.inner_col, cj.inner_indexed, n_outer);
-            let mut next: Vec<RowId> = Vec::with_capacity(tuples.len() + n_outer);
+            let mut hash: HashMap<&Value, Vec<RowId>> = HashMap::new();
+            if cj.probe == JoinProbe::Hash && !tuples.is_empty() {
+                for (rid, row) in jt.scan() {
+                    hash.entry(&row[cj.inner_col]).or_default().push(rid);
+                }
+            }
+            let mut next: Vec<RowId> = Vec::with_capacity(tuples.len() + tuples.len() / stride);
             for tuple in tuples.chunks_exact(stride) {
                 let key = &tables[oslot].get(tuple[oslot]).expect("live row")[ocol];
                 let found: Option<RowId>;
                 let scratch: Vec<RowId>;
-                let matches: &[RowId] = match &probe {
-                    JoinProbe::Pk(jt) => {
+                let matches: &[RowId] = match cj.probe {
+                    JoinProbe::Pk => {
                         found = jt.pk_lookup(key);
                         found.as_slice()
                     }
-                    JoinProbe::Index { jt, col } => {
-                        scratch = jt.index_lookup(*col, key);
+                    JoinProbe::Index => {
+                        scratch = jt.index_lookup(cj.inner_col, key);
                         &scratch
                     }
-                    JoinProbe::HashIdx(map) => map.get(key).copied().unwrap_or(&[]),
-                    JoinProbe::HashScan(map) => map.get(key).map(Vec::as_slice).unwrap_or(&[]),
-                    JoinProbe::Scan { jt, col } => {
-                        scratch = jt
-                            .scan()
-                            .filter(|(_, r)| &r[*col] == key)
-                            .map(|(rid, _)| rid)
-                            .collect();
-                        &scratch
-                    }
+                    JoinProbe::Hash => hash.get(key).map_or(&[], Vec::as_slice),
                 };
-                if cj.inner_indexed {
+                if cj.probe != JoinProbe::Hash {
                     counters.index_lookups += 1;
                 }
                 counters.rows_examined += matches.len().max(1) as u64;
@@ -1569,72 +1488,34 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
                 }
             }
             if !c.order_output.is_empty() {
-                counters.sort_rows += out.len() as u64;
+                // Ties keep ascending group-key order.
                 let n = out.len();
-                let k = limit_window(c.limit, n);
-                let cmp = |a: &(Vec<Value>, usize), b: &(Vec<Value>, usize)| {
-                    for (idx, desc) in &c.order_output {
-                        let ord = a.0[*idx].cmp(&b.0[*idx]);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if ord != Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    // Position tie-break = a stable sort, preserving
-                    // ascending-group-key order among ties.
-                    a.1.cmp(&b.1)
+                let by_output = |a: &Vec<Value>, b: &Vec<Value>| {
+                    let mut ords =
+                        c.order_output.iter().map(|&(i, desc)| directed(&a[i], &b[i], desc));
+                    ords.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
                 };
-                let mut decorated: Vec<(Vec<Value>, usize)> =
-                    Vec::with_capacity(k.min(n).saturating_add(1));
-                for (i, row) in out.into_iter().enumerate() {
-                    if k >= n {
-                        decorated.push((row, i));
-                    } else {
-                        heap_push(&mut decorated, (row, i), k, &cmp);
-                    }
-                }
-                decorated.sort_by(|a, b| cmp(a, b));
-                out = decorated.into_iter().map(|(row, _)| row).collect();
+                let sorted = top_k(out.into_iter().map(Ok), n, c.limit, &mut counters, by_output)?;
+                out = sorted.into_iter().map(|(row, _)| row).collect();
             }
             apply_limit(&mut out, c.limit);
             out
         }
         CProjKind::Plain(plan) => {
             if !c.order_source.is_empty() {
-                // The full input is charged to the sort counter — the model
-                // sorts everything — but physically only the LIMIT window's
-                // rows are kept in the top-K heap.
-                counters.sort_rows += rows.len() as u64;
-                let n = rows.len();
-                let k = limit_window(c.limit, n);
-                let cmp = |a: &(Vec<Value>, usize), b: &(Vec<Value>, usize)| {
-                    for ((av, bv), (_, desc)) in a.0.iter().zip(&b.0).zip(&c.order_source) {
-                        let ord = av.cmp(bv);
-                        let ord = if *desc { ord.reverse() } else { ord };
-                        if ord != Ordering::Equal {
-                            return ord;
-                        }
-                    }
-                    a.1.cmp(&b.1) // stable tie-break on position
-                };
-                let mut decorated: Vec<(Vec<Value>, usize)> =
-                    Vec::with_capacity(k.min(n).saturating_add(1));
-                for i in 0..n {
+                // Sort keys are evaluated per source row; the sort returns
+                // the window's row positions in order.
+                let keys = (0..rows.len()).map(|i| {
                     let row = rows.view(i);
-                    let kv: Vec<Value> = c
-                        .order_source
-                        .iter()
-                        .map(|(e, _)| ceval(e, Some(row), params))
-                        .collect::<SqlResult<_>>()?;
-                    if k >= n {
-                        decorated.push((kv, i));
-                    } else {
-                        heap_push(&mut decorated, (kv, i), k, &cmp);
-                    }
-                }
-                decorated.sort_by(|a, b| cmp(a, b));
-                let order: Vec<usize> = decorated.into_iter().map(|(_, i)| i).collect();
-                rows.reorder(&order);
+                    c.order_source.iter().map(|(e, _)| ceval(e, Some(row), params)).collect()
+                });
+                let by_keys = |a: &Vec<Value>, b: &Vec<Value>| {
+                    let pairs = a.iter().zip(b).zip(&c.order_source);
+                    let mut ords = pairs.map(|((x, y), (_, desc))| directed(x, y, *desc));
+                    ords.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
+                };
+                let sorted = top_k(keys, rows.len(), c.limit, &mut counters, by_keys)?;
+                rows.reorder(&sorted.into_iter().map(|(_, i)| i).collect::<Vec<_>>());
             }
             rows.limit(c.limit);
             // Projection: the only point values are cloned.
@@ -1663,12 +1544,9 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
     Ok(QueryResult {
         columns: c.columns.clone(),
         rows: out_rows,
-        affected: 0,
-        last_insert_id: None,
         counters,
         read_tables: c.read_tables.clone(),
-        write_tables: Vec::new(),
-        kind: StatementKind::Read,
+        ..QueryResult::empty(StatementKind::Read)
     })
 }
 
@@ -1837,84 +1715,55 @@ fn exec_cinsert(db: &mut Database, i: &CInsert, params: &[Value]) -> SqlResult<Q
     counters.rows_written += 1;
     counters.index_lookups += 1 + n_indexes;
     Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Vec::new(),
         affected: 1,
         last_insert_id: assigned,
         counters,
-        read_tables: Vec::new(),
-        write_tables: vec![i.table_name.clone()],
-        kind: StatementKind::Write,
+        write_tables: vec![i.table],
+        ..QueryResult::empty(StatementKind::Write)
     })
 }
 
-fn exec_cupdate(db: &mut Database, u: &CUpdate, params: &[Value]) -> SqlResult<QueryResult> {
+fn exec_cmodify(db: &mut Database, m: &CModify, params: &[Value]) -> SqlResult<QueryResult> {
     let mut counters = QueryCounters::default();
-    let table = db.table_at(u.table);
-    let path = u.path.bind(params)?;
-    let candidates = candidate_rows(table, &path, &mut counters);
+    let table = db.table_at(m.table);
+    let candidates = candidate_rows(table, &m.path, params, &mut counters)?;
 
-    // Filter and compute new rows immutably, then apply; SET expressions
-    // see the old row.
-    let filter = u.filter.bind(params);
-    let mut updates: Vec<(RowId, Vec<Value>)> = Vec::new();
+    // Choose every row, and compute every new row, before the first write:
+    // SET expressions see the old row.
+    let filter = m.filter.bind(params);
+    let mut chosen: Vec<(RowId, Option<Vec<Value>>)> = Vec::new();
     for rid in candidates {
         let Some(row) = table.get(rid) else { continue };
         if !filter.keeps(RowView::Slice(row))? {
             continue;
         }
-        let mut new_row = row.to_vec();
-        for (idx, e) in &u.sets {
-            new_row[*idx] = ceval(e, Some(RowView::Slice(row)), params)?;
-        }
-        updates.push((rid, new_row));
+        let new_row = match &m.sets {
+            Some(sets) => {
+                let mut new_row = row.to_vec();
+                for (idx, e) in sets {
+                    new_row[*idx] = ceval(e, Some(RowView::Slice(row)), params)?;
+                }
+                Some(new_row)
+            }
+            None => None,
+        };
+        chosen.push((rid, new_row));
     }
-    let affected = updates.len() as u64;
-    for (rid, new_row) in updates {
-        db.update_row(u.table, rid, new_row)?;
+    let affected = chosen.len() as u64;
+    for (rid, new_row) in chosen {
+        match new_row {
+            Some(new_row) => db.update_row(m.table, rid, new_row)?,
+            None => {
+                db.delete_row(m.table, rid)?;
+            }
+        }
         counters.rows_written += 1;
     }
     Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Vec::new(),
         affected,
-        last_insert_id: None,
         counters,
-        read_tables: Vec::new(),
-        write_tables: vec![u.table_name.clone()],
-        kind: StatementKind::Write,
-    })
-}
-
-fn exec_cdelete(db: &mut Database, d: &CDelete, params: &[Value]) -> SqlResult<QueryResult> {
-    let mut counters = QueryCounters::default();
-    let table = db.table_at(d.table);
-    let path = d.path.bind(params)?;
-    let candidates = candidate_rows(table, &path, &mut counters);
-
-    let filter = d.filter.bind(params);
-    let mut doomed: Vec<RowId> = Vec::new();
-    for rid in candidates {
-        let Some(row) = table.get(rid) else { continue };
-        if !filter.keeps(RowView::Slice(row))? {
-            continue;
-        }
-        doomed.push(rid);
-    }
-    let affected = doomed.len() as u64;
-    for rid in doomed {
-        db.delete_row(d.table, rid)?;
-        counters.rows_written += 1;
-    }
-    Ok(QueryResult {
-        columns: Vec::new(),
-        rows: Vec::new(),
-        affected,
-        last_insert_id: None,
-        counters,
-        read_tables: Vec::new(),
-        write_tables: vec![d.table_name.clone()],
-        kind: StatementKind::Write,
+        write_tables: vec![m.table],
+        ..QueryResult::empty(StatementKind::Write)
     })
 }
 
@@ -1954,87 +1803,101 @@ mod tests {
         }
     }
 
-    /// The access path `compile_path` picks for `alias`, bound to `params`.
-    fn path_as(sql: &str, alias: &str, params: &[Value]) -> AccessPath {
+    /// The access path `compile_path` picks for `alias`, with its keys
+    /// evaluated against `params` in order (lower bound before upper).
+    fn path_as(sql: &str, alias: &str, params: &[Value]) -> (CPath, Vec<Value>) {
         let w = where_of(sql);
-        compile_path(&table(), alias, &conjuncts(&w)).unwrap().bind(params).unwrap()
+        let path = compile_path(&table(), alias, &conjuncts(&w)).unwrap();
+        let exprs = match &path {
+            CPath::FullScan => vec![],
+            CPath::IndexEq { key, .. } => vec![key],
+            CPath::IndexRange { lo, hi, .. } => [lo, hi]
+                .into_iter()
+                .filter_map(|b| match b {
+                    Bound::Included(e) | Bound::Excluded(e) => Some(e),
+                    Bound::Unbounded => None,
+                })
+                .collect(),
+        };
+        let keys = exprs.into_iter().map(|e| ceval(e, None, params).unwrap()).collect();
+        (path, keys)
     }
 
-    fn path(sql: &str, params: &[Value]) -> AccessPath {
+    fn path(sql: &str, params: &[Value]) -> (CPath, Vec<Value>) {
         path_as(sql, "items", params)
     }
 
     #[test]
     fn pk_equality_wins() {
-        let p = path("SELECT * FROM items WHERE category = 1 AND id = ?", &[Value::Int(5)]);
-        assert_eq!(p, AccessPath::IndexEq { col: 0, key: Value::Int(5) });
+        let (p, keys) = path("SELECT * FROM items WHERE category = 1 AND id = ?", &[Value::Int(5)]);
+        assert!(matches!(p, CPath::IndexEq { col: 0, .. }));
+        assert_eq!(keys, [Value::Int(5)]);
     }
 
     #[test]
     fn secondary_equality_used() {
-        let p = path("SELECT * FROM items WHERE category = 2", &[]);
-        assert_eq!(p, AccessPath::IndexEq { col: 1, key: Value::Int(2) });
+        let (p, keys) = path("SELECT * FROM items WHERE category = 2", &[]);
+        assert!(matches!(p, CPath::IndexEq { col: 1, .. }));
+        assert_eq!(keys, [Value::Int(2)]);
     }
 
     #[test]
     fn reversed_operands_normalized() {
-        let p = path("SELECT * FROM items WHERE 5 = id", &[]);
-        assert_eq!(p, AccessPath::IndexEq { col: 0, key: Value::Int(5) });
+        let (p, keys) = path("SELECT * FROM items WHERE 5 = id", &[]);
+        assert!(matches!(p, CPath::IndexEq { col: 0, .. }));
+        assert_eq!(keys, [Value::Int(5)]);
     }
 
     #[test]
     fn range_predicates_merge() {
-        let p = path("SELECT * FROM items WHERE id > 2 AND id <= 7", &[]);
-        assert_eq!(
+        let (p, keys) = path("SELECT * FROM items WHERE id > 2 AND id <= 7", &[]);
+        assert!(matches!(
             p,
-            AccessPath::IndexRange {
-                col: 0,
-                lo: OwnedBound::Excluded(Value::Int(2)),
-                hi: OwnedBound::Included(Value::Int(7)),
-            }
-        );
+            CPath::IndexRange { col: 0, lo: Bound::Excluded(_), hi: Bound::Included(_) }
+        ));
+        assert_eq!(keys, [Value::Int(2), Value::Int(7)]);
     }
 
     #[test]
     fn between_becomes_range() {
-        let p =
+        let (p, keys) =
             path("SELECT * FROM items WHERE id BETWEEN ? AND ?", &[Value::Int(1), Value::Int(3)]);
-        assert_eq!(
+        assert!(matches!(
             p,
-            AccessPath::IndexRange {
-                col: 0,
-                lo: OwnedBound::Included(Value::Int(1)),
-                hi: OwnedBound::Included(Value::Int(3)),
-            }
-        );
+            CPath::IndexRange { col: 0, lo: Bound::Included(_), hi: Bound::Included(_) }
+        ));
+        assert_eq!(keys, [Value::Int(1), Value::Int(3)]);
     }
 
     #[test]
     fn unindexed_column_scans() {
-        let p = path("SELECT * FROM items WHERE name = 'item3'", &[]);
-        assert_eq!(p, AccessPath::FullScan);
-        let p = path("SELECT * FROM items WHERE price < 3.0", &[]);
-        assert_eq!(p, AccessPath::FullScan);
+        let (p, _) = path("SELECT * FROM items WHERE name = 'item3'", &[]);
+        assert!(matches!(p, CPath::FullScan));
+        let (p, _) = path("SELECT * FROM items WHERE price < 3.0", &[]);
+        assert!(matches!(p, CPath::FullScan));
     }
 
     #[test]
     fn eq_beats_range() {
-        let p = path("SELECT * FROM items WHERE id > 2 AND category = 1", &[]);
-        assert_eq!(p, AccessPath::IndexEq { col: 1, key: Value::Int(1) });
+        let (p, keys) = path("SELECT * FROM items WHERE id > 2 AND category = 1", &[]);
+        assert!(matches!(p, CPath::IndexEq { col: 1, .. }));
+        assert_eq!(keys, [Value::Int(1)]);
     }
 
     #[test]
     fn qualified_alias_respected() {
         let sql = "SELECT * FROM items i WHERE i.id = 4";
-        assert_eq!(path_as(sql, "i", &[]), AccessPath::IndexEq { col: 0, key: Value::Int(4) });
+        let (p, keys) = path_as(sql, "i", &[]);
+        assert!(matches!(p, CPath::IndexEq { col: 0, .. }));
+        assert_eq!(keys, [Value::Int(4)]);
         // Wrong alias: predicate is about another table.
-        assert_eq!(path_as(sql, "other", &[]), AccessPath::FullScan);
+        assert!(matches!(path_as(sql, "other", &[]).0, CPath::FullScan));
     }
 
     #[test]
     fn or_disables_indexing() {
-        let p = path("SELECT * FROM items WHERE id = 1 OR category = 2", &[]);
-        assert_eq!(p, AccessPath::FullScan);
+        let (p, _) = path("SELECT * FROM items WHERE id = 1 OR category = 2", &[]);
+        assert!(matches!(p, CPath::FullScan));
     }
 
     #[test]
@@ -2070,14 +1933,23 @@ mod tests {
         assert_eq!(shapes("SELECT * FROM items WHERE id = 1 OR id = 2"), ["expr"]);
     }
 
+    /// Each join's probe is fixed when the statement compiles, by the
+    /// inner column's index alone: the primary key, a secondary index, or
+    /// none.
     #[test]
-    fn primary_key_joins_probe_in_place_at_any_outer_size() {
-        let t = table();
-        for n_outer in [1, 5, 1_000] {
-            assert!(matches!(JoinProbe::build(&t, 0, true, n_outer), JoinProbe::Pk(_)));
-        }
-        assert!(matches!(JoinProbe::build(&t, 1, true, 1), JoinProbe::Index { .. }));
-        assert!(matches!(JoinProbe::build(&t, 1, true, 1_000), JoinProbe::HashIdx(_)));
+    fn join_probe_is_fixed_by_the_inner_column_index() {
+        let mut db = Database::new();
+        db.create_table(table().schema().clone()).unwrap();
+        let Stmt::Select(s) = parse(
+            "SELECT * FROM items a JOIN items b ON a.category = b.id \
+             JOIN items c ON a.id = c.category JOIN items d ON d.price = a.id",
+        )
+        .unwrap() else {
+            panic!("not a SELECT")
+        };
+        let probes: Vec<JoinProbe> =
+            compile_select(&db, &s).unwrap().joins.iter().map(|j| j.probe).collect();
+        assert_eq!(probes, [JoinProbe::Pk, JoinProbe::Index, JoinProbe::Hash]);
     }
 
     #[test]

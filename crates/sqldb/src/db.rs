@@ -1,6 +1,5 @@
-//! The database facade: catalog, statement cache, execution entry point.
+//! The database facade: catalog, plan cache, execution entry point.
 
-use crate::ast::Stmt;
 use crate::cache::{CacheKey, CachePolicy, CacheStats, Lookup, TableWrites, TxnCache};
 use crate::compile::{compile, exec_compiled, CompiledStmt};
 use crate::cost::{DbCostModel, QueryCounters};
@@ -20,8 +19,6 @@ use std::sync::Arc;
 pub struct DbStats {
     /// Statements executed.
     pub statements: u64,
-    /// Statement-cache hits.
-    pub cache_hits: u64,
     /// Statements that returned an error.
     pub errors: u64,
     /// Executions served by a cached compiled plan.
@@ -51,18 +48,18 @@ impl DbStats {
     }
 }
 
-/// An in-memory relational database: tables, a parsed-statement cache, and
-/// a cost model.
+/// An in-memory relational database: tables, a cache of compiled plans
+/// keyed by SQL text, and a cost model.
 ///
 /// Modeled on MySQL 3.23 with MyISAM tables, as used in the paper:
-/// table-level locking (enforced by the middleware layer via the lock
-/// metadata each [`QueryResult`] carries), `LOCK TABLES` / `UNLOCK TABLES`
-/// statements, and auto-increment keys. On top of that base the engine
-/// supports undo-logged transactions (`BEGIN` / `COMMIT` / `ROLLBACK`, or
-/// the host-side [`begin_txn`](Self::begin_txn) family): bare statements
-/// auto-commit exactly as before, while statements inside a transaction
-/// record per-row undo entries so rollback restores the pre-transaction
-/// state byte-for-byte.
+/// table-level locking (enforced by the middleware layer via the lock sets
+/// each [`QueryResult`] carries, as catalog ids in creation order),
+/// `LOCK TABLES` / `UNLOCK TABLES` statements, and auto-increment keys. On
+/// top of that base the engine supports undo-logged transactions (`BEGIN`
+/// / `COMMIT` / `ROLLBACK`, or the host-side [`begin_txn`](Self::begin_txn)
+/// family): bare statements auto-commit exactly as before, while statements
+/// inside a transaction record per-row undo entries so rollback restores
+/// the pre-transaction state byte-for-byte.
 ///
 /// ```
 /// use dynamid_sqldb::{Database, TableSchema, ColumnType, Value};
@@ -89,7 +86,6 @@ pub struct Database {
     tables: Vec<Arc<Table>>,
     by_name: HashMap<String, usize>,
     cost: DbCostModel,
-    stmt_cache: HashMap<String, Arc<Stmt>>,
     plan_cache: HashMap<String, Arc<CompiledStmt>>,
     schema_version: u64,
     stats: DbStats,
@@ -136,7 +132,6 @@ impl Database {
             tables: Vec::new(),
             by_name: HashMap::new(),
             cost,
-            stmt_cache: HashMap::new(),
             plan_cache: HashMap::new(),
             schema_version: 0,
             stats: DbStats::default(),
@@ -176,15 +171,14 @@ impl Database {
         Ok(())
     }
 
-    /// Drops the parsed-statement cache, the compiled-plan cache, and every
-    /// cached query result and façade return value.
+    /// Drops the compiled-plan cache and every cached query result and
+    /// façade return value.
     ///
     /// Every subsequent statement pays the full parse + compile cost once
     /// again; useful for cold-cache benchmarking and cache-equivalence
     /// tests. Table data, cumulative statistics and cache counters are
     /// untouched.
     pub fn clear_caches(&mut self) {
-        self.stmt_cache.clear();
         self.plan_cache.clear();
         if let Some(caches) = self.caches.as_mut() {
             caches.query.clear();
@@ -297,8 +291,9 @@ impl Database {
         &self.tables[id]
     }
 
-    /// Catalog id of a table by name, if it exists. Ids stay valid for one
-    /// schema version; cached façade values use them as dependency keys.
+    /// Catalog id of a table by name, if it exists: its position in
+    /// creation order. Lock sets and cached façade values' dependency keys
+    /// are catalog ids.
     pub fn table_index(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).copied()
     }
@@ -531,24 +526,18 @@ impl Database {
         self.journal_dirty = false;
     }
 
-    /// Disarms the rewind journal without restoring anything.
-    pub fn end_rewind(&mut self) {
-        self.journal = None;
-        self.journal_dirty = false;
-    }
-
     /// Restores the table state captured by the last
     /// [`begin_rewind`](Self::begin_rewind) by applying the journal in
     /// reverse, then re-arms the journal. Returns `false` (leaving the
     /// database untouched) when an un-journalable mutation poisoned the
     /// journal — the caller must discard this instance and re-fork.
     ///
-    /// The statement and plan caches and all statistics are deliberately
-    /// left alone: statement cost is a pure function of per-query counters,
-    /// never of plan-cache warmth, so a rewound database drives
-    /// byte-identical experiments while keeping its warm plan cache. Cached
-    /// query results and façade values are dropped, since the data they
-    /// were computed from reverts.
+    /// The plan cache and all statistics are deliberately left alone:
+    /// statement cost is a pure function of per-query counters, never of
+    /// plan-cache warmth, so a rewound database drives byte-identical
+    /// experiments while keeping its warm plan cache. Cached query results
+    /// and façade values are dropped, since the data they were computed
+    /// from reverts.
     ///
     /// # Panics
     ///
@@ -569,12 +558,6 @@ impl Database {
             caches.method.clear();
         }
         true
-    }
-
-    /// Number of row mutations currently recorded in the rewind journal
-    /// (diagnostics).
-    pub fn rewind_journal_len(&self) -> usize {
-        self.journal.as_ref().map_or(0, TxnLog::len)
     }
 
     fn apply_undo_log(&mut self, log: TxnLog) {
@@ -710,10 +693,10 @@ impl Database {
     /// Statements are compiled once per SQL text and schema version: the
     /// first execution parses, resolves names, and selects an access-path
     /// shape; repeat executions bind parameters into the cached
-    /// [`CompiledStmt`] and run directly. DDL bumps the schema version,
-    /// which lazily invalidates stale plans. The parsed-statement (AST)
-    /// cache survives plan invalidation, so recompilation after DDL skips
-    /// the parser.
+    /// [`CompiledStmt`] and run directly. The plan cache is the only
+    /// statement cache. DDL bumps the schema version, which lazily
+    /// invalidates stale plans: the next execution of each parses and
+    /// compiles again.
     ///
     /// # Errors
     ///
@@ -731,7 +714,6 @@ impl Database {
 
         match self.plan_cache.get(sql) {
             Some(plan) if plan.version == self.schema_version => {
-                self.stats.cache_hits += 1;
                 self.stats.plan_cache_hits += 1;
                 let plan = Arc::clone(plan);
                 return self.run_plan(&plan, params);
@@ -744,24 +726,7 @@ impl Database {
         }
         self.stats.plan_cache_misses += 1;
 
-        let stmt = match self.stmt_cache.get(sql) {
-            Some(s) => {
-                self.stats.cache_hits += 1;
-                Arc::clone(s)
-            }
-            None => {
-                let parsed = match parse(sql) {
-                    Ok(p) => Arc::new(p),
-                    Err(e) => {
-                        self.stats.errors += 1;
-                        return Err(e);
-                    }
-                };
-                self.stmt_cache.insert(sql.to_string(), Arc::clone(&parsed));
-                parsed
-            }
-        };
-        let mut plan = match compile(self, &stmt) {
+        let mut plan = match parse(sql).and_then(|stmt| compile(self, &stmt)) {
             Ok(p) => p,
             Err(e) => {
                 self.stats.errors += 1;
@@ -780,16 +745,16 @@ impl Database {
 
     /// Executes a cached plan, consulting the query cache for SELECTs.
     ///
-    /// The cache sits *after* all statement/plan-cache bookkeeping and
+    /// The cache sits *after* all plan-cache bookkeeping and
     /// stores the complete [`QueryResult`] (rows and modeled
     /// [`QueryCounters`] alike), so with transactional invalidation every
     /// counter visible to the cost model and every [`DbStats`] field stays
     /// byte-identical to running with the cache off.
     fn run_plan(&mut self, plan: &Arc<CompiledStmt>, params: &[Value]) -> SqlResult<QueryResult> {
-        let mut store: Option<(CacheKey, Vec<usize>)> = None;
+        let mut store: Option<CacheKey> = None;
         if let Some(caches) = self.caches.as_mut() {
-            if let Some(ids) = plan.read_table_ids() {
-                if self.txn.as_ref().is_some_and(|t| t.touches(&ids)) {
+            if let Some(ids) = plan.read_tables() {
+                if self.txn.as_ref().is_some_and(|t| t.touches(ids)) {
                     // The open transaction wrote one of the read tables: a
                     // cached (committed-state) result would hide its own
                     // uncommitted writes. Skip both lookup and store.
@@ -799,7 +764,7 @@ impl Database {
                     // The read tables were checked above: never a bypass.
                     match caches.query.lookup(&(plan.id, key.clone()), caches.clock, |_| false) {
                         Lookup::Hit(hit) => return Ok(hit),
-                        Lookup::Miss | Lookup::Bypass => store = Some((key, ids)),
+                        Lookup::Miss | Lookup::Bypass => store = Some(key),
                     }
                 }
             }
@@ -811,9 +776,10 @@ impl Database {
                 return Err(e);
             }
         };
-        if let Some((key, ids)) = store {
+        if let Some(key) = store {
             let pk = plan.pk_point(self, params);
             if let Some(caches) = self.caches.as_mut() {
+                let ids = result.read_tables.clone();
                 caches.query.store((plan.id, key), result.clone(), ids, pk, caches.clock);
             }
         } else if result.kind == StatementKind::Write && self.txn.is_none() && self.caches.is_some()
@@ -823,8 +789,7 @@ impl Database {
             let writes: Vec<TableWrites> = result
                 .write_tables
                 .iter()
-                .filter_map(|n| self.by_name.get(n).copied())
-                .map(|table| TableWrites { table, rows: None })
+                .map(|&table| TableWrites { table, rows: None })
                 .collect();
             self.invalidate(&writes);
         }
@@ -956,7 +921,7 @@ mod tests {
         names.sort_unstable();
         assert_eq!(names, vec!["ann", "bob"]);
         assert_eq!(r.kind, StatementKind::Read);
-        assert_eq!(r.read_tables, vec!["users"]);
+        assert_eq!(r.read_tables, vec![db.table_id("users").unwrap()]);
         // Used the secondary index: 2 rows examined, not 4.
         assert_eq!(r.counters.rows_examined, 2);
         assert_eq!(r.counters.index_lookups, 1);
@@ -978,7 +943,7 @@ mod tests {
         let mut db = db_with_users();
         let r = db.execute("UPDATE users SET rating = rating + 1 WHERE region = 1", &[]).unwrap();
         assert_eq!(r.affected, 2);
-        assert_eq!(r.write_tables, vec!["users"]);
+        assert_eq!(r.write_tables, vec![db.table_id("users").unwrap()]);
         let r = db.execute("SELECT rating FROM users WHERE nickname = 'ann'", &[]).unwrap();
         assert_eq!(r.rows[0][0], Value::Int(6));
         // Ratings now: ann=6, bob=4, cat=9, dee=1.
@@ -1001,7 +966,7 @@ mod tests {
     }
 
     #[test]
-    fn statement_cache_hits() {
+    fn plan_cache_hits() {
         let mut db = db_with_users();
         let before = db.stats();
         for i in 0..5 {
@@ -1009,7 +974,7 @@ mod tests {
         }
         let after = db.stats();
         assert_eq!(after.statements - before.statements, 5);
-        assert_eq!(after.cache_hits - before.cache_hits, 4);
+        assert_eq!(after.plan_cache_hits - before.plan_cache_hits, 4);
     }
 
     #[test]
@@ -1018,7 +983,8 @@ mod tests {
         let r = db.execute("LOCK TABLES users WRITE", &[]).unwrap();
         match r.kind {
             StatementKind::LockTables(l) => {
-                assert_eq!(l, vec![("users".to_string(), crate::ast::TableLockKind::Write)]);
+                let users = db.table_id("users").unwrap();
+                assert_eq!(l, vec![(users, crate::ast::TableLockKind::Write)]);
             }
             other => panic!("wrong kind: {other:?}"),
         }
@@ -1026,6 +992,19 @@ mod tests {
         assert_eq!(r.kind, StatementKind::UnlockTables);
         // Locking a missing table errors.
         assert!(db.execute("LOCK TABLES nope WRITE", &[]).is_err());
+    }
+
+    /// A table named twice in `LOCK TABLES` is refused, as MySQL refuses
+    /// it ("Not unique table/alias"): both entries would take its lock.
+    #[test]
+    fn lock_tables_naming_a_table_twice_is_an_error() {
+        let mut db = db_with_users();
+        let before = db.stats().errors;
+        for sql in ["LOCK TABLES users READ, users WRITE", "LOCK TABLES users WRITE, users WRITE"] {
+            let err = db.execute(sql, &[]).unwrap_err();
+            assert!(matches!(err, SqlError::Constraint(_)), "{sql}: {err}");
+        }
+        assert_eq!(db.stats().errors, before + 2);
     }
 
     #[test]

@@ -14,7 +14,8 @@ pub enum StatementKind {
     /// An INSERT/UPDATE/DELETE.
     Write,
     /// `LOCK TABLES` — no data effect; the listed locks must be taken.
-    LockTables(Vec<(String, TableLockKind)>),
+    /// Tables are catalog ids, each listed once.
+    LockTables(Vec<(usize, TableLockKind)>),
     /// `UNLOCK TABLES` — no data effect; session locks must be dropped.
     UnlockTables,
     /// `BEGIN` / `START TRANSACTION` — no data effect; opens a transaction.
@@ -38,10 +39,11 @@ pub struct QueryResult {
     pub last_insert_id: Option<i64>,
     /// Execution counters (drives the cost model).
     pub counters: QueryCounters,
-    /// Tables read (shared locks under MyISAM statement locking).
-    pub read_tables: Vec<String>,
-    /// Tables written (exclusive locks).
-    pub write_tables: Vec<String>,
+    /// Catalog ids of the tables read (shared locks under MyISAM statement
+    /// locking), each once.
+    pub read_tables: Vec<usize>,
+    /// Catalog ids of the tables written (exclusive locks).
+    pub write_tables: Vec<usize>,
     /// Statement classification.
     pub kind: StatementKind,
 }
@@ -71,12 +73,10 @@ impl QueryResult {
         self.rows.get(row)?.get(c)
     }
 
-    /// The single value of a one-row, one-column result (aggregates).
+    /// The first row's first cell: the single value of a one-row,
+    /// one-column result (aggregates).
     pub fn scalar(&self) -> Option<&Value> {
-        match (self.rows.len(), self.columns.len()) {
-            (1, 1) => Some(&self.rows[0][0]),
-            _ => self.rows.first()?.first(),
-        }
+        self.rows.first()?.first()
     }
 
     /// `true` if the result has no rows.

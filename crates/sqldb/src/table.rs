@@ -659,45 +659,6 @@ impl Table {
         self.sec[slot].range((lo, hi)).flat_map(|(_, rids)| rids.iter().copied()).collect()
     }
 
-    /// Iterates the distinct keys of the index on `col` with their row ids,
-    /// in key order. Primary-key entries yield one-element slices; secondary
-    /// entries yield ids in insertion order, exactly as
-    /// [`index_lookup`](Self::index_lookup) would return them. The hash-join
-    /// build side uses this to snapshot an index in one pass instead of one
-    /// B-tree probe per outer row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the column is not indexed.
-    pub fn index_groups(&self, col: usize) -> Box<dyn Iterator<Item = (&Value, &[RowId])> + '_> {
-        if self.schema.primary_key() == Some(col) {
-            match &self.pk_index {
-                // Ascending offset is ascending key order; the key `Value`
-                // is borrowed from the row's own pk cell.
-                PkIndex::Dense { slots, .. } => {
-                    Box::new(slots.iter().filter(|rid| **rid != PK_NONE).map(move |rid| {
-                        (&self.cells[*rid * self.width + col], std::slice::from_ref(rid))
-                    }))
-                }
-                PkIndex::Sparse(m) => {
-                    Box::new(m.iter().map(|(k, rid)| (k, std::slice::from_ref(rid))))
-                }
-            }
-        } else {
-            let slot = self.secondary_slot(col);
-            Box::new(self.sec[slot].iter().map(|(k, rids)| (k, rids.as_slice())))
-        }
-    }
-
-    /// Number of distinct keys in the index on `col` (diagnostics).
-    pub fn index_cardinality(&self, col: usize) -> usize {
-        if self.schema.primary_key() == Some(col) {
-            self.pk_index.len()
-        } else {
-            self.sec[self.secondary_slot(col)].len()
-        }
-    }
-
     /// Current auto-increment counter (undo-log bookkeeping).
     pub(crate) fn next_auto(&self) -> i64 {
         self.next_auto
@@ -1083,31 +1044,6 @@ mod tests {
         t.delete(r1).unwrap();
         let names: Vec<&str> = t.scan().map(|(_, row)| row[1].as_str().unwrap()).collect();
         assert_eq!(names, vec!["b"]);
-    }
-
-    #[test]
-    fn index_groups_matches_index_lookup() {
-        let mut t = users();
-        t.insert(row("x", 1)).unwrap();
-        t.insert(row("x", 2)).unwrap();
-        t.insert(row("y", 2)).unwrap();
-        for col in [0, 1, 2] {
-            for (key, rids) in t.index_groups(col) {
-                assert_eq!(rids, t.index_lookup(col, key).as_slice());
-            }
-            assert_eq!(t.index_groups(col).count(), t.index_cardinality(col));
-        }
-    }
-
-    #[test]
-    fn cardinality_reporting() {
-        let mut t = users();
-        t.insert(row("x", 1)).unwrap();
-        t.insert(row("x", 2)).unwrap();
-        t.insert(row("y", 2)).unwrap();
-        assert_eq!(t.index_cardinality(0), 3);
-        assert_eq!(t.index_cardinality(1), 2);
-        assert_eq!(t.index_cardinality(2), 2);
     }
 
     #[test]

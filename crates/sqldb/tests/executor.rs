@@ -223,10 +223,9 @@ fn compiled_matches_reference_on_battery() {
 }
 
 /// A join whose outer keys are Floats equal to the inner primary key's
-/// Ints finds those rows whatever the outer cardinality (5 outer rows
-/// probe per row; 50 are enough for a hash table to pay off on a
-/// secondary index), and the reference agrees. `-0.0` and fractional keys
-/// match nothing, as `Value` equality says.
+/// Ints finds those rows whatever the outer cardinality (5 or 50 outer
+/// rows, each probing the key in place), and the reference agrees. `-0.0`
+/// and fractional keys match nothing, as `Value` equality says.
 #[test]
 fn float_keys_join_a_dense_primary_key_at_any_outer_size() {
     let build = || {
@@ -265,6 +264,71 @@ fn float_keys_join_a_dense_primary_key_at_any_outer_size() {
         assert_eq!(got.rows.len(), matched, "{outer} outer rows");
         assert_eq!(got.counters.index_lookups, 1 + outer as u64);
     }
+}
+
+/// `o` joins `t` on `o.k = t.k`; both key columns hold duplicates and
+/// NULLs, and `t.k` has a secondary index when `indexed`. A NULL key finds
+/// the NULL-keyed rows, as `Value` equality says.
+fn keyed_pair(indexed: bool) -> Database {
+    let mut db = Database::new();
+    let o = TableSchema::builder("o")
+        .column("id", ColumnType::Int)
+        .nullable_column("k", ColumnType::Int)
+        .primary_key("id");
+    let mut t = TableSchema::builder("t")
+        .column("id", ColumnType::Int)
+        .nullable_column("k", ColumnType::Int)
+        .column("v", ColumnType::Str)
+        .primary_key("id");
+    if indexed {
+        t = t.index("k");
+    }
+    db.create_table(o.build().unwrap()).unwrap();
+    db.create_table(t.build().unwrap()).unwrap();
+    for id in 1..=40 {
+        let k = if id % 5 == 0 { Value::Null } else { Value::Int(id % 7) };
+        db.execute("INSERT INTO o (id, k) VALUES (?, ?)", &[Value::Int(id), k]).unwrap();
+    }
+    for id in 1..=30 {
+        let k = if id % 6 == 0 { Value::Null } else { Value::Int(id % 5) };
+        let v = Value::str(format!("t{id}"));
+        db.execute("INSERT INTO t (id, k, v) VALUES (?, ?, ?)", &[Value::Int(id), k, v]).unwrap();
+    }
+    db
+}
+
+/// Runs the `keyed_pair` join over the outer rows with ids in `lo..=hi`
+/// on the compiled executor and on the reference: the same rows in the
+/// same (probe) order, columns, lock sets, counters and data. Each window
+/// also pins its outer row count through the counters: one index read for
+/// the outer range, plus one probe per outer row when `t.k` is indexed.
+fn keyed_join_parity(indexed: bool, windows: &[(i64, i64, u64)]) {
+    let (mut compiled, mut reference) = (keyed_pair(indexed), keyed_pair(indexed));
+    let sql = "SELECT o.id, o.k, t.id, t.v FROM o JOIN t ON o.k = t.k WHERE o.id BETWEEN ? AND ?";
+    for &(lo, hi, outer) in windows {
+        let params = [Value::Int(lo), Value::Int(hi)];
+        let got = compiled.execute(sql, &params).unwrap();
+        let want = reference::run(&mut reference, sql, &params).unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "outer ids {lo}..={hi}");
+        let probes = if indexed { outer } else { 0 };
+        assert_eq!(got.counters.index_lookups, 1 + probes, "outer ids {lo}..={hi}");
+        assert!(compiled.same_data(&reference), "data diverged, outer ids {lo}..={hi}");
+    }
+}
+
+/// An unindexed inner column is probed through a hash table built from
+/// one scan, at no outer row, at one (with a NULL key and without), and
+/// at many.
+#[test]
+fn unindexed_inner_join_matches_reference_at_any_outer_size() {
+    keyed_join_parity(false, &[(1, 0, 0), (5, 5, 1), (3, 3, 1), (1, 4, 4), (1, 40, 40)]);
+}
+
+/// A secondary-indexed inner column is probed once per outer row, also
+/// when the outer side is wide against few distinct inner keys.
+#[test]
+fn secondary_index_join_matches_reference_with_wide_outer_side() {
+    keyed_join_parity(true, &[(1, 40, 40), (3, 36, 34)]);
 }
 
 /// Warm plan-cache executions are identical to cold ones.
@@ -377,8 +441,9 @@ fn join_with_index_lookup() {
         ]
     );
     assert_eq!(r.columns, vec!["name", "nickname"]);
-    // Both tables appear in the lock set.
-    assert_eq!(r.read_tables, vec!["items", "users"]);
+    // Both tables appear in the lock set, by catalog id.
+    let ids = ["items", "users"].map(|t| db.table_index(t).unwrap());
+    assert_eq!(r.read_tables, ids);
 }
 
 #[test]

@@ -57,6 +57,14 @@
 //!
 //! Statements without data (`LOCK TABLES`, `UNLOCK TABLES`) charge nothing.
 //!
+//! ## Lock sets
+//!
+//! A statement's lock sets are catalog ids (`Database::table_index`): a
+//! SELECT reads its FROM table, then each joined table not yet listed; a
+//! write writes its target. `LOCK TABLES` lists its tables in order, and a
+//! table named twice is an error, as MySQL's "Not unique table/alias": both
+//! entries would take the same lock.
+//!
 //! ## Results
 //!
 //! - WHERE keeps a row when it evaluates to a true value; NULL is not true.
@@ -97,14 +105,23 @@ pub fn run(db: &mut Database, sql: &str, params: &[Value]) -> SqlResult<QueryRes
         Stmt::Update(u) => modify(db, &u.table, Some(&u.sets), u.where_clause.as_ref(), params),
         Stmt::Delete(d) => modify(db, &d.table, None, d.where_clause.as_ref(), params),
         Stmt::LockTables(locks) => {
-            for (t, _) in &locks {
-                db.table(t)?;
+            let mut ids: Vec<(usize, _)> = Vec::new();
+            for (t, kind) in locks {
+                let id = table_id(db, &t)?;
+                if ids.iter().any(|(seen, _)| *seen == id) {
+                    return Err(SqlError::Constraint(format!("Not unique table/alias: '{t}'")));
+                }
+                ids.push((id, kind));
             }
-            Ok(outcome(StatementKind::LockTables(locks), QueryCounters::default()))
+            Ok(outcome(StatementKind::LockTables(ids), QueryCounters::default()))
         }
         Stmt::UnlockTables => Ok(outcome(StatementKind::UnlockTables, QueryCounters::default())),
         other => Err(SqlError::Unsupported(format!("{other:?} outside autocommit"))),
     }
+}
+
+fn table_id(db: &Database, name: &str) -> SqlResult<usize> {
+    db.table_index(name).ok_or_else(|| SqlError::UnknownTable(name.to_string()))
 }
 
 fn outcome(kind: StatementKind, counters: QueryCounters) -> QueryResult {
@@ -456,7 +473,7 @@ fn select(db: &Database, s: &SelectStmt, params: &[Value]) -> SqlResult<QueryRes
     let ids = candidates(base, s.from.effective_alias(), w, params, &mut c)?;
     let mut rows: Vec<Vec<Value>> =
         ids.into_iter().map(|rid| base.get(rid).expect("live row").to_vec()).collect();
-    let mut read_tables = vec![s.from.name.clone()];
+    let mut read_tables = vec![table_id(db, &s.from.name)?];
     for j in &s.joins {
         let t = db.table(&j.table.name)?;
         let (outer, inner) = join_columns(&scope, j, t)?;
@@ -476,8 +493,9 @@ fn select(db: &Database, s: &SelectStmt, params: &[Value]) -> SqlResult<QueryRes
         }
         rows = joined;
         scope.push(j.table.effective_alias(), t);
-        if !read_tables.contains(&j.table.name) {
-            read_tables.push(j.table.name.clone());
+        let id = table_id(db, &j.table.name)?;
+        if !read_tables.contains(&id) {
+            read_tables.push(id);
         }
     }
     if let Some(w) = w {
@@ -679,6 +697,7 @@ fn fold(e: &Expr, scope: &Scope, group: &[Vec<Value>], params: &[Value]) -> SqlR
 
 fn insert(db: &mut Database, i: &InsertStmt, params: &[Value]) -> SqlResult<QueryResult> {
     let values = i.values.iter().map(|e| eval(e, None, params)).collect::<SqlResult<Vec<_>>>()?;
+    let id = table_id(db, &i.table)?;
     let t = db.table_mut(&i.table)?;
     let width = t.schema().columns().len();
     let row = match &i.columns {
@@ -705,7 +724,7 @@ fn insert(db: &mut Database, i: &InsertStmt, params: &[Value]) -> SqlResult<Quer
     Ok(QueryResult {
         affected: 1,
         last_insert_id,
-        write_tables: vec![i.table.clone()],
+        write_tables: vec![id],
         ..outcome(StatementKind::Write, c)
     })
 }
@@ -721,6 +740,7 @@ fn modify(
     params: &[Value],
 ) -> SqlResult<QueryResult> {
     let mut c = QueryCounters::default();
+    let id = table_id(db, table)?;
     let t = db.table(table)?;
     let scope = Scope(vec![(table, t, 0)]);
     let mut chosen = Vec::new();
@@ -754,9 +774,5 @@ fn modify(
         }
         c.rows_written += 1;
     }
-    Ok(QueryResult {
-        affected,
-        write_tables: vec![table.to_string()],
-        ..outcome(StatementKind::Write, c)
-    })
+    Ok(QueryResult { affected, write_tables: vec![id], ..outcome(StatementKind::Write, c) })
 }

@@ -362,7 +362,8 @@ mod tests {
     use super::*;
     use crate::mix::TransitionMatrix;
     use dynamid_core::{
-        AppLockSpec, AppResult, Application, InteractionSpec, LogicStyle, RequestCtx, SessionData,
+        AppError, AppLockSpec, AppResult, Application, InteractionSpec, LogicStyle, RequestCtx,
+        SessionData,
     };
     use dynamid_sim::SimRng;
     use dynamid_sqldb::{ColumnType, TableSchema, Value};
@@ -483,6 +484,52 @@ mod tests {
             arrivals: crate::arrivals::ArrivalProcess::Closed,
             timeline_bucket: None,
         }
+    }
+
+    /// One interaction that names its table twice in `LOCK TABLES`.
+    struct DoubleLockApp;
+
+    impl Application for DoubleLockApp {
+        fn name(&self) -> &str {
+            "double-lock"
+        }
+        fn interactions(&self) -> &[InteractionSpec] {
+            &[InteractionSpec { name: "Lock", read_only: false, secure: false }]
+        }
+        fn app_locks(&self) -> Vec<AppLockSpec> {
+            Vec::new()
+        }
+        fn handle(
+            &self,
+            _id: usize,
+            ctx: &mut RequestCtx<'_>,
+            _session: &mut SessionData,
+            _rng: &mut SimRng,
+        ) -> AppResult<()> {
+            match ctx.query("LOCK TABLES counters READ, counters WRITE", &[]) {
+                Err(AppError::Sql(_)) => {
+                    ctx.emit("<html>refused</html>");
+                    Ok(())
+                }
+                other => panic!("LOCK TABLES naming a table twice was accepted: {other:?}"),
+            }
+        }
+    }
+
+    /// A table named twice in `LOCK TABLES` fails the statement, as in
+    /// MySQL, instead of the run: taking its lock twice would be a
+    /// re-acquisition the engine refuses.
+    #[test]
+    fn lock_tables_naming_a_table_twice_fails_the_statement_not_the_run() {
+        let m = TransitionMatrix::from_rows(vec![vec![1.0]]).unwrap();
+        let mix = Mix::new("double-lock", m, vec![1.0]).unwrap();
+        let mut db = mini_db();
+        let r = ExperimentSpec::for_config(StandardConfig::PhpColocated)
+            .mix(&mix)
+            .workload(quick(2))
+            .run(&mut db, &DoubleLockApp);
+        assert!(r.metrics.completed > 0, "no interaction completed: {r:?}");
+        assert_eq!(r.metrics.error_rate(), 0.0);
     }
 
     #[test]

@@ -23,6 +23,19 @@ cargo test -q --workspace
 echo "== benchmark package tests (perfbench sits outside the workspace)"
 cargo test --release -q --manifest-path perfbench/Cargo.toml
 
+echo "== benchmark references: each workload reproduces perfbench/reference at seed 42"
+# One sweep per workload, checked point by point against
+# perfbench/reference/<workload>.csv (scale-0.3 writes, 2,000 auction
+# clients, the audited flash crowd); a point that drifts counts as failed.
+for workload in bookstore-shopping bookstore-ordering auction-bidding bookstore-flashcrowd; do
+  line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 42 --seconds 0 --trace 0 | tail -1)"
+  case "$line" in
+    *'"correct": true'*'"failed": 0,'*) echo "   $workload: reference reproduced" ;;
+    *) echo "FAIL: $workload at --seed 42: $line" >&2; exit 1 ;;
+  esac
+done
+
 echo "== perf + chaos smoke (writes BENCH_repro.json)"
 cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos
 
