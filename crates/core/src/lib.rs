@@ -52,6 +52,6 @@ pub use ejb::{BeanHandle, EntityManager};
 pub use middleware::{InstallOptions, Middleware, PreparedRequest};
 pub use overload::{BreakerPolicy, BreakerState, BreakerStats, CircuitBreaker, OverloadControl};
 pub use replication::{
-    ElectionOutcome, ReplicaPolicy, ReplicaState, ReplicationState, ReplicationStats,
+    ElectionOutcome, Failover, ReplicaPolicy, ReplicationState, ReplicationStats, Ship,
 };
 pub use session::SessionData;

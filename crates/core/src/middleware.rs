@@ -7,7 +7,7 @@ use crate::ctx::{RequestCtx, RequestStats};
 use crate::deploy::{
     AdmissionControl, Architecture, Deployment, FrontEnd, RoutingPolicy, StandardConfig,
 };
-use crate::overload::{CircuitBreaker, OverloadControl};
+use crate::overload::OverloadControl;
 use crate::replication::{ReplicaPolicy, ReplicationState};
 use dynamid_http::message::{REQUEST_OVERHEAD_BYTES, RESPONSE_OVERHEAD_BYTES};
 use dynamid_http::{Response, Status};
@@ -180,15 +180,11 @@ pub struct Middleware {
     deployment: Deployment,
     costs: CostModel,
     tracing: bool,
-    /// The replicated DB tier's control plane (router, fencing, election),
+    /// The replicated DB tier (router, stream, fencing, election),
     /// present only when installed with `replication.replicas > 0`.
     /// `RefCell` because `run_interaction` takes `&self` (one middleware is
     /// driven single-threaded per experiment worker).
     replication: Option<RefCell<ReplicationState>>,
-    /// Circuit breaker on the DB connection pool, present only when
-    /// installed with an overload-control breaker policy. Same `RefCell`
-    /// rationale as the replication state.
-    breaker: Option<RefCell<CircuitBreaker>>,
     /// Front-end tier state (balancer scheduler, proxy static cache),
     /// present only for topologies with a front end (C7–C9). Same
     /// `RefCell` rationale as the replication state.
@@ -211,9 +207,10 @@ pub struct InstallOptions {
     /// `replicas == 0`: no replica machines are created, no router state is
     /// constructed, and runs are bit-identical to the single-DB path.
     pub replication: ReplicaPolicy,
-    /// Overload control (see [`crate::overload`]): deadline-aware queue
-    /// shedding on the process/connection pools and a client-side circuit
-    /// breaker. All off by default, leaving runs bit-identical.
+    /// Overload control (see [`crate::overload`]): install applies the
+    /// deadline-aware shed targets to the process/connection pools; the
+    /// circuit breaker is client-side, so its policy is for the client
+    /// emulator to apply. All off by default, leaving runs bit-identical.
     pub overload: OverloadControl,
 }
 
@@ -269,11 +266,10 @@ impl Middleware {
                 deployment.replicas(),
             ))
         });
-        let breaker = opts.overload.breaker.map(|p| RefCell::new(CircuitBreaker::new(p)));
         let frontend =
             FrontEndState::new(deployment.topology().front(), deployment.web_machines().len())
                 .map(RefCell::new);
-        Middleware { deployment, costs, tracing: opts.tracing, replication, breaker, frontend }
+        Middleware { deployment, costs, tracing: opts.tracing, replication, frontend }
     }
 
     /// Whether span tracing was enabled at install time.
@@ -291,19 +287,12 @@ impl Middleware {
         &self.costs
     }
 
-    /// The replicated DB tier's control plane, or `None` when installed
-    /// without replicas. The workload driver borrows it mutably to feed
-    /// heartbeat health, shipped-frame acknowledgements, and election
-    /// rounds; `run_interaction` borrows it to route each request.
+    /// The replicated DB tier, or `None` when installed without replicas.
+    /// The workload driver borrows it mutably to forward commits, heartbeat
+    /// ticks and the end of ship jobs; `run_interaction` borrows it to
+    /// route each request.
     pub fn replication(&self) -> Option<&RefCell<ReplicationState>> {
         self.replication.as_ref()
-    }
-
-    /// The DB-pool circuit breaker, or `None` when installed without one.
-    /// The workload driver borrows it mutably to gate each attempt on the
-    /// simulated clock and to feed attempt outcomes back.
-    pub fn breaker(&self) -> Option<&RefCell<CircuitBreaker>> {
-        self.breaker.as_ref()
     }
 
     /// Cumulative front-end counters (per-web routing, proxy static-cache

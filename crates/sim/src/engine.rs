@@ -439,6 +439,11 @@ impl Simulation {
         self.locks.semaphore_name(sem)
     }
 
+    /// Number of registered semaphores.
+    pub fn semaphore_count(&self) -> usize {
+        self.locks.semaphore_count()
+    }
+
     /// Installs a [`FaultPlan`]: schedules its crash/restart windows on the
     /// calendar and arms transient-failure draws and degradation factors.
     /// Installing a trivial plan is a no-op, so a zero-fault run is

@@ -255,6 +255,11 @@ impl LockManager {
         self.locks[lock.0 as usize].stats
     }
 
+    /// Number of registered semaphores.
+    pub fn semaphore_count(&self) -> usize {
+        self.sems.len()
+    }
+
     /// The display name of a semaphore.
     pub fn semaphore_name(&self, sem: SemaphoreId) -> &str {
         &self.sems[sem.0 as usize].name
@@ -403,11 +408,6 @@ impl LockManager {
     /// `true` if the lock currently has any holder.
     pub fn is_held(&self, lock: LockId) -> bool {
         !self.locks[lock.0 as usize].is_free()
-    }
-
-    /// Number of jobs waiting on the lock.
-    pub fn queue_len(&self, lock: LockId) -> usize {
-        self.locks[lock.0 as usize].queue.len()
     }
 
     /// Requests one unit of `sem` for `job`. The job queues when no unit is
@@ -599,7 +599,8 @@ mod tests {
         assert!(lm.acquire(t(0), l, LockMode::Exclusive, JobId(1)));
         assert!(!lm.acquire(t(1), l, LockMode::Shared, JobId(2)));
         assert!(!lm.acquire(t(2), l, LockMode::Exclusive, JobId(3)));
-        assert_eq!(lm.queue_len(l), 2);
+        assert_eq!(lm.waiting_on(JobId(2)), Some(l));
+        assert_eq!(lm.waiting_on(JobId(3)), Some(l));
     }
 
     #[test]

@@ -91,11 +91,6 @@ impl Trace {
         self.ops.push(op);
     }
 
-    /// Appends every op of `other`.
-    pub fn extend_from(&mut self, other: Trace) {
-        self.ops.extend(other.ops);
-    }
-
     /// Number of ops.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -248,14 +243,14 @@ mod tests {
     }
 
     #[test]
-    fn extend_and_collect() {
+    fn push_and_collect() {
         let mut t = Trace::with_capacity(2);
         t.push(Op::Delay { micros: 5 });
-        let mut u = Trace::new();
-        u.push(Op::Delay { micros: 6 });
-        t.extend_from(u);
+        t.push(Op::Delay { micros: 6 });
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
         assert_eq!(t.ops(), &[Op::Delay { micros: 5 }, Op::Delay { micros: 6 }]);
+        let u: Trace = t.ops().iter().cloned().collect();
+        assert_eq!(u.ops(), t.ops());
     }
 }

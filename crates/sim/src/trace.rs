@@ -23,7 +23,7 @@
 //! fields of every interval — columnar layout keeps those scans dense and
 //! lets the engine reserve all buffers up front (see
 //! [`TraceRecorder::reserve`]) so the record path never reallocates
-//! mid-run. [`OpInterval`] survives as the assembled row view.
+//! mid-run. [`OpInterval`] is one row, as the recorder appends it.
 
 use crate::engine::{JobId, MachineId};
 use crate::lock::{LockId, SemaphoreId};
@@ -83,10 +83,8 @@ pub struct OpInterval {
 
 /// Finished intervals in struct-of-arrays layout: five parallel column
 /// buffers, row `i` of each describing the same interval. Rows are in end
-/// order (the engine's deterministic event order). Consumers that only need
-/// one or two fields iterate the columns directly; [`get`](Self::get) and
-/// [`iter`](Self::iter) assemble [`OpInterval`] row views when the whole
-/// record is wanted.
+/// order (the engine's deterministic event order). Consumers iterate the
+/// columns they need directly.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IntervalColumns {
     /// Owning job of each interval.
@@ -129,26 +127,6 @@ impl IntervalColumns {
         self.activity.push(iv.activity);
         self.start.push(iv.start);
         self.end.push(iv.end);
-    }
-
-    /// Assembles row `i` as an [`OpInterval`] view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i >= len()`.
-    pub fn get(&self, i: usize) -> OpInterval {
-        OpInterval {
-            job: self.job[i],
-            op_index: self.op_index[i] as usize,
-            activity: self.activity[i],
-            start: self.start[i],
-            end: self.end[i],
-        }
-    }
-
-    /// Iterates the rows as assembled [`OpInterval`] views, in end order.
-    pub fn iter(&self) -> impl Iterator<Item = OpInterval> + '_ {
-        (0..self.len()).map(|i| self.get(i))
     }
 }
 
@@ -205,11 +183,6 @@ impl TraceRecorder {
     pub fn open_count(&self) -> usize {
         self.open.len()
     }
-
-    /// Number of finished intervals not yet drained.
-    pub fn finished_count(&self) -> usize {
-        self.finished.len()
-    }
 }
 
 #[cfg(test)]
@@ -227,10 +200,9 @@ mod tests {
         r.end(a, SimTime::from_micros(30));
         let got = r.drain();
         assert_eq!(got.len(), 2);
-        assert_eq!(got.get(0).job, b);
-        assert_eq!(got.get(0).op_index, 3);
-        assert_eq!(got.get(1).job, a);
-        assert_eq!(got.get(1).end, SimTime::from_micros(30));
+        assert_eq!(got.job, [b, a]);
+        assert_eq!(got.op_index, [3, 0]);
+        assert_eq!(got.end[1], SimTime::from_micros(30));
         assert!(r.drain().is_empty());
     }
 
@@ -239,7 +211,7 @@ mod tests {
         let mut r = TraceRecorder::new();
         let j = JobId(7);
         r.end(j, SimTime::from_micros(5));
-        assert_eq!(r.finished_count(), 0);
+        assert!(r.drain().is_empty());
         r.begin(j, 2, Activity::Delay, SimTime::from_micros(6));
         assert_eq!(r.open_count(), 1);
         r.discard(j);
@@ -249,7 +221,7 @@ mod tests {
     }
 
     #[test]
-    fn columns_stay_parallel_and_views_round_trip() {
+    fn columns_stay_parallel() {
         let mut r = TraceRecorder::new();
         r.reserve(3);
         let j = JobId(9);
@@ -264,9 +236,7 @@ mod tests {
         assert_eq!(cols.start.len(), 3);
         assert_eq!(cols.end.len(), 3);
         assert_eq!(cols.activity.len(), 3);
-        let rows: Vec<OpInterval> = cols.iter().collect();
-        assert_eq!(rows[2].start, SimTime::from_micros(300));
-        assert_eq!(rows[2].end, SimTime::from_micros(350));
-        assert_eq!(cols.get(1), rows[1]);
+        assert_eq!(cols.start[2], SimTime::from_micros(300));
+        assert_eq!(cols.end[2], SimTime::from_micros(350));
     }
 }

@@ -160,7 +160,7 @@ struct CJoin {
 /// the matches in the order the modeled nested index loop finds them
 /// (index order, or slot order without an index), and the counters charge
 /// that loop whichever variant runs: one index probe per outer row when
-/// the column is indexed.
+/// the column is indexed. A NULL outer key matches nothing on any variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum JoinProbe {
     /// The inner column is the primary key: [`Table::pk_lookup`] in place,
@@ -1400,10 +1400,15 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
             let jt = db.table_at(cj.table);
             let (oslot, ocol) = c.col_map[cj.outer_col];
             let (oslot, ocol) = (oslot as usize, ocol as usize);
+            // A NULL key equals nothing in SQL, so NULL inner keys never
+            // enter the hash table and a NULL outer key probes nothing.
             let mut hash: HashMap<&Value, Vec<RowId>> = HashMap::new();
             if cj.probe == JoinProbe::Hash && !tuples.is_empty() {
                 for (rid, row) in jt.scan() {
-                    hash.entry(&row[cj.inner_col]).or_default().push(rid);
+                    let key = &row[cj.inner_col];
+                    if !key.is_null() {
+                        hash.entry(key).or_default().push(rid);
+                    }
                 }
             }
             let mut next: Vec<RowId> = Vec::with_capacity(tuples.len() + tuples.len() / stride);
@@ -1412,6 +1417,7 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
                 let found: Option<RowId>;
                 let scratch: Vec<RowId>;
                 let matches: &[RowId] = match cj.probe {
+                    _ if key.is_null() => &[],
                     JoinProbe::Pk => {
                         found = jt.pk_lookup(key);
                         found.as_slice()

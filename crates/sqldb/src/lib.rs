@@ -58,7 +58,6 @@ pub mod error;
 pub mod exec;
 pub mod lexer;
 pub mod parser;
-pub mod replication;
 pub mod schema;
 pub mod table;
 pub mod txn;
@@ -73,7 +72,6 @@ pub use db::{BulkLoad, Database, DbStats};
 pub use error::{SqlError, SqlResult};
 pub use exec::{QueryResult, StatementKind};
 pub use parser::{count_params, parse};
-pub use replication::{CatchupPlan, ReplicationStream, WriteSetFrame};
 pub use schema::{Column, ColumnType, TableSchema};
 pub use table::{RowId, Table};
 pub use txn::TxnLog;

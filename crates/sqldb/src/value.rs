@@ -143,22 +143,6 @@ impl Value {
         }
     }
 
-    /// The integer inside, or a `TypeMismatch` error.
-    pub fn expect_int(&self) -> SqlResult<i64> {
-        self.as_int().ok_or_else(|| SqlError::TypeMismatch {
-            expected: "integer",
-            found: self.type_name().to_string(),
-        })
-    }
-
-    /// The float (or widened integer) inside, or a `TypeMismatch` error.
-    pub fn expect_float(&self) -> SqlResult<f64> {
-        self.as_float().ok_or_else(|| SqlError::TypeMismatch {
-            expected: "number",
-            found: self.type_name().to_string(),
-        })
-    }
-
     /// The string inside, or a `TypeMismatch` error.
     pub fn expect_str(&self) -> SqlResult<&str> {
         self.as_str().ok_or_else(|| SqlError::TypeMismatch {
@@ -589,9 +573,8 @@ mod tests {
 
     #[test]
     fn expect_helpers_report_types() {
-        let e = Value::str("x").expect_int().unwrap_err();
-        assert!(e.to_string().contains("expected integer"));
-        assert_eq!(Value::Int(3).expect_float().unwrap(), 3.0);
+        let e = Value::Int(3).expect_str().unwrap_err();
+        assert!(e.to_string().contains("expected string"));
         assert_eq!(Value::str("ab").expect_str().unwrap(), "ab");
     }
 

@@ -267,8 +267,8 @@ fn float_keys_join_a_dense_primary_key_at_any_outer_size() {
 }
 
 /// `o` joins `t` on `o.k = t.k`; both key columns hold duplicates and
-/// NULLs, and `t.k` has a secondary index when `indexed`. A NULL key finds
-/// the NULL-keyed rows, as `Value` equality says.
+/// NULLs, and `t.k` has a secondary index when `indexed`. A NULL key joins
+/// nothing, as in SQL.
 fn keyed_pair(indexed: bool) -> Database {
     let mut db = Database::new();
     let o = TableSchema::builder("o")
@@ -329,6 +329,41 @@ fn unindexed_inner_join_matches_reference_at_any_outer_size() {
 #[test]
 fn secondary_index_join_matches_reference_with_wide_outer_side() {
     keyed_join_parity(true, &[(1, 40, 40), (3, 36, 34)]);
+}
+
+/// A NULL join key matches nothing, as SQL's `NULL = NULL` is unknown:
+/// outer row 5 (`k` NULL) joins no row of `t`, though `t` holds NULL keys
+/// too, and its probe is still charged. Over every outer row the join
+/// returns exactly the pairs of equal non-NULL keys, and the reference
+/// agrees.
+fn null_keys_join_nothing(indexed: bool) {
+    let key =
+        |id: i64, null_every: i64, modulus: i64| (id % null_every != 0).then_some(id % modulus);
+    let pairs = (1..=40).flat_map(|o| (1..=30).map(move |t| (o, t)));
+    let equal = pairs.filter(|&(o, t)| key(o, 5, 7).is_some() && key(o, 5, 7) == key(t, 6, 5));
+    let want = equal.count();
+    let sql = "SELECT o.id, t.id FROM o JOIN t ON o.k = t.k WHERE o.id BETWEEN ? AND ?";
+    let (mut compiled, mut reference) = (keyed_pair(indexed), keyed_pair(indexed));
+    for (lo, hi, rows) in [(5, 5, 0), (1, 40, want)] {
+        let params = [Value::Int(lo), Value::Int(hi)];
+        let got = compiled.execute(sql, &params).unwrap();
+        assert_eq!(got.rows.len(), rows, "outer ids {lo}..={hi}");
+        let spec = reference::run(&mut reference, sql, &params).unwrap();
+        assert_eq!(format!("{got:?}"), format!("{spec:?}"), "outer ids {lo}..={hi}");
+    }
+    let one = compiled.execute(sql, &[Value::Int(5), Value::Int(5)]).unwrap();
+    assert_eq!(one.counters.index_lookups, 1 + u64::from(indexed));
+    assert_eq!(one.counters.rows_examined, 1 + 1);
+}
+
+#[test]
+fn null_keys_join_nothing_through_the_hash_probe() {
+    null_keys_join_nothing(false);
+}
+
+#[test]
+fn null_keys_join_nothing_through_the_index_probe() {
+    null_keys_join_nothing(true);
 }
 
 /// Warm plan-cache executions are identical to cold ones.

@@ -42,7 +42,10 @@
 //! A `JOIN t ON a = b` equates a column of an earlier table with one of
 //! `t` (`b` is tried as `t`'s column first). It is a nested index loop: per
 //! outer row, one probe of `t`'s index on that column, or a scan of `t`
-//! when the column has none; matches come in index or slot order.
+//! when the column has none; matches come in index or slot order. As in
+//! SQL, `NULL = NULL` is not true: an outer row whose key is NULL matches
+//! nothing (a NULL inner key can then match no outer row either), but its
+//! probe is still charged like any other.
 //!
 //! ## Counters
 //!
@@ -480,8 +483,13 @@ fn select(db: &Database, s: &SelectStmt, params: &[Value]) -> SqlResult<QueryRes
         let mut joined = Vec::new();
         for row in rows {
             let key = &row[outer];
-            let matches: Vec<RowId> = if t.has_index_on(inner) {
+            let indexed = t.has_index_on(inner);
+            if indexed {
                 c.index_lookups += 1;
+            }
+            let matches: Vec<RowId> = if key.is_null() {
+                Vec::new()
+            } else if indexed {
                 checked(t, inner, t.index_lookup(inner, key), |v| v == key)
             } else {
                 t.scan().filter(|(_, r)| r[inner] == *key).map(|(rid, _)| rid).collect()

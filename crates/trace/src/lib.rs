@@ -15,11 +15,12 @@
 //!   trace while it assembles the trace ([`SpanRecorder`], [`SpanDef`]) —
 //!   no timestamps exist yet at that point;
 //! * the simulation records **op intervals** with sim-timestamps as the
-//!   trace executes (`dynamid_sim::TraceRecorder`), which the experiment
-//!   runner loads into an [`IntervalTable`] — columnar (struct-of-arrays)
-//!   storage with lock/semaphore names interned once per name instead of
-//!   allocated per interval. The renderers and the bottleneck aggregator
-//!   below scan the table's column buffers directly.
+//!   trace executes (`dynamid_sim::TraceRecorder`). The capture keeps the
+//!   engine's columnar [`IntervalColumns`] as they were drained, plus the
+//!   engine's lock and semaphore name tables, so a wait interval's
+//!   [`Activity`] names its lock by id and every name is stored once. The
+//!   renderers and the bottleneck aggregator below scan those column
+//!   buffers directly.
 //!
 //! Joining the two on (job, op index) yields wall-clock span trees
 //! ([`TraceCapture`]) that can be exported as Chrome-trace JSON
@@ -34,7 +35,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-use dynamid_sim::{LatencyHistogram, SimDuration};
+use dynamid_sim::{Activity, IntervalColumns, LatencyHistogram, LockId, SemaphoreId, SimDuration};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -178,16 +179,6 @@ impl SpanRecorder {
         }
     }
 
-    /// Number of spans opened so far.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// `true` when no span has been opened.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
     /// Finishes recording and returns the span tree.
     ///
     /// # Panics
@@ -200,137 +191,10 @@ impl SpanRecorder {
     }
 }
 
-/// Index into an [`IntervalTable`]'s interned name list — lock and
-/// semaphore names are stored once and referenced by id, keeping
-/// [`IntervalKind`] `Copy` and the kind column allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct NameId(pub u32);
-
-/// What a job was doing during one timed interval, with machine ids and
-/// interned lock/semaphore names resolved at capture time so the capture is
-/// self-contained.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IntervalKind {
-    /// CPU service. `demand_micros` is the op's base demand.
-    Cpu {
-        /// Machine id (index into [`TraceCapture::machines`]).
-        machine: u32,
-        /// Base service demand in microseconds.
-        demand_micros: u64,
-    },
-    /// A network transfer (sender NIC through receiver NIC).
-    Net {
-        /// Sending machine id.
-        from: u32,
-        /// Receiving machine id.
-        to: u32,
-        /// Payload bytes.
-        bytes: u64,
-    },
-    /// A pure delay.
-    Delay,
-    /// Parked waiting for a read/write lock.
-    LockWait {
-        /// The lock's registered name (e.g. `table:items`), interned.
-        name: NameId,
-    },
-    /// Queued for a semaphore unit (process/connection pool).
-    SemWait {
-        /// The semaphore's registered name (e.g. `web-pool`), interned.
-        name: NameId,
-    },
-}
-
-/// Timed intervals in struct-of-arrays layout: five parallel column
-/// buffers, row `i` of each describing one closed interval of job
-/// `job[i]` executing the op at `op_index[i]`. Rows are in engine end
-/// order. Lock/semaphore names live once in `names` and are referenced by
-/// [`NameId`] from the kind column.
-///
-/// Consumers address the columns directly: the Chrome-trace renderer scans
-/// `kind`/`start_us`/`end_us`, the bottleneck aggregator additionally
-/// groups row indices by `job`. A traced 60-client run holds hundreds of
-/// thousands of rows, so the columnar layout (and the per-name rather than
-/// per-row strings) is what keeps report generation cheap.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct IntervalTable {
-    /// Interned lock/semaphore names, indexed by [`NameId`].
-    pub names: Vec<String>,
-    /// Engine job id of each row.
-    pub job: Vec<u64>,
-    /// Op index within the owning job's trace.
-    pub op_index: Vec<u32>,
-    /// What the job was doing.
-    pub kind: Vec<IntervalKind>,
-    /// Interval starts, sim microseconds.
-    pub start_us: Vec<u64>,
-    /// Interval ends, sim microseconds.
-    pub end_us: Vec<u64>,
-}
-
-impl IntervalTable {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.job.len()
-    }
-
-    /// `true` when the table holds no intervals.
-    pub fn is_empty(&self) -> bool {
-        self.job.is_empty()
-    }
-
-    /// Grows every column so at least `additional` more rows fit without
-    /// reallocating.
-    pub fn reserve(&mut self, additional: usize) {
-        self.job.reserve(additional);
-        self.op_index.reserve(additional);
-        self.kind.reserve(additional);
-        self.start_us.reserve(additional);
-        self.end_us.reserve(additional);
-    }
-
-    /// Interns `name`, returning the id of the existing entry when the name
-    /// was seen before. The name population is small (one per lock or
-    /// semaphore), so a linear probe beats a map.
-    pub fn intern(&mut self, name: &str) -> NameId {
-        if let Some(i) = self.names.iter().position(|n| n == name) {
-            return NameId(i as u32);
-        }
-        self.names.push(name.to_string());
-        NameId((self.names.len() - 1) as u32)
-    }
-
-    /// Resolves an interned name id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not produced by this table's
-    /// [`intern`](Self::intern).
-    pub fn name(&self, id: NameId) -> &str {
-        &self.names[id.0 as usize]
-    }
-
-    /// Appends one row.
-    pub fn push(
-        &mut self,
-        job: u64,
-        op_index: usize,
-        kind: IntervalKind,
-        start_us: u64,
-        end_us: u64,
-    ) {
-        self.job.push(job);
-        self.op_index.push(op_index as u32);
-        self.kind.push(kind);
-        self.start_us.push(start_us);
-        self.end_us.push(end_us);
-    }
-}
-
 /// One completed request: identity, timing, and its span tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobRecord {
-    /// Engine job id (joins against [`IntervalTable::job`]).
+    /// Engine job id (joins against [`IntervalColumns::job`]).
     pub job: u64,
     /// Emulated-client index that issued the request.
     pub client: u64,
@@ -344,22 +208,27 @@ pub struct JobRecord {
     pub spans: Vec<SpanDef>,
 }
 
-/// A full traced run: machine/interaction name tables, the measurement
-/// window, every completed request, and every timed op interval.
+/// A full traced run: machine/interaction/lock/semaphore name tables, the
+/// measurement window, every completed request, and every timed op
+/// interval.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TraceCapture {
     /// Machine names, indexed by machine id.
     pub machines: Vec<String>,
     /// Interaction names, indexed by interaction id.
     pub interactions: Vec<String>,
+    /// Lock names (e.g. `table:items`), indexed by [`LockId`].
+    pub lock_names: Vec<String>,
+    /// Semaphore names (e.g. `web-pool`), indexed by [`SemaphoreId`].
+    pub semaphore_names: Vec<String>,
     /// Measurement-window start, sim microseconds.
     pub window_start_us: u64,
     /// Measurement-window end, sim microseconds.
     pub window_end_us: u64,
     /// Completed requests, in completion order.
     pub jobs: Vec<JobRecord>,
-    /// Timed intervals, columnar, in engine end order.
-    pub intervals: IntervalTable,
+    /// Timed intervals as the engine recorded them, in engine end order.
+    pub intervals: IntervalColumns,
 }
 
 impl TraceCapture {
@@ -379,8 +248,8 @@ impl TraceCapture {
                 let r = r as usize;
                 let op = tab.op_index[r] as usize;
                 if op >= s.start_op && op < s.end_op {
-                    lo = lo.min(tab.start_us[r]);
-                    hi = hi.max(tab.end_us[r]);
+                    lo = lo.min(tab.start[r].as_micros());
+                    hi = hi.max(tab.end[r].as_micros());
                 }
             }
             if lo <= hi && lo != u64::MAX {
@@ -407,10 +276,25 @@ impl TraceCapture {
     /// order).
     fn intervals_by_job(&self) -> BTreeMap<u64, Vec<u32>> {
         let mut by_job: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        for (r, &job) in self.intervals.job.iter().enumerate() {
-            by_job.entry(job).or_default().push(r as u32);
+        for (r, job) in self.intervals.job.iter().enumerate() {
+            by_job.entry(job.0).or_default().push(r as u32);
         }
         by_job
+    }
+
+    /// The registered name of a lock.
+    fn lock_name(&self, lock: LockId) -> &str {
+        &self.lock_names[lock.0 as usize]
+    }
+
+    /// The registered name of a semaphore.
+    fn semaphore_name(&self, sem: SemaphoreId) -> &str {
+        &self.semaphore_names[sem.0 as usize]
+    }
+
+    /// Length of row `r` of the intervals, sim microseconds.
+    fn interval_us(&self, r: usize) -> u64 {
+        (self.intervals.end[r] - self.intervals.start[r]).as_micros()
     }
 }
 
@@ -507,51 +391,53 @@ pub fn chrome_trace_json(cap: &TraceCapture) -> String {
         }
         for &r in rows {
             let r = r as usize;
-            if let IntervalKind::LockWait { name } | IntervalKind::SemWait { name } = tab.kind[r] {
-                let cat = match tab.kind[r] {
-                    IntervalKind::LockWait { .. } => "lock-wait",
-                    _ => "sem-wait",
-                };
-                push(
-                    &mut out,
-                    &mut first,
-                    format!(
-                        "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\
-                         \"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"job\":{}}}}}",
-                        json_escape(tab.name(name)),
-                        tab.start_us[r],
-                        tab.end_us[r] - tab.start_us[r],
-                        job.client,
-                        job.job,
-                    ),
-                );
-            }
+            let (name, cat) = match tab.activity[r] {
+                Activity::LockWait { lock } => (cap.lock_name(lock), "lock-wait"),
+                Activity::SemWait { sem } => (cap.semaphore_name(sem), "sem-wait"),
+                _ => continue,
+            };
+            push(
+                &mut out,
+                &mut first,
+                format!(
+                    "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"X\",\"ts\":{},\
+                     \"dur\":{},\"pid\":1,\"tid\":{},\"args\":{{\"job\":{}}}}}",
+                    json_escape(name),
+                    tab.start[r].as_micros(),
+                    cap.interval_us(r),
+                    job.client,
+                    job.job,
+                ),
+            );
         }
     }
-    for (r, kind) in tab.kind.iter().enumerate() {
-        match *kind {
-            IntervalKind::Cpu { machine, demand_micros } => push(
+    for (r, activity) in tab.activity.iter().enumerate() {
+        match *activity {
+            Activity::Cpu { machine, demand_micros } => push(
                 &mut out,
                 &mut first,
                 format!(
                     "{{\"name\":\"cpu\",\"cat\":\"cpu\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":2,\"tid\":{machine},\"args\":{{\"job\":{},\"demand_us\":{}}}}}",
-                    tab.start_us[r],
-                    tab.end_us[r] - tab.start_us[r],
-                    tab.job[r],
+                     \"pid\":2,\"tid\":{},\"args\":{{\"job\":{},\"demand_us\":{}}}}}",
+                    tab.start[r].as_micros(),
+                    cap.interval_us(r),
+                    machine.0,
+                    tab.job[r].0,
                     demand_micros,
                 ),
             ),
-            IntervalKind::Net { from, to, bytes } => push(
+            Activity::Net { from, to, bytes } => push(
                 &mut out,
                 &mut first,
                 format!(
                     "{{\"name\":\"net\",\"cat\":\"net\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\
-                     \"pid\":2,\"tid\":{from},\"args\":{{\"job\":{},\"to\":{to},\
+                     \"pid\":2,\"tid\":{},\"args\":{{\"job\":{},\"to\":{},\
                      \"bytes\":{}}}}}",
-                    tab.start_us[r],
-                    tab.end_us[r] - tab.start_us[r],
-                    tab.job[r],
+                    tab.start[r].as_micros(),
+                    cap.interval_us(r),
+                    from.0,
+                    tab.job[r].0,
+                    to.0,
                     bytes,
                 ),
             ),
@@ -668,33 +554,29 @@ impl BottleneckReport {
         let tab = &cap.intervals;
         let mut cpu_busy = vec![0.0f64; n_mach];
         let mut nic_bytes = vec![0.0f64; n_mach];
-        let mut waits: BTreeMap<(String, &'static str), (u64, f64)> = BTreeMap::new();
-        for (r, kind) in tab.kind.iter().enumerate() {
-            let (start, end) = (tab.start_us[r], tab.end_us[r]);
+        let mut waits: BTreeMap<(&str, &'static str), (u64, f64)> = BTreeMap::new();
+        for (r, activity) in tab.activity.iter().enumerate() {
+            let (start, end) = (tab.start[r].as_micros(), tab.end[r].as_micros());
             let f = window_fraction(start, end, w0, w1);
             if f <= 0.0 {
                 continue;
             }
-            match *kind {
-                IntervalKind::Cpu { machine, demand_micros } => {
-                    cpu_busy[machine as usize] += demand_micros as f64 * f;
+            let wait = match *activity {
+                Activity::Cpu { machine, demand_micros } => {
+                    cpu_busy[machine.0 as usize] += demand_micros as f64 * f;
+                    continue;
                 }
-                IntervalKind::Net { to, bytes, .. } => {
-                    nic_bytes[to as usize] += bytes as f64 * f;
+                Activity::Net { to, bytes, .. } => {
+                    nic_bytes[to.0 as usize] += bytes as f64 * f;
+                    continue;
                 }
-                IntervalKind::LockWait { name } => {
-                    let e = waits.entry((tab.name(name).to_string(), "lock")).or_insert((0, 0.0));
-                    e.0 += 1;
-                    e.1 += (end - start) as f64 * f;
-                }
-                IntervalKind::SemWait { name } => {
-                    let e =
-                        waits.entry((tab.name(name).to_string(), "semaphore")).or_insert((0, 0.0));
-                    e.0 += 1;
-                    e.1 += (end - start) as f64 * f;
-                }
-                IntervalKind::Delay => {}
-            }
+                Activity::Delay => continue,
+                Activity::LockWait { lock } => (cap.lock_name(lock), "lock"),
+                Activity::SemWait { sem } => (cap.semaphore_name(sem), "semaphore"),
+            };
+            let e = waits.entry(wait).or_insert((0, 0.0));
+            e.0 += 1;
+            e.1 += (end - start) as f64 * f;
         }
         let total_busy: f64 = cpu_busy.iter().sum();
         let machines = cap
@@ -742,15 +624,15 @@ impl BottleneckReport {
             acc.hist.record(SimDuration::from_micros(job.completed_us - job.submitted_us));
             for &r in by_job.get(&job.job).unwrap_or(&empty) {
                 let r = r as usize;
-                let len = (tab.end_us[r] - tab.start_us[r]) as f64;
-                match tab.kind[r] {
-                    IntervalKind::Cpu { machine, demand_micros } => {
-                        acc.tier_cpu_us[machine as usize] += demand_micros as f64;
+                let len = cap.interval_us(r) as f64;
+                match tab.activity[r] {
+                    Activity::Cpu { machine, demand_micros } => {
+                        acc.tier_cpu_us[machine.0 as usize] += demand_micros as f64;
                     }
-                    IntervalKind::Net { .. } => acc.net_us += len,
-                    IntervalKind::LockWait { .. } => acc.lock_us += len,
-                    IntervalKind::SemWait { .. } => acc.sem_us += len,
-                    IntervalKind::Delay => {}
+                    Activity::Net { .. } => acc.net_us += len,
+                    Activity::LockWait { .. } => acc.lock_us += len,
+                    Activity::SemWait { .. } => acc.sem_us += len,
+                    Activity::Delay => {}
                 }
             }
         }
@@ -783,7 +665,7 @@ impl BottleneckReport {
         let waits = waits
             .into_iter()
             .map(|((name, category), (count, us))| WaitRow {
-                name,
+                name: name.to_string(),
                 category,
                 count,
                 total_ms: us / 1_000.0,
@@ -907,13 +789,7 @@ impl BottleneckReport {
 /// Returns a description of the first violated invariant.
 pub fn verify_capture(cap: &TraceCapture) -> Result<(), String> {
     let tab = &cap.intervals;
-    let by_job: BTreeMap<u64, Vec<u32>> = {
-        let mut m: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
-        for (r, &j) in tab.job.iter().enumerate() {
-            m.entry(j).or_default().push(r as u32);
-        }
-        m
-    };
+    let by_job = cap.intervals_by_job();
     let empty: Vec<u32> = Vec::new();
     for job in &cap.jobs {
         let rows = by_job.get(&job.job).unwrap_or(&empty);
@@ -949,7 +825,7 @@ pub fn verify_capture(cap: &TraceCapture) -> Result<(), String> {
                 let r = r as usize;
                 let op = tab.op_index[r] as usize;
                 if op >= s.start_op && op < s.end_op {
-                    if let IntervalKind::Cpu { demand_micros, .. } = tab.kind[r] {
+                    if let Activity::Cpu { demand_micros, .. } = tab.activity[r] {
                         demand += demand_micros;
                         n += 1;
                     }
@@ -970,6 +846,7 @@ pub fn verify_capture(cap: &TraceCapture) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynamid_sim::{JobId, MachineId, OpInterval, SimTime};
 
     fn sample_capture() -> TraceCapture {
         let mut rec = SpanRecorder::new();
@@ -984,18 +861,23 @@ mod tests {
         rec.close(5);
         let _ = root;
         let spans = rec.finish();
-        let mut intervals = IntervalTable::default();
-        intervals.reserve(5);
-        let pool = intervals.intern("web-pool");
-        let items = intervals.intern("table:items");
-        intervals.push(0, 0, IntervalKind::Cpu { machine: 1, demand_micros: 400 }, 100, 500);
-        intervals.push(0, 1, IntervalKind::SemWait { name: pool }, 500, 900);
-        intervals.push(0, 2, IntervalKind::LockWait { name: items }, 900, 1_900);
-        intervals.push(0, 3, IntervalKind::Cpu { machine: 2, demand_micros: 950 }, 1_900, 3_000);
-        intervals.push(0, 4, IntervalKind::Net { from: 2, to: 0, bytes: 2_048 }, 3_000, 4_100);
+        let (client, web, db) = (MachineId(0), MachineId(1), MachineId(2));
+        let mut intervals = IntervalColumns::default();
+        for (op_index, activity, start, end) in [
+            (0, Activity::Cpu { machine: web, demand_micros: 400 }, 100, 500),
+            (1, Activity::SemWait { sem: SemaphoreId(0) }, 500, 900),
+            (2, Activity::LockWait { lock: LockId(0) }, 900, 1_900),
+            (3, Activity::Cpu { machine: db, demand_micros: 950 }, 1_900, 3_000),
+            (4, Activity::Net { from: db, to: client, bytes: 2_048 }, 3_000, 4_100),
+        ] {
+            let (start, end) = (SimTime::from_micros(start), SimTime::from_micros(end));
+            intervals.push(OpInterval { job: JobId(0), op_index, activity, start, end });
+        }
         TraceCapture {
             machines: vec!["client".into(), "web".into(), "db".into()],
             interactions: vec!["buy".into()],
+            lock_names: vec!["table:items".into()],
+            semaphore_names: vec!["web-pool".into()],
             window_start_us: 0,
             window_end_us: 10_000,
             jobs: vec![JobRecord {
@@ -1047,20 +929,8 @@ mod tests {
     #[test]
     fn cpu_over_wall_is_caught() {
         let mut cap = sample_capture();
-        cap.intervals.kind[3] = IntervalKind::Cpu { machine: 2, demand_micros: 5_000 };
+        cap.intervals.activity[3] = Activity::Cpu { machine: MachineId(2), demand_micros: 5_000 };
         assert!(verify_capture(&cap).is_err());
-    }
-
-    #[test]
-    fn interning_deduplicates_names() {
-        let mut tab = IntervalTable::default();
-        let a = tab.intern("table:items");
-        let b = tab.intern("web-pool");
-        let c = tab.intern("table:items");
-        assert_eq!(a, c);
-        assert_ne!(a, b);
-        assert_eq!(tab.names.len(), 2);
-        assert_eq!(tab.name(b), "web-pool");
     }
 
     #[test]

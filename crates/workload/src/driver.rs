@@ -11,14 +11,18 @@
 use crate::arrivals::ArrivalProcess;
 use crate::fault::{ResilienceConfig, RetryTokens};
 use crate::mix::Mix;
-use dynamid_core::{Application, Middleware, ReplicationStats, SessionData};
-use dynamid_sim::{
-    AbortReason, Activity, Driver, ErrorCounters, JobAborted, JobDone, JobId, LatencyHistogram,
-    MachineId, Op, SimDuration, SimRng, SimTime, Simulation, Trace, WindowSnapshot,
+use dynamid_core::{
+    Application, BreakerPolicy, CircuitBreaker, Middleware, ReplicationState, ReplicationStats,
+    SessionData,
 };
-use dynamid_sqldb::{Database, ReplicationStream, TxnLog};
-use dynamid_trace::{IntervalKind, IntervalTable, JobRecord, SpanDef, SpanKind, TraceCapture};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use dynamid_sim::{
+    AbortReason, Driver, ErrorCounters, JobAborted, JobDone, LatencyHistogram, LockId, MachineId,
+    SemaphoreId, SimDuration, SimRng, SimTime, Simulation, WindowSnapshot,
+};
+use dynamid_sqldb::{Database, TxnLog};
+use dynamid_trace::{JobRecord, SpanDef, TraceCapture};
+use std::cell::RefCell;
+use std::collections::BTreeMap;
 
 /// Timer token marking the start of the measurement window.
 const TOKEN_WINDOW_START: u64 = u64::MAX;
@@ -30,10 +34,6 @@ const TOKEN_HEARTBEAT: u64 = u64::MAX - 2;
 /// Timer token of the open-loop arrival process (armed only for open
 /// arrival processes).
 const TOKEN_ARRIVAL: u64 = u64::MAX - 3;
-/// Job tag marking replication ship/catch-up jobs. Never used for dispatch
-/// (ship jobs are tracked by [`JobId`]); it only keeps them visibly distinct
-/// from client tags in debug output.
-const SHIP_TAG: u64 = u64::MAX;
 /// Sentinel interaction index for replication trace records, remapped to a
 /// real `"[replication]"` name-table entry in `take_trace`.
 const REPLICATION_INTERACTION: usize = usize::MAX;
@@ -295,52 +295,6 @@ impl ReplicationReport {
     }
 }
 
-/// What an in-flight replication job is doing, keyed by engine [`JobId`].
-#[derive(Debug, Clone, Copy)]
-enum ShipKind {
-    /// A live write-set frame shipping to one replica; completion means the
-    /// replica has applied `lsn`.
-    Frame {
-        /// Stable replica id.
-        replica: usize,
-        /// The frame's LSN.
-        lsn: u64,
-    },
-    /// A catch-up replay to a fenced replica, targeting the stream head
-    /// `lsn` observed at submit time; completion unfences if the head has
-    /// not moved since.
-    Catchup {
-        /// Stable replica id.
-        replica: usize,
-        /// Stream head LSN at submit time.
-        lsn: u64,
-    },
-}
-
-/// Driver-side replication machinery: the authoritative write-set stream,
-/// in-flight ship jobs, and failure-detector bookkeeping.
-struct ReplDriverState {
-    /// The primary's committed write-set stream (frames in commit order).
-    stream: ReplicationStream,
-    /// In-flight ship/catch-up jobs by engine job id.
-    ships: HashMap<JobId, ShipKind>,
-    /// Replicas with a catch-up replay in flight (at most one each).
-    catchup_inflight: HashSet<usize>,
-    /// When the current primary was first observed down (heartbeat time);
-    /// cleared on recovery or promotion.
-    primary_down_since: Option<SimTime>,
-    /// Detection-to-promotion latency of each successful failover.
-    failover_latencies: Vec<SimDuration>,
-    /// Crashed ex-primaries awaiting restart, with the replica id each will
-    /// rejoin under.
-    ex_primaries: Vec<(usize, MachineId)>,
-    /// Next rejoin id (starts past the installed replica ids and only
-    /// grows, so ids never collide however many failovers happen).
-    next_rejoin_id: usize,
-    /// Fabricated trace-record ids handed to election spans.
-    elections_traced: u64,
-}
-
 /// Per-machine resource usage over the measurement window.
 #[derive(Debug, Clone, Default)]
 pub struct ResourceWindow {
@@ -371,6 +325,28 @@ struct ClientState {
     /// to (None without a balancer). Handed back to the middleware when the
     /// job completes or aborts so least-connections counts stay honest.
     pending_route: Option<usize>,
+    /// Span tree of the in-flight interaction (empty unless traced). A slot
+    /// has at most one job in flight, so the tree waits here for its
+    /// completion record.
+    spans: Vec<SpanDef>,
+}
+
+impl ClientState {
+    /// A fresh slot for client `id`; its session starts at first wake.
+    fn new(id: usize, rng: SimRng) -> Self {
+        ClientState {
+            session: SessionData::new(id as u64),
+            rng,
+            current: None,
+            session_end: SimTime::ZERO,
+            pending_error: false,
+            attempt: 0,
+            retry_pending: false,
+            pending_txn: None,
+            pending_route: None,
+            spans: Vec::new(),
+        }
+    }
 }
 
 /// Open-loop driver machinery, present only for open arrival processes.
@@ -386,22 +362,6 @@ struct OpenLoopState {
     free_slots: Vec<usize>,
 }
 
-/// Span bookkeeping for traced runs: the span trees of jobs still in
-/// flight, and the completed-job records in completion order (which is
-/// engine event order, hence deterministic).
-#[derive(Debug, Default)]
-struct TraceState {
-    pending: HashMap<JobId, PendingSpans>,
-    jobs: Vec<JobRecord>,
-}
-
-#[derive(Debug)]
-struct PendingSpans {
-    client: u64,
-    interaction: usize,
-    spans: Vec<SpanDef>,
-}
-
 /// The [`Driver`] implementation that emulates the client population.
 pub struct WorkloadDriver<'a> {
     app: &'a dyn Application,
@@ -412,21 +372,26 @@ pub struct WorkloadDriver<'a> {
     clients: Vec<ClientState>,
     metrics: WorkloadMetrics,
     window: (SimTime, SimTime),
-    cpu_snaps: Vec<(u32, WindowSnapshot, WindowSnapshot)>,
-    nic_snaps: Vec<(u32, WindowSnapshot, WindowSnapshot)>,
+    /// `(cpu, nic)` snapshots of every machine at the window start.
+    window_start: Vec<(WindowSnapshot, WindowSnapshot)>,
     resources: ResourceWindow,
     /// Global transaction begin-sequence counter (orders end-of-run unwind).
     txn_seq: u64,
     ledger: CommitLedger,
-    /// Present only when the middleware was installed with tracing on.
-    trace: Option<TraceState>,
-    /// Present only when the middleware was installed with a replicated DB
-    /// tier.
-    repl: Option<ReplDriverState>,
+    /// Completed-job records in completion order (engine event order, hence
+    /// deterministic); present only when the middleware was installed with
+    /// tracing on.
+    trace: Option<Vec<JobRecord>>,
+    /// The middleware's replicated DB tier, when installed: the driver
+    /// forwards it commits, heartbeat ticks and the end of its ship jobs.
+    repl: Option<&'a RefCell<ReplicationState>>,
     /// Present only for open arrival processes.
     open: Option<OpenLoopState>,
     /// Population-wide retry-budget token bucket (inert without a budget).
     retry_tokens: RetryTokens,
+    /// Client-side circuit breaker on the DB tier, when the overload
+    /// control sets one.
+    breaker: Option<CircuitBreaker>,
 }
 
 impl std::fmt::Debug for WorkloadDriver<'_> {
@@ -441,7 +406,8 @@ impl std::fmt::Debug for WorkloadDriver<'_> {
 impl<'a> WorkloadDriver<'a> {
     /// Creates the driver and schedules every client's first arrival
     /// (staggered across the ramp-up phase) plus the window-boundary
-    /// timers.
+    /// timers. `breaker` is the overload control's client-side circuit
+    /// breaker policy, if any.
     pub fn start(
         sim: &mut Simulation,
         app: &'a dyn Application,
@@ -449,6 +415,7 @@ impl<'a> WorkloadDriver<'a> {
         middleware: &'a Middleware,
         db: &'a mut Database,
         cfg: WorkloadConfig,
+        breaker: Option<BreakerPolicy>,
     ) -> WorkloadDriver<'a> {
         assert_eq!(
             mix.interaction_count(),
@@ -472,20 +439,7 @@ impl<'a> WorkloadDriver<'a> {
         } else {
             assert!(cfg.clients > 0, "at least one client required");
             let mut root = SimRng::new(cfg.seed);
-            clients.reserve(cfg.clients);
-            for i in 0..cfg.clients {
-                clients.push(ClientState {
-                    session: SessionData::new(i as u64),
-                    rng: root.fork(i as u64),
-                    current: None,
-                    session_end: SimTime::ZERO, // set at first wake
-                    pending_error: false,
-                    attempt: 0,
-                    retry_pending: false,
-                    pending_txn: None,
-                    pending_route: None,
-                });
-            }
+            clients.extend((0..cfg.clients).map(|i| ClientState::new(i, root.fork(i as u64))));
             // Stagger client starts uniformly over the ramp-up phase.
             let ramp = cfg.ramp_up.as_micros().max(1);
             for i in 0..cfg.clients {
@@ -496,20 +450,10 @@ impl<'a> WorkloadDriver<'a> {
         let (w0, w1) = cfg.window();
         sim.set_timer(w0, TOKEN_WINDOW_START);
         sim.set_timer(w1, TOKEN_WINDOW_END);
-        let repl = middleware.replication().map(|rs| {
-            let rs = rs.borrow();
-            sim.set_timer(SimTime::from_micros(rs.policy().heartbeat_us.max(1)), TOKEN_HEARTBEAT);
-            ReplDriverState {
-                stream: ReplicationStream::new(),
-                ships: HashMap::new(),
-                catchup_inflight: HashSet::new(),
-                primary_down_since: None,
-                failover_latencies: Vec::new(),
-                ex_primaries: Vec::new(),
-                next_rejoin_id: rs.policy().replicas + 1,
-                elections_traced: 0,
-            }
-        });
+        let repl = middleware.replication();
+        if let Some(rs) = repl {
+            sim.set_timer(SimTime::ZERO + rs.borrow().heartbeat_period(), TOKEN_HEARTBEAT);
+        }
         let metrics = WorkloadMetrics::new(mix.interaction_count());
         let retry_tokens = RetryTokens::new(cfg.resilience.retry_budget);
         WorkloadDriver {
@@ -521,15 +465,15 @@ impl<'a> WorkloadDriver<'a> {
             clients,
             metrics,
             window: (w0, w1),
-            cpu_snaps: Vec::new(),
-            nic_snaps: Vec::new(),
+            window_start: Vec::new(),
             resources: ResourceWindow::default(),
             txn_seq: 0,
             ledger: CommitLedger::default(),
-            trace: middleware.tracing().then(TraceState::default),
+            trace: middleware.tracing().then(Vec::new),
             repl,
             open,
             retry_tokens,
+            breaker: breaker.map(CircuitBreaker::new),
         }
     }
 
@@ -557,20 +501,20 @@ impl<'a> WorkloadDriver<'a> {
     }
 
     /// Assembles the run's [`TraceCapture`] (traced runs only, else
-    /// `None`): drains the engine's op intervals, resolves machine and
-    /// lock/semaphore names so the capture is self-contained, and pairs the
-    /// intervals with the completed requests' span trees.
+    /// `None`): takes the engine's op intervals, resolves machine,
+    /// interaction, lock and semaphore names so the capture is
+    /// self-contained, and pairs the intervals with the completed requests'
+    /// span trees.
     pub fn take_trace(&mut self, sim: &mut Simulation) -> Option<TraceCapture> {
-        let ts = self.trace.take()?;
+        let mut jobs = self.trace.take()?;
         let machines: Vec<String> = (0..sim.machine_count() as u32)
-            .map(|i| sim.machine_name(dynamid_sim::MachineId(i)).to_string())
+            .map(|i| sim.machine_name(MachineId(i)).to_string())
             .collect();
         let mut interactions: Vec<String> =
             self.app.interactions().iter().map(|s| s.name.to_string()).collect();
         // Replication ship/election records carry a sentinel interaction
         // index; give them a real name-table entry so the capture stays
         // self-contained.
-        let mut jobs = ts.jobs;
         if jobs.iter().any(|j| j.interaction == REPLICATION_INTERACTION) {
             let idx = interactions.len();
             interactions.push("[replication]".to_string());
@@ -580,37 +524,21 @@ impl<'a> WorkloadDriver<'a> {
                 }
             }
         }
-        let cols = sim.take_op_intervals();
-        let mut intervals = IntervalTable::default();
-        intervals.reserve(cols.len());
-        for iv in cols.iter() {
-            let kind = match iv.activity {
-                Activity::Cpu { machine, demand_micros } => {
-                    IntervalKind::Cpu { machine: machine.0, demand_micros }
-                }
-                Activity::Net { from, to, bytes } => {
-                    IntervalKind::Net { from: from.0, to: to.0, bytes }
-                }
-                Activity::Delay => IntervalKind::Delay,
-                // Names are interned: one stored string per lock/semaphore
-                // for the whole capture, not one per wait interval.
-                Activity::LockWait { lock } => {
-                    IntervalKind::LockWait { name: intervals.intern(sim.lock_name(lock)) }
-                }
-                Activity::SemWait { sem } => {
-                    IntervalKind::SemWait { name: intervals.intern(sim.semaphore_name(sem)) }
-                }
-            };
-            intervals.push(iv.job.0, iv.op_index, kind, iv.start.as_micros(), iv.end.as_micros());
-        }
+        let lock_names =
+            (0..sim.lock_count() as u32).map(|i| sim.lock_name(LockId(i)).to_string()).collect();
+        let semaphore_names = (0..sim.semaphore_count() as u32)
+            .map(|i| sim.semaphore_name(SemaphoreId(i)).to_string())
+            .collect();
         let (w0, w1) = self.window;
         Some(TraceCapture {
             machines,
             interactions,
+            lock_names,
+            semaphore_names,
             window_start_us: w0.as_micros(),
             window_end_us: w1.as_micros(),
             jobs,
-            intervals,
+            intervals: sim.take_op_intervals(),
         })
     }
 
@@ -692,17 +620,7 @@ impl<'a> WorkloadDriver<'a> {
             None => {
                 let idx = self.clients.len();
                 let o = self.open.as_mut().expect("arrival without open-loop state");
-                self.clients.push(ClientState {
-                    session: SessionData::new(idx as u64),
-                    rng: o.slot_root.fork(idx as u64),
-                    current: None,
-                    session_end: SimTime::ZERO,
-                    pending_error: false,
-                    attempt: 0,
-                    retry_pending: false,
-                    pending_txn: None,
-                    pending_route: None,
-                });
+                self.clients.push(ClientState::new(idx, o.slot_root.fork(idx as u64)));
                 idx
             }
         };
@@ -795,8 +713,8 @@ impl<'a> WorkloadDriver<'a> {
         // client-side before the eager host execution runs — no transaction
         // begins, nothing queues on the saturated pool. Denied attempts
         // still count as offered load and feed the retry machinery.
-        if let Some(b) = self.middleware.breaker() {
-            if !b.borrow_mut().admit(now) {
+        if let Some(b) = &mut self.breaker {
+            if !b.admit(now) {
                 let (w0, w1) = self.window;
                 let in_window = now >= w0 && now < w1;
                 if in_window {
@@ -831,312 +749,111 @@ impl<'a> WorkloadDriver<'a> {
         client.retry_pending = false;
         client.pending_txn = Some((seq, prep.txn));
         client.pending_route = prep.route;
+        client.spans = prep.spans;
         self.metrics.submitted_total += 1;
         let (w0, w1) = self.window;
         if now >= w0 && now < w1 {
             self.metrics.offered += 1;
         }
         self.record_timeline(now, |b| b.offered += 1);
-        let job = match self.cfg.resilience.request_timeout {
+        match self.cfg.resilience.request_timeout {
             Some(deadline) => sim.submit_with_deadline(prep.trace, client_id as u64, deadline),
             None => sim.submit(prep.trace, client_id as u64),
         };
-        if let Some(ts) = &mut self.trace {
-            ts.pending.insert(
+    }
+
+    /// Appends one completed job's record to the trace (traced runs only).
+    fn record_job(
+        &mut self,
+        job: u64,
+        client: u64,
+        interaction: usize,
+        (submitted, completed): (SimTime, SimTime),
+        spans: Vec<SpanDef>,
+    ) {
+        if let Some(jobs) = &mut self.trace {
+            jobs.push(JobRecord {
                 job,
-                PendingSpans { client: client_id as u64, interaction: id, spans: prep.spans },
-            );
+                client,
+                interaction,
+                submitted_us: submitted.as_micros(),
+                completed_us: completed.as_micros(),
+                spans,
+            });
+        }
+    }
+
+    /// Records a replication job (a ship, or a fabricated election job) as
+    /// a one-span request of the `[replication]` pseudo-interaction; `span`
+    /// runs only in traced runs.
+    fn record_replication(
+        &mut self,
+        job: u64,
+        times: (SimTime, SimTime),
+        span: impl FnOnce() -> SpanDef,
+    ) {
+        if self.trace.is_some() {
+            self.record_job(job, u64::MAX, REPLICATION_INTERACTION, times, vec![span()]);
         }
     }
 
     /// Replication activity over the run, or `None` when the replicated DB
     /// tier was not installed.
     pub fn replication_report(&self) -> Option<ReplicationReport> {
-        let repl = self.repl.as_ref()?;
-        let stats = self.middleware.replication()?.borrow().stats;
-        Some(ReplicationReport { stats, failover_latencies: repl.failover_latencies.clone() })
+        let rs = self.repl?.borrow();
+        let failover_latencies = rs.failover_latencies().to_vec();
+        Some(ReplicationReport { stats: rs.stats, failover_latencies })
     }
 
-    /// One tick of the replication failure detector: sync replica health
-    /// from the engine, re-admit restarted ex-primaries, run the
-    /// lease-expiry election, and launch catch-up replays for fenced
-    /// replicas. Re-arms itself until the run's horizon.
+    /// Forwards one heartbeat tick to the replicated tier, counts and
+    /// traces the failover it carried out, if any, and re-arms the timer.
     fn heartbeat(&mut self, sim: &mut Simulation) {
-        let Some(repl) = self.repl.as_mut() else { return };
-        let cell = self.middleware.replication().expect("replication installed");
-        let mut rs = cell.borrow_mut();
-        let now = sim.now();
-        let policy = rs.policy();
-
-        // 1. Health sync: a replica observed down is fenced by `set_up` (it
-        //    will miss every frame shipped while it is gone).
-        let health: Vec<(usize, MachineId, bool)> =
-            rs.replicas().iter().map(|r| (r.id, r.machine, r.up)).collect();
-        for (id, machine, was_up) in health {
-            let up = !sim.machine_is_down(machine);
-            if up != was_up {
-                rs.set_up(id, up);
+        let Some(repl) = self.repl else { return };
+        let mut rs = repl.borrow_mut();
+        if let Some(failover) = rs.heartbeat(sim) {
+            let now = sim.now();
+            let (w0, w1) = self.window;
+            if now >= w0 && now < w1 {
+                self.metrics.errors_detail.failovers += 1;
             }
+            // Elections are control-plane decisions, not engine jobs: record
+            // a fabricated job spanning detection→promotion so the capture
+            // shows the failover window.
+            let job = u64::MAX - (rs.stats.elections - 1);
+            self.record_replication(job, (failover.detected, now), || failover.span());
         }
-
-        // 2. Restarted ex-primaries rejoin as fenced replicas with an empty
-        //    log: whatever they knew as primary is treated as lost with the
-        //    crash, so they owe a full stream replay before serving reads.
-        repl.ex_primaries.retain(|&(id, machine)| {
-            if sim.machine_is_down(machine) {
-                true
-            } else {
-                rs.rejoin(id, machine, 0);
-                false
-            }
-        });
-
-        // 3. Lease-based failure detection: the primary must be observed
-        //    down for a full lease before a replica may be promoted, so a
-        //    short blip never produces two machines acting as primary.
-        if sim.machine_is_down(rs.primary()) {
-            let since = *repl.primary_down_since.get_or_insert(now);
-            if now - since >= SimDuration::from_micros(policy.lease_us) {
-                let old = rs.primary();
-                if let Some(win) = rs.elect() {
-                    repl.failover_latencies.push(now - since);
-                    let (w0, w1) = self.window;
-                    if now >= w0 && now < w1 {
-                        self.metrics.errors_detail.failovers += 1;
-                    }
-                    let id = repl.next_rejoin_id;
-                    repl.next_rejoin_id += 1;
-                    repl.ex_primaries.push((id, old));
-                    repl.primary_down_since = None;
-                    if let Some(ts) = &mut self.trace {
-                        // Elections are control-plane decisions, not engine
-                        // jobs: record a fabricated job spanning
-                        // detection→promotion so the capture shows the
-                        // failover window.
-                        let job = u64::MAX - repl.elections_traced;
-                        repl.elections_traced += 1;
-                        ts.jobs.push(JobRecord {
-                            job,
-                            client: u64::MAX,
-                            interaction: REPLICATION_INTERACTION,
-                            submitted_us: since.as_micros(),
-                            completed_us: now.as_micros(),
-                            spans: vec![SpanDef {
-                                kind: SpanKind::Election,
-                                label: format!(
-                                    "promote r{} @ lsn {}",
-                                    win.winner_id, win.applied_lsn
-                                ),
-                                start_op: 0,
-                                end_op: 0,
-                                parent: None,
-                                cache_hit: None,
-                                cost_micros: None,
-                            }],
-                        });
-                    }
-                }
-                // A failed round (nobody eligible) is counted inside
-                // `elect` and retried on the next heartbeat.
-            }
-        } else {
-            repl.primary_down_since = None;
-        }
-
-        // 4. Catch-up replays: a fenced-but-up replica replays the stream
-        //    span it missed (priced by `catchup_from`), sourced from the
-        //    primary — so only while the primary is serving.
-        if !sim.machine_is_down(rs.primary()) {
-            let fenced: Vec<(usize, MachineId, u64)> = rs
-                .replicas()
-                .iter()
-                .filter(|r| r.up && r.fenced && !repl.catchup_inflight.contains(&r.id))
-                .map(|r| (r.id, r.machine, r.applied_lsn))
-                .collect();
-            for (id, machine, applied) in fenced {
-                let head = repl.stream.head_lsn();
-                let plan = repl.stream.catchup_from(applied);
-                if plan.frames == 0 {
-                    rs.unfence(id, head);
-                    continue;
-                }
-                let mut t = Trace::with_capacity(3);
-                t.push(Op::Net { from: rs.primary(), to: machine, bytes: plan.bytes });
-                t.push(Op::Delay { micros: policy.lag_us });
-                t.push(Op::Cpu { machine, micros: plan.apply_micros });
-                let job = sim.submit(t, SHIP_TAG);
-                repl.ships.insert(job, ShipKind::Catchup { replica: id, lsn: head });
-                repl.catchup_inflight.insert(id);
-                if let Some(ts) = &mut self.trace {
-                    ts.pending.insert(
-                        job,
-                        PendingSpans {
-                            client: u64::MAX,
-                            interaction: REPLICATION_INTERACTION,
-                            spans: vec![SpanDef {
-                                kind: SpanKind::ReplicaShip,
-                                label: format!("catch-up r{id} -> lsn {head}"),
-                                start_op: 0,
-                                end_op: 3,
-                                parent: None,
-                                cache_hit: None,
-                                cost_micros: None,
-                            }],
-                        },
-                    );
-                }
-            }
-        }
-        sim.set_timer_after(SimDuration::from_micros(policy.heartbeat_us.max(1)), TOKEN_HEARTBEAT);
+        sim.set_timer_after(rs.heartbeat_period(), TOKEN_HEARTBEAT);
     }
 
-    /// Ships the just-committed write-set to every readable replica as a
-    /// `Net → Delay(lag) → Cpu(apply)` job; commit-driven cache
-    /// invalidation keys ride the same frame (counted per fan-out).
-    fn ship_commit(&mut self, sim: &mut Simulation, log: &TxnLog) {
-        let Some(repl) = self.repl.as_mut() else { return };
-        let Some(frame) = repl.stream.commit(log) else { return };
-        let cell = self.middleware.replication().expect("replication installed");
-        let mut rs = cell.borrow_mut();
-        let primary = rs.primary();
-        let lag = rs.policy().lag_us;
-        let targets: Vec<(usize, MachineId)> =
-            rs.replicas().iter().filter(|r| r.readable()).map(|r| (r.id, r.machine)).collect();
-        for (id, machine) in targets {
-            let mut t = Trace::with_capacity(3);
-            t.push(Op::Net { from: primary, to: machine, bytes: frame.ship_bytes() });
-            t.push(Op::Delay { micros: lag });
-            t.push(Op::Cpu { machine, micros: frame.apply_micros() });
-            let job = sim.submit(t, SHIP_TAG);
-            repl.ships.insert(job, ShipKind::Frame { replica: id, lsn: frame.lsn });
-            rs.stats.frames_shipped += 1;
-            rs.stats.invalidations_fanned += frame.entries;
-            if let Some(ts) = &mut self.trace {
-                ts.pending.insert(
-                    job,
-                    PendingSpans {
-                        client: u64::MAX,
-                        interaction: REPLICATION_INTERACTION,
-                        spans: vec![SpanDef {
-                            kind: SpanKind::ReplicaShip,
-                            label: format!("ship lsn {} -> r{id}", frame.lsn),
-                            start_op: 0,
-                            end_op: 3,
-                            parent: None,
-                            cache_hit: None,
-                            cost_micros: None,
-                        }],
-                    },
-                );
-            }
-        }
-    }
-
-    /// Handles completion of a replication job, if `done` is one. A
-    /// finished frame ship advances the replica's applied LSN; a finished
-    /// catch-up unfences the replica unless the stream head moved while the
-    /// replay ran (the next heartbeat ships the remainder).
-    fn handle_ship_complete(&mut self, done: &JobDone) -> bool {
-        let Some(repl) = self.repl.as_mut() else { return false };
-        let Some(kind) = repl.ships.remove(&done.id) else { return false };
-        let cell = self.middleware.replication().expect("replication installed");
-        let mut rs = cell.borrow_mut();
-        match kind {
-            ShipKind::Frame { replica, lsn } => rs.applied(replica, lsn),
-            ShipKind::Catchup { replica, lsn } => {
-                repl.catchup_inflight.remove(&replica);
-                rs.applied(replica, lsn);
-                if repl.stream.head_lsn() == lsn {
-                    rs.unfence(replica, lsn);
-                }
-            }
-        }
-        if let Some(ts) = &mut self.trace {
-            if let Some(p) = ts.pending.remove(&done.id) {
-                ts.jobs.push(JobRecord {
-                    job: done.id.0,
-                    client: p.client,
-                    interaction: p.interaction,
-                    submitted_us: done.submitted.as_micros(),
-                    completed_us: done.completed.as_micros(),
-                    spans: p.spans,
-                });
-            }
-        }
-        true
-    }
-
-    /// Handles abortion of a replication job, if `info` is one. A dead
-    /// frame ship means the replica missed a committed write-set: fence it
-    /// until it replays. A dead catch-up just retries on a later heartbeat
-    /// (the replica was already fenced).
-    fn handle_ship_abort(&mut self, info: &JobAborted) -> bool {
-        let Some(repl) = self.repl.as_mut() else { return false };
-        let Some(kind) = repl.ships.remove(&info.id) else { return false };
-        let cell = self.middleware.replication().expect("replication installed");
-        let mut rs = cell.borrow_mut();
-        match kind {
-            ShipKind::Frame { replica, .. } => rs.fence(replica),
-            ShipKind::Catchup { replica, .. } => {
-                repl.catchup_inflight.remove(&replica);
-            }
-        }
-        if let Some(ts) = &mut self.trace {
-            ts.pending.remove(&info.id);
-        }
-        true
-    }
-
+    /// Snapshots every machine's CPU and NIC counters at the window start;
+    /// at the window end, turns the deltas into [`ResourceWindow`].
     fn snapshot(&mut self, sim: &mut Simulation, end: bool) {
-        let n = sim.machine_count() as u32;
+        let at = sim.now();
+        let capture = |sim: &mut Simulation, m| {
+            let cpu = WindowSnapshot::capture(at, sim.cpu_stats(m));
+            (cpu, WindowSnapshot::capture(at, sim.nic_stats(m)))
+        };
         if !end {
-            self.cpu_snaps.clear();
-            self.nic_snaps.clear();
-            for i in 0..n {
-                let m = dynamid_sim::MachineId(i);
-                let at = sim.now();
-                let cpu = WindowSnapshot::capture(at, sim.cpu_stats(m));
-                let nic = WindowSnapshot::capture(at, sim.nic_stats(m));
-                self.cpu_snaps.push((i, cpu, WindowSnapshot::default()));
-                self.nic_snaps.push((i, nic, WindowSnapshot::default()));
-            }
+            let machines = 0..sim.machine_count() as u32;
+            self.window_start = machines.map(|i| capture(sim, MachineId(i))).collect();
             return;
         }
-        for idx in 0..self.cpu_snaps.len() {
-            let m = dynamid_sim::MachineId(self.cpu_snaps[idx].0);
-            let at = sim.now();
-            self.cpu_snaps[idx].2 = WindowSnapshot::capture(at, sim.cpu_stats(m));
-            self.nic_snaps[idx].2 = WindowSnapshot::capture(at, sim.nic_stats(m));
+        let mut resources = ResourceWindow::default();
+        for (i, (cpu0, nic0)) in self.window_start.iter().enumerate() {
+            let m = MachineId(i as u32);
+            let (cpu1, nic1) = capture(sim, m);
+            let name = sim.machine_name(m);
+            resources.cpu_util.push((name.to_string(), cpu0.utilization_until(&cpu1)));
+            resources.nic_mbps.push((name.to_string(), nic0.throughput_until(&nic1) * 8.0 / 1e6));
         }
-        self.resources = ResourceWindow {
-            cpu_util: self
-                .cpu_snaps
-                .iter()
-                .map(|(i, s0, s1)| {
-                    (
-                        sim.machine_name(dynamid_sim::MachineId(*i)).to_string(),
-                        s0.utilization_until(s1),
-                    )
-                })
-                .collect(),
-            nic_mbps: self
-                .nic_snaps
-                .iter()
-                .map(|(i, s0, s1)| {
-                    let bytes_per_sec = s0.throughput_until(s1);
-                    (
-                        sim.machine_name(dynamid_sim::MachineId(*i)).to_string(),
-                        bytes_per_sec * 8.0 / 1e6,
-                    )
-                })
-                .collect(),
-        };
+        self.resources = resources;
     }
 }
 
 impl Driver for WorkloadDriver<'_> {
     fn on_job_complete(&mut self, sim: &mut Simulation, done: JobDone) {
-        if self.handle_ship_complete(&done) {
+        if let Some(ship) = self.repl.and_then(|r| r.borrow_mut().ship_done(done.id)) {
+            self.record_replication(done.id.0, (done.submitted, done.completed), || ship.span());
             return;
         }
         let client_id = done.tag as usize;
@@ -1148,23 +865,18 @@ impl Driver for WorkloadDriver<'_> {
         // every readable replica.
         if let Some((_, log)) = self.clients[client_id].pending_txn.take() {
             self.ledger.record_commit(self.clients[client_id].current, &log, self.db);
-            self.ship_commit(sim, &log);
-        }
-        if let Some(ts) = &mut self.trace {
-            if let Some(p) = ts.pending.remove(&done.id) {
-                ts.jobs.push(JobRecord {
-                    job: done.id.0,
-                    client: p.client,
-                    interaction: p.interaction,
-                    submitted_us: done.submitted.as_micros(),
-                    completed_us: done.completed.as_micros(),
-                    spans: p.spans,
-                });
+            if let Some(repl) = self.repl {
+                repl.borrow_mut().commit(sim, &log);
             }
         }
+        if let Some(interaction) = self.clients[client_id].current {
+            let spans = std::mem::take(&mut self.clients[client_id].spans);
+            let times = (done.submitted, done.completed);
+            self.record_job(done.id.0, client_id as u64, interaction, times, spans);
+        }
         // A completed interaction is the breaker's recovery signal.
-        if let Some(b) = self.middleware.breaker() {
-            b.borrow_mut().record_success();
+        if let Some(b) = &mut self.breaker {
+            b.record_success();
         }
         let (w0, w1) = self.window;
         if done.completed >= w0 && done.completed < w1 {
@@ -1225,7 +937,7 @@ impl Driver for WorkloadDriver<'_> {
     }
 
     fn on_job_aborted(&mut self, sim: &mut Simulation, info: JobAborted) {
-        if self.handle_ship_abort(&info) {
+        if self.repl.is_some_and(|r| r.borrow_mut().ship_aborted(info.id)) {
             return;
         }
         let client_id = info.tag as usize;
@@ -1245,9 +957,7 @@ impl Driver for WorkloadDriver<'_> {
         // An aborted request never completed: its span tree is dropped (the
         // engine likewise discards its half-open interval), though its
         // finished intervals still count toward machine load.
-        if let Some(ts) = &mut self.trace {
-            ts.pending.remove(&info.id);
-        }
+        self.clients[client_id].spans.clear();
         let (w0, w1) = self.window;
         let in_window = info.aborted >= w0 && info.aborted < w1;
         if in_window {
@@ -1265,8 +975,8 @@ impl Driver for WorkloadDriver<'_> {
         // trips on; crashes, deadlocks and admission rejects are not its
         // business.
         if matches!(info.reason, AbortReason::DeadlineExpired | AbortReason::Shed) {
-            if let Some(b) = self.middleware.breaker() {
-                b.borrow_mut().record_failure(info.aborted);
+            if let Some(b) = &mut self.breaker {
+                b.record_failure(info.aborted);
             }
         }
         let was_shed = matches!(info.reason, AbortReason::Shed);

@@ -309,7 +309,9 @@ impl<'a> ExperimentSpec<'a> {
         }
         let measure = workload.measure;
         let clients = workload.clients;
-        let mut driver = WorkloadDriver::start(&mut sim, app, mix, &middleware, db, workload);
+        let breaker = self.overload.breaker;
+        let mut driver =
+            WorkloadDriver::start(&mut sim, app, mix, &middleware, db, workload, breaker);
         sim.run(SimTime::ZERO + total, &mut driver).unwrap_or_else(|e| {
             panic!("simulation failed ({config}, {clients} clients): {e}");
         });
@@ -1028,6 +1030,28 @@ mod tests {
         assert!(rep.stats.catchups > 0, "ex-primary never replayed the stream: {rep:?}");
     }
 
+    /// A frame ship can outlive the election that promotes its target:
+    /// with a lag longer than the lease, frames shipped to a replica just
+    /// before the kill land after it became the primary. They settle
+    /// nothing, and the run keeps its one failover and the commit oracle.
+    #[test]
+    fn frames_landing_on_a_promoted_replica_settle_nothing() {
+        let mix = mini_mix();
+        let mut db = mini_db();
+        let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
+            .mix(&mix)
+            .workload(quick(20))
+            .resilience(retrying())
+            .replication(ReplicaPolicy { lag_us: 2_000_000, ..test_policy(2) })
+            .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
+            .run(&mut db, &MiniApp);
+        let rep = r.replication.expect("replication report populated");
+        assert_eq!(rep.stats.elections, 1, "exactly one failover expected: {rep:?}");
+        let committed_writes = r.ledger.per_interaction.get(1).copied().unwrap_or(0);
+        let total = db.execute("SELECT SUM(v) FROM counters", &[]).unwrap();
+        assert_eq!(total.rows[0][0].as_int().unwrap_or(0), committed_writes as i64);
+    }
+
     #[test]
     fn replicas_beat_the_single_db_baseline_under_a_primary_kill() {
         let mix = mini_mix();
@@ -1076,15 +1100,22 @@ mod tests {
         assert_eq!(a.throughput_ipm, b.throughput_ipm);
     }
 
+    /// Pins the replication stream of one traced primary kill (the setup
+    /// of `primary_kill_elects_a_replica_and_keeps_the_oracle`): the span
+    /// count of every kind, each election and catch-up label (the
+    /// restarted ex-primary rejoins as `r3`, past the installed ids), the
+    /// failover latency and every replication counter.
     #[test]
     fn traced_failover_captures_ship_and_election_spans() {
+        use dynamid_core::ReplicationStats;
         use dynamid_trace::SpanKind;
+        use std::collections::BTreeMap;
 
         let mix = mini_mix();
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
             .mix(&mix)
-            .workload(quick(15))
+            .workload(quick(20))
             .resilience(retrying())
             .replication(test_policy(2))
             .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
@@ -1092,16 +1123,51 @@ mod tests {
             .run(&mut db, &MiniApp);
         let cap = r.trace.expect("trace captured");
         dynamid_trace::verify_capture(&cap).expect("well-formed capture");
-        let kinds: Vec<SpanKind> =
-            cap.jobs.iter().flat_map(|j| j.spans.iter().map(|s| s.kind)).collect();
-        assert!(kinds.contains(&SpanKind::ReplicaShip), "no ship spans captured");
-        assert!(kinds.contains(&SpanKind::Election), "no election span captured");
+        let mut kinds: BTreeMap<SpanKind, usize> = BTreeMap::new();
+        for s in cap.jobs.iter().flat_map(|j| &j.spans) {
+            *kinds.entry(s.kind).or_default() += 1;
+        }
+        let want = [
+            (SpanKind::Request, 501),
+            (SpanKind::WebServe, 501),
+            (SpanKind::IpcHop, 1002),
+            (SpanKind::Invoke, 501),
+            (SpanKind::SqlStatement, 795),
+            (SpanKind::Response, 501),
+            (SpanKind::ReplicaShip, 226),
+            (SpanKind::Election, 1),
+        ];
+        assert_eq!(kinds, BTreeMap::from(want));
+        let labels = |pick: fn(&str) -> bool| -> Vec<String> {
+            let spans = cap.jobs.iter().flat_map(|j| &j.spans);
+            spans.filter(|s| pick(&s.label)).map(|s| s.label.clone()).collect()
+        };
+        assert_eq!(labels(|l| l.starts_with("promote")), ["promote r2 @ lsn 36"]);
+        assert_eq!(labels(|l| l.starts_with("catch-up")), ["catch-up r3 -> lsn 105"]);
         let repl_idx = cap
             .interactions
             .iter()
             .position(|n| n == "[replication]")
             .expect("replication name-table entry");
-        assert!(cap.jobs.iter().any(|j| j.interaction == repl_idx));
+        let repl_jobs = cap.jobs.iter().filter(|j| j.interaction == repl_idx).count();
+        assert_eq!(repl_jobs, 226 + 1);
+        let rep = r.replication.expect("replication report populated");
+        assert_eq!(rep.failover_latencies, [SimDuration::from_millis(400)]);
+        assert_eq!(
+            rep.stats,
+            ReplicationStats {
+                reads_to_replicas: 354,
+                reads_to_primary: 0,
+                writes_to_primary: 156,
+                frames_shipped: 225,
+                invalidations_fanned: 225,
+                fences: 1,
+                catchups: 1,
+                elections: 1,
+                failed_elections: 0,
+            }
+        );
+        assert_eq!(r.errors.failovers, 1);
     }
 
     #[test]

@@ -132,4 +132,7 @@ for grid in overload overload_c789; do
     || { echo "FAIL: $grid.csv drifted from results/golden/$grid.csv" >&2; exit 1; }
 done
 
+echo "== size: non-test library lines per crate (reported, not a gate)"
+scripts/loc.sh
+
 echo "All checks passed."
