@@ -18,7 +18,7 @@
 
 use crate::app::{AppError, AppResult, LogicStyle};
 use crate::cost::{CostModel, GeneratorCosts};
-use crate::deploy::{Architecture, Deployment};
+use crate::deploy::Deployment;
 use dynamid_http::{StaticAsset, Status};
 use dynamid_sim::{LockId, LockMode, MachineId, Op, Trace};
 use dynamid_sqldb::ast::TableLockKind;
@@ -201,13 +201,14 @@ impl<'a> RequestCtx<'a> {
         }
     }
 
-    /// The generator cost profile for the current architecture/tier.
+    /// The generator cost profile for the current architecture/tier: PHP's
+    /// native driver in the web-server process; the interpreted JDBC
+    /// driver in the servlet container and the EJB server.
     pub(crate) fn gen_costs(&self) -> &GeneratorCosts {
-        match self.deployment.config().architecture() {
-            Architecture::Php => &self.costs.php,
-            // The servlet container and the EJB server both use the
-            // interpreted JDBC driver.
-            Architecture::Servlet { .. } | Architecture::Ejb => &self.costs.servlet,
+        if self.deployment.config().logic().in_web_process() {
+            &self.costs.php
+        } else {
+            &self.costs.servlet
         }
     }
 
@@ -606,7 +607,8 @@ mod tests {
         .unwrap();
         db.execute("INSERT INTO items (id, stock) VALUES (1, 10)", &[]).unwrap();
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let dep = Deployment::install(&mut sim, config, &db, &NoApp, 512);
+        let admission = crate::deploy::AdmissionControl::default();
+        let dep = Deployment::install_replicated(&mut sim, config, &db, &NoApp, 512, admission, 0);
         (sim, db, dep, CostModel::default())
     }
 

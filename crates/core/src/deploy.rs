@@ -1,15 +1,13 @@
-//! Deployment topologies: the paper's six configurations plus the
-//! front-ended extensions (C7–C9), described declaratively and installed
-//! into a simulation.
+//! Deployments: the paper's six configurations plus the extensions C1s
+//! and C7–C9, and their installation into a simulation.
 //!
-//! A [`Topology`] says *what* a deployment looks like — front-end role,
-//! web-server count, logic placement — independent of the machine ids and
-//! lock/semaphore identities a concrete installation produces. The
-//! [`StandardConfig`] enum is now a set of canned presets over this model:
-//! [`StandardConfig::topology`] returns the declarative description and
-//! [`Deployment::install`] consumes it. The preset path installs a
-//! machine/lock/semaphore layout bit-identical to the historical
-//! per-config match arms, so every golden result is preserved.
+//! A [`StandardConfig`] preset answers three axes: the front end
+//! ([`StandardConfig::front`]), the number of web servers
+//! ([`StandardConfig::web_servers`]) and where the logic runs
+//! ([`StandardConfig::logic`]). [`Deployment`] is the only code that turns
+//! them into a layout: machine ids, lock and semaphore identities, and the
+//! server machines faults target. Machines are created in one fixed order,
+//! so each preset's layout, and every result that depends on it, is stable.
 
 use crate::app::{AppLockSpec, Application, LogicStyle};
 use dynamid_sim::{LockId, MachineId, SemaphoreId, Simulation};
@@ -27,21 +25,6 @@ pub const CLIENT_CORES: f64 = 4096.0;
 /// Aggregate client-side NIC capacity (never limiting).
 pub const CLIENT_NIC_MBPS: f64 = 100_000.0;
 
-/// The dynamic-content architecture a deployment uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Architecture {
-    /// Scripts in the web-server process (PHP).
-    Php,
-    /// Out-of-process servlet container; `sync` moves table locking into
-    /// the container.
-    Servlet {
-        /// Container-level locking replaces SQL `LOCK TABLES`.
-        sync: bool,
-    },
-    /// Servlet presentation + EJB session façades + entity beans.
-    Ejb,
-}
-
 /// How a load-balancing front end picks the web server for a request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoutingPolicy {
@@ -53,17 +36,14 @@ pub enum RoutingPolicy {
 }
 
 /// The machine in front of the web tier, if any.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrontEnd {
     /// Clients talk to the web server directly (C1–C6).
     None,
-    /// A reverse proxy relays every request and response and serves a
-    /// fraction of static-asset requests from its own cache.
-    ReverseProxy {
-        /// Fraction of static-asset requests served from the proxy cache
-        /// without touching a web server, in `[0, 1]`.
-        static_hit_ratio: f64,
-    },
+    /// A reverse proxy relays every request and response and serves
+    /// [`PROXY_STATIC_HIT_RATIO`] of static-asset requests from its own
+    /// cache.
+    ReverseProxy,
     /// A layer-4 load balancer spreads requests over the web farm.
     /// Responses use direct server return: only request bytes cross the
     /// balancer, so its NIC carries a small fraction of the traffic.
@@ -78,16 +58,17 @@ impl FrontEnd {
     pub fn machine_name(&self) -> Option<&'static str> {
         match self {
             FrontEnd::None => None,
-            FrontEnd::ReverseProxy { .. } => Some("proxy"),
+            FrontEnd::ReverseProxy => Some("proxy"),
             FrontEnd::LoadBalancer { .. } => Some("lb"),
         }
     }
 }
 
-/// Where the dynamic-content logic runs relative to the web tier.
+/// Where the dynamic-content logic runs relative to the web tier: the
+/// paper's architectural variable together with the machine it runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogicPlacement {
-    /// In the web-server process itself (PHP). `sync` enables
+    /// PHP: scripts in the web-server process itself. `sync` enables
     /// application-level locking via System V semaphores.
     WebProcess {
         /// Application-level locking replaces SQL `LOCK TABLES`.
@@ -108,193 +89,13 @@ pub enum LogicPlacement {
     EntityBeans,
 }
 
-/// A declarative deployment description: what tiers exist and how many
-/// machines each gets. Build one with [`TopologyBuilder`] or take a canned
-/// preset from [`StandardConfig::topology`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Topology {
-    front: FrontEnd,
-    web_servers: usize,
-    logic: LogicPlacement,
-}
-
-impl Topology {
-    /// Starts a builder with the C1 shape: no front end, one web server,
-    /// PHP in-process logic.
-    pub fn builder() -> TopologyBuilder {
-        TopologyBuilder::new()
-    }
-
-    /// The front-end role.
-    pub fn front(&self) -> FrontEnd {
-        self.front
-    }
-
-    /// Number of web-server machines.
-    pub fn web_servers(&self) -> usize {
-        self.web_servers
-    }
-
-    /// Where the dynamic-content logic runs.
-    pub fn logic(&self) -> LogicPlacement {
-        self.logic
-    }
-
-    /// The architecture implied by the logic placement.
-    pub fn architecture(&self) -> Architecture {
-        match self.logic {
-            LogicPlacement::WebProcess { .. } => Architecture::Php,
-            LogicPlacement::ColocatedContainer { sync }
-            | LogicPlacement::DedicatedContainer { sync } => Architecture::Servlet { sync },
-            LogicPlacement::EntityBeans => Architecture::Ejb,
-        }
-    }
-
-    /// The implementation style handlers run under.
-    pub fn logic_style(&self) -> LogicStyle {
-        match self.logic {
-            LogicPlacement::WebProcess { sync }
-            | LogicPlacement::ColocatedContainer { sync }
-            | LogicPlacement::DedicatedContainer { sync } => LogicStyle::ExplicitSql { sync },
-            LogicPlacement::EntityBeans => LogicStyle::EntityBean,
-        }
-    }
-
-    /// `true` when a front-end machine sits before the web tier.
-    pub fn has_front(&self) -> bool {
-        !matches!(self.front, FrontEnd::None)
-    }
-
-    /// `true` when the servlet container runs on its own machine.
-    pub fn has_dedicated_container(&self) -> bool {
-        matches!(
-            self.logic,
-            LogicPlacement::DedicatedContainer { .. } | LogicPlacement::EntityBeans
-        )
-    }
-
-    /// `true` when an EJB tier exists.
-    pub fn has_ejb_tier(&self) -> bool {
-        matches!(self.logic, LogicPlacement::EntityBeans)
-    }
-
-    /// Number of server machines (everything except the client farm).
-    pub fn server_machines(&self) -> usize {
-        let front = usize::from(self.has_front());
-        let container = usize::from(self.has_dedicated_container());
-        let ejb = usize::from(self.has_ejb_tier());
-        front + self.web_servers + container + ejb + 1 // + db
-    }
-
-    /// ASCII tier diagram, front to back (`lb -> web x2 -> db`).
-    pub fn diagram(&self) -> String {
-        let mut parts: Vec<String> = Vec::new();
-        if let Some(name) = self.front.machine_name() {
-            parts.push(name.to_string());
-        }
-        if self.web_servers == 1 {
-            parts.push("web".to_string());
-        } else {
-            parts.push(format!("web x{}", self.web_servers));
-        }
-        if self.has_dedicated_container() {
-            parts.push("servlet".to_string());
-        }
-        if self.has_ejb_tier() {
-            parts.push("ejb".to_string());
-        }
-        parts.push("db".to_string());
-        parts.join(" -> ")
-    }
-}
-
-/// Builder for [`Topology`] with shape validation at
-/// [`build`](TopologyBuilder::build) time.
-///
-/// ```
-/// use dynamid_core::{FrontEnd, LogicPlacement, RoutingPolicy, Topology};
-///
-/// let farm = Topology::builder()
-///     .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin })
-///     .web_servers(2)
-///     .logic(LogicPlacement::WebProcess { sync: false })
-///     .build()
-///     .unwrap();
-/// assert_eq!(farm.server_machines(), 4); // lb + 2 web + db
-/// ```
-#[derive(Debug, Clone)]
-pub struct TopologyBuilder {
-    front: FrontEnd,
-    web_servers: usize,
-    logic: LogicPlacement,
-}
-
-impl Default for TopologyBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TopologyBuilder {
-    /// A C1-shaped starting point: no front end, one web server, PHP.
-    pub fn new() -> TopologyBuilder {
-        TopologyBuilder {
-            front: FrontEnd::None,
-            web_servers: 1,
-            logic: LogicPlacement::WebProcess { sync: false },
-        }
-    }
-
-    /// Sets the front-end role.
-    pub fn front(mut self, front: FrontEnd) -> Self {
-        self.front = front;
-        self
-    }
-
-    /// Sets the number of web-server machines.
-    pub fn web_servers(mut self, n: usize) -> Self {
-        self.web_servers = n;
-        self
-    }
-
-    /// Sets the logic placement.
-    pub fn logic(mut self, logic: LogicPlacement) -> Self {
-        self.logic = logic;
-        self
-    }
-
-    /// Validates the shape and produces the topology.
-    ///
-    /// Rejected shapes: zero web servers; more than one web server without
-    /// a load balancer to spread requests over them; a colocated container
-    /// or entity beans behind a web farm (the container shares or fronts
-    /// exactly one web machine); a static-cache hit ratio outside `[0, 1]`.
-    pub fn build(self) -> Result<Topology, String> {
-        if self.web_servers == 0 {
-            return Err("topology needs at least one web server".to_string());
-        }
-        if self.web_servers > 1 && !matches!(self.front, FrontEnd::LoadBalancer { .. }) {
-            return Err(format!(
-                "{} web servers need a load-balancer front end to route requests",
-                self.web_servers
-            ));
-        }
-        if self.web_servers > 1
-            && matches!(
-                self.logic,
-                LogicPlacement::ColocatedContainer { .. } | LogicPlacement::EntityBeans
-            )
-        {
-            return Err(
-                "a web farm requires in-process logic or one dedicated container".to_string()
-            );
-        }
-        if let FrontEnd::ReverseProxy { static_hit_ratio } = self.front {
-            if !(0.0..=1.0).contains(&static_hit_ratio) {
-                return Err(format!("static_hit_ratio {static_hit_ratio} outside [0, 1]"));
-            }
-        }
-        Ok(Topology { front: self.front, web_servers: self.web_servers, logic: self.logic })
+impl LogicPlacement {
+    /// `true` when the logic runs inside the web-server process (PHP): no
+    /// connector crossing, and the native driver's cost profile. Servlet
+    /// containers and the EJB server are reached over AJP and use the JDBC
+    /// profile.
+    pub(crate) fn in_web_process(self) -> bool {
+        matches!(self, LogicPlacement::WebProcess { .. })
     }
 }
 
@@ -303,8 +104,8 @@ impl TopologyBuilder {
 /// vast majority of asset requests from cache.
 pub const PROXY_STATIC_HIT_RATIO: f64 = 0.85;
 
-/// The paper's six configurations (Figure 4) plus the front-ended
-/// extensions C7–C9.
+/// The paper's six configurations (Figure 4) plus the sync-PHP extension
+/// C1s and the front-ended extensions C7–C9.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum StandardConfig {
     /// `WsPhp-DB`: PHP module in the web server; DB on its own machine.
@@ -413,53 +214,53 @@ impl StandardConfig {
             .find(|c| c.code().eq_ignore_ascii_case(key) || c.paper_name() == key)
     }
 
-    /// The declarative topology this configuration is a preset of.
-    pub fn topology(self) -> Topology {
-        let b = Topology::builder();
-        let b = match self {
-            StandardConfig::PhpColocated => b.logic(LogicPlacement::WebProcess { sync: false }),
-            StandardConfig::PhpColocatedSync => b.logic(LogicPlacement::WebProcess { sync: true }),
-            StandardConfig::ServletColocated => {
-                b.logic(LogicPlacement::ColocatedContainer { sync: false })
-            }
-            StandardConfig::ServletColocatedSync => {
-                b.logic(LogicPlacement::ColocatedContainer { sync: true })
-            }
-            StandardConfig::ServletDedicated => {
-                b.logic(LogicPlacement::DedicatedContainer { sync: false })
-            }
-            StandardConfig::ServletDedicatedSync => {
-                b.logic(LogicPlacement::DedicatedContainer { sync: true })
-            }
-            StandardConfig::EjbFourTier => b.logic(LogicPlacement::EntityBeans),
-            StandardConfig::ProxyCached => b
-                .front(FrontEnd::ReverseProxy { static_hit_ratio: PROXY_STATIC_HIT_RATIO })
-                .logic(LogicPlacement::WebProcess { sync: false }),
-            StandardConfig::WebFarm => b
-                .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin })
-                .web_servers(2)
-                .logic(LogicPlacement::WebProcess { sync: false }),
-            StandardConfig::TieredFarm => b
-                .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections })
-                .web_servers(2)
-                .logic(LogicPlacement::DedicatedContainer { sync: false }),
-        };
-        b.build().expect("standard presets are valid topologies")
+    /// The machine in front of the web tier: a reverse proxy for C7, a
+    /// load balancer for the farms C8 and C9, none otherwise.
+    pub fn front(self) -> FrontEnd {
+        use StandardConfig::*;
+        match self {
+            PhpColocated | ServletColocated | ServletColocatedSync | ServletDedicated
+            | ServletDedicatedSync | EjbFourTier | PhpColocatedSync => FrontEnd::None,
+            ProxyCached => FrontEnd::ReverseProxy,
+            WebFarm => FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin },
+            TieredFarm => FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections },
+        }
     }
 
-    /// The architecture this configuration runs.
-    pub fn architecture(self) -> Architecture {
-        self.topology().architecture()
+    /// Number of web-server machines: two behind the farms' balancer, one
+    /// otherwise.
+    pub fn web_servers(self) -> usize {
+        use StandardConfig::*;
+        match self {
+            WebFarm | TieredFarm => 2,
+            PhpColocated | ServletColocated | ServletColocatedSync | ServletDedicated
+            | ServletDedicatedSync | EjbFourTier | PhpColocatedSync | ProxyCached => 1,
+        }
+    }
+
+    /// Where the dynamic-content logic runs.
+    pub fn logic(self) -> LogicPlacement {
+        use LogicPlacement::*;
+        use StandardConfig::*;
+        match self {
+            PhpColocated | ProxyCached | WebFarm => WebProcess { sync: false },
+            PhpColocatedSync => WebProcess { sync: true },
+            ServletColocated => ColocatedContainer { sync: false },
+            ServletColocatedSync => ColocatedContainer { sync: true },
+            ServletDedicated | TieredFarm => DedicatedContainer { sync: false },
+            ServletDedicatedSync => DedicatedContainer { sync: true },
+            EjbFourTier => EntityBeans,
+        }
     }
 
     /// The implementation style handlers run under.
     pub fn logic_style(self) -> LogicStyle {
-        self.topology().logic_style()
-    }
-
-    /// Number of server machines (excluding clients).
-    pub fn server_machines(self) -> usize {
-        self.topology().server_machines()
+        match self.logic() {
+            LogicPlacement::WebProcess { sync }
+            | LogicPlacement::ColocatedContainer { sync }
+            | LogicPlacement::DedicatedContainer { sync } => LogicStyle::ExplicitSql { sync },
+            LogicPlacement::EntityBeans => LogicStyle::EntityBean,
+        }
     }
 }
 
@@ -500,14 +301,33 @@ impl AdmissionControl {
     }
 }
 
+/// One database table as the installer saw it: its lock, and what the
+/// entity-bean container needs to activate its rows.
+#[derive(Debug)]
+pub(crate) struct TableEntry {
+    /// The lock that stands for the table's MyISAM table lock.
+    pub(crate) lock: LockId,
+    /// The table's catalog name.
+    pub(crate) name: String,
+    /// Column names in schema order (the columns of `SELECT *`).
+    pub(crate) columns: Vec<String>,
+    /// Position of the primary-key column, when the table has one.
+    pub(crate) pk: Option<usize>,
+    /// The container's activation statement,
+    /// `SELECT * FROM {name} WHERE {pk column} = ?` (empty without a
+    /// primary key).
+    pub(crate) find_sql: String,
+}
+
 /// An installed deployment: machines plus the lock/semaphore identities the
 /// request context needs when compiling traces.
 #[derive(Debug)]
 pub struct Deployment {
     config: StandardConfig,
-    topology: Topology,
     client: MachineId,
-    /// Front-end machine (proxy or balancer), when the topology has one.
+    /// Every server machine (all but the client farm), in creation order.
+    servers: Vec<MachineId>,
+    /// Front-end machine (proxy or balancer), when the preset has one.
     front: Option<MachineId>,
     /// Web-server machines in route order.
     webs: Vec<MachineId>,
@@ -518,8 +338,8 @@ pub struct Deployment {
     /// Read-replica machines of the replicated DB tier, in replica-id
     /// order (`db-r1`, `db-r2`, …). Empty unless replication is enabled.
     replicas: Vec<MachineId>,
-    /// One lock per database table, indexed by catalog id.
-    table_locks: Vec<LockId>,
+    /// One entry per database table, indexed by catalog id.
+    tables: Vec<TableEntry>,
     app_locks: HashMap<String, Vec<LockId>>,
     /// One process-pool semaphore per web machine, in route order.
     web_pools: Vec<SemaphoreId>,
@@ -527,35 +347,20 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// Installs `config` into `sim` with admission control disabled — the
-    /// paper's setup. Admission control and tracing are configured through
-    /// [`Middleware::install_opts`](crate::middleware::Middleware::install_opts).
-    pub fn install(
-        sim: &mut Simulation,
-        config: StandardConfig,
-        db: &Database,
-        app: &dyn Application,
-        web_processes: u32,
-    ) -> Deployment {
-        let admission = AdmissionControl::default();
-        Self::install_replicated(sim, config, db, app, web_processes, admission, 0)
-    }
-
     /// Installs `config` into `sim`: creates the machines, one lock per
     /// database table, the application lock groups, the web-server
     /// process-pool semaphore(s), (when `admission` enables them) the
     /// bounded accept queue and database connection pool, and
-    /// `replica_count` read replicas of the database machine. The replicas
-    /// are created *after* every standard machine, so with
-    /// `replica_count == 0` the machine ids (and therefore every downstream
-    /// result) are exactly those of the single-DB deployment.
+    /// `replica_count` read replicas of the database machine. Admission
+    /// control, replicas and tracing are chosen through
+    /// [`Middleware::install_opts`](crate::middleware::Middleware::install_opts).
     ///
     /// Machine-creation order (which fixes machine ids) is: clients, the
     /// front end (C7–C9 only), the web servers, the dedicated servlet
-    /// container, the EJB server, the database, the replicas. For the
-    /// front-end-less single-web presets this is exactly the historical
-    /// per-config order, so C1–C6 installs are bit-identical to the
-    /// pre-topology code path.
+    /// container, the EJB server, the database, the replicas. The replicas
+    /// come after every other machine, so with `replica_count == 0` the
+    /// machine ids (and therefore every downstream result) are exactly
+    /// those of the single-DB deployment.
     pub(crate) fn install_replicated(
         sim: &mut Simulation,
         config: StandardConfig,
@@ -565,38 +370,50 @@ impl Deployment {
         admission: AdmissionControl,
         replica_count: usize,
     ) -> Deployment {
-        let topology = config.topology();
         let client = sim.add_machine("clients", CLIENT_CORES, CLIENT_NIC_MBPS);
-        let front = topology
-            .front()
-            .machine_name()
-            .map(|name| sim.add_machine(name, MACHINE_CORES, MACHINE_NIC_MBPS));
-        let webs: Vec<MachineId> = if topology.web_servers() == 1 {
-            vec![sim.add_machine("web", MACHINE_CORES, MACHINE_NIC_MBPS)]
-        } else {
-            (1..=topology.web_servers())
-                .map(|i| sim.add_machine(format!("web-{i}"), MACHINE_CORES, MACHINE_NIC_MBPS))
-                .collect()
+        let mut servers = Vec::new();
+        let mut server = |sim: &mut Simulation, name: String| {
+            let id = sim.add_machine(name, MACHINE_CORES, MACHINE_NIC_MBPS);
+            servers.push(id);
+            id
         };
-        let servlet = match topology.logic() {
+        let front = config.front().machine_name().map(|name| server(sim, name.to_string()));
+        let webs: Vec<MachineId> = match config.web_servers() {
+            1 => vec![server(sim, "web".to_string())],
+            n => (1..=n).map(|i| server(sim, format!("web-{i}"))).collect(),
+        };
+        let servlet = match config.logic() {
             LogicPlacement::WebProcess { .. } => None,
             LogicPlacement::ColocatedContainer { .. } => Some(webs[0]),
             LogicPlacement::DedicatedContainer { .. } | LogicPlacement::EntityBeans => {
-                Some(sim.add_machine("servlet", MACHINE_CORES, MACHINE_NIC_MBPS))
+                Some(server(sim, "servlet".to_string()))
             }
         };
-        let ejb = topology
-            .has_ejb_tier()
-            .then(|| sim.add_machine("ejb", MACHINE_CORES, MACHINE_NIC_MBPS));
-        let db_machine = sim.add_machine("db", MACHINE_CORES, MACHINE_NIC_MBPS);
-        let replicas: Vec<MachineId> = (1..=replica_count)
-            .map(|i| sim.add_machine(format!("db-r{i}"), MACHINE_CORES, MACHINE_NIC_MBPS))
-            .collect();
+        let ejb =
+            (config.logic() == LogicPlacement::EntityBeans).then(|| server(sim, "ejb".to_string()));
+        let db_machine = server(sim, "db".to_string());
+        let replicas: Vec<MachineId> =
+            (1..=replica_count).map(|i| server(sim, format!("db-r{i}"))).collect();
 
-        let table_locks: Vec<LockId> = db
+        let tables: Vec<TableEntry> = db
             .table_names()
-            .iter()
-            .map(|name| sim.register_lock(format!("table:{name}")))
+            .into_iter()
+            .map(|name| {
+                let schema = db.table(name).expect("a catalog name names a table").schema();
+                let columns: Vec<String> =
+                    schema.columns().iter().map(|c| c.name().to_string()).collect();
+                let pk = schema.primary_key();
+                let find_sql = pk.map_or_else(String::new, |pk| {
+                    format!("SELECT * FROM {name} WHERE {} = ?", columns[pk])
+                });
+                TableEntry {
+                    lock: sim.register_lock(format!("table:{name}")),
+                    name: name.to_string(),
+                    columns,
+                    pk,
+                    find_sql,
+                }
+            })
             .collect();
         let mut app_locks = HashMap::new();
         for AppLockSpec { group, stripes } in app.app_locks() {
@@ -624,15 +441,15 @@ impl Deployment {
 
         Deployment {
             config,
-            topology,
             client,
+            servers,
             front,
             webs,
             servlet,
             ejb,
             db: db_machine,
             replicas,
-            table_locks,
+            tables,
             app_locks,
             web_pools,
             db_pool,
@@ -644,18 +461,21 @@ impl Deployment {
         self.config
     }
 
-    /// The declarative topology this deployment instantiates.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// The client-farm machine.
     pub fn client(&self) -> MachineId {
         self.client
     }
 
+    /// Every server machine (everything but the client farm) in creation
+    /// order: front end, web servers, dedicated servlet container, EJB
+    /// server, database, replicas. A co-located container shares the web
+    /// machine and is listed once. Fault storms target these machines.
+    pub fn servers(&self) -> &[MachineId] {
+        &self.servers
+    }
+
     /// The front-end machine (reverse proxy or load balancer), when the
-    /// topology has one.
+    /// preset has one.
     pub fn front_machine(&self) -> Option<MachineId> {
         self.front
     }
@@ -701,7 +521,16 @@ impl Deployment {
     /// Panics when the table does not exist (tables are registered at
     /// install time from the live catalog).
     pub fn table_lock(&self, table: usize) -> LockId {
-        self.table_locks[table]
+        self.tables[table].lock
+    }
+
+    /// The install-time entry of the table with catalog id `table`.
+    ///
+    /// # Panics
+    ///
+    /// As [`table_lock`](Self::table_lock).
+    pub(crate) fn table(&self, table: usize) -> &TableEntry {
+        &self.tables[table]
     }
 
     /// Container-level lock for `group`, striped by `key`.
@@ -715,12 +544,6 @@ impl Deployment {
             .get(group)
             .unwrap_or_else(|| panic!("undeclared app lock group '{group}'"));
         stripes[(key % stripes.len() as u64) as usize]
-    }
-
-    /// The web-server process-pool semaphore (of the first web machine in
-    /// a farm).
-    pub fn web_pool(&self) -> SemaphoreId {
-        self.web_pools[0]
     }
 
     /// The process-pool semaphores, one per web machine in route order.
@@ -785,6 +608,13 @@ mod tests {
         db
     }
 
+    /// Installs `config` the paper's way: no admission control, no
+    /// replicas.
+    fn install(sim: &mut Simulation, config: StandardConfig, db: &Database) -> Deployment {
+        let admission = AdmissionControl::default();
+        Deployment::install_replicated(sim, config, db, &NoApp, 512, admission, 0)
+    }
+
     #[test]
     fn paper_names_match() {
         assert_eq!(StandardConfig::PhpColocated.paper_name(), "WsPhp-DB");
@@ -808,102 +638,43 @@ mod tests {
     }
 
     #[test]
-    fn architectures_and_styles() {
-        assert_eq!(StandardConfig::PhpColocated.architecture(), Architecture::Php);
-        assert_eq!(
-            StandardConfig::ServletColocatedSync.architecture(),
-            Architecture::Servlet { sync: true }
-        );
-        assert!(StandardConfig::ServletDedicatedSync.logic_style().is_sync());
-        assert_eq!(StandardConfig::EjbFourTier.logic_style(), LogicStyle::EntityBean);
-        assert_eq!(StandardConfig::ProxyCached.architecture(), Architecture::Php);
-        assert_eq!(StandardConfig::WebFarm.architecture(), Architecture::Php);
-        assert_eq!(
-            StandardConfig::TieredFarm.architecture(),
-            Architecture::Servlet { sync: false }
-        );
-    }
-
-    #[test]
-    fn machine_counts() {
-        assert_eq!(StandardConfig::PhpColocated.server_machines(), 2);
-        assert_eq!(StandardConfig::ServletDedicated.server_machines(), 3);
-        assert_eq!(StandardConfig::EjbFourTier.server_machines(), 4);
-        assert_eq!(StandardConfig::ProxyCached.server_machines(), 3);
-        assert_eq!(StandardConfig::WebFarm.server_machines(), 4);
-        assert_eq!(StandardConfig::TieredFarm.server_machines(), 5);
-        assert!(!StandardConfig::ServletColocated.topology().has_dedicated_container());
-        assert!(StandardConfig::ServletDedicated.topology().has_dedicated_container());
-    }
-
-    #[test]
-    fn topology_presets_describe_the_paper_shapes() {
-        let c1 = StandardConfig::PhpColocated.topology();
-        assert_eq!(c1.front(), FrontEnd::None);
-        assert_eq!(c1.web_servers(), 1);
-        assert_eq!(c1.logic(), LogicPlacement::WebProcess { sync: false });
-        assert_eq!(c1.diagram(), "web -> db");
-
-        let c6 = StandardConfig::EjbFourTier.topology();
-        assert!(c6.has_ejb_tier() && c6.has_dedicated_container());
-        assert_eq!(c6.diagram(), "web -> servlet -> ejb -> db");
-
-        let c7 = StandardConfig::ProxyCached.topology();
-        assert_eq!(c7.front(), FrontEnd::ReverseProxy { static_hit_ratio: PROXY_STATIC_HIT_RATIO });
-        assert_eq!(c7.diagram(), "proxy -> web -> db");
-
-        let c8 = StandardConfig::WebFarm.topology();
-        assert_eq!(c8.front(), FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin });
-        assert_eq!(c8.web_servers(), 2);
-        assert_eq!(c8.diagram(), "lb -> web x2 -> db");
-
-        let c9 = StandardConfig::TieredFarm.topology();
-        assert_eq!(c9.front(), FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections });
-        assert_eq!(c9.diagram(), "lb -> web x2 -> servlet -> db");
-    }
-
-    #[test]
-    fn builder_rejects_invalid_shapes() {
-        assert!(Topology::builder().web_servers(0).build().is_err());
-        // A farm without a balancer has no way to route requests.
-        assert!(Topology::builder().web_servers(2).build().is_err());
-        assert!(Topology::builder()
-            .web_servers(3)
-            .front(FrontEnd::ReverseProxy { static_hit_ratio: 0.5 })
-            .build()
-            .is_err());
-        // A colocated container or entity beans cannot sit behind a farm.
-        assert!(Topology::builder()
-            .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin })
-            .web_servers(2)
-            .logic(LogicPlacement::ColocatedContainer { sync: false })
-            .build()
-            .is_err());
-        assert!(Topology::builder()
-            .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::RoundRobin })
-            .web_servers(2)
-            .logic(LogicPlacement::EntityBeans)
-            .build()
-            .is_err());
-        // Hit ratio outside [0, 1].
-        assert!(Topology::builder()
-            .front(FrontEnd::ReverseProxy { static_hit_ratio: 1.5 })
-            .build()
-            .is_err());
-        // The valid farm shapes build.
-        assert!(Topology::builder()
-            .front(FrontEnd::LoadBalancer { routing: RoutingPolicy::LeastConnections })
-            .web_servers(4)
-            .logic(LogicPlacement::DedicatedContainer { sync: true })
-            .build()
-            .is_ok());
+    fn presets_answer_the_three_axes() {
+        use LogicPlacement::*;
+        use StandardConfig::*;
+        let lb = |routing| FrontEnd::LoadBalancer { routing };
+        let axes = [
+            (PhpColocated, FrontEnd::None, 1, WebProcess { sync: false }),
+            (ServletColocated, FrontEnd::None, 1, ColocatedContainer { sync: false }),
+            (ServletColocatedSync, FrontEnd::None, 1, ColocatedContainer { sync: true }),
+            (ServletDedicated, FrontEnd::None, 1, DedicatedContainer { sync: false }),
+            (ServletDedicatedSync, FrontEnd::None, 1, DedicatedContainer { sync: true }),
+            (EjbFourTier, FrontEnd::None, 1, EntityBeans),
+            (PhpColocatedSync, FrontEnd::None, 1, WebProcess { sync: true }),
+            (ProxyCached, FrontEnd::ReverseProxy, 1, WebProcess { sync: false }),
+            (WebFarm, lb(RoutingPolicy::RoundRobin), 2, WebProcess { sync: false }),
+            (
+                TieredFarm,
+                lb(RoutingPolicy::LeastConnections),
+                2,
+                DedicatedContainer { sync: false },
+            ),
+        ];
+        assert_eq!(axes.map(|(config, ..)| config), StandardConfig::EXTENDED);
+        for (config, front, webs, logic) in axes {
+            let got = (config.front(), config.web_servers(), config.logic());
+            assert_eq!(got, (front, webs, logic), "{config}");
+        }
+        assert!(ServletDedicatedSync.logic_style().is_sync());
+        assert_eq!(PhpColocatedSync.logic_style(), LogicStyle::ExplicitSql { sync: true });
+        assert_eq!(TieredFarm.logic_style(), LogicStyle::ExplicitSql { sync: false });
+        assert_eq!(EjbFourTier.logic_style(), LogicStyle::EntityBean);
     }
 
     #[test]
     fn install_colocated_shares_machine() {
         let mut sim = Simulation::new(SimDuration::from_micros(100));
         let db = small_db();
-        let d = Deployment::install(&mut sim, StandardConfig::ServletColocated, &db, &NoApp, 512);
+        let d = install(&mut sim, StandardConfig::ServletColocated, &db);
         assert_eq!(d.servlet_machine(), Some(d.web_machines()[0]));
         assert_eq!(d.generator(0), d.web_machines()[0]);
         assert!(d.ejb_machine().is_none());
@@ -916,51 +687,30 @@ mod tests {
     fn install_four_tier_has_four_servers() {
         let mut sim = Simulation::new(SimDuration::from_micros(100));
         let db = small_db();
-        let d = Deployment::install(&mut sim, StandardConfig::EjbFourTier, &db, &NoApp, 512);
+        let d = install(&mut sim, StandardConfig::EjbFourTier, &db);
         assert_eq!(sim.machine_count(), 5); // clients + 4 servers
         assert_ne!(d.servlet_machine(), Some(d.web_machines()[0]));
         assert!(d.ejb_machine().is_some());
     }
 
     #[test]
-    fn install_front_ended_configs() {
-        for (config, machines, webs, pools) in [
-            (StandardConfig::ProxyCached, 4, 1, 1), // clients + proxy + web + db
-            (StandardConfig::WebFarm, 5, 2, 2),     // clients + lb + 2 web + db
-            (StandardConfig::TieredFarm, 6, 2, 2),  // … + servlet
-        ] {
-            let mut sim = Simulation::new(SimDuration::from_micros(100));
-            let db = small_db();
-            let d = Deployment::install(&mut sim, config, &db, &NoApp, 512);
-            assert_eq!(sim.machine_count(), machines, "{config}");
-            assert!(d.front_machine().is_some(), "{config}");
-            assert_eq!(d.web_machines().len(), webs, "{config}");
-            assert_eq!(d.web_pools().len(), pools, "{config}");
-            // Every web machine has a distinct pool and generator route.
-            for r in 0..webs {
-                assert_eq!(d.web_pool_for(r), d.web_pools()[r], "{config}");
-            }
-        }
-    }
-
-    #[test]
     fn farm_generator_follows_the_route_for_php() {
         let mut sim = Simulation::new(SimDuration::from_micros(100));
         let db = small_db();
-        let d = Deployment::install(&mut sim, StandardConfig::WebFarm, &db, &NoApp, 512);
+        let d = install(&mut sim, StandardConfig::WebFarm, &db);
         assert_eq!(d.generator(0), d.web_machines()[0]);
         assert_eq!(d.generator(1), d.web_machines()[1]);
         assert_ne!(d.generator(0), d.generator(1));
         // The tiered farm's generator is the shared container regardless
         // of route.
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let d = Deployment::install(&mut sim, StandardConfig::TieredFarm, &db, &NoApp, 512);
+        let d = install(&mut sim, StandardConfig::TieredFarm, &db);
         assert_eq!(d.generator(0), d.generator(1));
         assert_eq!(Some(d.generator(0)), d.servlet_machine());
     }
 
-    /// Preset-equivalence oracle: the topology-driven install must produce,
-    /// for every pre-existing configuration, exactly the machine names (in
+    /// Preset-equivalence oracle: the install must produce, for every
+    /// configuration of the paper plus C1s, exactly the machine names (in
     /// id order), machine ids, lock registry size, and pool identities the
     /// historical per-config match arms produced. This is what keeps every
     /// golden CSV byte-identical across the API redesign.
@@ -970,7 +720,7 @@ mod tests {
         for config in StandardConfig::ALL.into_iter().chain([PhpColocatedSync]) {
             let mut sim = Simulation::new(SimDuration::from_micros(100));
             let db = small_db();
-            let d = Deployment::install(&mut sim, config, &db, &NoApp, 512);
+            let d = install(&mut sim, config, &db);
 
             // Machine names in creation (id) order, per the legacy arms.
             let mut expect = vec!["clients", "web"];
@@ -1011,8 +761,108 @@ mod tests {
 
             // One web pool, registered before any db pool, id 0.
             assert_eq!(d.web_pools(), &[SemaphoreId(0)], "{config}");
-            assert_eq!(d.web_pool(), SemaphoreId(0), "{config}");
+            assert_eq!(d.web_pool_for(0), SemaphoreId(0), "{config}");
             assert!(d.db_pool().is_none(), "{config}");
+        }
+    }
+
+    /// Layout pin for all ten presets, each with 0 and 2 replicas and
+    /// with admission control off and at the availability sweep's limits:
+    /// machine names in id order, the web machines and their pools, each
+    /// route's generator, the front machine, the database pool, every lock
+    /// name in id order and the fault-target list (whose order fixes the
+    /// order of the compiled crash windows). Every constant was captured
+    /// from the installer before `StandardConfig` answered the layout axes
+    /// itself; golden CSVs depend on each of them.
+    #[test]
+    fn every_preset_installs_its_pinned_layout() {
+        use StandardConfig::*;
+        // (preset, server machine names in id order, fault targets,
+        // generator machine per route), all without replicas.
+        type Pin = (StandardConfig, &'static [&'static str], &'static [u32], &'static [u32]);
+        let pins: [Pin; 10] = [
+            (PhpColocated, &["web", "db"], &[1, 2], &[1]),
+            (ServletColocated, &["web", "db"], &[1, 2], &[1]),
+            (ServletColocatedSync, &["web", "db"], &[1, 2], &[1]),
+            (ServletDedicated, &["web", "servlet", "db"], &[1, 2, 3], &[2]),
+            (ServletDedicatedSync, &["web", "servlet", "db"], &[1, 2, 3], &[2]),
+            (EjbFourTier, &["web", "servlet", "ejb", "db"], &[1, 2, 3, 4], &[2]),
+            (PhpColocatedSync, &["web", "db"], &[1, 2], &[1]),
+            (ProxyCached, &["proxy", "web", "db"], &[1, 2, 3], &[2]),
+            (WebFarm, &["lb", "web-1", "web-2", "db"], &[1, 2, 3, 4], &[2, 3]),
+            (TieredFarm, &["lb", "web-1", "web-2", "servlet", "db"], &[1, 2, 3, 4, 5], &[4, 4]),
+        ];
+        let sweep_limits = AdmissionControl {
+            web_accept_queue: Some(128),
+            db_connections: Some(48),
+            db_accept_queue: Some(64),
+        };
+        let db = small_db();
+        for (config, servers, targets, generators) in pins {
+            for replicas in [0, 2] {
+                for admission in [AdmissionControl::default(), sweep_limits] {
+                    let mut sim = Simulation::new(SimDuration::from_micros(100));
+                    let d = Deployment::install_replicated(
+                        &mut sim, config, &db, &NoApp, 512, admission, replicas,
+                    );
+                    let at = format!("{config}, {replicas} replicas, {admission:?}");
+                    let n = servers.len() as u32;
+                    let ids = |ids: &[u32]| -> Vec<MachineId> {
+                        ids.iter().copied().map(MachineId).collect()
+                    };
+                    let replica_ids: Vec<u32> = (n + 1..=n + replicas as u32).collect();
+
+                    let mut names = vec!["clients"];
+                    names.extend_from_slice(servers);
+                    names.extend_from_slice(&["db-r1", "db-r2"][..replicas]);
+                    let got: Vec<&str> = (0..sim.machine_count() as u32)
+                        .map(|i| sim.machine_name(MachineId(i)))
+                        .collect();
+                    assert_eq!(got, names, "{at}");
+
+                    let all_targets: Vec<u32> =
+                        targets.iter().copied().chain(replica_ids.iter().copied()).collect();
+                    assert_eq!(d.servers(), ids(&all_targets), "{at}");
+                    assert_eq!(d.replicas(), ids(&replica_ids), "{at}");
+                    assert_eq!(d.db_machine(), MachineId(n), "{at}");
+
+                    let front = matches!(config, ProxyCached | WebFarm | TieredFarm);
+                    assert_eq!(d.front_machine(), front.then_some(MachineId(1)), "{at}");
+                    let webs = generators.len();
+                    let first_web = 1 + u32::from(front);
+                    let web_ids: Vec<u32> = (first_web..first_web + webs as u32).collect();
+                    assert_eq!(d.web_machines(), ids(&web_ids), "{at}");
+                    let routed: Vec<MachineId> = (0..webs).map(|r| d.generator(r)).collect();
+                    assert_eq!(routed, ids(generators), "{at}");
+
+                    let pools: Vec<SemaphoreId> = (0..webs as u32).map(SemaphoreId).collect();
+                    assert_eq!(d.web_pools(), pools, "{at}");
+                    let by_route: Vec<SemaphoreId> = (0..webs).map(|r| d.web_pool_for(r)).collect();
+                    assert_eq!(by_route, pools, "{at}");
+                    let pool_names: Vec<&str> =
+                        d.web_pools().iter().map(|&s| sim.semaphore_name(s)).collect();
+                    let want_pools: &[&str] =
+                        if webs == 1 { &["web-pool"] } else { &["web-pool-1", "web-pool-2"] };
+                    assert_eq!(pool_names, want_pools, "{at}");
+                    let db_pool = admission.db_connections.map(|_| SemaphoreId(webs as u32));
+                    assert_eq!(d.db_pool(), db_pool, "{at}");
+                    assert_eq!(
+                        sim.semaphore_count(),
+                        webs + usize::from(db_pool.is_some()),
+                        "{at}"
+                    );
+                    if let Some(pool) = db_pool {
+                        assert_eq!(sim.semaphore_name(pool), "db-pool", "{at}");
+                    }
+
+                    let locks: Vec<&str> =
+                        (0..sim.lock_count() as u32).map(|i| sim.lock_name(LockId(i))).collect();
+                    let want_locks =
+                        ["table:items", "app:items#0", "app:items#1", "app:items#2", "app:items#3"];
+                    assert_eq!(locks, want_locks, "{at}");
+                    assert_eq!(d.table_lock(0), LockId(0), "{at}");
+                }
+            }
         }
     }
 
@@ -1020,7 +870,7 @@ mod tests {
     fn locks_registered_per_table_and_group() {
         let mut sim = Simulation::new(SimDuration::from_micros(100));
         let db = small_db();
-        let d = Deployment::install(&mut sim, StandardConfig::PhpColocated, &db, &NoApp, 512);
+        let d = install(&mut sim, StandardConfig::PhpColocated, &db);
         let l = d.table_lock(db.table_index("items").unwrap());
         // Striped app locks map keys deterministically.
         let a = d.app_lock("items", 1);
@@ -1035,7 +885,7 @@ mod tests {
     fn unknown_app_lock_group_panics() {
         let mut sim = Simulation::new(SimDuration::from_micros(100));
         let db = small_db();
-        let d = Deployment::install(&mut sim, StandardConfig::PhpColocated, &db, &NoApp, 512);
+        let d = install(&mut sim, StandardConfig::PhpColocated, &db);
         d.app_lock("nope", 0);
     }
 
@@ -1045,7 +895,7 @@ mod tests {
         assert!(ac.is_disabled());
         let mut sim = Simulation::new(SimDuration::from_micros(100));
         let db = small_db();
-        let d = Deployment::install(&mut sim, StandardConfig::PhpColocated, &db, &NoApp, 512);
+        let d = install(&mut sim, StandardConfig::PhpColocated, &db);
         assert!(d.db_pool().is_none());
     }
 
@@ -1069,7 +919,7 @@ mod tests {
             0,
         );
         let pool = d.db_pool().expect("db pool registered");
-        assert_ne!(pool, d.web_pool());
+        assert_ne!(pool, d.web_pools()[0]);
         let stats = sim.semaphore_stats(pool);
         assert_eq!(stats.rejected, 0);
     }
@@ -1078,7 +928,7 @@ mod tests {
     fn generator_machine_for_php_is_web() {
         let mut sim = Simulation::new(SimDuration::from_micros(100));
         let db = small_db();
-        let d = Deployment::install(&mut sim, StandardConfig::PhpColocated, &db, &NoApp, 512);
+        let d = install(&mut sim, StandardConfig::PhpColocated, &db);
         assert_eq!(d.generator(0), d.web_machines()[0]);
         assert!(d.servlet_machine().is_none());
     }

@@ -19,6 +19,7 @@
 
 use crate::app::{AppError, AppResult, LogicStyle};
 use crate::ctx::{ReadLog, RequestCtx, Tier};
+use crate::deploy::TableEntry;
 use dynamid_sim::Op;
 use dynamid_sqldb::{CacheKey, Lookup, SqlError, Value};
 use dynamid_trace::SpanKind;
@@ -28,12 +29,13 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BeanHandle(usize);
 
+/// An activated entity: its row and which fields the façade changed. Its
+/// table's name and columns are the deployment's, found by catalog id.
 #[derive(Debug)]
 struct Bean {
-    table: String,
-    pk_col: String,
+    /// Catalog id of the bean's table.
+    table: usize,
     pk: Value,
-    columns: Vec<String>,
     values: Vec<Value>,
     dirty: Vec<bool>,
 }
@@ -70,14 +72,33 @@ impl<'c, 'a> EntityManager<'c, 'a> {
         self.ctx.cpu(micros);
     }
 
-    fn pk_col_of(&self, table: &str) -> AppResult<String> {
-        let t = self.ctx.db.table(table)?;
-        let pk = t.schema().primary_key().ok_or_else(|| {
-            AppError::Sql(SqlError::Unsupported(format!(
-                "entity table '{table}' has no primary key"
-            )))
+    /// The catalog id, install-time entry and primary-key column of entity
+    /// table `table`.
+    ///
+    /// # Errors
+    ///
+    /// An unknown table; a table without a primary key.
+    fn entity(&self, table: &str) -> AppResult<(usize, &'a TableEntry, &'a str)> {
+        let id = self
+            .ctx
+            .db
+            .table_index(table)
+            .ok_or_else(|| SqlError::UnknownTable(table.to_string()))?;
+        let entry = self.ctx.deployment.table(id);
+        let pk = entry.pk.ok_or_else(|| {
+            SqlError::Unsupported(format!("entity table '{table}' has no primary key"))
         })?;
-        Ok(t.schema().columns()[pk].name().to_string())
+        Ok((id, entry, &entry.columns[pk]))
+    }
+
+    /// Position of column `col` in the rows of table `table` (a catalog
+    /// id).
+    fn column(&self, table: usize, col: &str) -> AppResult<usize> {
+        let columns = &self.ctx.deployment.table(table).columns;
+        columns
+            .iter()
+            .position(|c| c == col)
+            .ok_or_else(|| AppError::Sql(SqlError::UnknownColumn(col.to_string())))
     }
 
     /// Activates the entity with primary key `pk`, issuing the
@@ -96,21 +117,13 @@ impl<'c, 'a> EntityManager<'c, 'a> {
 
     fn find_impl(&mut self, table: &str, pk: Value) -> AppResult<Option<BeanHandle>> {
         self.bean_overhead();
-        let pk_col = self.pk_col_of(table)?;
-        let sql = format!("SELECT * FROM {table} WHERE {pk_col} = ?");
-        let r = self.ctx.query(&sql, std::slice::from_ref(&pk))?;
+        let (id, entry, _) = self.entity(table)?;
+        let r = self.ctx.query(&entry.find_sql, std::slice::from_ref(&pk))?;
         let Some(row) = r.rows.into_iter().next() else {
             return Ok(None);
         };
         let n = row.len();
-        self.beans.push(Bean {
-            table: table.to_string(),
-            pk_col,
-            pk,
-            columns: r.columns,
-            values: row,
-            dirty: vec![false; n],
-        });
+        self.beans.push(Bean { table: id, pk, values: row, dirty: vec![false; n] });
         Ok(Some(BeanHandle(self.beans.len() - 1)))
     }
 
@@ -175,7 +188,7 @@ impl<'c, 'a> EntityManager<'c, 'a> {
         params: &[Value],
     ) -> AppResult<Vec<Value>> {
         self.bean_overhead();
-        let pk_col = self.pk_col_of(table)?;
+        let (_, _, pk_col) = self.entity(table)?;
         let sql = format!("SELECT {pk_col} FROM {table} {tail}");
         let r = self.ctx.query(&sql, params)?;
         Ok(r.rows.into_iter().map(|mut row| row.remove(0)).collect())
@@ -192,12 +205,7 @@ impl<'c, 'a> EntityManager<'c, 'a> {
     /// Panics on a stale handle (handles never outlive the façade call).
     pub fn get(&mut self, h: BeanHandle, col: &str) -> AppResult<Value> {
         let bean = &self.beans[h.0];
-        let idx = bean
-            .columns
-            .iter()
-            .position(|c| c == col)
-            .ok_or_else(|| AppError::Sql(SqlError::UnknownColumn(col.to_string())))?;
-        let v = bean.values[idx].clone();
+        let v = bean.values[self.column(bean.table, col)?].clone();
         self.transferred += v.wire_size();
         Ok(v)
     }
@@ -209,12 +217,8 @@ impl<'c, 'a> EntityManager<'c, 'a> {
     ///
     /// Unknown column name.
     pub fn set(&mut self, h: BeanHandle, col: &str, value: Value) -> AppResult<()> {
+        let idx = self.column(self.beans[h.0].table, col)?;
         let bean = &mut self.beans[h.0];
-        let idx = bean
-            .columns
-            .iter()
-            .position(|c| c == col)
-            .ok_or_else(|| AppError::Sql(SqlError::UnknownColumn(col.to_string())))?;
         bean.values[idx] = value;
         bean.dirty[idx] = true;
         Ok(())
@@ -248,7 +252,7 @@ impl<'c, 'a> EntityManager<'c, 'a> {
         if let Some(id) = r.last_insert_id {
             return Ok(Value::Int(id));
         }
-        let pk_col = self.pk_col_of(table)?;
+        let (_, _, pk_col) = self.entity(table)?;
         fields.iter().find(|(c, _)| *c == pk_col).map(|(_, v)| v.clone()).ok_or_else(|| {
             AppError::Sql(SqlError::Constraint(format!(
                 "create on '{table}' without a primary key value"
@@ -270,7 +274,7 @@ impl<'c, 'a> EntityManager<'c, 'a> {
 
     fn remove_impl(&mut self, table: &str, pk: Value) -> AppResult<u64> {
         self.bean_overhead();
-        let pk_col = self.pk_col_of(table)?;
+        let (_, _, pk_col) = self.entity(table)?;
         let sql = format!("DELETE FROM {table} WHERE {pk_col} = ?");
         let r = self.ctx.query(&sql, &[pk])?;
         Ok(r.affected)
@@ -299,15 +303,16 @@ impl<'c, 'a> EntityManager<'c, 'a> {
     fn store_bean(&mut self, i: usize) -> AppResult<()> {
         self.bean_overhead();
         let bean = &self.beans[i];
-        let sets: Vec<String> = bean
+        let entry = self.ctx.deployment.table(bean.table);
+        let sets: Vec<String> = entry
             .columns
             .iter()
             .zip(&bean.dirty)
             .filter(|(_, d)| **d)
             .map(|(c, _)| format!("{c} = ?"))
             .collect();
-        let sql =
-            format!("UPDATE {} SET {} WHERE {} = ?", bean.table, sets.join(", "), bean.pk_col);
+        let pk_col = &entry.columns[entry.pk.expect("an activated bean's table has a key")];
+        let sql = format!("UPDATE {} SET {} WHERE {pk_col} = ?", entry.name, sets.join(", "));
         let mut params: Vec<Value> = bean
             .values
             .iter()
@@ -446,7 +451,7 @@ mod tests {
     use super::*;
     use crate::app::{AppLockSpec, Application, InteractionSpec};
     use crate::cost::CostModel;
-    use crate::deploy::{Deployment, StandardConfig};
+    use crate::deploy::{AdmissionControl, Deployment, StandardConfig};
     use crate::session::SessionData;
     use dynamid_sim::{SimDuration, SimRng, Simulation};
     use dynamid_sqldb::{ColumnType, Database, TableSchema};
@@ -488,6 +493,10 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
+        db.create_table(
+            TableSchema::builder("notes").column("id", ColumnType::Int).build().unwrap(),
+        )
+        .unwrap();
         for (name, qty, seller) in [("lamp", 5, 1), ("desk", 2, 1), ("vase", 9, 2)] {
             db.execute(
                 "INSERT INTO items (id, name, qty, seller) VALUES (NULL, ?, ?, ?)",
@@ -496,7 +505,9 @@ mod tests {
             .unwrap();
         }
         let mut sim = Simulation::new(SimDuration::from_micros(100));
-        let dep = Deployment::install(&mut sim, StandardConfig::EjbFourTier, &db, &NoApp, 512);
+        let config = StandardConfig::EjbFourTier;
+        let admission = AdmissionControl::default();
+        let dep = Deployment::install_replicated(&mut sim, config, &db, &NoApp, 512, admission, 0);
         (sim, db, dep, CostModel::default())
     }
 
@@ -606,6 +617,30 @@ mod tests {
             Ok(())
         });
         assert!(matches!(r, Err(AppError::Sql(SqlError::UnknownColumn(_)))));
+    }
+
+    /// An unknown table and an entity table without a primary key are
+    /// errors on `find`, on a finder and on `remove`. Each call is charged
+    /// its bean overhead first, and none reaches the database.
+    #[test]
+    fn unknown_and_keyless_tables_fail_after_the_bean_overhead() {
+        let (_sim, mut db, dep, costs) = setup();
+        let mut c = ctx(&mut db, &dep, &costs);
+        let unknown = AppError::Sql(SqlError::UnknownTable("nope".into()));
+        let keyless =
+            AppError::Sql(SqlError::Unsupported("entity table 'notes' has no primary key".into()));
+        c.facade("f", |em| {
+            for (table, want) in [("nope", &unknown), ("notes", &keyless)] {
+                let before = em.ctx.stats;
+                assert_eq!(&em.find(table, Value::Int(1)).unwrap_err(), want);
+                assert_eq!(&em.find_pks_where(table, "id", Value::Int(1)).unwrap_err(), want);
+                assert_eq!(&em.remove(table, Value::Int(1)).unwrap_err(), want);
+                assert_eq!(em.ctx.stats.bean_accesses, before.bean_accesses + 3, "{table}");
+                assert_eq!(em.ctx.stats.queries, before.queries, "{table}");
+            }
+            Ok(())
+        })
+        .unwrap();
     }
 
     #[test]

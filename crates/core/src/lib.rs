@@ -3,20 +3,22 @@
 //! The subject of the reproduced paper (*"Performance Comparison of
 //! Middleware Architectures for Generating Dynamic Web Content"*, Cecchet
 //! et al., MIDDLEWARE 2003): three ways of generating dynamic web content,
-//! deployable in the paper's six configurations plus three front-ended
-//! ones (C7–C9, via the composable [`Topology`] API), measurable over the
+//! deployable in the paper's six configurations plus the extensions C1s
+//! and C7–C9 (the [`StandardConfig`] presets), measurable over the
 //! `dynamid-sim` cluster against the `dynamid-sqldb` database.
 //!
-//! * **PHP** ([`Architecture::Php`]) — scripts in the web-server process:
-//!   no IPC, a cheap native database driver, but pinned to the web machine.
-//! * **Java servlets** ([`Architecture::Servlet`]) — an out-of-process
-//!   container reached over AJP: per-request and per-byte marshalling and a
-//!   dearer JDBC driver, but free to run on its own machine, and able to
-//!   replace SQL `LOCK TABLES` with container-level locks (the paper's
-//!   *(sync)* configurations).
-//! * **EJB** ([`Architecture::Ejb`]) — session façades over RMI and entity
-//!   beans with container-managed persistence, which turn business
-//!   operations into floods of single-row SQL statements.
+//! * **PHP** ([`LogicPlacement::WebProcess`]) — scripts in the web-server
+//!   process: no IPC, a cheap native database driver, but pinned to the
+//!   web machine.
+//! * **Java servlets** ([`LogicPlacement::ColocatedContainer`],
+//!   [`LogicPlacement::DedicatedContainer`]) — an out-of-process container
+//!   reached over AJP: per-request and per-byte marshalling and a dearer
+//!   JDBC driver, but free to run on its own machine, and able to replace
+//!   SQL `LOCK TABLES` with container-level locks (the paper's *(sync)*
+//!   configurations).
+//! * **EJB** ([`LogicPlacement::EntityBeans`]) — session façades over RMI
+//!   and entity beans with container-managed persistence, which turn
+//!   business operations into floods of single-row SQL statements.
 //!
 //! Applications implement [`Application`] once and branch on
 //! [`LogicStyle`]; [`Middleware::run_interaction`] compiles each
@@ -45,8 +47,7 @@ pub use app::{AppError, AppLockSpec, AppResult, Application, InteractionSpec, Lo
 pub use cost::{CostModel, EjbCosts, FrontEndCosts, GeneratorCosts};
 pub use ctx::{RequestCtx, RequestStats};
 pub use deploy::{
-    AdmissionControl, Architecture, Deployment, FrontEnd, LogicPlacement, RoutingPolicy,
-    StandardConfig, Topology, TopologyBuilder,
+    AdmissionControl, Deployment, FrontEnd, LogicPlacement, RoutingPolicy, StandardConfig,
 };
 pub use ejb::{BeanHandle, EntityManager};
 pub use middleware::{InstallOptions, Middleware, PreparedRequest};

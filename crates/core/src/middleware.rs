@@ -5,7 +5,7 @@ use crate::app::{AppError, Application};
 use crate::cost::CostModel;
 use crate::ctx::{RequestCtx, RequestStats};
 use crate::deploy::{
-    AdmissionControl, Architecture, Deployment, FrontEnd, RoutingPolicy, StandardConfig,
+    AdmissionControl, Deployment, FrontEnd, RoutingPolicy, StandardConfig, PROXY_STATIC_HIT_RATIO,
 };
 use crate::overload::OverloadControl;
 use crate::replication::{ReplicaPolicy, ReplicationState};
@@ -82,8 +82,6 @@ struct FrontEndState {
     /// In-flight requests per web server (balancer only; updated by
     /// `route` / `route_done`).
     inflight: Vec<u64>,
-    /// Proxy static-cache hit ratio (0.0 for a balancer).
-    static_hit_ratio: f64,
     /// Static-asset requests seen so far (drives the exact hit pattern).
     asset_seq: u64,
     routed: Vec<u64>,
@@ -93,16 +91,15 @@ struct FrontEndState {
 
 impl FrontEndState {
     fn new(front: FrontEnd, webs: usize) -> Option<FrontEndState> {
-        let (routing, static_hit_ratio) = match front {
+        let routing = match front {
             FrontEnd::None => return None,
-            FrontEnd::ReverseProxy { static_hit_ratio } => (None, static_hit_ratio),
-            FrontEnd::LoadBalancer { routing } => (Some(routing), 0.0),
+            FrontEnd::ReverseProxy => None,
+            FrontEnd::LoadBalancer { routing } => Some(routing),
         };
         Some(FrontEndState {
             routing,
             cursor: 0,
             inflight: vec![0; webs],
-            static_hit_ratio,
             asset_seq: 0,
             routed: vec![0; webs],
             static_hits: 0,
@@ -143,13 +140,14 @@ impl FrontEndState {
     }
 
     /// Whether the next static-asset request hits the proxy cache. The
-    /// pattern is the exact Bresenham spread of the hit ratio over the
-    /// asset sequence — `floor((n+1)·h) > floor(n·h)` — so cumulative hits
-    /// always equal `floor(seen · h)`: exact accounting, no RNG draws, and
-    /// the client random streams stay untouched.
+    /// pattern is the exact Bresenham spread of the hit ratio
+    /// `h` = [`PROXY_STATIC_HIT_RATIO`] over the asset sequence —
+    /// `floor((n+1)·h) > floor(n·h)` — so cumulative hits always equal
+    /// `floor(seen · h)`: exact accounting, no RNG draws, and the client
+    /// random streams stay untouched.
     fn asset_hit(&mut self) -> bool {
         let n = self.asset_seq as f64;
-        let h = self.static_hit_ratio;
+        let h = PROXY_STATIC_HIT_RATIO;
         self.asset_seq += 1;
         let hit = ((n + 1.0) * h).floor() > (n * h).floor();
         if hit {
@@ -186,7 +184,7 @@ pub struct Middleware {
     /// driven single-threaded per experiment worker).
     replication: Option<RefCell<ReplicationState>>,
     /// Front-end tier state (balancer scheduler, proxy static cache),
-    /// present only for topologies with a front end (C7–C9). Same
+    /// present only for deployments with a front end (C7–C9). Same
     /// `RefCell` rationale as the replication state.
     frontend: Option<RefCell<FrontEndState>>,
 }
@@ -267,8 +265,7 @@ impl Middleware {
             ))
         });
         let frontend =
-            FrontEndState::new(deployment.topology().front(), deployment.web_machines().len())
-                .map(RefCell::new);
+            FrontEndState::new(config.front(), deployment.web_machines().len()).map(RefCell::new);
         Middleware { deployment, costs, tracing: opts.tracing, replication, frontend }
     }
 
@@ -331,10 +328,10 @@ impl Middleware {
         let spec = app.interactions()[id];
         let config = self.deployment.config();
         let style = config.logic_style();
-        let arch = config.architecture();
+        let in_web_process = config.logic().in_web_process();
         let web_costs = self.costs.web.costs;
         let fe_costs = self.costs.frontend;
-        let front_role = self.deployment.topology().front();
+        let front_role = config.front();
 
         // Route before compiling: the balancer pins the whole request —
         // dynamic page and trailing assets — to one web server, as a
@@ -364,10 +361,10 @@ impl Middleware {
             FrontEnd::None => {
                 ctx.push(Op::Net { from: client, to: web, bytes: req_bytes });
             }
-            FrontEnd::ReverseProxy { .. } => {
+            FrontEnd::ReverseProxy => {
                 // Application-level relay: the proxy terminates the client
                 // connection and copies the request through user space.
-                let proxy = self.deployment.front_machine().expect("proxy topology");
+                let proxy = self.deployment.front_machine().expect("proxy deployment");
                 ctx.push(Op::Net { from: client, to: proxy, bytes: req_bytes });
                 ctx.span_open(SpanKind::FrontEnd, "proxy-front");
                 let relay = fe_costs.proxy_per_request + fe_costs.proxy_per_byte * req_bytes as f64;
@@ -378,7 +375,7 @@ impl Middleware {
             FrontEnd::LoadBalancer { .. } => {
                 // Layer-4 forwarding: only inbound request bytes cross the
                 // balancer; responses return directly (DSR).
-                let lb = self.deployment.front_machine().expect("balancer topology");
+                let lb = self.deployment.front_machine().expect("balancer deployment");
                 ctx.push(Op::Net { from: client, to: lb, bytes: req_bytes });
                 ctx.span_open(SpanKind::FrontEnd, "lb-front");
                 ctx.push(Op::Cpu {
@@ -399,27 +396,21 @@ impl Middleware {
 
         // Connector crossing: web server -> generator.
         let generator = ctx.generator_machine;
-        match arch {
-            Architecture::Php => {
-                ctx.push(Op::Cpu {
-                    machine: web,
-                    micros: self.costs.php_connector.send_micros(req_bytes),
-                });
-                ctx.span_close(); // web-front (includes the in-process connector)
-            }
-            Architecture::Servlet { .. } | Architecture::Ejb => {
-                ctx.span_close(); // web-front
-                ctx.span_open(SpanKind::IpcHop, "ajp-request");
-                ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.send_micros(req_bytes) });
-                // Loopback when co-located (Net from==to is free; the CPU
-                // costs above/below model the local IPC).
-                ctx.push(Op::Net { from: web, to: generator, bytes: req_bytes });
-                ctx.push(Op::Cpu {
-                    machine: generator,
-                    micros: self.costs.ajp.recv_micros(req_bytes),
-                });
-                ctx.span_close(); // ajp-request
-            }
+        if in_web_process {
+            ctx.push(Op::Cpu {
+                machine: web,
+                micros: self.costs.php_connector.send_micros(req_bytes),
+            });
+            ctx.span_close(); // web-front (includes the in-process connector)
+        } else {
+            ctx.span_close(); // web-front
+            ctx.span_open(SpanKind::IpcHop, "ajp-request");
+            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.send_micros(req_bytes) });
+            // Loopback when co-located (Net from==to is free; the CPU costs
+            // above/below model the local IPC).
+            ctx.push(Op::Net { from: web, to: generator, bytes: req_bytes });
+            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.recv_micros(req_bytes) });
+            ctx.span_close(); // ajp-request
         }
         ctx.span_open(SpanKind::Invoke, "handler");
         let gen_dispatch = ctx.gen_costs().per_request.round() as u64;
@@ -462,15 +453,12 @@ impl Middleware {
         let render = (ctx.gen_costs().per_output_byte * body as f64).round() as u64;
         ctx.push(Op::Cpu { machine: generator, micros: render });
 
-        match arch {
-            Architecture::Php => {}
-            Architecture::Servlet { .. } | Architecture::Ejb => {
-                ctx.span_open(SpanKind::IpcHop, "ajp-reply");
-                ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.send_micros(body) });
-                ctx.push(Op::Net { from: generator, to: web, bytes: body });
-                ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.recv_micros(body) });
-                ctx.span_close(); // ajp-reply
-            }
+        if !in_web_process {
+            ctx.span_open(SpanKind::IpcHop, "ajp-reply");
+            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.send_micros(body) });
+            ctx.push(Op::Net { from: generator, to: web, bytes: body });
+            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.recv_micros(body) });
+            ctx.span_close(); // ajp-reply
         }
         let wire = body + RESPONSE_OVERHEAD_BYTES;
         ctx.push(Op::Cpu {
@@ -483,8 +471,8 @@ impl Middleware {
             FrontEnd::None | FrontEnd::LoadBalancer { .. } => {
                 ctx.push(Op::Net { from: web, to: client, bytes: wire });
             }
-            FrontEnd::ReverseProxy { .. } => {
-                let proxy = self.deployment.front_machine().expect("proxy topology");
+            FrontEnd::ReverseProxy => {
+                let proxy = self.deployment.front_machine().expect("proxy deployment");
                 ctx.push(Op::Net { from: web, to: proxy, bytes: wire });
                 ctx.span_open(SpanKind::FrontEnd, "proxy-relay");
                 ctx.push(Op::Cpu {
@@ -514,8 +502,8 @@ impl Middleware {
                     });
                     ctx.push(Op::Net { from: web, to: client, bytes: asset_wire });
                 }
-                FrontEnd::ReverseProxy { .. } => {
-                    let proxy = self.deployment.front_machine().expect("proxy topology");
+                FrontEnd::ReverseProxy => {
+                    let proxy = self.deployment.front_machine().expect("proxy deployment");
                     let fe = self.frontend.as_ref().expect("proxy front end installed");
                     let hit = fe.borrow_mut().asset_hit();
                     ctx.push(Op::Net { from: client, to: proxy, bytes: REQUEST_OVERHEAD_BYTES });
@@ -549,7 +537,7 @@ impl Middleware {
                 FrontEnd::LoadBalancer { .. } => {
                     // Asset requests ride the pinned keep-alive connection
                     // through the balancer; asset bytes return directly.
-                    let lb = self.deployment.front_machine().expect("balancer topology");
+                    let lb = self.deployment.front_machine().expect("balancer deployment");
                     ctx.push(Op::Net { from: client, to: lb, bytes: REQUEST_OVERHEAD_BYTES });
                     ctx.push(Op::Cpu {
                         machine: lb,
@@ -1214,7 +1202,7 @@ mod tests {
         // Exact accounting: cumulative hits == floor(seen * ratio).
         let stats = mw.frontend_stats().unwrap();
         assert_eq!(stats.static_hits + stats.static_misses, runs);
-        let expected = (runs as f64 * crate::deploy::PROXY_STATIC_HIT_RATIO).floor() as u64;
+        let expected = (runs as f64 * PROXY_STATIC_HIT_RATIO).floor() as u64;
         assert_eq!(stats.static_hits, expected);
         assert_eq!(stats.routed, vec![runs]);
     }

@@ -23,7 +23,7 @@ use dynamid_bookstore::{Bookstore, BookstoreScale};
 use dynamid_core::{AdmissionControl, StandardConfig};
 use dynamid_sim::SimDuration;
 use dynamid_sqldb::Database;
-use dynamid_workload::{ChaosOptions, FaultSpec, ResilienceConfig, WorkloadConfig};
+use dynamid_workload::{FaultSpec, ResilienceConfig, WorkloadConfig};
 
 /// The three architectures the sweep compares, one per paper family:
 /// C1 `WsPhp-DB` (2 machines), C4 `Ws-Servlet-DB` (3 machines), and
@@ -54,16 +54,12 @@ pub fn sweep_admission() -> AdmissionControl {
     }
 }
 
-/// The fault storm of one intensity under the sweep's admission limits.
-/// The fault seed folds in the intensity rank so ladder points draw
-/// independent schedules, but nothing about the configuration: the same
-/// storm hits every architecture.
-pub(crate) fn sweep_storm(cfg: &HarnessConfig, intensity: f64) -> ChaosOptions {
+/// The fault storm of one intensity. The fault seed folds in the intensity
+/// rank so ladder points draw independent schedules, but nothing about the
+/// configuration: the same storm hits every architecture.
+pub(crate) fn sweep_storm(cfg: &HarnessConfig, intensity: f64) -> FaultSpec {
     let fault_seed = cfg.seed ^ ((intensity * 1_000.0).round() as u64).wrapping_mul(0x9E37);
-    ChaosOptions {
-        faults: Some(FaultSpec::at_intensity(fault_seed, intensity)),
-        admission: sweep_admission(),
-    }
+    FaultSpec::at_intensity(fault_seed, intensity)
 }
 
 /// One (configuration, fault intensity) measurement.
@@ -135,7 +131,8 @@ fn run_avail_point(
     let workload =
         WorkloadConfig { resilience: sweep_resilience(), ..sweep_workload(cfg, clients) };
     let r = point_spec(cfg, config, &mix, workload)
-        .chaos(sweep_storm(cfg, intensity))
+        .faults(sweep_storm(cfg, intensity))
+        .admission(sweep_admission())
         .run(&mut db, &app);
     // Every sweep point ends with a consistency audit: after the driver's
     // crash-consistent unwind the surviving database must be exactly

@@ -167,7 +167,7 @@ fn run_failover_point(
         // The same intensity rank draws the same storm whatever the
         // architecture or replica count: per-machine forked streams mean
         // adding replicas never perturbs the other machines' schedules.
-        spec = spec.chaos(sweep_storm(cfg, intensity));
+        spec = spec.faults(sweep_storm(cfg, intensity));
     }
     if replicas > 0 {
         spec = spec.replication(sweep_policy(replicas));

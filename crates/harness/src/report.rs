@@ -78,10 +78,9 @@ pub fn cpu_markdown(data: &FigureData) -> String {
             Some(u) => format!("{:.0}", u * 100.0),
             None => "—".to_string(),
         };
-        // When the servlet shares the web machine its CPU is reported
-        // under WebServer, as in the paper.
-        let servlet =
-            if c.config.topology().has_dedicated_container() { p.cpu_of("servlet") } else { None };
+        // Only a dedicated container has a `servlet` machine; a co-located
+        // one's CPU is reported under WebServer, as in the paper.
+        let servlet = p.cpu_of("servlet");
         let _ = writeln!(
             out,
             "| {} | {} | {} | {} | {} | {:.1} | {:.2} |",

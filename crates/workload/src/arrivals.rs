@@ -12,9 +12,9 @@
 //!
 //! Determinism: every process draws inter-arrival gaps from a dedicated RNG
 //! stream forked from its own root, so closed-loop runs (which never
-//! construct that stream) stay bit-identical, and the diurnal modulation is
-//! a piecewise-linear triangle wave — no transcendental functions whose
-//! libm rounding could vary across toolchains.
+//! construct that stream) stay bit-identical, and the flash crowd's rate is
+//! piecewise linear — no transcendental functions whose libm rounding could
+//! vary across toolchains.
 
 use dynamid_sim::{SimDuration, SimRng, SimTime};
 
@@ -30,17 +30,6 @@ pub enum ArrivalProcess {
     Poisson {
         /// Mean arrival rate in requests per second.
         rate_per_sec: f64,
-    },
-    /// A diurnal ramp: Poisson arrivals whose rate follows a triangle wave,
-    /// peaking at `base * (1 + amplitude)` half a period in and returning
-    /// to `base * (1 - amplitude)` at the period boundaries.
-    Diurnal {
-        /// Mid-cycle arrival rate in requests per second.
-        base_rate: f64,
-        /// Relative swing around the base, in `[0, 1]`.
-        amplitude: f64,
-        /// Length of one full cycle.
-        period: SimDuration,
     },
     /// A flash crowd: Poisson at `base_rate`, multiplied by `spike_mult`
     /// during the spike, then ramping linearly back to the base over
@@ -75,13 +64,6 @@ impl ArrivalProcess {
         match *self {
             ArrivalProcess::Closed => 0.0,
             ArrivalProcess::Poisson { rate_per_sec } => rate_per_sec,
-            ArrivalProcess::Diurnal { base_rate, amplitude, period } => {
-                let p = period.as_micros().max(1);
-                let phase = (t.as_micros() % p) as f64 / p as f64;
-                // Triangle wave: -1 at phase 0, +1 at phase 0.5, -1 at 1.
-                let tri = if phase < 0.5 { 4.0 * phase - 1.0 } else { 3.0 - 4.0 * phase };
-                base_rate * (1.0 + amplitude * tri)
-            }
             ArrivalProcess::FlashCrowd {
                 base_rate,
                 spike_mult,
@@ -173,22 +155,6 @@ mod tests {
             assert_eq!(ga, gb);
             t += ga;
         }
-    }
-
-    #[test]
-    fn diurnal_triangle_peaks_mid_period() {
-        let p = ArrivalProcess::Diurnal {
-            base_rate: 100.0,
-            amplitude: 0.5,
-            period: SimDuration::from_secs(100),
-        };
-        let at = |s: u64| p.rate_at(SimTime::ZERO + SimDuration::from_secs(s));
-        assert_eq!(at(0), 50.0);
-        assert_eq!(at(25), 100.0);
-        assert_eq!(at(50), 150.0);
-        assert_eq!(at(75), 100.0);
-        // Periodic.
-        assert_eq!(at(150), 150.0);
     }
 
     #[test]

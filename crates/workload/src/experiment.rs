@@ -5,7 +5,7 @@ use crate::driver::{
     CommitLedger, ReplicationReport, ResourceWindow, WorkloadConfig, WorkloadDriver,
     WorkloadMetrics,
 };
-use crate::fault::{ChaosOptions, FaultSpec, ResilienceConfig};
+use crate::fault::{FaultSpec, ResilienceConfig};
 use crate::mix::Mix;
 use dynamid_core::{
     AdmissionControl, Application, CostModel, InstallOptions, Middleware, OverloadControl,
@@ -79,8 +79,8 @@ impl ExperimentResult {
 }
 
 /// Builder for one experiment run — the single entry point for every
-/// combination of configuration, cost model, lock policy, chaos options,
-/// and tracing.
+/// combination of configuration, cost model, lock policy, faults, admission
+/// limits, and tracing.
 ///
 /// Defaults reproduce the paper's setup: default cost model, default lock
 /// grant policy, no faults, no admission control, patient clients, and no
@@ -100,7 +100,8 @@ pub struct ExperimentSpec<'a> {
     mix: Option<&'a Mix>,
     workload: WorkloadConfig,
     policy: GrantPolicy,
-    chaos: ChaosOptions,
+    faults: Option<FaultSpec>,
+    admission: AdmissionControl,
     tracing: bool,
     defer_unwind: bool,
     caching: Option<CachePolicy>,
@@ -119,7 +120,8 @@ impl<'a> ExperimentSpec<'a> {
             mix: None,
             workload: WorkloadConfig::new(10),
             policy: GrantPolicy::default(),
-            chaos: ChaosOptions::default(),
+            faults: None,
+            admission: AdmissionControl::default(),
             tracing: false,
             defer_unwind: false,
             caching: None,
@@ -161,19 +163,13 @@ impl<'a> ExperimentSpec<'a> {
 
     /// Fault injection compiled against the deployment's server machines.
     pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.chaos.faults = Some(faults);
+        self.faults = Some(faults);
         self
     }
 
     /// Admission-control limits (bounded accept queue, DB connection pool).
     pub fn admission(mut self, admission: AdmissionControl) -> Self {
-        self.chaos.admission = admission;
-        self
-    }
-
-    /// Both chaos knobs at once (faults + admission).
-    pub fn chaos(mut self, chaos: ChaosOptions) -> Self {
-        self.chaos = chaos;
+        self.admission = admission;
         self
     }
 
@@ -269,7 +265,7 @@ impl<'a> ExperimentSpec<'a> {
             app,
             self.costs.clone(),
             InstallOptions {
-                admission: self.chaos.admission,
+                admission: self.admission,
                 tracing: self.tracing,
                 replication: self.replication,
                 overload: self.overload,
@@ -277,25 +273,11 @@ impl<'a> ExperimentSpec<'a> {
         );
         let total = workload.total();
         let mut plan = FaultPlan::none();
-        if let Some(spec) = self.chaos.faults {
-            if !spec.is_trivial() {
-                let d = middleware.deployment();
-                let mut servers = Vec::new();
-                servers.extend(d.front_machine());
-                servers.extend_from_slice(d.web_machines());
-                if let Some(s) = d.servlet_machine() {
-                    if !d.web_machines().contains(&s) {
-                        servers.push(s);
-                    }
-                }
-                servers.extend(d.ejb_machine());
-                servers.push(d.db_machine());
-                // Replica machines ride the same storm; each machine draws
-                // from its own forked stream, so adding replicas never
-                // perturbs the other machines' fault schedules.
-                servers.extend_from_slice(middleware.deployment().replicas());
-                plan = spec.compile(&servers, total);
-            }
+        if let Some(spec) = self.faults.filter(|spec| !spec.is_trivial()) {
+            // Every server machine rides the storm, replicas included; each
+            // machine draws from its own forked stream, so adding replicas
+            // never perturbs the other machines' fault schedules.
+            plan = spec.compile(middleware.deployment().servers(), total);
         }
         if let Some((at, outage)) = self.primary_kill {
             plan.crashes.push(CrashWindow {
@@ -849,7 +831,8 @@ mod tests {
         let chaos = ExperimentSpec::for_config(StandardConfig::PhpColocated)
             .mix(&mix)
             .workload(quick(10))
-            .chaos(crate::fault::ChaosOptions::default())
+            .faults(FaultSpec::none(7))
+            .admission(AdmissionControl::default())
             .run(&mut db2, &MiniApp);
         assert_eq!(plain.events, chaos.events, "trivial chaos must not perturb the event stream");
         assert_eq!(plain.metrics.completed, chaos.metrics.completed);

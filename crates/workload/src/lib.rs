@@ -28,5 +28,5 @@ pub use driver::{
     WorkloadDriver, WorkloadMetrics,
 };
 pub use experiment::{ExperimentResult, ExperimentSpec, LAN_LATENCY};
-pub use fault::{ChaosOptions, FaultSpec, ResilienceConfig, RetryBudget, RetryTokens};
+pub use fault::{FaultSpec, ResilienceConfig, RetryBudget, RetryTokens};
 pub use mix::{Mix, TransitionMatrix};
