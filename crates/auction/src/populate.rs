@@ -9,7 +9,7 @@
 
 use crate::schema::{create_schema, CATEGORY_COUNT, REGION_COUNT};
 use dynamid_sim::{SimRng, Zipf};
-use dynamid_sqldb::{Database, SqlResult, Value};
+use dynamid_sqldb::{BulkLoad, Database, SqlResult, Value};
 
 /// Reference epoch for synthetic dates (2001-09-09, epoch seconds).
 pub const BASE_DATE: i64 = 1_000_000_000;
@@ -85,7 +85,7 @@ pub fn build_db(scale: &AuctionScale, seed: u64) -> SqlResult<Database> {
     Ok(db)
 }
 
-fn item_row(rng: &mut SimRng, users: i64, live: bool) -> Vec<Value> {
+fn item_row(load: &mut BulkLoad<'_>, rng: &mut SimRng, users: i64, live: bool) -> Vec<Value> {
     let initial = rng.uniform_i64(100, 50_000) as f64 / 100.0;
     let nb_bids = rng.uniform_i64(0, 20);
     let max_bid =
@@ -100,7 +100,7 @@ fn item_row(rng: &mut SimRng, users: i64, live: bool) -> Vec<Value> {
     };
     vec![
         Value::Null,
-        Value::from(format!("ITEM {}", rng.ascii_string(14))),
+        load.text(format_args!("ITEM {}", rng.ascii_string(14))),
         Value::from(rng.ascii_string(60)),
         Value::Float(initial),
         Value::Int(rng.uniform_i64(1, 10)),
@@ -116,9 +116,9 @@ fn item_row(rng: &mut SimRng, users: i64, live: bool) -> Vec<Value> {
 }
 
 /// Populates an empty auction schema (direct storage inserts). Rows
-/// stream through one [`Database::bulk_load`] scope, formatted strings
-/// become values without a copy, and the repeated password is one value
-/// cloned per row.
+/// stream through one [`Database::bulk_load`] scope, formatted strings go
+/// through [`BulkLoad::text`]'s reused buffer, and the repeated password
+/// is one value cloned per row.
 ///
 /// # Errors
 ///
@@ -139,37 +139,39 @@ pub fn populate(db: &mut Database, scale: &AuctionScale, seed: u64) -> SqlResult
     }
     db.bulk_load(|load| {
         for i in 0..CATEGORY_COUNT {
-            load.insert("categories", vec![Value::Null, Value::from(format!("CATEGORY{i:02}"))])?;
+            let row = vec![Value::Null, load.text(format_args!("CATEGORY{i:02}"))];
+            load.insert("categories", row)?;
         }
         for i in 0..REGION_COUNT {
-            load.insert("regions", vec![Value::Null, Value::from(format!("REGION{i:02}"))])?;
+            let row = vec![Value::Null, load.text(format_args!("REGION{i:02}"))];
+            load.insert("regions", row)?;
         }
         let mut urng = rng.fork(1);
         let password = Value::str("pw");
         for i in 0..scale.users {
-            load.insert(
-                "users",
-                vec![
-                    Value::Null,
-                    Value::from(format!("FN{}", urng.uniform_u64(0, 9_999))),
-                    Value::from(format!("LN{}", urng.uniform_u64(0, 9_999))),
-                    Value::from(format!("U{i}")),
-                    password.clone(),
-                    Value::from(format!("u{i}@example.com")),
-                    Value::Int(urng.uniform_i64(-5, 100)),
-                    Value::Float(urng.uniform_i64(0, 100_000) as f64 / 100.0),
-                    Value::Int(BASE_DATE - urng.uniform_i64(0, 900) * DAY),
-                    Value::Int(urng.uniform_i64(1, REGION_COUNT as i64)),
-                ],
-            )?;
+            let row = vec![
+                Value::Null,
+                load.text(format_args!("FN{}", urng.uniform_u64(0, 9_999))),
+                load.text(format_args!("LN{}", urng.uniform_u64(0, 9_999))),
+                load.text(format_args!("U{i}")),
+                password.clone(),
+                load.text(format_args!("u{i}@example.com")),
+                Value::Int(urng.uniform_i64(-5, 100)),
+                Value::Float(urng.uniform_i64(0, 100_000) as f64 / 100.0),
+                Value::Int(BASE_DATE - urng.uniform_i64(0, 900) * DAY),
+                Value::Int(urng.uniform_i64(1, REGION_COUNT as i64)),
+            ];
+            load.insert("users", row)?;
         }
         let mut irng = rng.fork(2);
         for _ in 0..scale.live_items {
-            load.insert("items", item_row(&mut irng, users, true))?;
+            let row = item_row(load, &mut irng, users, true);
+            load.insert("items", row)?;
         }
         let mut org = rng.fork(3);
         for _ in 0..scale.old_items {
-            load.insert("old_items", item_row(&mut org, users, false))?;
+            let row = item_row(load, &mut org, users, false);
+            load.insert("old_items", row)?;
         }
         let mut brng = rng.fork(4);
         // Zipf-skew bids toward popular items.

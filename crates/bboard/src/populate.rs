@@ -4,7 +4,7 @@
 
 use crate::schema::{create_schema, CATEGORY_COUNT};
 use dynamid_sim::{SimRng, Zipf};
-use dynamid_sqldb::{Database, SqlResult, Value};
+use dynamid_sqldb::{BulkLoad, Database, SqlResult, Value};
 
 /// Reference epoch for synthetic dates (2001-09-09, epoch seconds).
 pub const BASE_DATE: i64 = 1_000_000_000;
@@ -49,7 +49,8 @@ impl BboardScale {
 }
 
 /// Builds and populates a bulletin-board database. Rows stream through one
-/// [`Database::bulk_load`] scope; the denormalized comment counts are
+/// [`Database::bulk_load`] scope, formatted strings going through
+/// [`BulkLoad::text`]'s reused buffer; the denormalized comment counts are
 /// refreshed through SQL once it has closed.
 ///
 /// # Errors
@@ -60,11 +61,11 @@ pub fn build_db(scale: &BboardScale, seed: u64) -> SqlResult<Database> {
     create_schema(&mut db)?;
     let mut rng = SimRng::new(seed);
     let users = scale.users as i64;
-    let story = |rng: &mut SimRng, live: bool| -> Vec<Value> {
+    let story = |load: &mut BulkLoad<'_>, rng: &mut SimRng, live: bool| -> Vec<Value> {
         let age = if live { rng.uniform_i64(0, 6) } else { rng.uniform_i64(7, 400) };
         vec![
             Value::Null,
-            Value::from(format!("STORY {}", rng.ascii_string(16))),
+            load.text(format_args!("STORY {}", rng.ascii_string(16))),
             Value::from(rng.ascii_string(200)),
             Value::Int(rng.uniform_i64(1, users)),
             Value::Int(rng.uniform_i64(1, CATEGORY_COUNT as i64)),
@@ -75,49 +76,45 @@ pub fn build_db(scale: &BboardScale, seed: u64) -> SqlResult<Database> {
     };
     db.bulk_load(|load| {
         for i in 0..CATEGORY_COUNT {
-            load.insert(
-                "categories",
-                vec![Value::Int(i as i64 + 1), Value::from(format!("SECTION{i:02}"))],
-            )?;
+            let row = vec![Value::Int(i as i64 + 1), load.text(format_args!("SECTION{i:02}"))];
+            load.insert("categories", row)?;
         }
         let mut urng = rng.fork(1);
         let password = Value::str("pw");
         for i in 0..scale.users {
-            load.insert(
-                "users",
-                vec![
-                    Value::Null,
-                    Value::from(format!("B{i}")),
-                    password.clone(),
-                    Value::Int(urng.uniform_i64(-10, 100)),
-                    Value::Int(BASE_DATE - urng.uniform_i64(0, 500) * DAY),
-                ],
-            )?;
+            let row = vec![
+                Value::Null,
+                load.text(format_args!("B{i}")),
+                password.clone(),
+                Value::Int(urng.uniform_i64(-10, 100)),
+                Value::Int(BASE_DATE - urng.uniform_i64(0, 500) * DAY),
+            ];
+            load.insert("users", row)?;
         }
         let mut srng = rng.fork(2);
         for _ in 0..scale.stories {
-            load.insert("stories", story(&mut srng, true))?;
+            let row = story(load, &mut srng, true);
+            load.insert("stories", row)?;
         }
         for _ in 0..scale.old_stories {
-            load.insert("old_stories", story(&mut srng, false))?;
+            let row = story(load, &mut srng, false);
+            load.insert("old_stories", row)?;
         }
         let mut crng = rng.fork(3);
         let popularity = Zipf::new(scale.stories, 0.7);
         for _ in 0..scale.stories * scale.comments_per_story {
             let story_id = popularity.sample(&mut crng) as i64 + 1;
-            load.insert(
-                "comments",
-                vec![
-                    Value::Null,
-                    Value::Int(story_id),
-                    Value::Int(0),
-                    Value::Int(crng.uniform_i64(1, users)),
-                    Value::Int(BASE_DATE - crng.uniform_i64(0, 6) * DAY),
-                    Value::from(format!("RE {}", crng.ascii_string(10))),
-                    Value::from(crng.ascii_string(80)),
-                    Value::Int(crng.uniform_i64(-1, 5)),
-                ],
-            )?;
+            let row = vec![
+                Value::Null,
+                Value::Int(story_id),
+                Value::Int(0),
+                Value::Int(crng.uniform_i64(1, users)),
+                Value::Int(BASE_DATE - crng.uniform_i64(0, 6) * DAY),
+                load.text(format_args!("RE {}", crng.ascii_string(10))),
+                Value::from(crng.ascii_string(80)),
+                Value::Int(crng.uniform_i64(-1, 5)),
+            ];
+            load.insert("comments", row)?;
         }
         Ok(())
     })?;

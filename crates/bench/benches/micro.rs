@@ -301,10 +301,10 @@ fn bench_exec(c: &mut Criterion) {
 }
 
 /// The sim-core overhaul's two row-level host-cost wins, each measured
-/// against the path it replaced. Join probes keyed on string values hit
-/// the FNV hash cached in [`Value::str`] at construction — one `u64`
-/// through the hasher — where the old path re-scanned every byte of the
-/// key on every probe. Projections read rows as slices borrowed straight
+/// against the path it replaced. Join probes keyed on long string values
+/// hit the FNV hash [`Value::str`] caches at construction for strings
+/// longer than the 14-byte inline limit — one `u64` through the hasher —
+/// where the old path re-scanned every byte of the key on every probe. Projections read rows as slices borrowed straight
 /// from the table's cell arena and clone only the projected cells, where
 /// the old executor materialized a full `Vec<Value>` per row first.
 fn bench_hot_row_paths(c: &mut Criterion) {
@@ -312,14 +312,15 @@ fn bench_hot_row_paths(c: &mut Criterion) {
     g.measurement_time(Duration::from_secs(2)).sample_size(30);
 
     // Keys shaped like the TPC-W join columns that dominate the book
-    // searches: longish titles, unique tails.
+    // searches: longish titles (53 bytes, so heap strings with a cached
+    // hash), unique tails.
     let keys: Vec<String> =
         (0..512).map(|i| format!("the remarkably verbose catalog title of item {i:08}")).collect();
 
     let build: HashMap<Value, usize> =
         keys.iter().enumerate().map(|(i, k)| (Value::str(k), i)).collect();
     let probes: Vec<Value> = keys.iter().map(Value::str).collect();
-    g.bench_function("join_probe_interned_hash", |b| {
+    g.bench_function("join_probe_cached_hash", |b| {
         b.iter(|| {
             let mut hits = 0usize;
             for p in &probes {

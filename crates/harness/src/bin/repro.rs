@@ -13,7 +13,8 @@
 //! repro avail|cache|failover|overload
 //!                                 the robustness sweeps of [`SWEEPS`];
 //!                                 with --smoke, a sweep's pinned grid
-//! repro --smoke                   perf smoke -> BENCH_repro.json
+//! repro --smoke                   perf smoke -> BENCH_repro.json in the
+//!                                 working directory, or in --out <dir>
 //! ```
 //!
 //! Flags are listed in [`FLAGS`]; unknown flags and unknown subcommands
@@ -72,7 +73,12 @@ const FLAGS: &[Flag] = &[
         value: Some("<n>"),
         help: "sweep worker threads (0 = all cores; results identical for any value)",
     },
-    Flag { name: "--out", value: Some("<dir>"), help: "output directory (default results/)" },
+    Flag {
+        name: "--out",
+        value: Some("<dir>"),
+        help: "output directory (default results/; the perf smoke's default is the working \
+               directory)",
+    },
     Flag {
         name: "--policy",
         value: Some("fifo|writer"),
@@ -306,7 +312,8 @@ fn value<T: std::str::FromStr>(args: &[String], i: &mut usize, err: &str) -> Res
 struct Cli {
     cfg: HarnessConfig,
     targets: Vec<String>,
-    out_dir: PathBuf,
+    /// `--out`, if given: each command has its own default.
+    out_dir: Option<PathBuf>,
     smoke: bool,
     chaos: bool,
 }
@@ -317,7 +324,7 @@ struct Cli {
 fn parse_args(args: &[String]) -> Result<Cli, String> {
     let mut cfg = HarnessConfig { verbose: true, ..HarnessConfig::default() };
     let mut targets: Vec<String> = Vec::new();
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir = None;
     let mut smoke = false;
     let mut chaos = false;
 
@@ -351,7 +358,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     cfg.clients = parse_list(&list, |s| s.parse().ok())
                         .ok_or("--clients needs comma-separated integers")?;
                 }
-                "--out" => out_dir = value(args, &mut i, "--out needs a directory")?,
+                "--out" => out_dir = Some(value(args, &mut i, "--out needs a directory")?),
                 "--policy" => {
                     // Ablation: MyISAM grants writers priority; FIFO shows
                     // how much of the bookstore contention collapse that
@@ -404,9 +411,10 @@ fn main() -> ExitCode {
         .filter_map(|t| find_sweep(t).and_then(|sweep| Some((sweep, sweep.smoke?))))
         .collect();
     if smoke && pinned.is_empty() {
-        return run_smoke(cfg.verbose, chaos);
+        return run_smoke(cfg.verbose, chaos, &out_dir.unwrap_or_else(|| PathBuf::from(".")));
     }
 
+    let out_dir = out_dir.unwrap_or_else(|| PathBuf::from("results"));
     if let Err(e) = fs::create_dir_all(&out_dir) {
         eprintln!("cannot create {}: {e}", out_dir.display());
         return ExitCode::FAILURE;
@@ -530,10 +538,10 @@ const SMOKE_TIMING_REPS: u32 = 3;
 /// snapshot-fork probe (copy-on-write clone vs deep clone of the populated
 /// bookstore database), a plan-cache probe (hit rate over one experiment
 /// point), and the [`PROBES`] (with `--chaos`, also [`CHAOS_PROBE`]).
-/// Everything lands in `BENCH_repro.json` in the working directory so CI
-/// can diff wall-clock regressions; the modeled results themselves are
-/// covered by tests.
-fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
+/// Everything lands in `BENCH_repro.json` in `out_dir` so CI can diff
+/// wall-clock regressions; the modeled results themselves are covered by
+/// tests.
+fn run_smoke(verbose: bool, chaos: bool, out_dir: &Path) -> ExitCode {
     use dynamid_bookstore::{Bookstore, BookstoreScale};
     use dynamid_workload::ExperimentSpec;
 
@@ -657,6 +665,23 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
     }
     let deep_micros = t0.elapsed().as_micros() as f64 / f64::from(DEEPS);
 
+    // What a fork's first writes cost: un-sharing every table of a fresh
+    // fork through `table_mut` copies each one, as the first write to it
+    // in a sweep point does; then freeing that fork. Min of
+    // SMOKE_TIMING_REPS each.
+    let (mut first_write_micros, mut fork_drop_micros) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..SMOKE_TIMING_REPS {
+        let mut fork = base.clone();
+        let t0 = Instant::now();
+        for name in base.table_names() {
+            fork.table_mut(name).expect("listed table");
+        }
+        first_write_micros = first_write_micros.min(t0.elapsed().as_secs_f64() * 1e6);
+        let t0 = Instant::now();
+        drop(fork);
+        fork_drop_micros = fork_drop_micros.min(t0.elapsed().as_secs_f64() * 1e6);
+    }
+
     // Plan-cache temperature over one experiment point, run against a fork
     // whose counters are read back afterwards.
     let cfg =
@@ -752,26 +777,32 @@ fn run_smoke(verbose: bool, chaos: bool) -> ExitCode {
          \"total_wall_secs\": {total_secs:.3},\n{profile},\n  \
          \"plan_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"hit_rate\": {rate:.4}}},\n  \
          \"snapshot_fork\": {{\"cow_micros\": {cow_micros:.1}, \
-         \"deep_clone_micros\": {deep_micros:.1}, \"build_secs\": {build_secs:.3}, \
+         \"deep_clone_micros\": {deep_micros:.1}, \
+         \"first_write_micros\": {first_write_micros:.1}, \
+         \"fork_drop_micros\": {fork_drop_micros:.1}, \"build_secs\": {build_secs:.3}, \
          \"drop_secs\": {drop_secs:.3}, \"rows\": {rows}}}{records}\n}}\n",
         fig_json.join(",\n"),
     );
     // Written atomically (temp file + rename) so an interrupted run can
     // never leave a torn or half-stale BENCH_repro.json behind — the perf
     // gate's speedup baseline either updates completely or not at all.
-    let tmp = "BENCH_repro.json.tmp";
-    if let Err(e) = fs::write(tmp, &json).and_then(|()| fs::rename(tmp, "BENCH_repro.json")) {
-        eprintln!("could not write BENCH_repro.json: {e}");
-        let _ = fs::remove_file(tmp);
+    let (path, tmp) = (out_dir.join("BENCH_repro.json"), out_dir.join("BENCH_repro.json.tmp"));
+    let written = fs::create_dir_all(out_dir)
+        .and_then(|()| fs::write(&tmp, &json))
+        .and_then(|()| fs::rename(&tmp, &path));
+    if let Err(e) = written {
+        eprintln!("could not write {}: {e}", path.display());
+        let _ = fs::remove_file(&tmp);
         return ExitCode::FAILURE;
     }
     if verbose {
         eprintln!(
             "smoke total {total_secs:.3}s (min-of-{SMOKE_TIMING_REPS} per sweep), \
              plan-cache hit rate {rate:.4}, \
-             fork {cow_micros:.1}us vs deep clone {deep_micros:.1}us"
+             fork {cow_micros:.1}us vs deep clone {deep_micros:.1}us, \
+             first writes {first_write_micros:.1}us, fork drop {fork_drop_micros:.1}us"
         );
-        eprintln!("wrote BENCH_repro.json");
+        eprintln!("wrote {}", path.display());
     }
     ExitCode::SUCCESS
 }
@@ -1057,7 +1088,7 @@ mod tests {
                 .expect("valid command line");
         assert!(cli.smoke);
         assert_eq!(cli.targets, vec!["overload".to_string()]);
-        assert_eq!(cli.out_dir, PathBuf::from("tmp"));
+        assert_eq!(cli.out_dir, Some(PathBuf::from("tmp")));
     }
 
     #[test]
@@ -1099,7 +1130,7 @@ mod tests {
         assert_eq!(cli.cfg.jobs, 4);
         assert_eq!(cli.cfg.seed, 9);
         assert!(!cli.cfg.verbose);
-        assert_eq!(cli.out_dir, PathBuf::from("tmp"));
+        assert_eq!(cli.out_dir, Some(PathBuf::from("tmp")));
         assert_eq!(cli.targets, vec!["failover".to_string()]);
     }
 
@@ -1125,7 +1156,10 @@ mod tests {
         assert!(parse_args(&argv(&["--jobs", "many", "cache"])).is_err());
         assert!(parse_args(&argv(&["--config", "C99", "cache"])).is_err());
         assert!(parse_args(&argv(&[])).is_err(), "no target given must error");
-        // --smoke alone is a complete command line (targets optional).
-        assert!(parse_args(&argv(&["--smoke"])).is_ok());
+        // --smoke alone is a complete command line (targets optional),
+        // and takes --out for its BENCH_repro.json.
+        assert_eq!(parse_args(&argv(&["--smoke"])).expect("smoke alone").out_dir, None);
+        let cli = parse_args(&argv(&["--smoke", "--out", "tmp"])).expect("smoke with --out");
+        assert_eq!(cli.out_dir, Some(PathBuf::from("tmp")));
     }
 }

@@ -45,10 +45,9 @@
 //! the staleness oracle. A TTL of zero expires every entry instantly and
 //! is therefore equivalent to running with the cache off.
 
-use crate::value::Value;
+use crate::value::{Text, Value};
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::Arc;
 
 /// How cached entries are invalidated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,8 +116,8 @@ pub struct CacheStats {
 /// A hashable, equality-comparable key built from SQL parameter values.
 ///
 /// [`Value`] itself is deliberately not `Hash`/`Eq` (floats), so cache keys
-/// canonicalize: floats key by bit pattern, strings by their cached
-/// deterministic FNV-1a hash with byte equality as the tie-breaker.
+/// canonicalize: floats key by bit pattern, strings by the deterministic
+/// FNV-1a hash of their bytes with byte equality as the tie-breaker.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CacheKey(Vec<KeyPart>);
 
@@ -127,7 +126,7 @@ enum KeyPart {
     Null,
     Int(i64),
     Float(u64),
-    Str(Arc<crate::value::Istr>),
+    Str(Text),
 }
 
 impl KeyPart {
@@ -136,7 +135,7 @@ impl KeyPart {
             Value::Null => KeyPart::Null,
             Value::Int(i) => KeyPart::Int(*i),
             Value::Float(f) => KeyPart::Float(f.to_bits()),
-            Value::Str(s) => KeyPart::Str(Arc::clone(s)),
+            Value::Str(s) => KeyPart::Str(s.clone()),
         }
     }
 }
@@ -169,7 +168,7 @@ impl std::hash::Hash for KeyPart {
             }
             KeyPart::Str(s) => {
                 state.write_u8(3);
-                state.write_u64(s.cached_hash());
+                state.write_u64(s.hash64());
             }
         }
     }

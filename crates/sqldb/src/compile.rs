@@ -673,7 +673,7 @@ impl Filter<'_> {
                         None
                     } else {
                         let m = match (v, like) {
-                            (Value::Str(s), Some(like)) => like.matches(s),
+                            (Value::Str(s), Some(like)) => like.matches(s.as_str()),
                             // A non-string operand: the error `Value::like` raises.
                             _ => v.like(p)?,
                         };
@@ -1473,7 +1473,7 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
                         groups
                             .entry(key)
                             .or_insert_with(|| GroupAcc::new(items, i))
-                            .fold(items, row);
+                            .fold(items, &rows, i);
                     }
                     let mut entries: Vec<(Value, GroupAcc)> = groups.into_iter().collect();
                     // Keys are unique, so the unstable sort is deterministic.
@@ -1488,7 +1488,7 @@ fn exec_cselect(db: &Database, c: &CSelect, params: &[Value]) -> SqlResult<Query
                     // zero input rows (COUNT(*) = 0).
                     let mut g = GroupAcc::new(items, 0);
                     for i in 0..rows.len() {
-                        g.fold(items, rows.view(i));
+                        g.fold(items, &rows, i);
                     }
                     out = vec![g.finalize(items, &rows, params)?];
                 }
@@ -1566,8 +1566,11 @@ enum Acc {
     CountStar,
     /// COUNT(col): non-null values seen.
     Count(i64),
-    Max(Option<Value>),
-    Min(Option<Value>),
+    /// MAX/MIN: the position in the row set of the extreme so far, read
+    /// back when compared and when finalized, so that a scan whose
+    /// extreme moves on every row copies no value.
+    Max(Option<usize>),
+    Min(Option<usize>),
     /// SUM/AVG: non-null count, all-int flag, checked integer total (None
     /// after overflow), and the float total over numeric values.
     Sum {
@@ -1609,8 +1612,10 @@ impl GroupAcc {
         GroupAcc { first, rows: 0, accs: items.iter().map(Acc::new).collect() }
     }
 
-    fn fold(&mut self, items: &[CAggItem], row: RowView<'_>) {
+    /// Folds row `i` of `rows` into every accumulator.
+    fn fold(&mut self, items: &[CAggItem], rows: &RowSet<'_>, i: usize) {
         self.rows += 1;
+        let row = rows.view(i);
         for (acc, item) in self.accs.iter_mut().zip(items) {
             let CAggItem::Agg { col: Some(cidx), .. } = item else { continue };
             let v = row.get(*cidx);
@@ -1619,22 +1624,14 @@ impl GroupAcc {
             }
             match acc {
                 Acc::Count(n) => *n += 1,
-                Acc::Max(cur) => {
-                    let better = match cur {
-                        None => true,
-                        Some(c) => v >= c,
-                    };
-                    if better {
-                        *cur = Some(v.clone());
+                Acc::Max(best) => {
+                    if best.is_none_or(|b| v >= rows.view(b).get(*cidx)) {
+                        *best = Some(i);
                     }
                 }
-                Acc::Min(cur) => {
-                    let better = match cur {
-                        None => true,
-                        Some(c) => v < c,
-                    };
-                    if better {
-                        *cur = Some(v.clone());
+                Acc::Min(best) => {
+                    if best.is_none_or(|b| v < rows.view(b).get(*cidx)) {
+                        *best = Some(i);
                     }
                 }
                 Acc::Sum { n, all_int, int, float } => {
@@ -1664,7 +1661,12 @@ impl GroupAcc {
             orow.push(match acc {
                 Acc::CountStar => Value::Int(self.rows as i64),
                 Acc::Count(n) => Value::Int(*n),
-                Acc::Max(cur) | Acc::Min(cur) => cur.clone().unwrap_or(Value::Null),
+                Acc::Max(best) | Acc::Min(best) => {
+                    let CAggItem::Agg { col: Some(cidx), .. } = item else {
+                        unreachable!("max/min acc comes from an agg item over a column")
+                    };
+                    best.map_or(Value::Null, |b| rows.view(b).get(*cidx).clone())
+                }
                 Acc::Sum { n, all_int, int, float } => {
                     if *n == 0 {
                         Value::Null

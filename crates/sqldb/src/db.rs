@@ -12,6 +12,7 @@ use crate::txn::{TxnLog, UndoOp};
 use crate::value::Value;
 use std::any::Any;
 use std::collections::HashMap;
+use std::fmt::{self, Write};
 use std::sync::Arc;
 
 /// Cumulative engine statistics.
@@ -426,7 +427,7 @@ impl Database {
     ) -> SqlResult<T> {
         let pending =
             self.tables.iter().map(|t| vec![Vec::new(); t.schema().indexes().len()]).collect();
-        load(&mut BulkLoad { db: self, pending })
+        load(&mut BulkLoad { db: self, pending, scratch: String::new() })
     }
 
     /// Opens a transaction. Subsequent statements record undo entries until
@@ -846,6 +847,8 @@ pub struct BulkLoad<'a> {
     /// Per table, per secondary index: the deferred `(key, row id)` pushes
     /// in insertion order.
     pending: Vec<Vec<Vec<(Value, RowId)>>>,
+    /// The buffer [`text`](Self::text) formats into, reused by every call.
+    scratch: String,
 }
 
 impl BulkLoad<'_> {
@@ -860,6 +863,26 @@ impl BulkLoad<'_> {
     pub fn insert(&mut self, table: &str, row: Vec<Value>) -> SqlResult<(RowId, Option<i64>)> {
         let id = self.db.table_id(table)?;
         Arc::make_mut(&mut self.db.tables[id]).insert_deferred(row, &mut self.pending[id])
+    }
+
+    /// A string value formatted into the scope's reused buffer, as
+    /// `Value::from(format!(..))` would build it but without a `String`
+    /// per call: a result of up to 14 bytes is stored inline and
+    /// allocates nothing, a longer one is copied into its own block.
+    ///
+    /// ```
+    /// # use dynamid_sqldb::{Database, Value};
+    /// let mut db = Database::new();
+    /// db.bulk_load(|load| {
+    ///     assert_eq!(load.text(format_args!("FN{}", 7)), Value::str("FN7"));
+    ///     Ok(())
+    /// })?;
+    /// # Ok::<(), dynamid_sqldb::SqlError>(())
+    /// ```
+    pub fn text(&mut self, args: fmt::Arguments<'_>) -> Value {
+        self.scratch.clear();
+        self.scratch.write_fmt(args).expect("a String write fails only if a formatting impl does");
+        Value::str(&self.scratch)
     }
 }
 

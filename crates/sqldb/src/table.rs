@@ -2,96 +2,13 @@
 
 use crate::error::{SqlError, SqlResult};
 use crate::schema::TableSchema;
-use crate::value::{Istr, Value};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use crate::value::Value;
+use std::collections::BTreeMap;
 use std::ops::Bound;
-use std::sync::Arc;
 
 /// Identifies a row slot within one table. Stable for the row's lifetime;
 /// slots of deleted rows are reused.
 pub type RowId = usize;
-
-/// Per-table string interner: one canonical `Arc<Istr>` per distinct byte
-/// string. Interning at insert/update time means equal strings across rows
-/// share one allocation, so the `Arc::ptr_eq` fast paths in
-/// `Value::cmp`/`Value::eq` fire on index probes and join keys instead of
-/// falling back to byte scans.
-///
-/// The canonical strings sit in a `Vec` in first-seen order, and a map
-/// keyed by the cached FNV-1a hash holds each one's position. For a
-/// populated table the interner holds the last reference to every distinct
-/// string, so it decides the order they are freed in when the table drops:
-/// the `Vec` frees them in allocation order, while draining a hash map
-/// would visit them in bucket order — random memory order, several times
-/// slower for a populated database. The key is already a hash, so the map
-/// runs it through one multiply instead of SipHash.
-#[derive(Debug, Default)]
-struct StrInterner {
-    strs: Vec<Arc<Istr>>,
-    by_hash: HashMap<u64, u32, BuildHasherDefault<PrehashedHasher>>,
-}
-
-/// Hasher for keys that are already well-mixed 64-bit hashes: one multiply
-/// by the Fibonacci constant spreads them over both the bucket bits and the
-/// tag bits `HashMap` reads. The keys are the program's own FNV-1a hashes,
-/// never crafted input the map would need SipHash's protection against.
-#[derive(Debug, Default)]
-struct PrehashedHasher(u64);
-
-impl Hasher for PrehashedHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = (self.0 ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// The interner is a sharing cache, not table state (`PartialEq` for
-/// `Table` already ignores it), and for a populated table it is as big as
-/// an index. Cloning it would make the copy-on-write table fork — the hot
-/// path under per-point experiment forks — pay for a structure the clone
-/// can rebuild lazily, so a cloned interner starts empty. Existing rows
-/// keep their shared `Arc`s; only post-clone inserts re-establish sharing
-/// as they go.
-impl Clone for StrInterner {
-    fn clone(&self) -> StrInterner {
-        StrInterner::default()
-    }
-}
-
-impl StrInterner {
-    /// Canonicalizes a string value in place; non-strings pass through.
-    ///
-    /// One canonical entry per 64-bit hash: on the (astronomically rare)
-    /// collision of two distinct strings, the later one simply keeps its
-    /// own allocation — interning is best-effort sharing, never identity,
-    /// so correctness only ever rests on `Value`'s byte-level equality.
-    fn intern(&mut self, v: &mut Value) {
-        let Value::Str(s) = v else { return };
-        match self.by_hash.entry(s.cached_hash()) {
-            Entry::Occupied(e) => {
-                let canonical = &self.strs[*e.get() as usize];
-                if canonical.as_str() == s.as_str() {
-                    *s = Arc::clone(canonical);
-                }
-            }
-            Entry::Vacant(e) => {
-                e.insert(u32::try_from(self.strs.len()).expect("fewer than 2^32 distinct strings"));
-                self.strs.push(Arc::clone(s));
-            }
-        }
-    }
-}
 
 /// Sentinel for an unoccupied dense primary-key slot.
 const PK_NONE: RowId = RowId::MAX;
@@ -372,15 +289,12 @@ pub struct Table {
     /// Parallel to `schema.indexes()`: one B-tree per secondary index.
     sec: Vec<BTreeMap<Value, Vec<RowId>>>,
     next_auto: i64,
-    /// Declared last, so it drops after the cells and indexes and frees
-    /// each distinct string's last reference in first-seen order.
-    interner: StrInterner,
 }
 
 /// Equality compares logical content: schema, slot layout, live rows,
-/// free list, indexes, and the auto counter. The interner and the garbage
-/// cells of dead slots are deliberately excluded — they are caches whose
-/// contents depend on mutation history, not on the data.
+/// free list, indexes, and the auto counter. The garbage cells of dead
+/// slots are deliberately excluded — their contents depend on mutation
+/// history, not on the data.
 impl PartialEq for Table {
     fn eq(&self, other: &Self) -> bool {
         self.schema == other.schema
@@ -414,7 +328,6 @@ impl Table {
             pk_index: PkIndex::default(),
             sec,
             next_auto: 1,
-            interner: StrInterner::default(),
         }
     }
 
@@ -490,8 +403,8 @@ impl Table {
     }
 
     /// Everything [`insert`](Self::insert) does except the secondary-index
-    /// pushes: auto-increment, row checks, the duplicate-key check,
-    /// interning, slot reuse and the primary-key index.
+    /// pushes: auto-increment, row checks, the duplicate-key check, slot
+    /// reuse and the primary-key index.
     fn store(&mut self, mut row: Vec<Value>) -> SqlResult<(RowId, Option<i64>)> {
         let mut assigned = None;
         if let Some(pk) = self.schema.primary_key() {
@@ -517,9 +430,6 @@ impl Table {
                     self.next_auto = self.next_auto.max(k + 1);
                 }
             }
-        }
-        for v in &mut row {
-            self.interner.intern(v);
         }
         let rid = match self.free.pop() {
             Some(slot) => {
@@ -554,7 +464,7 @@ impl Table {
     ///
     /// Fails if the row id is dead, the new row violates the schema, or the
     /// new primary key duplicates another row's.
-    pub fn update(&mut self, rid: RowId, mut new_row: Vec<Value>) -> SqlResult<()> {
+    pub fn update(&mut self, rid: RowId, new_row: Vec<Value>) -> SqlResult<()> {
         self.schema.check_row(&new_row)?;
         let Some(old) = self.get(rid) else {
             return Err(SqlError::Constraint(format!("no row {rid}")));
@@ -567,9 +477,6 @@ impl Table {
                     new_row[pk]
                 )));
             }
-        }
-        for v in &mut new_row {
-            self.interner.intern(v);
         }
         self.index_remove(rid);
         for (cell, v) in self.cells[rid * self.width..].iter_mut().zip(new_row) {
@@ -1047,34 +954,12 @@ mod tests {
     }
 
     #[test]
-    fn interner_shares_equal_strings_across_rows() {
-        let mut t = users();
-        let (r1, _) = t.insert(row("bob", 1)).unwrap();
-        let (r2, _) = t.insert(row("bob", 2)).unwrap();
-        match (&t.get(r1).unwrap()[1], &t.get(r2).unwrap()[1]) {
-            (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(a, b)),
-            other => panic!("expected strings, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn interner_keeps_strings_in_first_seen_order() {
-        let mut t = users();
-        for nick in ["bob", "ann", "bob", "cy"] {
-            t.insert(row(nick, 1)).unwrap();
-        }
-        let order: Vec<&str> = t.interner.strs.iter().map(|s| s.as_str()).collect();
-        assert_eq!(order, ["bob", "ann", "cy"]);
-        assert!(t.clone().interner.strs.is_empty());
-    }
-
-    #[test]
-    fn equality_ignores_interner_history() {
+    fn equality_ignores_dead_slot_history() {
         let mut a = users();
         let mut b = users();
-        // Same logical content, different mutation history: each table has
-        // interned a string the other never saw, and each carries a dead
-        // slot. Equality must look only at live data.
+        // Same logical content, different mutation history: each table
+        // carries a dead slot whose stale cells the other never held.
+        // Equality must look only at live data.
         let (dead_a, _) = a.insert(row("ghost", 9)).unwrap();
         a.insert(row("ann", 1)).unwrap();
         a.delete(dead_a).unwrap();

@@ -6,72 +6,138 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// A hash-cached string payload: the deterministic FNV-1a hash of the
-/// bytes is computed once at construction, so hash joins, hash
-/// aggregation, and hash-map probes over string values never re-scan the
-/// bytes. Equality still compares bytes (the hash is a fast-path filter)
-/// and ordering is plain byte ordering, so B-tree index layouts are
-/// unaffected.
-#[derive(Debug)]
-pub struct Istr {
+/// The longest string, in bytes, a [`Text`] stores inline.
+const INLINE_CAP: usize = 14;
+
+/// The payload of [`Value::Str`]: UTF-8 text in one of two forms, chosen
+/// by byte length alone so that equal strings always share a form.
+///
+/// * Up to 14 bytes sit inline in the value, zero-padded: building,
+///   cloning and dropping one touches no heap. Most stored strings are
+///   this short (names, codes, statuses, keys).
+/// * A longer string lives in one shared reference-counted block that
+///   also holds the deterministic FNV-1a hash of its bytes, computed once
+///   at construction, so hash joins and map probes over long keys never
+///   re-scan them. A clone bumps the count.
+///
+/// Equality and ordering compare bytes, and [`Value`]'s `Hash` writes the
+/// FNV-1a of the bytes (computed on demand for the inline form), so
+/// neither the form nor the sharing is ever observable.
+#[derive(Clone)]
+pub struct Text(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// `bytes[..len]` is the text; the rest stays zero.
+    Inline {
+        len: u8,
+        bytes: [u8; INLINE_CAP],
+    },
+    Heap(Arc<HeapText>),
+}
+
+/// A heap-form string and its cached hash.
+struct HeapText {
     hash: u64,
     s: Box<str>,
 }
 
-impl Istr {
-    /// Takes ownership of the bytes: a `String` converts through
-    /// `into_boxed_str` without copying them.
-    fn new(s: Box<str>) -> Istr {
-        Istr { hash: fnv1a(s.as_bytes()), s }
+impl Text {
+    /// Copies `s`; only a heap-form string allocates.
+    fn new(s: &str) -> Text {
+        if s.len() <= INLINE_CAP {
+            let mut bytes = [0; INLINE_CAP];
+            bytes[..s.len()].copy_from_slice(s.as_bytes());
+            Text(Repr::Inline { len: s.len() as u8, bytes })
+        } else {
+            Text::heap(s.into())
+        }
+    }
+
+    /// Takes ownership of a string longer than [`INLINE_CAP`] bytes.
+    fn heap(s: Box<str>) -> Text {
+        Text(Repr::Heap(Arc::new(HeapText { hash: fnv1a(s.as_bytes()), s })))
     }
 
     /// The string slice.
     pub fn as_str(&self) -> &str {
-        &self.s
+        match &self.0 {
+            // Inline bytes are always copied whole from a `&str`.
+            Repr::Inline { .. } => {
+                std::str::from_utf8(self.as_bytes()).expect("inline bytes are a whole UTF-8 string")
+            }
+            Repr::Heap(h) => &h.s,
+        }
     }
 
-    /// The cached FNV-1a hash of the bytes.
-    pub(crate) fn cached_hash(&self) -> u64 {
-        self.hash
+    /// The string's bytes.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(h) => h.s.as_bytes(),
+        }
+    }
+
+    /// The FNV-1a hash of the bytes: cached for the heap form, computed
+    /// for the inline one.
+    pub(crate) fn hash64(&self) -> u64 {
+        match &self.0 {
+            Repr::Inline { .. } => fnv1a(self.as_bytes()),
+            Repr::Heap(h) => h.hash,
+        }
     }
 }
 
-impl std::ops::Deref for Istr {
-    type Target = str;
-    fn deref(&self) -> &str {
-        &self.s
-    }
-}
-
-impl PartialEq for Istr {
+impl PartialEq for Text {
     fn eq(&self, other: &Self) -> bool {
-        self.hash == other.hash && self.s == other.s
+        match (&self.0, &other.0) {
+            (Repr::Inline { len: a, bytes: x }, Repr::Inline { len: b, bytes: y }) => {
+                a == b && x == y
+            }
+            (Repr::Heap(a), Repr::Heap(b)) => Arc::ptr_eq(a, b) || (a.hash == b.hash && a.s == b.s),
+            // The form follows the length, so different forms differ.
+            _ => false,
+        }
     }
 }
 
-impl Eq for Istr {}
+impl Eq for Text {}
 
-impl PartialOrd for Istr {
+impl PartialOrd for Text {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-impl Ord for Istr {
+impl Ord for Text {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.s.cmp(&other.s)
+        match (&self.0, &other.0) {
+            // Zero padding sorts a proper prefix first unless the longer
+            // string's tail is all NUL bytes; the length breaks that tie.
+            (Repr::Inline { len: a, bytes: x }, Repr::Inline { len: b, bytes: y }) => {
+                x.cmp(y).then(a.cmp(b))
+            }
+            (Repr::Heap(a), Repr::Heap(b)) if Arc::ptr_eq(a, b) => Ordering::Equal,
+            _ => self.as_bytes().cmp(other.as_bytes()),
+        }
     }
 }
 
-impl fmt::Display for Istr {
+impl fmt::Debug for Text {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.s)
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for Text {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
 /// Deterministic 64-bit FNV-1a. Chosen over the std `RandomState` hasher
-/// because the cached hash participates in `Hash for Value` and must be
-/// identical across processes and runs for reproducibility.
+/// because it participates in `Hash for Value` and must be identical
+/// across processes and runs for reproducibility.
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in bytes {
@@ -83,8 +149,9 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 /// A single SQL value.
 ///
-/// Strings are reference-counted so result rows and index keys can be cloned
-/// cheaply, and carry a cached hash (see [`Istr`]). The total order is
+/// Strings of up to 14 bytes are stored inline and longer ones are shared
+/// and hash-cached (see [`Text`]), so result rows and index keys clone
+/// without copying bytes. The total order is
 /// `NULL < numbers (Int and Float compared numerically) < strings`, which
 /// is what the B-tree indexes use.
 ///
@@ -94,7 +161,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// assert!(Value::Int(2) < Value::Float(2.5));
 /// assert!(Value::Float(9.0) < Value::str("a"));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum Value {
     /// SQL NULL.
     Null,
@@ -103,14 +170,32 @@ pub enum Value {
     /// Double-precision float (prices, rates).
     Float(f64),
     /// UTF-8 string.
-    Str(Arc<Istr>),
+    Str(Text),
+}
+
+/// One match over the shared tag byte, where a derived `Clone` would match
+/// the variant and then the string form: cloning cells is the inner loop of
+/// projections, index builds and a fork's first write to a table.
+impl Clone for Value {
+    #[inline]
+    fn clone(&self) -> Value {
+        match self {
+            Value::Str(Text(Repr::Heap(h))) => Value::Str(Text(Repr::Heap(Arc::clone(h)))),
+            Value::Str(Text(Repr::Inline { len, bytes })) => {
+                Value::Str(Text(Repr::Inline { len: *len, bytes: *bytes }))
+            }
+            Value::Int(i) => Value::Int(*i),
+            Value::Float(f) => Value::Float(*f),
+            Value::Null => Value::Null,
+        }
+    }
 }
 
 impl Value {
     /// Creates a string value, copying the bytes. An owned `String` goes
     /// through [`Value::from`] instead, which keeps its buffer.
     pub fn str(s: impl AsRef<str>) -> Value {
-        Value::Str(Arc::new(Istr::new(s.as_ref().into())))
+        Value::Str(Text::new(s.as_ref()))
     }
 
     /// `true` if the value is NULL.
@@ -138,7 +223,7 @@ impl Value {
     /// The string inside, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
-            Value::Str(s) => Some(s),
+            Value::Str(s) => Some(s.as_str()),
             _ => None,
         }
     }
@@ -168,7 +253,7 @@ impl Value {
             Value::Null => 1,
             Value::Int(_) => 8,
             Value::Float(_) => 8,
-            Value::Str(s) => s.len() as u64,
+            Value::Str(s) => s.as_bytes().len() as u64,
         }
     }
 
@@ -179,7 +264,7 @@ impl Value {
             Value::Null => false,
             Value::Int(i) => *i != 0,
             Value::Float(f) => *f != 0.0,
-            Value::Str(s) => !s.is_empty(),
+            Value::Str(s) => !s.as_bytes().is_empty(),
         }
     }
 
@@ -340,11 +425,10 @@ fn wildcard_match(text: &str, pattern: &str, unit: impl Fn(&str, usize) -> (u32,
 
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        // Equality agrees with `cmp`, but the string arm short-circuits on
-        // the shared allocation and then the cached hash before ever
-        // touching bytes.
+        // Equality agrees with `cmp`; the string arm is `Text`'s, which
+        // short-circuits on the form, the shared block and the cached hash.
         match (self, other) {
-            (Value::Str(a), Value::Str(b)) => Arc::ptr_eq(a, b) || a == b,
+            (Value::Str(a), Value::Str(b)) => a == b,
             _ => self.cmp(other) == Ordering::Equal,
         }
     }
@@ -369,16 +453,7 @@ impl Ord for Value {
             (Float(a), Float(b)) => a.total_cmp(b),
             (Int(a), Float(b)) => (*a as f64).total_cmp(b),
             (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
-            // Cloned rows share the same `Arc<str>` allocation, so string
-            // comparisons on join keys and group keys are usually a pointer
-            // check, never a byte scan.
-            (Str(a), Str(b)) => {
-                if Arc::ptr_eq(a, b) {
-                    Ordering::Equal
-                } else {
-                    a.cmp(b)
-                }
-            }
+            (Str(a), Str(b)) => a.cmp(b),
             (Str(_), _) => Ordering::Greater,
             (_, Str(_)) => Ordering::Less,
         }
@@ -400,11 +475,11 @@ impl Hash for Value {
                 f.to_bits().hash(state);
             }
             Value::Str(s) => {
-                // The byte hash was computed once at construction; reusing it
-                // here makes hash-join probes and GROUP BY keys O(1) in the
-                // string length.
+                // A long string's byte hash was computed once at
+                // construction, so hash-join probes and GROUP BY keys over
+                // long strings are O(1) in their length.
                 2u8.hash(state);
-                state.write_u64(s.cached_hash());
+                state.write_u64(s.hash64());
             }
         }
     }
@@ -451,11 +526,15 @@ impl From<&str> for Value {
     }
 }
 
-/// The string's buffer becomes the value's storage: no byte copy, at most
-/// a shrink of spare capacity.
+/// A heap-form string's buffer becomes the value's storage: no byte copy,
+/// at most a shrink of spare capacity. A short one is copied inline.
 impl From<String> for Value {
     fn from(v: String) -> Value {
-        Value::Str(Arc::new(Istr::new(v.into_boxed_str())))
+        if v.len() <= INLINE_CAP {
+            Value::str(v)
+        } else {
+            Value::Str(Text::heap(v.into_boxed_str()))
+        }
     }
 }
 
@@ -489,28 +568,69 @@ mod tests {
 
     #[test]
     fn int_float_equality_and_hash() {
-        use std::collections::hash_map::DefaultHasher;
         assert_eq!(Value::Int(2), Value::Float(2.0));
-        let h = |v: &Value| {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        };
-        assert_eq!(h(&Value::Int(2)), h(&Value::Float(2.0)));
+        assert_eq!(default_hash(&Value::Int(2)), default_hash(&Value::Float(2.0)));
+    }
+
+    /// `DefaultHasher` of one value.
+    fn default_hash(v: &Value) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut s = DefaultHasher::new();
+        v.hash(&mut s);
+        s.finish()
+    }
+
+    fn is_inline(v: &Value) -> bool {
+        matches!(v, Value::Str(Text(Repr::Inline { .. })))
     }
 
     #[test]
-    fn str_clone_is_a_pointer_bump() {
-        let row = vec![Value::str("science fiction"), Value::Int(42)];
-        let copy = row.clone();
-        match (&row[0], &copy[0]) {
-            (Value::Str(a), Value::Str(b)) => assert!(Arc::ptr_eq(a, b)),
-            other => panic!("expected strings, got {other:?}"),
+    fn short_strings_are_inline_and_long_clones_share_one_block() {
+        let short = Value::str("CARD HOLDER 14");
+        assert!(is_inline(&short), "a 14-byte string holds no heap block");
+        assert!(is_inline(&short.clone()));
+        let long = Value::str("PUBLISHER 15 by");
+        let copy = long.clone();
+        match (&long, &copy) {
+            (Value::Str(Text(Repr::Heap(a))), Value::Str(Text(Repr::Heap(b)))) => {
+                assert!(Arc::ptr_eq(a, b), "a 15-byte clone shares its block");
+            }
+            other => panic!("expected heap strings, got {other:?}"),
         }
-        // Shared-allocation comparison takes the pointer fast path but must
-        // agree with the byte comparison.
-        assert_eq!(row[0], copy[0]);
-        assert_eq!(row[0].cmp(&copy[0]), Ordering::Equal);
+        assert_eq!(long, copy);
+        assert_eq!(long.cmp(&copy), Ordering::Equal);
+        assert_eq!(
+            format!("{short:?} {long:?}"),
+            r#"Str("CARD HOLDER 14") Str("PUBLISHER 15 by")"#
+        );
+        assert_eq!(std::mem::size_of::<Value>(), 16);
+    }
+
+    /// `Hash for Value` writes `2u8` and the FNV-1a of the bytes in both
+    /// forms; these are the values every earlier build produced.
+    #[test]
+    fn string_hashes_are_pinned() {
+        for (text, hash) in [
+            ("OK", 0x5fa9_6767_5932_3d94),
+            ("CARD HOLDER 14", 0xdd79_6fec_8153_1268),
+            ("PUBLISHER 15 by", 0x6920_6c17_1393_ab1b),
+            ("the remarkably verbose catalog title 40b", 0x3054_b434_d963_3b2e),
+        ] {
+            assert_eq!(default_hash(&Value::str(text)), hash, "{text:?}");
+            assert_eq!(default_hash(&Value::from(text.to_owned())), hash, "{text:?}");
+        }
+    }
+
+    #[test]
+    fn inline_ordering_breaks_ties_on_length() {
+        let (a, a_nul, a_nul_b) = (Value::str("a"), Value::str("a\0"), Value::str("a\0b"));
+        assert!(a < a_nul && a_nul < a_nul_b);
+        assert_ne!(a, a_nul);
+        assert!(Value::str("") < Value::str("\0"));
+        // Across forms: a 14-byte prefix sorts before its 15-byte extension.
+        assert!(Value::str("zzzzzzzzzzzzzz") < Value::str("zzzzzzzzzzzzzz\0"));
+        assert!(Value::str("zzzzzzzzzzzzzz\0") < Value::str("zzzzzzzzzzzzzz\u{1}"));
+        assert!(Value::str("b") > Value::str("abcdefghijklmnopq"));
     }
 
     #[test]
@@ -596,29 +716,21 @@ mod tests {
 
     #[test]
     fn owned_string_conversion_matches_copy_and_keeps_the_buffer() {
-        use std::collections::hash_map::DefaultHasher;
-        let h = |v: &Value| {
-            let mut s = DefaultHasher::new();
-            v.hash(&mut s);
-            s.finish()
-        };
         for text in ["", "OK", "CARD HOLDER", "héllo wörld", "c12345@example.com"] {
             // Spare capacity exercises the shrink path.
             let mut owned = String::with_capacity(text.len() + 7);
             owned.push_str(text);
             let (from, copied) = (Value::from(owned), Value::str(text));
-            let (Value::Str(a), Value::Str(b)) = (&from, &copied) else { unreachable!() };
-            assert!(!Arc::ptr_eq(a, b));
-            assert_eq!(a.as_str().as_bytes(), b.as_str().as_bytes());
-            assert_eq!(a.cached_hash(), b.cached_hash());
+            assert_eq!(is_inline(&from), text.len() <= 14);
+            assert_eq!(is_inline(&copied), text.len() <= 14);
+            assert_eq!(from.as_str(), Some(text));
             assert_eq!(from, copied);
             assert_eq!(from.cmp(&copied), Ordering::Equal);
             assert_eq!(from.cmp(&Value::str("P")), copied.cmp(&Value::str("P")));
-            assert_eq!(h(&from), h(&copied));
+            assert_eq!(default_hash(&from), default_hash(&copied));
         }
-        let exact = String::from("no copy");
+        let exact = String::from("a long string keeps its buffer");
         let ptr = exact.as_ptr();
         assert_eq!(Value::from(exact).as_str().map(str::as_ptr), Some(ptr));
-        assert_eq!(std::mem::size_of::<Value>(), 16);
     }
 }

@@ -3,8 +3,9 @@
 //! Core invariants: inserted data is faithfully returned, indexed and
 //! unindexed access paths agree, ORDER BY/LIMIT behave like the obvious
 //! reference implementation, the compiled executor matches the naive
-//! reference executor in `reference/mod.rs`, and the LIKE matcher agrees
-//! with a naive backtracking oracle.
+//! reference executor in `reference/mod.rs`, the LIKE matcher agrees
+//! with a naive backtracking oracle, and string values behave as their
+//! bytes on both sides of the 14-byte inline limit.
 
 mod reference;
 
@@ -12,6 +13,8 @@ use dynamid_sqldb::{
     CacheInvalidation, CacheKey, CachePolicy, ColumnType, Database, Lookup, TableSchema, Value,
 };
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Builds two tables with identical content; `fast` has a secondary index
@@ -46,6 +49,27 @@ fn ids_of(r: &dynamid_sqldb::QueryResult) -> Vec<i64> {
     let mut ids: Vec<i64> = r.rows.iter().map(|row| row[c].as_int().unwrap()).collect();
     ids.sort_unstable();
     ids
+}
+
+/// SQL `LIKE` by its definition: `%` matches any run of characters, `_`
+/// exactly one character, anything else itself. `m[i][j]` says whether
+/// the text from character `i` on matches the pattern from character `j`
+/// on, filled from the ends back.
+fn like_oracle(text: &str, pattern: &str) -> bool {
+    let (t, p): (Vec<char>, Vec<char>) = (text.chars().collect(), pattern.chars().collect());
+    let mut m = vec![vec![false; p.len() + 1]; t.len() + 1];
+    m[t.len()][p.len()] = true;
+    for j in (0..p.len()).rev() {
+        for i in (0..=t.len()).rev() {
+            let next = i < t.len() && m[i + 1][j + 1];
+            m[i][j] = match p[j] {
+                '%' => m[i][j + 1] || (i < t.len() && m[i + 1][j]),
+                '_' => next,
+                c => next && t[i] == c,
+            };
+        }
+    }
+    m[0][0]
 }
 
 proptest! {
@@ -245,20 +269,8 @@ proptest! {
             .enumerate()
             .map(|(i, c)| if mask >> i & 1 == 1 { '_' } else { c })
             .collect();
-        fn oracle(t: &[char], p: &[char]) -> bool {
-            match p.first() {
-                None => t.is_empty(),
-                Some('%') => {
-                    (0..=t.len()).any(|i| oracle(&t[i..], &p[1..]))
-                }
-                Some('_') => !t.is_empty() && oracle(&t[1..], &p[1..]),
-                Some(c) => t.first() == Some(c) && oracle(&t[1..], &p[1..]),
-            }
-        }
-        let tc: Vec<char> = text.chars().collect();
         for pattern in [general, shaped, masked] {
-            let pc: Vec<char> = pattern.chars().collect();
-            let expect = oracle(&tc, &pc);
+            let expect = like_oracle(&text, &pattern);
             let got = Value::str(&text).like(&Value::str(&pattern)).unwrap();
             prop_assert_eq!(got, expect, "text={:?} pattern={:?}", text, pattern);
         }
@@ -788,6 +800,96 @@ proptest! {
 /// A table with an auto-increment key and two nullable secondary indexes,
 /// one on strings and one on integers: the target of the bulk-load
 /// comparison.
+/// At most 40 bytes of `chars`, cut at a character boundary.
+fn clip40(chars: &str) -> String {
+    let end = chars.char_indices().map(|(i, c)| i + c.len_utf8()).take_while(|&end| end <= 40);
+    chars[..end.last().unwrap_or(0)].to_string()
+}
+
+/// `DefaultHasher` of one value.
+fn default_hash(v: &impl Hash) -> u64 {
+    let mut h = DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+/// The hash every string value must feed a hasher: `2u8`, then the
+/// 64-bit FNV-1a of its bytes.
+fn expected_str_hash(s: &str) -> u64 {
+    let fnv = s.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    let mut h = DefaultHasher::new();
+    h.write_u8(2);
+    h.write_u64(fnv);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Strings of 0–40 bytes over ASCII, NUL, 2- and 3-byte characters,
+    /// whose lengths and character boundaries straddle the 14/15-byte
+    /// inline limit, compare, hash, measure, print and match `LIKE` as
+    /// their bytes do, whichever form each side takes. `relation` makes
+    /// `b` equal to `a`, a short extension of it (NUL bytes only, in one
+    /// case), or a prefix of it often enough to reach the ties and
+    /// prefixes ordering has to break.
+    #[test]
+    fn strings_behave_as_bytes_across_the_inline_limit(
+        a in "[ab~\u{0}é中]{0,24}",
+        b in "[ab~\u{0}é中]{0,24}",
+        relation in 0usize..5,
+        mask in any::<u64>(),
+    ) {
+        let a = clip40(&a);
+        let extra = 1 + (mask % 2) as usize;
+        let b = match relation {
+            0 => clip40(&b),
+            1 => a.clone(),
+            2 => clip40(&format!("{a}{}", b.chars().take(extra).collect::<String>())),
+            3 => clip40(&format!("{a}{}", "\0".repeat(extra))),
+            _ => a.chars().take(b.chars().count()).collect(),
+        };
+        let (va, vb) = (Value::str(&a), Value::str(&b));
+        for (text, v) in [(&a, &va), (&b, &vb)] {
+            let owned = Value::from(text.clone());
+            prop_assert_eq!(v, &owned);
+            prop_assert_eq!(v.cmp(&owned), std::cmp::Ordering::Equal);
+            prop_assert_eq!(v.as_str(), Some(text.as_str()));
+            prop_assert_eq!(v.wire_size(), text.len() as u64);
+            prop_assert_eq!(&v.to_string(), text);
+            prop_assert_eq!(default_hash(v), expected_str_hash(text));
+            prop_assert_eq!(default_hash(&owned), expected_str_hash(text));
+        }
+        prop_assert_eq!(va.cmp(&vb), a.cmp(&b), "a={:?} b={:?}", a, b);
+        prop_assert_eq!(va == vb, a == b, "a={:?} b={:?}", a, b);
+        prop_assert_eq!(
+            CacheKey::from_values(std::slice::from_ref(&va))
+                == CacheKey::from_values(std::slice::from_ref(&vb)),
+            a == b
+        );
+        // `b` with the characters `mask` picks turned into wildcards, as a
+        // pattern over `a`.
+        let pattern: String = b
+            .chars()
+            .enumerate()
+            .map(|(i, c)| match mask >> (2 * (i % 32)) & 3 {
+                0 => '_',
+                1 => '%',
+                _ => c,
+            })
+            .collect();
+        for (text, value) in [(&a, &va), (&b, &vb)] {
+            prop_assert_eq!(
+                value.like(&Value::str(&pattern)).unwrap(),
+                like_oracle(text, &pattern),
+                "text={:?} pattern={:?}", text, pattern
+            );
+        }
+    }
+}
+
 fn load_target() -> Database {
     let mut db = Database::new();
     db.create_table(
@@ -809,9 +911,11 @@ fn load_target() -> Database {
 /// One generated row. Most rows ask for an auto key; the rest carry an
 /// explicit key that collides with an earlier one once the counter has
 /// passed it, so many loads stop at a duplicate midway. The small string
-/// and integer alphabets repeat index keys, and the two bits of `nulls`
-/// null the indexed cells.
-fn load_row(&(key, ref s, n, nulls): &(i64, String, i64, u8)) -> Vec<Value> {
+/// and integer alphabets repeat index keys, `long` pads a string key to
+/// 13–15 bytes so that keys repeat in both string forms, and the two bits
+/// of `nulls` null the indexed cells.
+fn load_row(&(key, ref s, n, nulls, long): &(i64, String, i64, u8, bool)) -> Vec<Value> {
+    let s = if long { format!("{s}-------------") } else { s.clone() };
     vec![
         if key < 380 { Value::Null } else { Value::Int((key - 380) * 7 + 1) },
         if nulls & 1 == 1 { Value::Null } else { Value::str(s) },
@@ -828,9 +932,15 @@ proptest! {
     /// scope every stored row is still in every index.
     #[test]
     fn bulk_load_equals_per_row_inserts(
-        prefill in prop::collection::vec((0i64..400, "[abc]{0,2}", -3i64..3, 0u8..4), 0..20),
+        prefill in prop::collection::vec(
+            (0i64..400, "[abc]{0,2}", -3i64..3, 0u8..4, any::<bool>()),
+            0..20,
+        ),
         deletes in prop::collection::vec(0usize..20, 0..8),
-        rows in prop::collection::vec((0i64..400, "[abc]{0,2}", -3i64..3, 0u8..4), 0..120),
+        rows in prop::collection::vec(
+            (0i64..400, "[abc]{0,2}", -3i64..3, 0u8..4, any::<bool>()),
+            0..120,
+        ),
     ) {
         let mut base = load_target();
         let t = base.table_mut("t").unwrap();

@@ -36,8 +36,13 @@ for workload in bookstore-shopping bookstore-ordering auction-bidding bookstore-
   esac
 done
 
-echo "== perf + chaos smoke (writes BENCH_repro.json)"
-cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos
+# Every generated file goes here, so the gate leaves the working tree
+# (the tracked BENCH_repro.json included) as it found it.
+out_tmp="$(mktemp -d)"
+trap 'rm -rf "$out_tmp"' EXIT
+
+echo "== perf + chaos smoke (writes BENCH_repro.json into a temp dir)"
+cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos --out "$out_tmp"
 
 echo "== perf gate: smoke wall-clock vs results/bench_history.json"
 # Fail when total_wall_secs regresses more than PERF_BUDGET_PCT (default
@@ -46,14 +51,14 @@ echo "== perf gate: smoke wall-clock vs results/bench_history.json"
 budget_pct="${PERF_BUDGET_PCT:-20}"
 recorded="$(grep -o '"total_wall_secs": [0-9.]*' results/bench_history.json \
   | tail -1 | awk '{print $2}')"
-best="$(grep -o '"total_wall_secs": [0-9.]*' BENCH_repro.json | head -1 | awk '{print $2}')"
+best="$(grep -o '"total_wall_secs": [0-9.]*' "$out_tmp/BENCH_repro.json" | head -1 | awk '{print $2}')"
 for retry in 1 2; do
   over="$(awk -v c="$best" -v r="$recorded" -v b="$budget_pct" \
     'BEGIN { print (c > r * (1 + b / 100)) ? 1 : 0 }')"
   [ "$over" = 1 ] || break
   echo "   smoke ${best}s over budget (recorded ${recorded}s + ${budget_pct}%), re-run $retry"
-  cargo run --release -q -p dynamid-harness --bin repro -- --smoke --quiet
-  cur="$(grep -o '"total_wall_secs": [0-9.]*' BENCH_repro.json | head -1 | awk '{print $2}')"
+  cargo run --release -q -p dynamid-harness --bin repro -- --smoke --quiet --out "$out_tmp"
+  cur="$(grep -o '"total_wall_secs": [0-9.]*' "$out_tmp/BENCH_repro.json" | head -1 | awk '{print $2}')"
   best="$(awk -v a="$best" -v b="$cur" 'BEGIN { print (b < a) ? b : a }')"
 done
 if [ "$(awk -v c="$best" -v r="$recorded" -v b="$budget_pct" \
@@ -65,13 +70,11 @@ fi
 echo "   smoke ${best}s within ${budget_pct}% of recorded ${recorded}s"
 
 echo "== healthy-path figures are byte-identical to results/golden"
-golden_tmp="$(mktemp -d)"
-trap 'rm -rf "$golden_tmp"' EXIT
 cargo run --release -q -p dynamid-harness --bin repro -- \
   --fast --quiet --jobs 4 --seed 42 --scale 0.1 \
-  --clients 5,10,15 --measure 4 --out "$golden_tmp" fig05 fig11
+  --clients 5,10,15 --measure 4 --out "$out_tmp" fig05 fig11
 for fig in fig05 fig11; do
-  cmp "results/golden/$fig.csv" "$golden_tmp/$fig.csv" \
+  cmp "results/golden/$fig.csv" "$out_tmp/$fig.csv" \
     || { echo "FAIL: $fig.csv drifted from results/golden/$fig.csv" >&2; exit 1; }
 done
 
@@ -80,9 +83,9 @@ echo "== traced runs: bottleneck reports byte-identical to results/golden"
 # PS counters (1% gate) and fails nonzero on any span-tree violation.
 cargo run --release -q -p dynamid-harness --bin repro -- \
   --fast --quiet --jobs 4 --seed 42 --scale 0.1 \
-  --clients 15 --measure 4 --out "$golden_tmp" trace fig05 --config C1,C6 >/dev/null
+  --clients 15 --measure 4 --out "$out_tmp" trace fig05 --config C1,C6 >/dev/null
 for config in C1 C6; do
-  cmp "results/golden/bottleneck_fig05_$config.csv" "$golden_tmp/bottleneck_fig05_$config.csv" \
+  cmp "results/golden/bottleneck_fig05_$config.csv" "$out_tmp/bottleneck_fig05_$config.csv" \
     || { echo "FAIL: bottleneck_fig05_$config.csv drifted from results/golden/" >&2; exit 1; }
 done
 
@@ -91,8 +94,8 @@ echo "== availability sweep is byte-identical to results/golden (audit runs insi
 # panics the run, so a zero exit here also certifies a clean audit.
 cargo run --release -q -p dynamid-harness --bin repro -- \
   --fast --quiet --jobs 4 --seed 42 --scale 0.1 \
-  --clients 15 --measure 4 --out "$golden_tmp" avail >/dev/null
-cmp "results/golden/avail.csv" "$golden_tmp/avail.csv" \
+  --clients 15 --measure 4 --out "$out_tmp" avail >/dev/null
+cmp "results/golden/avail.csv" "$out_tmp/avail.csv" \
   || { echo "FAIL: avail.csv drifted from results/golden/avail.csv" >&2; exit 1; }
 
 echo "== cache-ablation smoke is byte-identical to results/golden"
@@ -102,8 +105,8 @@ echo "== cache-ablation smoke is byte-identical to results/golden"
 # certifies both coherence and the headline uplift; the byte-compare then
 # pins the exact numbers.
 cargo run --release -q -p dynamid-harness --bin repro -- \
-  --quiet --jobs 4 --out "$golden_tmp" cache --smoke >/dev/null
-cmp "results/golden/cache.csv" "$golden_tmp/cache.csv" \
+  --quiet --jobs 4 --out "$out_tmp" cache --smoke >/dev/null
+cmp "results/golden/cache.csv" "$out_tmp/cache.csv" \
   || { echo "FAIL: cache.csv drifted from results/golden/cache.csv" >&2; exit 1; }
 
 echo "== failover smoke is byte-identical to results/golden"
@@ -113,8 +116,8 @@ echo "== failover smoke is byte-identical to results/golden"
 # promoted a replica, and every 2-replica point beat the single-DB
 # baseline's goodput; the byte-compare then pins the exact numbers.
 cargo run --release -q -p dynamid-harness --bin repro -- \
-  --quiet --jobs 4 --out "$golden_tmp" failover --smoke >/dev/null
-cmp "results/golden/failover.csv" "$golden_tmp/failover.csv" \
+  --quiet --jobs 4 --out "$out_tmp" failover --smoke >/dev/null
+cmp "results/golden/failover.csv" "$out_tmp/failover.csv" \
   || { echo "FAIL: failover.csv drifted from results/golden/failover.csv" >&2; exit 1; }
 
 echo "== overload smoke is byte-identical to results/golden"
@@ -126,9 +129,9 @@ echo "== overload smoke is byte-identical to results/golden"
 # (>= 70%), with the consistency audit clean at every point. A zero exit
 # certifies all of that; the byte-compares then pin the exact numbers.
 cargo run --release -q -p dynamid-harness --bin repro -- \
-  --quiet --jobs 4 --out "$golden_tmp" overload --smoke >/dev/null
+  --quiet --jobs 4 --out "$out_tmp" overload --smoke >/dev/null
 for grid in overload overload_c789; do
-  cmp "results/golden/$grid.csv" "$golden_tmp/$grid.csv" \
+  cmp "results/golden/$grid.csv" "$out_tmp/$grid.csv" \
     || { echo "FAIL: $grid.csv drifted from results/golden/$grid.csv" >&2; exit 1; }
 done
 
