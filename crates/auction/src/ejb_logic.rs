@@ -9,8 +9,7 @@
 use crate::app::{Auction, Interaction};
 use crate::populate::{BASE_DATE, DAY};
 use crate::sql_logic::{LIST_THUMBNAILS, PAGE_SIZE};
-use dynamid_core::{AppError, AppResult, RequestCtx, SessionData};
-use dynamid_http::StaticAsset;
+use dynamid_core::{AppError, AppResult, RequestCtx, SessionData, StaticAsset};
 use dynamid_sim::SimRng;
 use dynamid_sqldb::Value;
 

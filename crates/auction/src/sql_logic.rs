@@ -12,8 +12,7 @@
 
 use crate::app::{Auction, Interaction};
 use crate::populate::{BASE_DATE, DAY};
-use dynamid_core::{AppError, AppResult, RequestCtx, SessionData};
-use dynamid_http::StaticAsset;
+use dynamid_core::{AppError, AppResult, RequestCtx, SessionData, StaticAsset};
 use dynamid_sim::SimRng;
 use dynamid_sqldb::Value;
 

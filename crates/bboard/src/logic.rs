@@ -5,8 +5,7 @@
 
 use crate::app::{BulletinBoard, Interaction};
 use crate::populate::BASE_DATE;
-use dynamid_core::{AppError, AppResult, LogicStyle, RequestCtx, SessionData};
-use dynamid_http::StaticAsset;
+use dynamid_core::{AppError, AppResult, LogicStyle, RequestCtx, SessionData, StaticAsset};
 use dynamid_sim::SimRng;
 use dynamid_sqldb::Value;
 

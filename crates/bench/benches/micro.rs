@@ -1,10 +1,9 @@
-//! Microbenchmarks for the substrates: SQL parsing and execution, the
-//! processor-sharing kernel, the lock manager, and the per-character IPC
-//! cost the paper profiles in §6.1 (experiment E11 in DESIGN.md).
+//! Microbenchmarks for the substrates: SQL parsing and execution, the plan
+//! cache, one figure sweep, the processor-sharing kernel and the lock
+//! manager.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use dynamid_harness::{find_figure, run_figure, HarnessConfig};
-use dynamid_http::Connector;
 use dynamid_sim::engine::NullDriver;
 use dynamid_sim::{
     Driver, GrantPolicy, JobDone, LockManager, LockMode, Op, PsResource, SimDuration, SimTime,
@@ -558,24 +557,6 @@ impl Driver for Resubmit {
     fn on_timer(&mut self, _sim: &mut Simulation, _token: u64) {}
 }
 
-/// E11: the §6.1 profiling claim — per-byte cost of moving dynamic content
-/// across the web-server/servlet boundary vs the in-process PHP module.
-fn bench_ipc_cost(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ipc_cost");
-    g.measurement_time(Duration::from_secs(1)).sample_size(20);
-    let ajp = Connector::ajp12();
-    let php = Connector::mod_php();
-    for bytes in [1_000u64, 10_000, 100_000] {
-        g.bench_function(format!("ajp_{bytes}B"), |b| {
-            b.iter(|| black_box(ajp.send_micros(black_box(bytes)) + ajp.recv_micros(bytes)))
-        });
-        g.bench_function(format!("php_{bytes}B"), |b| {
-            b.iter(|| black_box(php.send_micros(black_box(bytes)) + php.recv_micros(bytes)))
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_sql,
@@ -583,7 +564,6 @@ criterion_group!(
     bench_hot_row_paths,
     bench_plan_cache,
     bench_figure_sweep,
-    bench_sim_kernel,
-    bench_ipc_cost
+    bench_sim_kernel
 );
 criterion_main!(benches);

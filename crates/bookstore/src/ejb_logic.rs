@@ -20,8 +20,7 @@
 use crate::app::{cart, Bookstore, Interaction};
 use crate::populate::{BASE_DATE, DAY};
 use crate::sql_logic::BEST_SELLER_ORDER_WINDOW;
-use dynamid_core::{AppError, AppResult, RequestCtx, SessionData};
-use dynamid_http::StaticAsset;
+use dynamid_core::{AppError, AppResult, RequestCtx, SessionData, StaticAsset};
 use dynamid_sim::SimRng;
 use dynamid_sqldb::Value;
 use std::collections::HashMap;

@@ -29,10 +29,10 @@ fn every_interaction_in_every_config() {
                 );
                 assert!(prep.stats.queries > 0, "{config} {}: no database access", spec.name);
                 assert!(
-                    prep.response.body_bytes() > 500,
+                    prep.stats.output_bytes > 500,
                     "{config} {}: implausibly small page ({} bytes)",
                     spec.name,
-                    prep.response.body_bytes()
+                    prep.stats.output_bytes
                 );
                 sim.submit(prep.trace, id as u64);
             }

@@ -17,9 +17,8 @@
 //! and so do we, since anything else could deadlock).
 
 use crate::app::{AppError, AppResult, LogicStyle};
-use crate::cost::{CostModel, GeneratorCosts};
+use crate::cost::{CostModel, GeneratorCosts, StaticAsset};
 use crate::deploy::Deployment;
-use dynamid_http::{StaticAsset, Status};
 use dynamid_sim::{LockId, LockMode, MachineId, Op, Trace};
 use dynamid_sqldb::ast::TableLockKind;
 use dynamid_sqldb::{Database, QueryResult, SqlError, StatementKind, Value};
@@ -81,7 +80,6 @@ pub struct RequestCtx<'a> {
     output_bytes: u64,
     capture: Option<String>,
     assets: Vec<StaticAsset>,
-    status: Status,
     pub(crate) stats: RequestStats,
     /// Span recorder, present only when the middleware was installed with
     /// tracing enabled; every recording helper is a no-op when `None`.
@@ -136,7 +134,6 @@ impl<'a> RequestCtx<'a> {
             output_bytes: 0,
             capture: capture_html.then(String::new),
             assets: Vec::new(),
-            status: Status::Ok,
             stats: RequestStats::default(),
             spans: None,
             read_log: None,
@@ -284,7 +281,7 @@ impl<'a> RequestCtx<'a> {
         if result_cache_hit {
             debug_assert_eq!(result.kind, StatementKind::Read, "only reads are cached");
             let resp_bytes = result.counters.bytes_returned + 64;
-            let cost = self.db.cost_model().result_cache_hit_micros.max(1.0).round() as u64;
+            let cost = self.costs.db.result_cache_hit_micros.max(1.0).round() as u64;
             self.stats.db_micros += cost;
             self.stats.rows_returned += result.counters.rows_returned;
             self.push(Op::Cpu { machine: gen, micros: g.per_query.round() as u64 });
@@ -321,7 +318,7 @@ impl<'a> RequestCtx<'a> {
                     });
                     self.held_tables.push((t, k, id));
                 }
-                let cost = self.db.statement_cost(&result.counters);
+                let cost = self.costs.db.cost_micros(&result.counters);
                 self.stats.db_micros += cost;
                 self.push_db_execution(db_machine, cost);
                 self.push(Op::Net { from: db_machine, to: gen, bytes: 64 });
@@ -332,7 +329,7 @@ impl<'a> RequestCtx<'a> {
                 for (_, _, id) in self.held_tables.drain(..).rev().collect::<Vec<_>>() {
                     self.push(Op::Unlock { lock: id });
                 }
-                let cost = self.db.statement_cost(&result.counters);
+                let cost = self.costs.db.cost_micros(&result.counters);
                 self.stats.db_micros += cost;
                 self.push_db_execution(db_machine, cost);
                 self.push(Op::Net { from: db_machine, to: gen, bytes: 64 });
@@ -346,7 +343,7 @@ impl<'a> RequestCtx<'a> {
                 // statement cost.
                 self.push(Op::Cpu { machine: gen, micros: g.per_query.round() as u64 });
                 self.push(Op::Net { from: gen, to: db_machine, bytes: req_bytes });
-                let cost = self.db.statement_cost(&result.counters);
+                let cost = self.costs.db.cost_micros(&result.counters);
                 self.stats.db_micros += cost;
                 self.push_db_execution(db_machine, cost);
                 self.push(Op::Net { from: db_machine, to: gen, bytes: 64 });
@@ -365,7 +362,7 @@ impl<'a> RequestCtx<'a> {
                 needed.dedup_by_key(|(id, _)| *id);
 
                 let resp_bytes = result.counters.bytes_returned + 64;
-                let cost = self.db.statement_cost(&result.counters);
+                let cost = self.costs.db.cost_micros(&result.counters);
                 self.stats.db_micros += cost;
                 self.stats.rows_returned += result.counters.rows_returned;
 
@@ -491,16 +488,6 @@ impl<'a> RequestCtx<'a> {
             self.held_app.remove(pos);
             self.push(Op::Unlock { lock: id });
         }
-    }
-
-    /// Sets the response status (defaults to 200 OK).
-    pub fn set_status(&mut self, status: Status) {
-        self.status = status;
-    }
-
-    /// The response status so far.
-    pub fn status(&self) -> Status {
-        self.status
     }
 
     /// Generated output bytes so far.
@@ -740,13 +727,10 @@ mod tests {
     }
 
     #[test]
-    fn status_and_asset_tracking() {
+    fn asset_tracking() {
         let (_sim, mut db, dep, costs) = setup(PhpColocated);
         let mut ctx =
             RequestCtx::new(&mut db, &dep, &costs, LogicStyle::ExplicitSql { sync: false }, false);
-        assert_eq!(ctx.status(), Status::Ok);
-        ctx.set_status(Status::ClientError);
-        assert_eq!(ctx.status(), Status::ClientError);
         ctx.embed_asset(StaticAsset::thumbnail());
         ctx.embed_asset(StaticAsset::button());
         assert_eq!(ctx.assets().len(), 2);

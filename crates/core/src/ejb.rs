@@ -353,9 +353,9 @@ impl RequestCtx<'_> {
         let call_bytes = 256u64;
 
         // RMI request: servlet -> EJB server.
-        self.push(Op::Cpu { machine: servlet, micros: rmi.send_micros(call_bytes) });
+        self.push(Op::Cpu { machine: servlet, micros: rmi.micros(call_bytes) });
         self.push(Op::Net { from: servlet, to: ejb, bytes: call_bytes });
-        self.push(Op::Cpu { machine: ejb, micros: rmi.recv_micros(call_bytes) });
+        self.push(Op::Cpu { machine: ejb, micros: rmi.micros(call_bytes) });
         self.tier = Tier::EjbServer;
         self.stats.facade_calls += 1;
         let facade_cpu = self.costs.ejb.per_facade_call.round() as u64;
@@ -374,9 +374,9 @@ impl RequestCtx<'_> {
         drop(em);
 
         // RMI reply: EJB server -> servlet.
-        self.push(Op::Cpu { machine: ejb, micros: rmi.send_micros(reply_bytes) });
+        self.push(Op::Cpu { machine: ejb, micros: rmi.micros(reply_bytes) });
         self.push(Op::Net { from: ejb, to: servlet, bytes: reply_bytes });
-        self.push(Op::Cpu { machine: servlet, micros: rmi.recv_micros(reply_bytes) });
+        self.push(Op::Cpu { machine: servlet, micros: rmi.micros(reply_bytes) });
         self.tier = Tier::Generator;
         self.span_close();
         out

@@ -44,7 +44,10 @@ pub mod replication;
 pub mod session;
 
 pub use app::{AppError, AppLockSpec, AppResult, Application, InteractionSpec, LogicStyle};
-pub use cost::{CostModel, EjbCosts, FrontEndCosts, GeneratorCosts};
+pub use cost::{
+    ConnectorCosts, CostModel, DbCostModel, EjbCosts, FrontEndCosts, GeneratorCosts, StaticAsset,
+    WebServerCosts,
+};
 pub use ctx::{RequestCtx, RequestStats};
 pub use deploy::{
     AdmissionControl, Deployment, FrontEnd, LogicPlacement, RoutingPolicy, StandardConfig,

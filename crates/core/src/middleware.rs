@@ -2,15 +2,13 @@
 //! generator (→ EJB) → database and back, plus embedded static content.
 
 use crate::app::{AppError, Application};
-use crate::cost::CostModel;
+use crate::cost::{CostModel, REQUEST_OVERHEAD_BYTES, RESPONSE_OVERHEAD_BYTES};
 use crate::ctx::{RequestCtx, RequestStats};
 use crate::deploy::{
     AdmissionControl, Deployment, FrontEnd, RoutingPolicy, StandardConfig, PROXY_STATIC_HIT_RATIO,
 };
 use crate::overload::OverloadControl;
 use crate::replication::{ReplicaPolicy, ReplicationState};
-use dynamid_http::message::{REQUEST_OVERHEAD_BYTES, RESPONSE_OVERHEAD_BYTES};
-use dynamid_http::{Response, Status};
 use dynamid_sim::{Op, SimRng, Simulation, Trace};
 use dynamid_sqldb::Database;
 use dynamid_trace::{SpanDef, SpanKind, SpanRecorder};
@@ -22,8 +20,6 @@ use std::cell::RefCell;
 pub struct PreparedRequest {
     /// The resource program for the simulator.
     pub trace: Trace,
-    /// The HTTP response the client receives.
-    pub response: Response,
     /// Per-request accounting.
     pub stats: RequestStats,
     /// Captured HTML (when capture was requested).
@@ -329,7 +325,7 @@ impl Middleware {
         let config = self.deployment.config();
         let style = config.logic_style();
         let in_web_process = config.logic().in_web_process();
-        let web_costs = self.costs.web.costs;
+        let web_costs = self.costs.web;
         let fe_costs = self.costs.frontend;
         let front_role = config.front();
 
@@ -397,19 +393,16 @@ impl Middleware {
         // Connector crossing: web server -> generator.
         let generator = ctx.generator_machine;
         if in_web_process {
-            ctx.push(Op::Cpu {
-                machine: web,
-                micros: self.costs.php_connector.send_micros(req_bytes),
-            });
+            ctx.push(Op::Cpu { machine: web, micros: self.costs.php_invoke.round() as u64 });
             ctx.span_close(); // web-front (includes the in-process connector)
         } else {
             ctx.span_close(); // web-front
             ctx.span_open(SpanKind::IpcHop, "ajp-request");
-            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.send_micros(req_bytes) });
+            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.micros(req_bytes) });
             // Loopback when co-located (Net from==to is free; the CPU costs
             // above/below model the local IPC).
             ctx.push(Op::Net { from: web, to: generator, bytes: req_bytes });
-            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.recv_micros(req_bytes) });
+            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.micros(req_bytes) });
             ctx.span_close(); // ajp-request
         }
         ctx.span_open(SpanKind::Invoke, "handler");
@@ -430,11 +423,8 @@ impl Middleware {
         ctx.db.begin_txn().expect("request started with a transaction already open");
         let result = app.handle(id, &mut ctx, session, rng);
         let error = result.err();
-        if error.is_some() {
-            ctx.set_status(Status::ServerError);
-            if ctx.output_bytes() == 0 {
-                ctx.emit("<html><body>error</body></html>");
-            }
+        if error.is_some() && ctx.output_bytes() == 0 {
+            ctx.emit("<html><body>error</body></html>");
         }
         // Handler errors are page-level failures, not database rollbacks
         // (MyISAM has no statement atomicity either): take the receipt
@@ -455,9 +445,9 @@ impl Middleware {
 
         if !in_web_process {
             ctx.span_open(SpanKind::IpcHop, "ajp-reply");
-            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.send_micros(body) });
+            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.micros(body) });
             ctx.push(Op::Net { from: generator, to: web, bytes: body });
-            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.recv_micros(body) });
+            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.micros(body) });
             ctx.span_close(); // ajp-reply
         }
         let wire = body + RESPONSE_OVERHEAD_BYTES;
@@ -558,7 +548,6 @@ impl Middleware {
         ctx.push(Op::SemRelease { sem: web_pool });
         ctx.span_close(); // request root
 
-        let status = ctx.status();
         let html = ctx.captured_html().map(str::to_string);
         let mut stats = ctx.stats;
         stats.output_bytes = body;
@@ -566,17 +555,7 @@ impl Middleware {
         let trace = ctx.trace;
         debug_assert!(trace.check_balanced().is_ok(), "unbalanced request trace");
 
-        PreparedRequest {
-            trace,
-            response: Response::new(status, body),
-            stats,
-            html,
-            error,
-            interaction: id,
-            txn,
-            spans,
-            route: routed,
-        }
+        PreparedRequest { trace, stats, html, error, interaction: id, txn, spans, route: routed }
     }
 }
 
@@ -584,8 +563,11 @@ impl Middleware {
 mod tests {
     use super::*;
     use crate::app::{AppLockSpec, AppResult, InteractionSpec, LogicStyle};
+    use crate::cost::{
+        ConnectorCosts, DbCostModel, EjbCosts, FrontEndCosts, GeneratorCosts, StaticAsset,
+        WebServerCosts,
+    };
     use crate::session::SessionData;
-    use dynamid_http::StaticAsset;
     use dynamid_sim::engine::NullDriver;
     use dynamid_sim::{SimDuration, SimTime};
     use dynamid_sqldb::{CacheInvalidation, CachePolicy, ColumnType, TableSchema, Value};
@@ -601,6 +583,7 @@ mod tests {
             &[
                 InteractionSpec { name: "View", read_only: true, secure: false },
                 InteractionSpec { name: "Buy", read_only: false, secure: true },
+                InteractionSpec { name: "Browse", read_only: true, secure: false },
             ]
         }
         fn app_locks(&self) -> Vec<AppLockSpec> {
@@ -650,6 +633,11 @@ mod tests {
                         }
                     }
                     ctx.emit("<html>bought</html>");
+                    Ok(())
+                }
+                2 => {
+                    let r = ctx.query("SELECT id, qty FROM stock ORDER BY qty", &[])?;
+                    ctx.emit(&format!("<html>{} items</html>", r.rows.len()));
                     Ok(())
                 }
                 _ => unreachable!(),
@@ -817,7 +805,7 @@ mod tests {
             ) -> AppResult<()> {
                 // Take a lock and fail before releasing it.
                 ctx.query("LOCK TABLES stock WRITE", &[])?;
-                Err(crate::app::AppError::Logic("boom".into()))
+                Err(AppError::Logic("boom".into()))
             }
         }
         let db = toy_db();
@@ -833,8 +821,9 @@ mod tests {
         let mut session = SessionData::new(0);
         let mut rng = SimRng::new(1);
         let prep = mw.run_interaction(&mut db, &FailApp, 0, &mut session, &mut rng, false);
-        assert!(!prep.is_ok());
-        assert_eq!(prep.response.status(), Status::ServerError);
+        assert!(matches!(prep.error, Some(AppError::Logic(_))));
+        // The handler wrote nothing, so the client gets the error page.
+        assert_eq!(prep.stats.output_bytes, "<html><body>error</body></html>".len() as u64);
         assert!(prep.trace.check_balanced().is_ok());
         assert_eq!(prep.stats.forced_unlocks, 1);
         // The trace still runs to completion in the simulator.
@@ -1151,6 +1140,201 @@ mod tests {
         assert_eq!(a.stats.facade_calls, 1);
         assert_eq!(b.stats.facade_calls, 1);
         assert_eq!(a.trace.len(), b.trace.len());
+    }
+
+    /// What one price-liveness case compiles on a fresh stack.
+    #[derive(Debug, Clone, Copy)]
+    enum Probe {
+        /// One `ToyApp` interaction.
+        Toy(usize),
+        /// `ToyApp`'s View twice with the query cache on: the repeat read
+        /// is a result-cache hit.
+        CachedRead,
+        /// `CachedApp`'s View twice: the repeat façade is a method-cache
+        /// hit.
+        CachedFacade,
+    }
+
+    /// The sum of `Op::Cpu` micros of the last interaction `probe`
+    /// compiles in `config` under `costs`, on a ten-row `stock` table.
+    fn probe_cpu(config: StandardConfig, costs: &CostModel, probe: Probe) -> u64 {
+        let mut db = toy_db();
+        for id in 2..=10 {
+            db.execute(
+                "INSERT INTO stock (id, qty) VALUES (?, ?)",
+                &[Value::Int(id), Value::Int(id)],
+            )
+            .unwrap();
+        }
+        let (app, id, runs): (&dyn Application, usize, u64) = match probe {
+            Probe::Toy(id) => (&ToyApp, id, 1),
+            Probe::CachedRead => (&ToyApp, 0, 2),
+            Probe::CachedFacade => (&CachedApp, 0, 2),
+        };
+        if runs > 1 {
+            let invalidation = CacheInvalidation::Transactional;
+            db.enable_caching(CachePolicy { capacity: 16, invalidation });
+        }
+        let mut sim = Simulation::new(SimDuration::from_micros(100));
+        let mw = Middleware::install(&mut sim, config, &db, app, costs.clone());
+        let mut session = SessionData::new(0);
+        let mut rng = SimRng::new(1);
+        let mut prep = mw.run_interaction(&mut db, app, id, &mut session, &mut rng, false);
+        for _ in 1..runs {
+            prep = mw.run_interaction(&mut db, app, id, &mut session, &mut rng, false);
+        }
+        assert!(prep.is_ok(), "{config} {probe:?}: {:?}", prep.error);
+        let cache = db.cache_stats();
+        match probe {
+            Probe::Toy(_) => {}
+            Probe::CachedRead => assert_eq!(cache.query.hits, 1, "{config}"),
+            Probe::CachedFacade => assert_eq!(cache.method.hits, 1, "{config}"),
+        }
+        prep.trace
+            .ops()
+            .iter()
+            .map(|op| match op {
+                Op::Cpu { micros, .. } => *micros,
+                _ => 0,
+            })
+            .sum()
+    }
+
+    /// Requests the installed web pool admits at once: 1,100 arrive
+    /// together and hold a process for a whole second.
+    fn web_pool_admits(costs: &CostModel) -> u64 {
+        let db = toy_db();
+        let mut sim = Simulation::new(SimDuration::from_micros(100));
+        let mw = Middleware::install(
+            &mut sim,
+            StandardConfig::PhpColocated,
+            &db,
+            &ToyApp,
+            costs.clone(),
+        );
+        let pool = mw.deployment().web_pools()[0];
+        for tag in 0..1_100 {
+            let mut hold = Trace::new();
+            hold.push(Op::SemAcquire { sem: pool });
+            hold.push(Op::Delay { micros: 1_000_000 });
+            hold.push(Op::SemRelease { sem: pool });
+            sim.submit(hold, tag);
+        }
+        sim.run(SimTime::from_micros(1_000), &mut NullDriver).unwrap();
+        sim.semaphore_stats(pool).immediate_grants
+    }
+
+    /// Every field of `CostModel` reaches a compiled trace: doubling one
+    /// price changes the CPU micros of an interaction where it applies,
+    /// and doubling `max_processes` doubles the web pool.
+    #[test]
+    fn every_price_moves_a_modeled_number() {
+        use StandardConfig::*;
+        // Exhaustive: a new field fails to compile here, and a binding the
+        // table below does not use fails the lint, until a case covers it.
+        let CostModel { web, php, servlet, ejb, db, ajp, rmi, php_invoke, frontend } =
+            CostModel::default();
+        let WebServerCosts {
+            max_processes,
+            per_request: web_request,
+            per_response_byte,
+            static_per_request,
+            static_per_byte,
+            ssl_per_request,
+        } = web;
+        let GeneratorCosts {
+            per_request: php_request,
+            per_output_byte: php_output_byte,
+            per_query: php_query,
+            per_result_byte: php_result_byte,
+        } = php;
+        let GeneratorCosts {
+            per_request: servlet_request,
+            per_output_byte: servlet_output_byte,
+            per_query: servlet_query,
+            per_result_byte: servlet_result_byte,
+        } = servlet;
+        let EjbCosts { per_facade_call, per_bean_access, per_cache_hit } = ejb;
+        let DbCostModel {
+            per_statement,
+            per_row_examined,
+            per_row_returned,
+            per_byte_returned,
+            per_index_lookup,
+            per_row_written,
+            sort_factor,
+            result_cache_hit_micros,
+        } = db;
+        let ConnectorCosts { per_message: ajp_message, per_byte: ajp_byte } = ajp;
+        let ConnectorCosts { per_message: rmi_message, per_byte: rmi_byte } = rmi;
+        let FrontEndCosts {
+            proxy_per_request,
+            proxy_per_byte,
+            proxy_cache_probe,
+            balancer_per_request,
+        } = frontend;
+
+        // Each case: the destructured default, where the price lives, and
+        // a preset and interaction that charge it.
+        type Price = fn(&mut CostModel) -> &mut f64;
+        macro_rules! case {
+            ($default:ident, $($field:ident).+, $config:expr, $probe:expr) => {
+                (stringify!($($field).+), $default, |m| &mut m.$($field).+, $config, $probe)
+            };
+        }
+        let (view, buy, browse) = (Probe::Toy(0), Probe::Toy(1), Probe::Toy(2));
+        let (cached_read, cached_facade) = (Probe::CachedRead, Probe::CachedFacade);
+        let cases: &[(&str, f64, Price, StandardConfig, Probe)] = &[
+            case!(web_request, web.per_request, PhpColocated, view),
+            case!(per_response_byte, web.per_response_byte, PhpColocated, view),
+            case!(static_per_request, web.static_per_request, PhpColocated, view),
+            case!(static_per_byte, web.static_per_byte, PhpColocated, view),
+            case!(ssl_per_request, web.ssl_per_request, PhpColocated, buy),
+            case!(php_request, php.per_request, PhpColocated, view),
+            case!(php_output_byte, php.per_output_byte, PhpColocated, view),
+            case!(php_query, php.per_query, PhpColocated, view),
+            case!(php_result_byte, php.per_result_byte, PhpColocated, view),
+            case!(php_invoke, php_invoke, PhpColocated, view),
+            case!(servlet_request, servlet.per_request, ServletColocated, view),
+            case!(servlet_output_byte, servlet.per_output_byte, ServletColocated, view),
+            case!(servlet_query, servlet.per_query, ServletColocated, view),
+            case!(servlet_result_byte, servlet.per_result_byte, ServletColocated, view),
+            case!(ajp_message, ajp.per_message, ServletColocated, view),
+            case!(ajp_byte, ajp.per_byte, ServletColocated, view),
+            case!(per_facade_call, ejb.per_facade_call, EjbFourTier, buy),
+            case!(per_bean_access, ejb.per_bean_access, EjbFourTier, buy),
+            case!(per_cache_hit, ejb.per_cache_hit, EjbFourTier, cached_facade),
+            case!(rmi_message, rmi.per_message, EjbFourTier, buy),
+            case!(rmi_byte, rmi.per_byte, EjbFourTier, buy),
+            case!(per_statement, db.per_statement, PhpColocated, view),
+            case!(per_row_examined, db.per_row_examined, PhpColocated, view),
+            case!(per_row_returned, db.per_row_returned, PhpColocated, view),
+            case!(per_byte_returned, db.per_byte_returned, PhpColocated, browse),
+            case!(per_index_lookup, db.per_index_lookup, PhpColocated, view),
+            case!(per_row_written, db.per_row_written, PhpColocated, buy),
+            case!(sort_factor, db.sort_factor, PhpColocated, browse),
+            case!(result_cache_hit_micros, db.result_cache_hit_micros, PhpColocated, cached_read),
+            case!(proxy_per_request, frontend.proxy_per_request, ProxyCached, view),
+            case!(proxy_per_byte, frontend.proxy_per_byte, ProxyCached, view),
+            case!(proxy_cache_probe, frontend.proxy_cache_probe, ProxyCached, view),
+            case!(balancer_per_request, frontend.balancer_per_request, WebFarm, view),
+        ];
+        let base = CostModel::default();
+        for &(name, default, price, config, probe) in cases {
+            assert!(default > 0.0, "{name}: doubling a zero price moves nothing");
+            let mut doubled = base.clone();
+            assert_eq!(*price(&mut doubled), default, "{name}: the case reads another field");
+            *price(&mut doubled) *= 2.0;
+            assert_ne!(
+                probe_cpu(config, &doubled, probe),
+                probe_cpu(config, &base, probe),
+                "{name} moved no CPU micros in {config} ({probe:?})"
+            );
+        }
+        let mut doubled = base.clone();
+        doubled.web.max_processes *= 2;
+        assert_eq!(web_pool_admits(&base), u64::from(max_processes));
+        assert_eq!(web_pool_admits(&doubled), u64::from(2 * max_processes));
     }
 
     #[test]

@@ -68,19 +68,19 @@ fn open_loop_overload_point_event_stream_is_pinned() {
         ramp_down: SimDuration::from_secs(1),
         seed: 23,
         arrivals: ArrivalProcess::Poisson { rate_per_sec: 300.0 },
+        resilience: ResilienceConfig {
+            request_timeout: Some(SimDuration::from_secs(1)),
+            max_retries: 1,
+            backoff_base: SimDuration::from_millis(100),
+            backoff_cap: SimDuration::from_millis(400),
+            retry_budget: None,
+        },
         ..WorkloadConfig::new(0)
     };
     let shed = Some(SimDuration::from_millis(300));
     let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
         .mix(&mix)
         .workload(workload)
-        .resilience(ResilienceConfig {
-            request_timeout: Some(SimDuration::from_secs(1)),
-            max_retries: 1,
-            backoff_base: SimDuration::from_millis(100),
-            backoff_cap: SimDuration::from_millis(400),
-            retry_budget: None,
-        })
         .admission(AdmissionControl {
             web_accept_queue: Some(8),
             db_connections: Some(4),

@@ -50,10 +50,9 @@
 use crate::ast::{
     BinOp, ColRef, Expr, InsertStmt, Join, SelectItem, SelectStmt, Stmt, TableLockKind,
 };
-use crate::cost::QueryCounters;
 use crate::db::Database;
 use crate::error::{SqlError, SqlResult};
-use crate::exec::{QueryResult, StatementKind};
+use crate::exec::{QueryCounters, QueryResult, StatementKind};
 use crate::table::{RowId, Table};
 use crate::value::{LikePattern, Value};
 use std::borrow::Cow;

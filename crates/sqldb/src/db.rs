@@ -2,7 +2,6 @@
 
 use crate::cache::{CacheKey, CachePolicy, CacheStats, Lookup, TableWrites, TxnCache};
 use crate::compile::{compile, exec_compiled, CompiledStmt};
-use crate::cost::{DbCostModel, QueryCounters};
 use crate::error::{SqlError, SqlResult};
 use crate::exec::{QueryResult, StatementKind};
 use crate::parser::parse;
@@ -49,8 +48,10 @@ impl DbStats {
     }
 }
 
-/// An in-memory relational database: tables, a cache of compiled plans
-/// keyed by SQL text, and a cost model.
+/// An in-memory relational database: tables and a cache of compiled plans
+/// keyed by SQL text. Each statement reports the work it did as
+/// [`QueryCounters`](crate::QueryCounters); pricing them is the middleware's
+/// job.
 ///
 /// Modeled on MySQL 3.23 with MyISAM tables, as used in the paper:
 /// table-level locking (enforced by the middleware layer via the lock sets
@@ -86,7 +87,6 @@ pub struct Database {
     /// harness leans on this to fork a populated database per sweep point.
     tables: Vec<Arc<Table>>,
     by_name: HashMap<String, usize>,
-    cost: DbCostModel,
     plan_cache: HashMap<String, Arc<CompiledStmt>>,
     schema_version: u64,
     stats: DbStats,
@@ -122,17 +122,11 @@ struct Caches {
 }
 
 impl Database {
-    /// Creates an empty database with the default cost model.
+    /// Creates an empty database.
     pub fn new() -> Self {
-        Self::with_cost_model(DbCostModel::default())
-    }
-
-    /// Creates an empty database with an explicit cost model.
-    pub fn with_cost_model(cost: DbCostModel) -> Self {
         Database {
             tables: Vec::new(),
             by_name: HashMap::new(),
-            cost,
             plan_cache: HashMap::new(),
             schema_version: 0,
             stats: DbStats::default(),
@@ -142,11 +136,6 @@ impl Database {
             caches: None,
             next_plan_id: 0,
         }
-    }
-
-    /// The cost model used by [`statement_cost`](Self::statement_cost).
-    pub fn cost_model(&self) -> &DbCostModel {
-        &self.cost
     }
 
     /// Cumulative statistics.
@@ -748,9 +737,10 @@ impl Database {
     ///
     /// The cache sits *after* all plan-cache bookkeeping and
     /// stores the complete [`QueryResult`] (rows and modeled
-    /// [`QueryCounters`] alike), so with transactional invalidation every
-    /// counter visible to the cost model and every [`DbStats`] field stays
-    /// byte-identical to running with the cache off.
+    /// [`QueryCounters`](crate::QueryCounters) alike), so with
+    /// transactional invalidation every counter visible to the cost model
+    /// and every [`DbStats`] field stays byte-identical to running with
+    /// the cache off.
     fn run_plan(&mut self, plan: &Arc<CompiledStmt>, params: &[Value]) -> SqlResult<QueryResult> {
         let mut store: Option<CacheKey> = None;
         if let Some(caches) = self.caches.as_mut() {
@@ -795,12 +785,6 @@ impl Database {
             self.invalidate(&writes);
         }
         Ok(result)
-    }
-
-    /// CPU microseconds the database machine should be charged for a
-    /// statement with the given counters.
-    pub fn statement_cost(&self, counters: &QueryCounters) -> u64 {
-        self.cost.cost_micros(counters)
     }
 
     pub(crate) fn exec_txn_control(&mut self, kind: StatementKind) -> SqlResult<QueryResult> {
@@ -1436,13 +1420,5 @@ mod tests {
         assert_eq!(db.query_cache_len(), 1);
         assert!(db.rewind());
         assert_eq!(db.query_cache_len(), 0);
-    }
-
-    #[test]
-    fn statement_cost_scales_with_counters() {
-        let db = db_with_users();
-        let small = QueryCounters { rows_examined: 1, ..Default::default() };
-        let big = QueryCounters { rows_examined: 100_000, ..Default::default() };
-        assert!(db.statement_cost(&big) > db.statement_cost(&small) * 100);
     }
 }

@@ -1,4 +1,4 @@
-//! # dynamid-sqldb — in-memory relational engine with MyISAM-style costs
+//! # dynamid-sqldb — in-memory relational engine that counts its work
 //!
 //! The database substrate for the `dynamid` reproduction of *"Performance
 //! Comparison of Middleware Architectures for Generating Dynamic Web
@@ -13,9 +13,13 @@
 //! * real storage with primary-key and secondary B-tree indexes
 //!   ([`Table`]), so queries return real, data-dependent results;
 //! * a compile-once executor ([`CompiledStmt`]) that picks an access path
-//!   (index equality / range / full scan) and counts the work it does;
-//! * an analytic [`DbCostModel`] converting those counters into the CPU
-//!   microseconds the simulated database machine is charged.
+//!   (index equality / range / full scan) and reports the work it does as
+//!   [`QueryCounters`] (rows examined, returned and written, index probes,
+//!   rows sorted, bytes returned).
+//!
+//! The engine only counts: `dynamid-core`'s cost model prices those
+//! counters into the CPU microseconds the simulated database machine is
+//! charged.
 //!
 //! Locking is deliberately *not* enforced here: each [`QueryResult`] reports
 //! which tables it read and wrote, and the middleware layer
@@ -52,7 +56,6 @@
 pub mod ast;
 pub mod cache;
 pub mod compile;
-pub mod cost;
 pub mod db;
 pub mod error;
 pub mod exec;
@@ -67,10 +70,9 @@ pub use cache::{
     CacheCounters, CacheInvalidation, CacheKey, CachePolicy, CacheStats, Lookup, TableWrites,
 };
 pub use compile::CompiledStmt;
-pub use cost::{DbCostModel, QueryCounters};
 pub use db::{BulkLoad, Database, DbStats};
 pub use error::{SqlError, SqlResult};
-pub use exec::{QueryResult, StatementKind};
+pub use exec::{QueryCounters, QueryResult, StatementKind};
 pub use parser::{count_params, parse};
 pub use schema::{Column, ColumnType, TableSchema};
 pub use table::{RowId, Table};

@@ -5,7 +5,7 @@ use crate::driver::{
     CommitLedger, ReplicationReport, ResourceWindow, WorkloadConfig, WorkloadDriver,
     WorkloadMetrics,
 };
-use crate::fault::{FaultSpec, ResilienceConfig};
+use crate::fault::FaultSpec;
 use crate::mix::Mix;
 use dynamid_core::{
     AdmissionControl, Application, CostModel, InstallOptions, Middleware, OverloadControl,
@@ -152,12 +152,6 @@ impl<'a> ExperimentSpec<'a> {
     /// Lock grant policy for the simulation.
     pub fn policy(mut self, policy: GrantPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Client-side timeout/retry policy (overrides the workload's).
-    pub fn resilience(mut self, resilience: ResilienceConfig) -> Self {
-        self.workload.resilience = resilience;
         self
     }
 
@@ -344,6 +338,7 @@ impl<'a> ExperimentSpec<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::ResilienceConfig;
     use crate::mix::TransitionMatrix;
     use dynamid_core::{
         AppError, AppLockSpec, AppResult, Application, InteractionSpec, LogicStyle, RequestCtx,
@@ -464,7 +459,7 @@ mod tests {
             measure: SimDuration::from_secs(10),
             ramp_down: SimDuration::from_secs(1),
             seed: 7,
-            resilience: crate::fault::ResilienceConfig::disabled(),
+            resilience: ResilienceConfig::disabled(),
             arrivals: crate::arrivals::ArrivalProcess::Closed,
             timeline_bucket: None,
         }
@@ -609,13 +604,15 @@ mod tests {
             let mut db = mini_db();
             ExperimentSpec::for_config(StandardConfig::ServletDedicated)
                 .mix(&mix)
-                .workload(quick(25))
-                .resilience(ResilienceConfig {
-                    request_timeout: Some(SimDuration::from_secs(2)),
-                    max_retries: 2,
-                    backoff_base: SimDuration::from_millis(100),
-                    backoff_cap: SimDuration::from_secs(1),
-                    retry_budget: None,
+                .workload(WorkloadConfig {
+                    resilience: ResilienceConfig {
+                        request_timeout: Some(SimDuration::from_secs(2)),
+                        max_retries: 2,
+                        backoff_base: SimDuration::from_millis(100),
+                        backoff_cap: SimDuration::from_secs(1),
+                        retry_budget: None,
+                    },
+                    ..quick(25)
                 })
                 .faults(FaultSpec::at_intensity(13, 0.8))
                 .admission(AdmissionControl {
@@ -661,13 +658,15 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
             .mix(&mix)
-            .workload(quick(25))
-            .resilience(ResilienceConfig {
-                request_timeout: Some(SimDuration::from_secs(2)),
-                max_retries: 2,
-                backoff_base: SimDuration::from_millis(100),
-                backoff_cap: SimDuration::from_secs(1),
-                retry_budget: None,
+            .workload(WorkloadConfig {
+                resilience: ResilienceConfig {
+                    request_timeout: Some(SimDuration::from_secs(2)),
+                    max_retries: 2,
+                    backoff_base: SimDuration::from_millis(100),
+                    backoff_cap: SimDuration::from_secs(1),
+                    retry_budget: None,
+                },
+                ..quick(25)
             })
             .faults(FaultSpec::at_intensity(13, 0.8))
             .admission(AdmissionControl {
@@ -880,13 +879,15 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::PhpColocated)
             .mix(&mix)
-            .workload(quick(40))
-            .resilience(ResilienceConfig {
-                request_timeout: Some(SimDuration::from_secs(5)),
-                max_retries: 0,
-                backoff_base: SimDuration::from_millis(100),
-                backoff_cap: SimDuration::from_secs(1),
-                retry_budget: None,
+            .workload(WorkloadConfig {
+                resilience: ResilienceConfig {
+                    request_timeout: Some(SimDuration::from_secs(5)),
+                    max_retries: 0,
+                    backoff_base: SimDuration::from_millis(100),
+                    backoff_cap: SimDuration::from_secs(1),
+                    retry_budget: None,
+                },
+                ..quick(40)
             })
             .admission(AdmissionControl {
                 web_accept_queue: None,
@@ -987,8 +988,7 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
             .mix(&mix)
-            .workload(quick(20))
-            .resilience(retrying())
+            .workload(WorkloadConfig { resilience: retrying(), ..quick(20) })
             .replication(test_policy(2))
             .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
             .run(&mut db, &MiniApp);
@@ -1023,8 +1023,7 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
             .mix(&mix)
-            .workload(quick(20))
-            .resilience(retrying())
+            .workload(WorkloadConfig { resilience: retrying(), ..quick(20) })
             .replication(ReplicaPolicy { lag_us: 2_000_000, ..test_policy(2) })
             .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
             .run(&mut db, &MiniApp);
@@ -1042,8 +1041,7 @@ mod tests {
             let mut db = mini_db();
             let mut spec = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
                 .mix(&mix)
-                .workload(quick(20))
-                .resilience(retrying())
+                .workload(WorkloadConfig { resilience: retrying(), ..quick(20) })
                 .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6));
             if replicas > 0 {
                 spec = spec.replication(test_policy(replicas));
@@ -1067,8 +1065,7 @@ mod tests {
             let mut db = mini_db();
             ExperimentSpec::for_config(StandardConfig::ServletDedicated)
                 .mix(&mix)
-                .workload(quick(20))
-                .resilience(retrying())
+                .workload(WorkloadConfig { resilience: retrying(), ..quick(20) })
                 .faults(FaultSpec::at_intensity(13, 0.4))
                 .replication(test_policy(2))
                 .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
@@ -1098,8 +1095,7 @@ mod tests {
         let mut db = mini_db();
         let r = ExperimentSpec::for_config(StandardConfig::ServletDedicated)
             .mix(&mix)
-            .workload(quick(20))
-            .resilience(retrying())
+            .workload(WorkloadConfig { resilience: retrying(), ..quick(20) })
             .replication(test_policy(2))
             .kill_primary(SimDuration::from_secs(4), SimDuration::from_secs(6))
             .tracing(true)

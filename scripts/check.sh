@@ -4,6 +4,21 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Runs one long step under a wall-clock bound, so a livelocked sweep fails
+# the gate instead of hanging it: `bounded <secs> <step> <command...>`.
+# Each bound is several times the step's time on a 2-vCPU host; `timeout`
+# sends TERM at the bound and KILL 10 s later.
+bounded() {
+  local secs="$1" step="$2" status=0
+  shift 2
+  timeout -k 10 "$secs" "$@" || status=$?
+  if [ "$status" = 124 ]; then
+    echo "FAIL: $step ran out of time (bound ${secs}s)" >&2
+    exit 1
+  fi
+  return "$status"
+}
+
 echo "== cargo fmt --check"
 cargo fmt --all --check
 
@@ -15,21 +30,23 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== tier-1: cargo build --release && cargo test"
 cargo build --release
-cargo test -q
+bounded 600 "tier-1 tests" cargo test -q
 
 echo "== workspace tests"
-cargo test -q --workspace
+bounded 900 "workspace tests" cargo test -q --workspace
 
 echo "== benchmark package tests (perfbench sits outside the workspace)"
-cargo test --release -q --manifest-path perfbench/Cargo.toml
+bounded 900 "perfbench package tests" cargo test --release -q --manifest-path perfbench/Cargo.toml
 
 echo "== benchmark references: each workload reproduces perfbench/reference at seed 42"
 # One sweep per workload, checked point by point against
 # perfbench/reference/<workload>.csv (scale-0.3 writes, 2,000 auction
 # clients, the audited flash crowd); a point that drifts counts as failed.
 for workload in bookstore-shopping bookstore-ordering auction-bidding bookstore-flashcrowd; do
-  line="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-    --workload "$workload" --seed 42 --seconds 0 --trace 0 | tail -1)"
+  out="$(bounded 600 "perfbench $workload reference run" \
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 42 --seconds 0 --trace 0)"
+  line="$(tail -1 <<<"$out")"
   case "$line" in
     *'"correct": true'*'"failed": 0,'*) echo "   $workload: reference reproduced" ;;
     *) echo "FAIL: $workload at --seed 42: $line" >&2; exit 1 ;;
@@ -42,7 +59,8 @@ out_tmp="$(mktemp -d)"
 trap 'rm -rf "$out_tmp"' EXIT
 
 echo "== perf + chaos smoke (writes BENCH_repro.json into a temp dir)"
-cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos --out "$out_tmp"
+bounded 300 "smoke" \
+  cargo run --release -q -p dynamid-harness --bin repro -- --smoke --chaos --out "$out_tmp"
 
 echo "== perf gate: smoke wall-clock vs results/bench_history.json"
 # Fail when total_wall_secs regresses more than PERF_BUDGET_PCT (default
@@ -57,7 +75,8 @@ for retry in 1 2; do
     'BEGIN { print (c > r * (1 + b / 100)) ? 1 : 0 }')"
   [ "$over" = 1 ] || break
   echo "   smoke ${best}s over budget (recorded ${recorded}s + ${budget_pct}%), re-run $retry"
-  cargo run --release -q -p dynamid-harness --bin repro -- --smoke --quiet --out "$out_tmp"
+  bounded 300 "smoke re-run $retry" \
+    cargo run --release -q -p dynamid-harness --bin repro -- --smoke --quiet --out "$out_tmp"
   cur="$(grep -o '"total_wall_secs": [0-9.]*' "$out_tmp/BENCH_repro.json" | head -1 | awk '{print $2}')"
   best="$(awk -v a="$best" -v b="$cur" 'BEGIN { print (b < a) ? b : a }')"
 done
@@ -70,7 +89,7 @@ fi
 echo "   smoke ${best}s within ${budget_pct}% of recorded ${recorded}s"
 
 echo "== healthy-path figures are byte-identical to results/golden"
-cargo run --release -q -p dynamid-harness --bin repro -- \
+bounded 600 "golden fig05/fig11 run" cargo run --release -q -p dynamid-harness --bin repro -- \
   --fast --quiet --jobs 4 --seed 42 --scale 0.1 \
   --clients 5,10,15 --measure 4 --out "$out_tmp" fig05 fig11
 for fig in fig05 fig11; do
@@ -81,7 +100,7 @@ done
 echo "== traced runs: bottleneck reports byte-identical to results/golden"
 # `repro trace` also cross-checks trace-derived CPU utilization against the
 # PS counters (1% gate) and fails nonzero on any span-tree violation.
-cargo run --release -q -p dynamid-harness --bin repro -- \
+bounded 600 "golden trace run" cargo run --release -q -p dynamid-harness --bin repro -- \
   --fast --quiet --jobs 4 --seed 42 --scale 0.1 \
   --clients 15 --measure 4 --out "$out_tmp" trace fig05 --config C1,C6 >/dev/null
 for config in C1 C6; do
@@ -92,7 +111,7 @@ done
 echo "== availability sweep is byte-identical to results/golden (audit runs inside)"
 # Every sweep point ends with the post-run consistency audit; a violation
 # panics the run, so a zero exit here also certifies a clean audit.
-cargo run --release -q -p dynamid-harness --bin repro -- \
+bounded 600 "golden avail run" cargo run --release -q -p dynamid-harness --bin repro -- \
   --fast --quiet --jobs 4 --seed 42 --scale 0.1 \
   --clients 15 --measure 4 --out "$out_tmp" avail >/dev/null
 cmp "results/golden/avail.csv" "$out_tmp/avail.csv" \
@@ -104,7 +123,7 @@ echo "== cache-ablation smoke is byte-identical to results/golden"
 # EJB browsing throughput >=30% at the top client count, so a zero exit
 # certifies both coherence and the headline uplift; the byte-compare then
 # pins the exact numbers.
-cargo run --release -q -p dynamid-harness --bin repro -- \
+bounded 600 "golden cache run" cargo run --release -q -p dynamid-harness --bin repro -- \
   --quiet --jobs 4 --out "$out_tmp" cache --smoke >/dev/null
 cmp "results/golden/cache.csv" "$out_tmp/cache.csv" \
   || { echo "FAIL: cache.csv drifted from results/golden/cache.csv" >&2; exit 1; }
@@ -115,7 +134,7 @@ echo "== failover smoke is byte-identical to results/golden"
 # audit (the sweep panics otherwise), every replicated point actually
 # promoted a replica, and every 2-replica point beat the single-DB
 # baseline's goodput; the byte-compare then pins the exact numbers.
-cargo run --release -q -p dynamid-harness --bin repro -- \
+bounded 600 "golden failover run" cargo run --release -q -p dynamid-harness --bin repro -- \
   --quiet --jobs 4 --out "$out_tmp" failover --smoke >/dev/null
 cmp "results/golden/failover.csv" "$out_tmp/failover.csv" \
   || { echo "FAIL: failover.csv drifted from results/golden/failover.csv" >&2; exit 1; }
@@ -128,7 +147,7 @@ echo "== overload smoke is byte-identical to results/golden"
 # retention < 30%) and the full shed+breaker+budget arm must recover
 # (>= 70%), with the consistency audit clean at every point. A zero exit
 # certifies all of that; the byte-compares then pin the exact numbers.
-cargo run --release -q -p dynamid-harness --bin repro -- \
+bounded 900 "golden overload run" cargo run --release -q -p dynamid-harness --bin repro -- \
   --quiet --jobs 4 --out "$out_tmp" overload --smoke >/dev/null
 for grid in overload overload_c789; do
   cmp "results/golden/$grid.csv" "$out_tmp/$grid.csv" \

@@ -16,10 +16,10 @@
 //! * [`sim`] — discrete-event kernel (machines, processor-sharing CPUs and
 //!   NICs, queued locks, semaphores, deterministic RNG).
 //! * [`sqldb`] — the relational engine (SQL subset, B-tree indexes,
-//!   MyISAM-style locking metadata, analytic cost model).
-//! * [`http`] — web-server front-end model (Apache-like process pool,
-//!   static assets, AJP/RMI connectors).
-//! * [`core`] — the middleware tiers under test and the nine deployments.
+//!   MyISAM-style locking metadata, per-statement work counters).
+//! * [`core`] — the middleware tiers under test, the nine deployments and
+//!   the calibrated cost model of every tier (web server, AJP/RMI
+//!   connectors, generators, EJB container, database, front end).
 //! * [`trace`] — span-level request tracing: Chrome-trace export and the
 //!   aggregated bottleneck report.
 //! * [`workload`] — the client emulator and experiment runner
@@ -63,7 +63,6 @@ pub use dynamid_bboard as bboard;
 pub use dynamid_bookstore as bookstore;
 pub use dynamid_core as core;
 pub use dynamid_harness as harness;
-pub use dynamid_http as http;
 pub use dynamid_sim as sim;
 pub use dynamid_sqldb as sqldb;
 pub use dynamid_trace as trace;

@@ -1,8 +1,9 @@
 //! Mutated SQL never panics: the bookstore's and the auction site's own
 //! statements, cut, spliced and seeded with stray tokens and string
 //! literals of 13–16 bytes (either side of the 14-byte inline string
-//! limit), go through `parse` and then `Database::execute` on a small
-//! populated database. Every case must return `Ok` or `Err`.
+//! limit), and random streams of SQL tokens, go through `parse` and then
+//! `Database::execute` on a small populated database. Every case must
+//! return `Ok` or `Err`.
 
 use dynamid::auction::AuctionScale;
 use dynamid::bookstore::BookstoreScale;
@@ -53,10 +54,12 @@ fn statements(source: &str) -> Vec<String> {
     found
 }
 
-/// The corpus: each benchmark's statements with the database they run on.
+/// The corpus: each benchmark's statements with the database they run on,
+/// and every table and column name of both schemas.
 struct Corpus {
     bookstore: (Vec<String>, Database),
     auction: (Vec<String>, Database),
+    names: Vec<String>,
 }
 
 fn corpus() -> &'static Corpus {
@@ -71,15 +74,25 @@ fn corpus() -> &'static Corpus {
             comments: 20,
             buy_nows: 5,
         };
+        let bookstore = dynamid::bookstore::build_db(&tiny_store, 5).expect("bookstore population");
+        let auction = dynamid::auction::build_db(&tiny_auction, 5).expect("auction population");
+        let mut names = Vec::new();
+        for db in [&bookstore, &auction] {
+            for table in db.table_names() {
+                names.push(table.to_string());
+                let columns = db.table(table).expect("listed table").schema().columns();
+                names.extend(columns.iter().map(|c| c.name().to_string()));
+            }
+        }
+        names.sort();
+        names.dedup();
         Corpus {
             bookstore: (
                 statements(include_str!("../crates/bookstore/src/sql_logic.rs")),
-                dynamid::bookstore::build_db(&tiny_store, 5).expect("bookstore population"),
+                bookstore,
             ),
-            auction: (
-                statements(include_str!("../crates/auction/src/sql_logic.rs")),
-                dynamid::auction::build_db(&tiny_auction, 5).expect("auction population"),
-            ),
+            auction: (statements(include_str!("../crates/auction/src/sql_logic.rs")), auction),
+            names,
         }
     })
 }
@@ -164,6 +177,36 @@ fn literal(seed: u64) -> String {
     format!("'{s}'")
 }
 
+/// Every word the parser treats as a keyword, plus the aggregate names.
+const KEYWORDS: &str = "SELECT FROM WHERE GROUP ORDER BY LIMIT OFFSET INNER JOIN ON AND OR NOT \
+    LIKE BETWEEN IN IS NULL AS INSERT INTO VALUES UPDATE SET DELETE LOCK UNLOCK TABLES READ \
+    WRITE ASC DESC BEGIN START TRANSACTION COMMIT ROLLBACK COUNT SUM AVG MIN MAX";
+
+/// One token of a random stream, drawn by `class` from keywords, schema
+/// names, `?`, integer and float literals (edges included), string
+/// literals of 13–16 bytes, operators, and parentheses and commas.
+fn token(class: u8, pick: u64, names: &[String]) -> String {
+    const INTS: [&str; 6] = ["0", "1", "42", "-7", "9223372036854775807", "99999999999999999999"];
+    const FLOATS: [&str; 5] = ["1.5", "0.0", "-2.25", "1e308", "3.0e-5"];
+    const OPERATORS: [&str; 13] =
+        ["=", "<>", "!=", "<", "<=", ">", ">=", "+", "-", "*", "/", ".", ";"];
+    const PUNCTUATION: [&str; 3] = ["(", ")", ","];
+    let at = |n: usize| (pick % n as u64) as usize;
+    match class {
+        0 => {
+            let words = KEYWORDS.split_whitespace();
+            words.clone().nth(at(words.count())).expect("index below the count").to_string()
+        }
+        1 => names[at(names.len())].clone(),
+        2 => "?".to_string(),
+        3 => INTS[at(INTS.len())].to_string(),
+        4 => FLOATS[at(FLOATS.len())].to_string(),
+        5 => literal(pick),
+        6 => OPERATORS[at(OPERATORS.len())].to_string(),
+        _ => PUNCTUATION[at(PUNCTUATION.len())].to_string(),
+    }
+}
+
 /// Applies one mutation to `sql` (as characters, so UTF-8 stays whole):
 /// a cut, an inserted or substituted token, a repeated span, a truncation,
 /// or a placeholder replaced in place, which keeps the statement's shape
@@ -246,6 +289,28 @@ proptest! {
             mutate(&mut sql, edit);
         }
         let sql: String = sql.into_iter().collect();
+        let _ = parse(&sql);
+        let mut db = base.clone();
+        let _ = db.execute(&sql, &params(&sql, seed));
+    }
+
+    /// A random stream of 1–40 tokens parses to `Ok` or `Err` and
+    /// executes to `Ok` or `Err`, never a panic. Half the streams open
+    /// with a statement's leading words, so the parser gets past its first
+    /// token.
+    #[test]
+    fn random_token_streams_never_panic(
+        auction in any::<bool>(),
+        lead in 0usize..10,
+        tokens in prop::collection::vec((0u8..8, any::<u64>()), 1..41),
+        seed in any::<u64>(),
+    ) {
+        const LEADS: [&str; 5] = ["SELECT", "INSERT INTO", "UPDATE", "DELETE FROM", "LOCK TABLES"];
+        let corpus = corpus();
+        let base = if auction { &corpus.auction.1 } else { &corpus.bookstore.1 };
+        let mut words: Vec<String> = LEADS.get(lead).map(|w| w.to_string()).into_iter().collect();
+        words.extend(tokens.iter().map(|&(class, pick)| token(class, pick, &corpus.names)));
+        let sql = words.join(" ");
         let _ = parse(&sql);
         let mut db = base.clone();
         let _ = db.execute(&sql, &params(&sql, seed));
