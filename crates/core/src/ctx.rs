@@ -257,8 +257,9 @@ impl<'a> RequestCtx<'a> {
         Ok(result)
     }
 
-    /// Compiles one executed statement into resource ops: driver CPU, wire
-    /// transfers, table locks, and database CPU.
+    /// Compiles one executed statement's round trip, passing in only what
+    /// its kind changes: the locks it takes or drops, the database cost,
+    /// and whether a result set comes back.
     ///
     /// `result_cache_hit` switches a read to the cache-probe cost path:
     /// like MySQL's query cache, the answer is produced before the lock
@@ -272,29 +273,15 @@ impl<'a> RequestCtx<'a> {
         params: &[Value],
         result_cache_hit: bool,
     ) -> AppResult<()> {
-        let gen = self.current_machine();
-        let db_machine = self.db_machine;
-        let g = *self.gen_costs();
         let param_bytes: u64 = params.iter().map(Value::wire_size).sum();
         let req_bytes = CostModel::query_wire_bytes(sql.len(), param_bytes);
-
         if result_cache_hit {
             debug_assert_eq!(result.kind, StatementKind::Read, "only reads are cached");
-            let resp_bytes = result.counters.bytes_returned + 64;
             let cost = self.costs.db.result_cache_hit_micros.max(1.0).round() as u64;
-            self.stats.db_micros += cost;
-            self.stats.rows_returned += result.counters.rows_returned;
-            self.push(Op::Cpu { machine: gen, micros: g.per_query.round() as u64 });
-            self.push(Op::Net { from: gen, to: db_machine, bytes: req_bytes });
-            self.push_db_execution(db_machine, cost);
-            self.push(Op::Net { from: db_machine, to: gen, bytes: resp_bytes });
-            let decode = (g.per_result_byte * resp_bytes as f64).round() as u64;
-            if decode > 0 {
-                self.push(Op::Cpu { machine: gen, micros: decode });
-            }
+            self.round_trip(req_bytes, [], cost, [], Some(&result.counters));
             return Ok(());
         }
-
+        let cost = self.costs.db.cost_micros(&result.counters);
         match &result.kind {
             StatementKind::LockTables(list) => {
                 if !self.held_tables.is_empty() {
@@ -302,37 +289,19 @@ impl<'a> RequestCtx<'a> {
                         "LOCK TABLES while already holding locks".into(),
                     )));
                 }
-                self.push(Op::Cpu { machine: gen, micros: g.per_query.round() as u64 });
-                self.push(Op::Net { from: gen, to: db_machine, bytes: req_bytes });
                 // Acquire in lock-id order: deadlock-free by global order.
                 let mut to_take: Vec<(usize, TableLockKind, LockId)> =
                     list.iter().map(|&(t, k)| (t, k, self.deployment.table_lock(t))).collect();
                 to_take.sort_by_key(|(_, _, id)| *id);
-                for (t, k, id) in to_take {
-                    self.push(Op::Lock {
-                        lock: id,
-                        mode: match k {
-                            TableLockKind::Read => LockMode::Shared,
-                            TableLockKind::Write => LockMode::Exclusive,
-                        },
-                    });
-                    self.held_tables.push((t, k, id));
-                }
-                let cost = self.costs.db.cost_micros(&result.counters);
-                self.stats.db_micros += cost;
-                self.push_db_execution(db_machine, cost);
-                self.push(Op::Net { from: db_machine, to: gen, bytes: 64 });
+                let locks =
+                    to_take.iter().map(|&(_, k, lock)| Op::Lock { lock, mode: lock_mode(k) });
+                self.round_trip(req_bytes, locks, cost, [], None);
+                self.held_tables = to_take;
             }
             StatementKind::UnlockTables => {
-                self.push(Op::Cpu { machine: gen, micros: g.per_query.round() as u64 });
-                self.push(Op::Net { from: gen, to: db_machine, bytes: req_bytes });
-                for (_, _, id) in self.held_tables.drain(..).rev().collect::<Vec<_>>() {
-                    self.push(Op::Unlock { lock: id });
-                }
-                let cost = self.costs.db.cost_micros(&result.counters);
-                self.stats.db_micros += cost;
-                self.push_db_execution(db_machine, cost);
-                self.push(Op::Net { from: db_machine, to: gen, bytes: 64 });
+                let held = std::mem::take(&mut self.held_tables);
+                let unlocks = held.iter().rev().map(|&(_, _, lock)| Op::Unlock { lock });
+                self.round_trip(req_bytes, unlocks, cost, [], None);
             }
             StatementKind::Begin | StatementKind::Commit | StatementKind::Rollback => {
                 // Transaction control round-trip: driver CPU and the wire
@@ -341,12 +310,7 @@ impl<'a> RequestCtx<'a> {
                 // middleware brackets every interaction host-side, which
                 // costs nothing — but a handler that does gets the plain
                 // statement cost.
-                self.push(Op::Cpu { machine: gen, micros: g.per_query.round() as u64 });
-                self.push(Op::Net { from: gen, to: db_machine, bytes: req_bytes });
-                let cost = self.costs.db.cost_micros(&result.counters);
-                self.stats.db_micros += cost;
-                self.push_db_execution(db_machine, cost);
-                self.push(Op::Net { from: db_machine, to: gen, bytes: 64 });
+                self.round_trip(req_bytes, [], cost, [], None);
             }
             StatementKind::Read | StatementKind::Write => {
                 // Implicit per-statement locks for tables not already
@@ -360,26 +324,9 @@ impl<'a> RequestCtx<'a> {
                 }
                 needed.sort_by_key(|(id, _)| *id);
                 needed.dedup_by_key(|(id, _)| *id);
-
-                let resp_bytes = result.counters.bytes_returned + 64;
-                let cost = self.costs.db.cost_micros(&result.counters);
-                self.stats.db_micros += cost;
-                self.stats.rows_returned += result.counters.rows_returned;
-
-                self.push(Op::Cpu { machine: gen, micros: g.per_query.round() as u64 });
-                self.push(Op::Net { from: gen, to: db_machine, bytes: req_bytes });
-                for (id, mode) in &needed {
-                    self.push(Op::Lock { lock: *id, mode: *mode });
-                }
-                self.push_db_execution(db_machine, cost);
-                for (id, _) in needed.iter().rev() {
-                    self.push(Op::Unlock { lock: *id });
-                }
-                self.push(Op::Net { from: db_machine, to: gen, bytes: resp_bytes });
-                let decode = (g.per_result_byte * resp_bytes as f64).round() as u64;
-                if decode > 0 {
-                    self.push(Op::Cpu { machine: gen, micros: decode });
-                }
+                let locks = needed.iter().map(|&(lock, mode)| Op::Lock { lock, mode });
+                let unlocks = needed.iter().rev().map(|&(lock, _)| Op::Unlock { lock });
+                self.round_trip(req_bytes, locks, cost, unlocks, Some(&result.counters));
             }
         }
         Ok(())
@@ -406,17 +353,8 @@ impl<'a> RequestCtx<'a> {
         if !self.held_tables.is_empty() {
             return refuse("was not mentioned in LOCK TABLES");
         }
-        let mode = match want {
-            TableLockKind::Read => LockMode::Shared,
-            TableLockKind::Write => LockMode::Exclusive,
-        };
-        needed.push((self.deployment.table_lock(table), mode));
+        needed.push((self.deployment.table_lock(table), lock_mode(want)));
         Ok(())
-    }
-
-    /// Emits the execution of one statement on the database machine.
-    fn push_db_execution(&mut self, db_machine: dynamid_sim::MachineId, cost: u64) {
-        self.push(Op::Cpu { machine: db_machine, micros: cost });
     }
 
     /// Charges business-logic CPU on the current tier's machine.
@@ -500,9 +438,9 @@ impl<'a> RequestCtx<'a> {
         self.capture.as_deref()
     }
 
-    /// Embedded assets declared so far.
-    pub(crate) fn assets(&self) -> &[StaticAsset] {
-        &self.assets
+    /// Takes the embedded assets declared so far.
+    pub(crate) fn take_assets(&mut self) -> Vec<StaticAsset> {
+        std::mem::take(&mut self.assets)
     }
 
     pub(crate) fn push(&mut self, op: Op) {
@@ -523,6 +461,14 @@ impl<'a> RequestCtx<'a> {
         }
         self.stats.forced_unlocks += forced;
         forced
+    }
+}
+
+/// The simulator lock mode a MyISAM table lock takes.
+fn lock_mode(kind: TableLockKind) -> LockMode {
+    match kind {
+        TableLockKind::Read => LockMode::Shared,
+        TableLockKind::Write => LockMode::Exclusive,
     }
 }
 
@@ -733,6 +679,6 @@ mod tests {
             RequestCtx::new(&mut db, &dep, &costs, LogicStyle::ExplicitSql { sync: false }, false);
         ctx.embed_asset(StaticAsset::thumbnail());
         ctx.embed_asset(StaticAsset::button());
-        assert_eq!(ctx.assets().len(), 2);
+        assert_eq!(ctx.take_assets().len(), 2);
     }
 }

@@ -20,7 +20,6 @@
 use crate::app::{AppError, AppResult, LogicStyle};
 use crate::ctx::{ReadLog, RequestCtx, Tier};
 use crate::deploy::TableEntry;
-use dynamid_sim::Op;
 use dynamid_sqldb::{CacheKey, Lookup, SqlError, Value};
 use dynamid_trace::SpanKind;
 use std::sync::Arc;
@@ -64,12 +63,21 @@ impl<'c, 'a> EntityManager<'c, 'a> {
         EntityManager { ctx, beans: Vec::new(), transferred: 0 }
     }
 
-    /// Container bookkeeping charged per bean operation, on the EJB
-    /// machine.
-    fn bean_overhead(&mut self) {
+    /// One container-managed persistence access in its own `CmpAccess`
+    /// span: the container's per-bean bookkeeping on the EJB machine, then
+    /// `body`, which issues the container-generated statement.
+    fn access<T>(
+        &mut self,
+        label: &str,
+        body: impl FnOnce(&mut Self) -> AppResult<T>,
+    ) -> AppResult<T> {
+        self.ctx.span_open(SpanKind::CmpAccess, label);
         let micros = self.ctx.costs.ejb.per_bean_access.round() as u64;
         self.ctx.stats.bean_accesses += 1;
         self.ctx.cpu(micros);
+        let out = body(self);
+        self.ctx.span_close();
+        out
     }
 
     /// The catalog id, install-time entry and primary-key column of entity
@@ -109,22 +117,16 @@ impl<'c, 'a> EntityManager<'c, 'a> {
     ///
     /// Database errors; missing primary key on the entity table.
     pub fn find(&mut self, table: &str, pk: Value) -> AppResult<Option<BeanHandle>> {
-        self.ctx.span_open(SpanKind::CmpAccess, "find");
-        let out = self.find_impl(table, pk);
-        self.ctx.span_close();
-        out
-    }
-
-    fn find_impl(&mut self, table: &str, pk: Value) -> AppResult<Option<BeanHandle>> {
-        self.bean_overhead();
-        let (id, entry, _) = self.entity(table)?;
-        let r = self.ctx.query(&entry.find_sql, std::slice::from_ref(&pk))?;
-        let Some(row) = r.rows.into_iter().next() else {
-            return Ok(None);
-        };
-        let n = row.len();
-        self.beans.push(Bean { table: id, pk, values: row, dirty: vec![false; n] });
-        Ok(Some(BeanHandle(self.beans.len() - 1)))
+        self.access("find", |em| {
+            let (id, entry, _) = em.entity(table)?;
+            let r = em.ctx.query(&entry.find_sql, std::slice::from_ref(&pk))?;
+            let Some(row) = r.rows.into_iter().next() else {
+                return Ok(None);
+            };
+            let n = row.len();
+            em.beans.push(Bean { table: id, pk, values: row, dirty: vec![false; n] });
+            Ok(Some(BeanHandle(em.beans.len() - 1)))
+        })
     }
 
     /// Container-generated finder: primary keys of rows where
@@ -136,7 +138,7 @@ impl<'c, 'a> EntityManager<'c, 'a> {
         col: &str,
         value: Value,
     ) -> AppResult<Vec<Value>> {
-        self.find_pks_query(table, &format!("WHERE {col} = ?"), &[value])
+        self.find_pks_query_tail(table, &format!("WHERE {col} = ?"), &[value])
     }
 
     /// Finder with ordering and a row cap (for listing pages).
@@ -150,7 +152,7 @@ impl<'c, 'a> EntityManager<'c, 'a> {
         limit: u64,
     ) -> AppResult<Vec<Value>> {
         let dir = if desc { "DESC" } else { "ASC" };
-        self.find_pks_query(
+        self.find_pks_query_tail(
             table,
             &format!("WHERE {col} = ? ORDER BY {order_col} {dir} LIMIT {limit}"),
             &[value],
@@ -166,32 +168,12 @@ impl<'c, 'a> EntityManager<'c, 'a> {
         tail: &str,
         params: &[Value],
     ) -> AppResult<Vec<Value>> {
-        self.find_pks_query(table, tail, params)
-    }
-
-    fn find_pks_query(
-        &mut self,
-        table: &str,
-        tail: &str,
-        params: &[Value],
-    ) -> AppResult<Vec<Value>> {
-        self.ctx.span_open(SpanKind::CmpAccess, "finder");
-        let out = self.find_pks_query_impl(table, tail, params);
-        self.ctx.span_close();
-        out
-    }
-
-    fn find_pks_query_impl(
-        &mut self,
-        table: &str,
-        tail: &str,
-        params: &[Value],
-    ) -> AppResult<Vec<Value>> {
-        self.bean_overhead();
-        let (_, _, pk_col) = self.entity(table)?;
-        let sql = format!("SELECT {pk_col} FROM {table} {tail}");
-        let r = self.ctx.query(&sql, params)?;
-        Ok(r.rows.into_iter().map(|mut row| row.remove(0)).collect())
+        self.access("finder", |em| {
+            let (_, _, pk_col) = em.entity(table)?;
+            let sql = format!("SELECT {pk_col} FROM {table} {tail}");
+            let r = em.ctx.query(&sql, params)?;
+            Ok(r.rows.into_iter().map(|mut row| row.remove(0)).collect())
+        })
     }
 
     /// Reads a field of an activated bean.
@@ -236,27 +218,21 @@ impl<'c, 'a> EntityManager<'c, 'a> {
     ///
     /// Database errors (duplicate key, constraint violations).
     pub fn create(&mut self, table: &str, fields: &[(&str, Value)]) -> AppResult<Value> {
-        self.ctx.span_open(SpanKind::CmpAccess, "create");
-        let out = self.create_impl(table, fields);
-        self.ctx.span_close();
-        out
-    }
-
-    fn create_impl(&mut self, table: &str, fields: &[(&str, Value)]) -> AppResult<Value> {
-        self.bean_overhead();
-        let cols: Vec<&str> = fields.iter().map(|(c, _)| *c).collect();
-        let marks = vec!["?"; fields.len()].join(", ");
-        let sql = format!("INSERT INTO {table} ({}) VALUES ({marks})", cols.join(", "));
-        let params: Vec<Value> = fields.iter().map(|(_, v)| v.clone()).collect();
-        let r = self.ctx.query(&sql, &params)?;
-        if let Some(id) = r.last_insert_id {
-            return Ok(Value::Int(id));
-        }
-        let (_, _, pk_col) = self.entity(table)?;
-        fields.iter().find(|(c, _)| *c == pk_col).map(|(_, v)| v.clone()).ok_or_else(|| {
-            AppError::Sql(SqlError::Constraint(format!(
-                "create on '{table}' without a primary key value"
-            )))
+        self.access("create", |em| {
+            let cols: Vec<&str> = fields.iter().map(|(c, _)| *c).collect();
+            let marks = vec!["?"; fields.len()].join(", ");
+            let sql = format!("INSERT INTO {table} ({}) VALUES ({marks})", cols.join(", "));
+            let params: Vec<Value> = fields.iter().map(|(_, v)| v.clone()).collect();
+            let r = em.ctx.query(&sql, &params)?;
+            if let Some(id) = r.last_insert_id {
+                return Ok(Value::Int(id));
+            }
+            let (_, _, pk_col) = em.entity(table)?;
+            fields.iter().find(|(c, _)| *c == pk_col).map(|(_, v)| v.clone()).ok_or_else(|| {
+                AppError::Sql(SqlError::Constraint(format!(
+                    "create on '{table}' without a primary key value"
+                )))
+            })
         })
     }
 
@@ -266,18 +242,12 @@ impl<'c, 'a> EntityManager<'c, 'a> {
     ///
     /// Database errors; missing primary key on the entity table.
     pub fn remove(&mut self, table: &str, pk: Value) -> AppResult<u64> {
-        self.ctx.span_open(SpanKind::CmpAccess, "remove");
-        let out = self.remove_impl(table, pk);
-        self.ctx.span_close();
-        out
-    }
-
-    fn remove_impl(&mut self, table: &str, pk: Value) -> AppResult<u64> {
-        self.bean_overhead();
-        let (_, _, pk_col) = self.entity(table)?;
-        let sql = format!("DELETE FROM {table} WHERE {pk_col} = ?");
-        let r = self.ctx.query(&sql, &[pk])?;
-        Ok(r.affected)
+        self.access("remove", |em| {
+            let (_, _, pk_col) = em.entity(table)?;
+            let sql = format!("DELETE FROM {table} WHERE {pk_col} = ?");
+            let r = em.ctx.query(&sql, &[pk])?;
+            Ok(r.affected)
+        })
     }
 
     /// Stores every dirty bean: one single-row UPDATE per bean, the CMP
@@ -291,38 +261,32 @@ impl<'c, 'a> EntityManager<'c, 'a> {
             .map(|(i, _)| i)
             .collect();
         for i in dirty {
-            self.ctx.span_open(SpanKind::CmpAccess, "store");
-            let r = self.store_bean(i);
-            self.ctx.span_close();
-            r?;
+            self.access("store", |em| {
+                let bean = &em.beans[i];
+                let entry = em.ctx.deployment.table(bean.table);
+                let sets: Vec<String> = entry
+                    .columns
+                    .iter()
+                    .zip(&bean.dirty)
+                    .filter(|(_, d)| **d)
+                    .map(|(c, _)| format!("{c} = ?"))
+                    .collect();
+                let pk_col = &entry.columns[entry.pk.expect("an activated bean's table has a key")];
+                let sql =
+                    format!("UPDATE {} SET {} WHERE {pk_col} = ?", entry.name, sets.join(", "));
+                let mut params: Vec<Value> = bean
+                    .values
+                    .iter()
+                    .zip(&bean.dirty)
+                    .filter(|(_, d)| **d)
+                    .map(|(v, _)| v.clone())
+                    .collect();
+                params.push(bean.pk.clone());
+                em.ctx.query(&sql, &params)?;
+                em.beans[i].dirty.iter_mut().for_each(|d| *d = false);
+                Ok(())
+            })?;
         }
-        Ok(())
-    }
-
-    /// Stores one dirty bean with a container-generated single-row UPDATE.
-    fn store_bean(&mut self, i: usize) -> AppResult<()> {
-        self.bean_overhead();
-        let bean = &self.beans[i];
-        let entry = self.ctx.deployment.table(bean.table);
-        let sets: Vec<String> = entry
-            .columns
-            .iter()
-            .zip(&bean.dirty)
-            .filter(|(_, d)| **d)
-            .map(|(c, _)| format!("{c} = ?"))
-            .collect();
-        let pk_col = &entry.columns[entry.pk.expect("an activated bean's table has a key")];
-        let sql = format!("UPDATE {} SET {} WHERE {pk_col} = ?", entry.name, sets.join(", "));
-        let mut params: Vec<Value> = bean
-            .values
-            .iter()
-            .zip(&bean.dirty)
-            .filter(|(_, d)| **d)
-            .map(|(v, _)| v.clone())
-            .collect();
-        params.push(bean.pk.clone());
-        self.ctx.query(&sql, &params)?;
-        self.beans[i].dirty.iter_mut().for_each(|d| *d = false);
         Ok(())
     }
 }
@@ -352,10 +316,8 @@ impl RequestCtx<'_> {
         let rmi = self.costs.rmi;
         let call_bytes = 256u64;
 
-        // RMI request: servlet -> EJB server.
-        self.push(Op::Cpu { machine: servlet, micros: rmi.micros(call_bytes) });
-        self.push(Op::Net { from: servlet, to: ejb, bytes: call_bytes });
-        self.push(Op::Cpu { machine: ejb, micros: rmi.micros(call_bytes) });
+        // RMI request: servlet -> EJB server, inside the façade's span.
+        self.cross(rmi, servlet, ejb, call_bytes, None);
         self.tier = Tier::EjbServer;
         self.stats.facade_calls += 1;
         let facade_cpu = self.costs.ejb.per_facade_call.round() as u64;
@@ -374,9 +336,7 @@ impl RequestCtx<'_> {
         drop(em);
 
         // RMI reply: EJB server -> servlet.
-        self.push(Op::Cpu { machine: ejb, micros: rmi.micros(reply_bytes) });
-        self.push(Op::Net { from: ejb, to: servlet, bytes: reply_bytes });
-        self.push(Op::Cpu { machine: servlet, micros: rmi.micros(reply_bytes) });
+        self.cross(rmi, ejb, servlet, reply_bytes, None);
         self.tier = Tier::Generator;
         self.span_close();
         out

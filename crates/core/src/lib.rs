@@ -38,6 +38,7 @@ pub mod cost;
 pub mod ctx;
 pub mod deploy;
 pub mod ejb;
+mod hop;
 pub mod middleware;
 pub mod overload;
 pub mod replication;

@@ -103,10 +103,15 @@ impl FrontEndState {
         })
     }
 
-    /// Picks the web server for the next request and counts it in flight.
-    fn route(&mut self) -> usize {
+    /// Picks the web server for the next request and counts it. Returns
+    /// the balancer's route, counted in flight until `route_done`; `None`
+    /// for a proxy, whose single web server needs no balancing.
+    fn route(&mut self) -> Option<usize> {
         let r = match self.routing {
-            None => 0,
+            None => {
+                self.routed[0] += 1;
+                return None;
+            }
             Some(RoutingPolicy::RoundRobin) => {
                 let r = self.cursor;
                 self.cursor = (self.cursor + 1) % self.inflight.len();
@@ -122,11 +127,9 @@ impl FrontEndState {
                 best
             }
         };
-        if self.routing.is_some() {
-            self.inflight[r] += 1;
-        }
+        self.inflight[r] += 1;
         self.routed[r] += 1;
-        r
+        Some(r)
     }
 
     fn route_done(&mut self, r: usize) {
@@ -135,13 +138,17 @@ impl FrontEndState {
         }
     }
 
-    /// Whether the next static-asset request hits the proxy cache. The
-    /// pattern is the exact Bresenham spread of the hit ratio
+    /// Whether the next static-asset request hits the proxy cache; always
+    /// `false`, and not counted, behind a balancer, which caches nothing.
+    /// The pattern is the exact Bresenham spread of the hit ratio
     /// `h` = [`PROXY_STATIC_HIT_RATIO`] over the asset sequence —
     /// `floor((n+1)·h) > floor(n·h)` — so cumulative hits always equal
     /// `floor(seen · h)`: exact accounting, no RNG draws, and the client
     /// random streams stay untouched.
     fn asset_hit(&mut self) -> bool {
+        if self.routing.is_some() {
+            return false;
+        }
         let n = self.asset_seq as f64;
         let h = PROXY_STATIC_HIT_RATIO;
         self.asset_seq += 1;
@@ -327,14 +334,12 @@ impl Middleware {
         let in_web_process = config.logic().in_web_process();
         let web_costs = self.costs.web;
         let fe_costs = self.costs.frontend;
-        let front_role = config.front();
 
         // Route before compiling: the balancer pins the whole request —
         // dynamic page and trailing assets — to one web server, as a
         // keep-alive connection through an L4 balancer would.
-        let route = self.frontend.as_ref().map_or(0, |fe| fe.borrow_mut().route());
-        let routed = matches!(front_role, FrontEnd::LoadBalancer { .. }).then_some(route);
-        let client = self.deployment.client();
+        let routed = self.frontend.as_ref().and_then(|fe| fe.borrow_mut().route());
+        let route = routed.unwrap_or(0);
         let web = self.deployment.web_machines()[route];
         let web_pool = self.deployment.web_pool_for(route);
 
@@ -352,36 +357,11 @@ impl Middleware {
         ctx.span_open(SpanKind::Request, spec.name);
 
         // --- Request path ---------------------------------------------
+        // A proxy relays the page through user space, per request and per
+        // byte.
         let req_bytes = REQUEST_OVERHEAD_BYTES + 64;
-        match front_role {
-            FrontEnd::None => {
-                ctx.push(Op::Net { from: client, to: web, bytes: req_bytes });
-            }
-            FrontEnd::ReverseProxy => {
-                // Application-level relay: the proxy terminates the client
-                // connection and copies the request through user space.
-                let proxy = self.deployment.front_machine().expect("proxy deployment");
-                ctx.push(Op::Net { from: client, to: proxy, bytes: req_bytes });
-                ctx.span_open(SpanKind::FrontEnd, "proxy-front");
-                let relay = fe_costs.proxy_per_request + fe_costs.proxy_per_byte * req_bytes as f64;
-                ctx.push(Op::Cpu { machine: proxy, micros: relay.round() as u64 });
-                ctx.push(Op::Net { from: proxy, to: web, bytes: req_bytes });
-                ctx.span_close(); // proxy-front
-            }
-            FrontEnd::LoadBalancer { .. } => {
-                // Layer-4 forwarding: only inbound request bytes cross the
-                // balancer; responses return directly (DSR).
-                let lb = self.deployment.front_machine().expect("balancer deployment");
-                ctx.push(Op::Net { from: client, to: lb, bytes: req_bytes });
-                ctx.span_open(SpanKind::FrontEnd, "lb-front");
-                ctx.push(Op::Cpu {
-                    machine: lb,
-                    micros: fe_costs.balancer_per_request.round() as u64,
-                });
-                ctx.push(Op::Net { from: lb, to: web, bytes: req_bytes });
-                ctx.span_close(); // lb-front
-            }
-        }
+        let page_relay = fe_costs.proxy_per_request + fe_costs.proxy_per_byte * req_bytes as f64;
+        ctx.front_in(web, req_bytes, page_relay, true);
         ctx.span_open(SpanKind::WebServe, "web-front");
         ctx.push(Op::SemAcquire { sem: web_pool });
         let mut front = web_costs.per_request;
@@ -390,20 +370,15 @@ impl Middleware {
         }
         ctx.push(Op::Cpu { machine: web, micros: front.round() as u64 });
 
-        // Connector crossing: web server -> generator.
+        // Connector crossing: web server -> generator. PHP enters its
+        // module in-process, inside `web-front`.
         let generator = ctx.generator_machine;
         if in_web_process {
             ctx.push(Op::Cpu { machine: web, micros: self.costs.php_invoke.round() as u64 });
-            ctx.span_close(); // web-front (includes the in-process connector)
-        } else {
-            ctx.span_close(); // web-front
-            ctx.span_open(SpanKind::IpcHop, "ajp-request");
-            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.micros(req_bytes) });
-            // Loopback when co-located (Net from==to is free; the CPU costs
-            // above/below model the local IPC).
-            ctx.push(Op::Net { from: web, to: generator, bytes: req_bytes });
-            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.micros(req_bytes) });
-            ctx.span_close(); // ajp-request
+        }
+        ctx.span_close(); // web-front
+        if !in_web_process {
+            ctx.cross(self.costs.ajp, web, generator, req_bytes, Some("ajp-request"));
         }
         ctx.span_open(SpanKind::Invoke, "handler");
         let gen_dispatch = ctx.gen_costs().per_request.round() as u64;
@@ -442,107 +417,46 @@ impl Middleware {
         let body = ctx.output_bytes();
         let render = (ctx.gen_costs().per_output_byte * body as f64).round() as u64;
         ctx.push(Op::Cpu { machine: generator, micros: render });
-
         if !in_web_process {
-            ctx.span_open(SpanKind::IpcHop, "ajp-reply");
-            ctx.push(Op::Cpu { machine: generator, micros: self.costs.ajp.micros(body) });
-            ctx.push(Op::Net { from: generator, to: web, bytes: body });
-            ctx.push(Op::Cpu { machine: web, micros: self.costs.ajp.micros(body) });
-            ctx.span_close(); // ajp-reply
+            ctx.cross(self.costs.ajp, generator, web, body, Some("ajp-reply"));
         }
         let wire = body + RESPONSE_OVERHEAD_BYTES;
         ctx.push(Op::Cpu {
             machine: web,
             micros: (web_costs.per_response_byte * wire as f64).round() as u64,
         });
-        match front_role {
-            // Direct delivery — also the balancer path (direct server
-            // return: response bytes never revisit the balancer).
-            FrontEnd::None | FrontEnd::LoadBalancer { .. } => {
-                ctx.push(Op::Net { from: web, to: client, bytes: wire });
-            }
-            FrontEnd::ReverseProxy => {
-                let proxy = self.deployment.front_machine().expect("proxy deployment");
-                ctx.push(Op::Net { from: web, to: proxy, bytes: wire });
-                ctx.span_open(SpanKind::FrontEnd, "proxy-relay");
-                ctx.push(Op::Cpu {
-                    machine: proxy,
-                    micros: (fe_costs.proxy_per_byte * wire as f64).round() as u64,
-                });
-                ctx.push(Op::Net { from: proxy, to: client, bytes: wire });
-                ctx.span_close(); // proxy-relay
-            }
-        }
+        ctx.front_out(web, wire, true);
         ctx.span_close(); // response
 
         // --- Embedded static assets over the same connection ------------
-        let assets: Vec<_> = ctx.assets().to_vec();
+        let assets = ctx.take_assets();
         if !assets.is_empty() {
             ctx.span_open(SpanKind::StaticAssets, "assets");
         }
-        let had_assets = !assets.is_empty();
-        for asset in assets {
+        for &asset in &assets {
             let asset_wire = asset.bytes + RESPONSE_OVERHEAD_BYTES;
-            match front_role {
-                FrontEnd::None => {
-                    ctx.push(Op::Net { from: client, to: web, bytes: REQUEST_OVERHEAD_BYTES });
-                    ctx.push(Op::Cpu {
-                        machine: web,
-                        micros: self.costs.web.static_service_micros(asset),
-                    });
-                    ctx.push(Op::Net { from: web, to: client, bytes: asset_wire });
-                }
-                FrontEnd::ReverseProxy => {
-                    let proxy = self.deployment.front_machine().expect("proxy deployment");
-                    let fe = self.frontend.as_ref().expect("proxy front end installed");
-                    let hit = fe.borrow_mut().asset_hit();
-                    ctx.push(Op::Net { from: client, to: proxy, bytes: REQUEST_OVERHEAD_BYTES });
-                    if hit {
-                        // Served from the proxy's static cache: the web
-                        // server never sees the request.
-                        ctx.span_open(SpanKind::FrontEnd, "proxy-cache");
-                        let serve = fe_costs.proxy_cache_probe
-                            + self.costs.web.static_service_micros(asset) as f64;
-                        ctx.push(Op::Cpu { machine: proxy, micros: serve.round() as u64 });
-                        ctx.push(Op::Net { from: proxy, to: client, bytes: asset_wire });
-                        ctx.span_close(); // proxy-cache
-                    } else {
-                        // Cache miss: full relay through the web server,
-                        // both directions crossing the proxy.
-                        let relay_in = fe_costs.proxy_cache_probe + fe_costs.proxy_per_request;
-                        ctx.push(Op::Cpu { machine: proxy, micros: relay_in.round() as u64 });
-                        ctx.push(Op::Net { from: proxy, to: web, bytes: REQUEST_OVERHEAD_BYTES });
-                        ctx.push(Op::Cpu {
-                            machine: web,
-                            micros: self.costs.web.static_service_micros(asset),
-                        });
-                        ctx.push(Op::Net { from: web, to: proxy, bytes: asset_wire });
-                        ctx.push(Op::Cpu {
-                            machine: proxy,
-                            micros: (fe_costs.proxy_per_byte * asset_wire as f64).round() as u64,
-                        });
-                        ctx.push(Op::Net { from: proxy, to: client, bytes: asset_wire });
-                    }
-                }
-                FrontEnd::LoadBalancer { .. } => {
-                    // Asset requests ride the pinned keep-alive connection
-                    // through the balancer; asset bytes return directly.
-                    let lb = self.deployment.front_machine().expect("balancer deployment");
-                    ctx.push(Op::Net { from: client, to: lb, bytes: REQUEST_OVERHEAD_BYTES });
-                    ctx.push(Op::Cpu {
-                        machine: lb,
-                        micros: fe_costs.balancer_per_request.round() as u64,
-                    });
-                    ctx.push(Op::Net { from: lb, to: web, bytes: REQUEST_OVERHEAD_BYTES });
-                    ctx.push(Op::Cpu {
-                        machine: web,
-                        micros: self.costs.web.static_service_micros(asset),
-                    });
-                    ctx.push(Op::Net { from: web, to: client, bytes: asset_wire });
-                }
+            let service = web_costs.static_service_micros(asset);
+            if self.frontend.as_ref().is_some_and(|fe| fe.borrow_mut().asset_hit()) {
+                // Served from the proxy's static cache: the web server
+                // never sees the request.
+                let client = self.deployment.client();
+                let proxy = self.deployment.front_machine().expect("proxy deployment");
+                ctx.push(Op::Net { from: client, to: proxy, bytes: REQUEST_OVERHEAD_BYTES });
+                ctx.span_open(SpanKind::FrontEnd, "proxy-cache");
+                let serve = fe_costs.proxy_cache_probe + service as f64;
+                ctx.push(Op::Cpu { machine: proxy, micros: serve.round() as u64 });
+                ctx.push(Op::Net { from: proxy, to: client, bytes: asset_wire });
+                ctx.span_close(); // proxy-cache
+            } else {
+                // A proxy miss probes the cache, then relays the asset
+                // through the web server like a page.
+                let miss_relay = fe_costs.proxy_cache_probe + fe_costs.proxy_per_request;
+                ctx.front_in(web, REQUEST_OVERHEAD_BYTES, miss_relay, false);
+                ctx.push(Op::Cpu { machine: web, micros: service });
+                ctx.front_out(web, asset_wire, false);
             }
         }
-        if had_assets {
+        if !assets.is_empty() {
             ctx.span_close(); // assets
         }
         ctx.push(Op::SemRelease { sem: web_pool });

@@ -183,14 +183,14 @@ impl CacheKey {
 
 /// One table's contribution to a committing transaction's write-set.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TableWrites {
+pub(crate) struct TableWrites {
     /// Catalog id of the written table.
-    pub table: usize,
+    pub(crate) table: usize,
     /// Primary-key values of the touched rows, when every write to this
     /// table is attributable to a row key; `None` is a wildcard (no primary
     /// key, or unattributable writes) that invalidates every dependent
     /// entry.
-    pub rows: Option<Vec<Value>>,
+    pub(crate) rows: Option<Vec<Value>>,
 }
 
 /// Outcome of a cache lookup.

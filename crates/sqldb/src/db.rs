@@ -298,7 +298,7 @@ impl Database {
     /// contributing the key through its own op. A table without a primary
     /// key yields a wildcard (`rows: None`) that invalidates every
     /// dependent entry.
-    pub fn write_set(&self, log: &TxnLog) -> Vec<TableWrites> {
+    pub(crate) fn write_set(&self, log: &TxnLog) -> Vec<TableWrites> {
         let mut per: std::collections::BTreeMap<usize, Option<Vec<Value>>> =
             std::collections::BTreeMap::new();
         let mut add = |table: usize, keys: &mut dyn Iterator<Item = Value>| {
@@ -1245,6 +1245,33 @@ mod tests {
         db.commit_txn().unwrap();
         assert_eq!(db.cache_stats().method.invalidations, 1);
         assert_eq!(db.method_cache_len(), 1);
+    }
+
+    /// The commit write-set's rules: an insert yields the live row's key,
+    /// an update its old key plus the new one when the key changed, a
+    /// delete its pre-image key, and a table without a primary key a
+    /// wildcard.
+    #[test]
+    fn write_set_keys_every_written_row() {
+        let mut db = db_with_users();
+        let notes = TableSchema::builder("notes").column("body", ColumnType::Str).build().unwrap();
+        db.create_table(notes).unwrap();
+        db.begin_txn().unwrap();
+        let insert = "INSERT INTO users (id, nickname, region, rating) VALUES (NULL, ?, ?, ?)";
+        db.execute(insert, &[Value::str("eve"), Value::Int(2), Value::Int(4)]).unwrap();
+        db.execute("UPDATE users SET rating = 6 WHERE id = 1", &[]).unwrap();
+        db.execute("UPDATE users SET id = 9 WHERE id = 2", &[]).unwrap();
+        db.execute("DELETE FROM users WHERE id = 3", &[]).unwrap();
+        db.execute("INSERT INTO notes (body) VALUES (?)", &[Value::str("hi")]).unwrap();
+        let log = db.commit_txn().unwrap();
+        let keys = [5, 1, 2, 9, 3].map(Value::Int).to_vec();
+        assert_eq!(
+            db.write_set(&log),
+            vec![
+                TableWrites { table: db.table_index("users").unwrap(), rows: Some(keys) },
+                TableWrites { table: db.table_index("notes").unwrap(), rows: None },
+            ]
+        );
     }
 
     #[test]

@@ -22,19 +22,6 @@ pub struct QueryCounters {
     pub bytes_returned: u64,
 }
 
-impl QueryCounters {
-    /// Merges another statement's counters into this one (for per-request
-    /// accounting in the middleware layer).
-    pub fn absorb(&mut self, other: &QueryCounters) {
-        self.rows_examined += other.rows_examined;
-        self.rows_returned += other.rows_returned;
-        self.rows_written += other.rows_written;
-        self.index_lookups += other.index_lookups;
-        self.sort_rows += other.sort_rows;
-        self.bytes_returned += other.bytes_returned;
-    }
-}
-
 /// What kind of statement a [`QueryResult`] came from; the middleware layer
 /// uses this to drive implicit table locking.
 #[derive(Debug, Clone, PartialEq)]
@@ -117,25 +104,5 @@ impl QueryResult {
     /// Number of result rows.
     pub fn len(&self) -> usize {
         self.rows.len()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn absorb_sums_fields() {
-        let mut a = QueryCounters {
-            rows_examined: 1,
-            rows_returned: 2,
-            rows_written: 3,
-            index_lookups: 4,
-            sort_rows: 5,
-            bytes_returned: 6,
-        };
-        a.absorb(&a.clone());
-        assert_eq!(a.rows_examined, 2);
-        assert_eq!(a.bytes_returned, 12);
     }
 }

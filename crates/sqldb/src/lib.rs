@@ -66,9 +66,7 @@ pub mod table;
 pub mod txn;
 pub mod value;
 
-pub use cache::{
-    CacheCounters, CacheInvalidation, CacheKey, CachePolicy, CacheStats, Lookup, TableWrites,
-};
+pub use cache::{CacheCounters, CacheInvalidation, CacheKey, CachePolicy, CacheStats, Lookup};
 pub use compile::CompiledStmt;
 pub use db::{BulkLoad, Database, DbStats};
 pub use error::{SqlError, SqlResult};

@@ -127,6 +127,15 @@ impl Parser {
         RESERVED.iter().any(|r| word.eq_ignore_ascii_case(r))
     }
 
+    /// A table or column name: an identifier that is not a reserved word.
+    fn name(&mut self, what: &str) -> SqlResult<String> {
+        let name = self.ident(what)?;
+        if Self::is_reserved(&name) {
+            return Err(self.err(format!("'{name}' is reserved")));
+        }
+        Ok(name)
+    }
+
     fn statement(&mut self) -> SqlResult<Stmt> {
         if self.peek().is_kw("select") {
             self.select().map(Stmt::Select)
@@ -278,10 +287,7 @@ impl Parser {
     }
 
     fn table_ref(&mut self) -> SqlResult<TableRef> {
-        let name = self.ident("table name")?;
-        if Self::is_reserved(&name) {
-            return Err(self.err(format!("'{name}' is reserved")));
-        }
+        let name = self.name("table name")?;
         let alias = if self.eat_kw("as") {
             Some(self.ident("alias after AS")?)
         } else if let TokenKind::Ident(a) = self.peek() {
@@ -503,12 +509,12 @@ impl Parser {
     fn insert(&mut self) -> SqlResult<InsertStmt> {
         self.expect_kw("insert")?;
         self.expect_kw("into")?;
-        let table = self.ident("table name")?;
+        let table = self.name("table name")?;
         let columns = if *self.peek() == TokenKind::LParen {
             self.bump();
-            let mut cols = vec![self.ident("column name")?];
+            let mut cols = vec![self.name("column name")?];
             while self.eat_if(|k| matches!(k, TokenKind::Comma)) {
-                cols.push(self.ident("column name")?);
+                cols.push(self.name("column name")?);
             }
             self.expect(TokenKind::RParen, "')' after column list")?;
             Some(cols)
@@ -527,11 +533,11 @@ impl Parser {
 
     fn update(&mut self) -> SqlResult<UpdateStmt> {
         self.expect_kw("update")?;
-        let table = self.ident("table name")?;
+        let table = self.name("table name")?;
         self.expect_kw("set")?;
         let mut sets = Vec::new();
         loop {
-            let col = self.ident("column name")?;
+            let col = self.name("column name")?;
             self.expect(TokenKind::Eq, "'=' in SET")?;
             let value = self.additive()?;
             sets.push((col, value));
@@ -546,7 +552,7 @@ impl Parser {
     fn delete(&mut self) -> SqlResult<DeleteStmt> {
         self.expect_kw("delete")?;
         self.expect_kw("from")?;
-        let table = self.ident("table name")?;
+        let table = self.name("table name")?;
         let where_clause = if self.eat_kw("where") { Some(self.expr()?) } else { None };
         Ok(DeleteStmt { table, where_clause })
     }
@@ -556,7 +562,7 @@ impl Parser {
         self.expect_kw("tables")?;
         let mut locks = Vec::new();
         loop {
-            let table = self.ident("table name")?;
+            let table = self.name("table name")?;
             let kind = if self.eat_kw("read") {
                 TableLockKind::Read
             } else if self.eat_kw("write") {
@@ -755,6 +761,31 @@ mod tests {
     #[test]
     fn keyword_cannot_be_table() {
         assert!(parse("SELECT * FROM select").is_err());
+    }
+
+    /// Every statement that names a table or a column to write reads the
+    /// name through one reserved-word check.
+    #[test]
+    fn reserved_words_are_not_write_targets() {
+        for sql in [
+            "SELECT * FROM SET",
+            "DELETE FROM SET",
+            "DELETE FROM BY",
+            "UPDATE BY SET x = 1",
+            "UPDATE t SET order = 1",
+            "UPDATE t SET x = 1, limit = 2",
+            "INSERT INTO ORDER VALUES (1)",
+            "INSERT INTO t (id, from) VALUES (1, 2)",
+            "LOCK TABLES READ READ",
+            "LOCK TABLES items WRITE, tables READ",
+        ] {
+            let err = parse(sql).expect_err(sql);
+            assert!(err.to_string().contains("is reserved"), "{sql}: {err}");
+        }
+        // Case does not matter, and a reserved word may still prefix a name.
+        assert!(parse("delete from Order").is_err());
+        assert!(parse("UPDATE orders SET order_id = 1, bystander = 2").is_ok());
+        assert!(parse("LOCK TABLES reads READ").is_ok());
     }
 
     #[test]

@@ -229,19 +229,10 @@ pub struct CommitLedger {
     pub per_interaction: Vec<u64>,
     /// Net committed live-row delta per table catalog id.
     pub row_deltas: BTreeMap<usize, i64>,
-    /// Per-table invalidation-key accounting extracted from committed
-    /// receipts: `(row-keyed invalidation keys, wildcard invalidations)`
-    /// per table catalog id. This is exactly the key stream the caching
-    /// tier consumes at commit time (a primary-key-attributable write
-    /// yields one key per written row; a write the extractor cannot pin to
-    /// rows yields one wildcard), recorded whether or not a cache was
-    /// enabled — rolled-back receipts contribute nothing, which is the
-    /// invariant the cache tests lean on.
-    pub invalidation_keys: BTreeMap<usize, (u64, u64)>,
 }
 
 impl CommitLedger {
-    fn record_commit(&mut self, interaction: Option<usize>, log: &TxnLog, db: &Database) {
+    fn record_commit(&mut self, interaction: Option<usize>, log: &TxnLog) {
         self.committed += 1;
         if let Some(id) = interaction {
             if id >= self.per_interaction.len() {
@@ -252,23 +243,6 @@ impl CommitLedger {
         for (table, delta) in log.row_deltas() {
             *self.row_deltas.entry(table).or_default() += delta;
         }
-        for w in db.write_set(log) {
-            let entry = self.invalidation_keys.entry(w.table).or_default();
-            match &w.rows {
-                Some(rows) => entry.0 += rows.len() as u64,
-                None => entry.1 += 1,
-            }
-        }
-    }
-
-    /// Total row-keyed invalidation keys across all tables.
-    pub fn row_keys(&self) -> u64 {
-        self.invalidation_keys.values().map(|(rows, _)| rows).sum()
-    }
-
-    /// Total wildcard (whole-table) invalidations across all tables.
-    pub fn wildcards(&self) -> u64 {
-        self.invalidation_keys.values().map(|(_, wild)| wild).sum()
     }
 
     /// Net committed row delta for table catalog id `table`.
@@ -864,7 +838,7 @@ impl Driver for WorkloadDriver<'_> {
         // committed write-set becomes the next stream frame, shipped to
         // every readable replica.
         if let Some((_, log)) = self.clients[client_id].pending_txn.take() {
-            self.ledger.record_commit(self.clients[client_id].current, &log, self.db);
+            self.ledger.record_commit(self.clients[client_id].current, &log);
             if let Some(repl) = self.repl {
                 repl.borrow_mut().commit(sim, &log);
             }
