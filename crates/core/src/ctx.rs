@@ -12,16 +12,17 @@
 //!
 //! Table-locking semantics follow MyISAM: every statement implicitly locks
 //! the tables it touches (read or write) for its own duration; an explicit
-//! `LOCK TABLES` spans statements until `UNLOCK TABLES`, and while it is
-//! held, statements may only touch locked tables (MySQL errors otherwise —
-//! and so do we, since anything else could deadlock).
+//! `LOCK TABLES` spans statements until `UNLOCK TABLES`. The database owns
+//! that session and refuses, before it runs, any statement the held set
+//! does not cover; the context only queues the simulated locks each
+//! statement reports.
 
 use crate::app::{AppError, AppResult, LogicStyle};
 use crate::cost::{CostModel, GeneratorCosts, StaticAsset};
 use crate::deploy::Deployment;
 use dynamid_sim::{LockId, LockMode, MachineId, Op, Trace};
 use dynamid_sqldb::ast::TableLockKind;
-use dynamid_sqldb::{Database, QueryResult, SqlError, StatementKind, Value};
+use dynamid_sqldb::{Database, QueryResult, StatementKind, Value};
 use dynamid_trace::{SpanDef, SpanKind, SpanRecorder};
 
 /// Per-request accounting, reported alongside the compiled trace.
@@ -72,9 +73,6 @@ pub struct RequestCtx<'a> {
     style: LogicStyle,
     pub(crate) trace: Trace,
     pub(crate) tier: Tier,
-    /// Tables (catalog ids) held via explicit LOCK TABLES, with the
-    /// granted mode.
-    held_tables: Vec<(usize, TableLockKind, LockId)>,
     /// Application-level locks held, with a re-entrancy count.
     held_app: Vec<(LockId, u32)>,
     output_bytes: u64,
@@ -129,7 +127,6 @@ impl<'a> RequestCtx<'a> {
             style,
             trace: Trace::with_capacity(32),
             tier: Tier::Generator,
-            held_tables: Vec::new(),
             held_app: Vec::new(),
             output_bytes: 0,
             capture: capture_html.then(String::new),
@@ -215,8 +212,8 @@ impl<'a> RequestCtx<'a> {
     ///
     /// # Errors
     ///
-    /// Database errors, plus a constraint error when a statement touches a
-    /// table not covered by a held `LOCK TABLES` set (MySQL semantics).
+    /// Database errors, including the constraint error for a statement a
+    /// held `LOCK TABLES` set does not cover (MySQL semantics).
     pub fn query(&mut self, sql: &str, params: &[Value]) -> AppResult<QueryResult> {
         // Snapshot the plan-cache counters only when tracing: the diff
         // around `execute` yields this statement's hit/miss outcome. The
@@ -245,7 +242,7 @@ impl<'a> RequestCtx<'a> {
             self.span_open(SpanKind::SqlStatement, statement_label(&result.kind))
         };
         let db_before = self.stats.db_micros;
-        let emitted = self.emit_statement(&result, sql, params, rc_hit);
+        self.emit_statement(&result, sql, params, rc_hit);
         if let Some(before) = plan_before {
             let outcome =
                 if rc_hit { Some(true) } else { self.db.stats().plan_outcome_since(&before) };
@@ -253,7 +250,6 @@ impl<'a> RequestCtx<'a> {
             self.span_annotate(span, outcome, Some(cost));
             self.span_close();
         }
-        emitted?;
         Ok(result)
     }
 
@@ -272,35 +268,25 @@ impl<'a> RequestCtx<'a> {
         sql: &str,
         params: &[Value],
         result_cache_hit: bool,
-    ) -> AppResult<()> {
+    ) {
         let param_bytes: u64 = params.iter().map(Value::wire_size).sum();
         let req_bytes = CostModel::query_wire_bytes(sql.len(), param_bytes);
         if result_cache_hit {
             debug_assert_eq!(result.kind, StatementKind::Read, "only reads are cached");
             let cost = self.costs.db.result_cache_hit_micros.max(1.0).round() as u64;
             self.round_trip(req_bytes, [], cost, [], Some(&result.counters));
-            return Ok(());
+            return;
         }
         let cost = self.costs.db.cost_micros(&result.counters);
         match &result.kind {
             StatementKind::LockTables(list) => {
-                if !self.held_tables.is_empty() {
-                    return Err(AppError::Sql(SqlError::Constraint(
-                        "LOCK TABLES while already holding locks".into(),
-                    )));
-                }
-                // Acquire in lock-id order: deadlock-free by global order.
-                let mut to_take: Vec<(usize, TableLockKind, LockId)> =
-                    list.iter().map(|&(t, k)| (t, k, self.deployment.table_lock(t))).collect();
-                to_take.sort_by_key(|(_, _, id)| *id);
-                let locks =
-                    to_take.iter().map(|&(_, k, lock)| Op::Lock { lock, mode: lock_mode(k) });
+                let order = self.lock_order(list.iter().copied());
+                let locks = order.into_iter().map(|(lock, mode)| Op::Lock { lock, mode });
                 self.round_trip(req_bytes, locks, cost, [], None);
-                self.held_tables = to_take;
             }
-            StatementKind::UnlockTables => {
-                let held = std::mem::take(&mut self.held_tables);
-                let unlocks = held.iter().rev().map(|&(_, _, lock)| Op::Unlock { lock });
+            StatementKind::UnlockTables(list) => {
+                let order = self.lock_order(list.iter().copied());
+                let unlocks = order.into_iter().rev().map(|(lock, _)| Op::Unlock { lock });
                 self.round_trip(req_bytes, unlocks, cost, [], None);
             }
             StatementKind::Begin | StatementKind::Commit | StatementKind::Rollback => {
@@ -313,48 +299,36 @@ impl<'a> RequestCtx<'a> {
                 self.round_trip(req_bytes, [], cost, [], None);
             }
             StatementKind::Read | StatementKind::Write => {
-                // Implicit per-statement locks for tables not already
-                // covered by LOCK TABLES.
-                let mut needed: Vec<(LockId, LockMode)> = Vec::new();
-                for &t in &result.read_tables {
-                    self.check_or_collect(t, TableLockKind::Read, &mut needed)?;
-                }
-                for &t in &result.write_tables {
-                    self.check_or_collect(t, TableLockKind::Write, &mut needed)?;
-                }
-                needed.sort_by_key(|(id, _)| *id);
-                needed.dedup_by_key(|(id, _)| *id);
+                // Implicit per-statement locks, unless the session holds a
+                // LOCK TABLES set (the database admitted the statement
+                // only if that set covers it).
+                let implicit = self.db.table_locks().is_empty();
+                let reads = result.read_tables.iter().map(|&t| (t, TableLockKind::Read));
+                let writes = result.write_tables.iter().map(|&t| (t, TableLockKind::Write));
+                let needed = self.lock_order(reads.chain(writes).filter(|_| implicit));
                 let locks = needed.iter().map(|&(lock, mode)| Op::Lock { lock, mode });
                 let unlocks = needed.iter().rev().map(|&(lock, _)| Op::Unlock { lock });
                 self.round_trip(req_bytes, locks, cost, unlocks, Some(&result.counters));
             }
         }
-        Ok(())
     }
 
-    /// Validates MyISAM's locking discipline for one table (catalog id)
-    /// touched by a statement, or records the implicit lock to take.
-    fn check_or_collect(
+    /// The simulated locks of a table lock list (catalog ids), in `LockId`
+    /// order, each once: acquiring in one global order keeps the lock
+    /// graph deadlock-free.
+    fn lock_order(
         &self,
-        table: usize,
-        want: TableLockKind,
-        needed: &mut Vec<(LockId, LockMode)>,
-    ) -> AppResult<()> {
-        let refuse = |why: &str| {
-            let name = self.db.table_names()[table];
-            Err(AppError::Sql(SqlError::Constraint(format!("table '{name}' {why}"))))
+        list: impl IntoIterator<Item = (usize, TableLockKind)>,
+    ) -> Vec<(LockId, LockMode)> {
+        let mode = |kind| match kind {
+            TableLockKind::Read => LockMode::Shared,
+            TableLockKind::Write => LockMode::Exclusive,
         };
-        if let Some((_, held_kind, _)) = self.held_tables.iter().find(|(t, _, _)| *t == table) {
-            if want == TableLockKind::Write && *held_kind == TableLockKind::Read {
-                return refuse("was locked READ but the statement writes it");
-            }
-            return Ok(()); // covered by the explicit lock
-        }
-        if !self.held_tables.is_empty() {
-            return refuse("was not mentioned in LOCK TABLES");
-        }
-        needed.push((self.deployment.table_lock(table), lock_mode(want)));
-        Ok(())
+        let mut locks: Vec<_> =
+            list.into_iter().map(|(t, kind)| (self.deployment.table_lock(t), mode(kind))).collect();
+        locks.sort_by_key(|&(id, _)| id);
+        locks.dedup_by_key(|&mut (id, _)| id);
+        locks
     }
 
     /// Charges business-logic CPU on the current tier's machine.
@@ -448,27 +422,18 @@ impl<'a> RequestCtx<'a> {
     }
 
     /// Releases anything still held (error paths, handler bugs) so the
-    /// trace stays balanced; returns how many locks had to be forced.
+    /// trace stays balanced: the database session's `LOCK TABLES` set,
+    /// then the app locks. Returns how many locks had to be forced.
     pub(crate) fn force_release(&mut self) -> u64 {
-        let mut forced = 0;
-        for (_, _, id) in self.held_tables.drain(..).rev().collect::<Vec<_>>() {
-            self.trace.push(Op::Unlock { lock: id });
-            forced += 1;
+        let tables = self.db.release_table_locks();
+        let tables = self.lock_order(tables).into_iter().rev().map(|(lock, _)| lock);
+        let unlocks: Vec<LockId> =
+            tables.chain(self.held_app.drain(..).rev().map(|(id, _)| id)).collect();
+        for &lock in &unlocks {
+            self.trace.push(Op::Unlock { lock });
         }
-        for (id, _) in self.held_app.drain(..).rev().collect::<Vec<_>>() {
-            self.trace.push(Op::Unlock { lock: id });
-            forced += 1;
-        }
-        self.stats.forced_unlocks += forced;
-        forced
-    }
-}
-
-/// The simulator lock mode a MyISAM table lock takes.
-fn lock_mode(kind: TableLockKind) -> LockMode {
-    match kind {
-        TableLockKind::Read => LockMode::Shared,
-        TableLockKind::Write => LockMode::Exclusive,
+        self.stats.forced_unlocks += unlocks.len() as u64;
+        unlocks.len() as u64
     }
 }
 
@@ -476,7 +441,7 @@ fn lock_mode(kind: TableLockKind) -> LockMode {
 fn statement_label(kind: &StatementKind) -> &'static str {
     match kind {
         StatementKind::LockTables(_) => "lock-tables",
-        StatementKind::UnlockTables => "unlock-tables",
+        StatementKind::UnlockTables(_) => "unlock-tables",
         StatementKind::Begin => "begin",
         StatementKind::Commit => "commit",
         StatementKind::Rollback => "rollback",
@@ -619,6 +584,14 @@ mod tests {
         ctx.query("LOCK TABLES items READ", &[]).unwrap();
         let err = ctx.query("UPDATE items SET stock = 0 WHERE id = 1", &[]).unwrap_err();
         assert!(err.to_string().contains("locked READ"));
+        // Both were refused before they ran: no data changed, and neither
+        // counts as a query.
+        assert_eq!(ctx.stats.queries, 3);
+        let stock = ctx.query("SELECT stock FROM items WHERE id = 1", &[]).unwrap();
+        assert_eq!(stock.scalar(), Some(&Value::Int(10)));
+        ctx.query("UNLOCK TABLES", &[]).unwrap();
+        let orders = ctx.query("SELECT COUNT(*) FROM orders", &[]).unwrap();
+        assert_eq!(orders.scalar(), Some(&Value::Int(0)));
     }
 
     #[test]
@@ -646,6 +619,7 @@ mod tests {
         assert_eq!(ctx.force_release(), 2);
         assert!(ctx.trace.check_balanced().is_ok());
         assert_eq!(ctx.stats.forced_unlocks, 2);
+        assert!(ctx.db.table_locks().is_empty(), "the session's set was released");
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! `audit_violations` column into a staleness-versus-hit-rate curve.
 
 use crate::audit::{audit_auction, audit_bookstore};
-use crate::figures::{default_clients, make_app, point_spec, populate, sweep_workload, Benchmark};
+use crate::figures::{
+    default_clients, find_figure, make_app, mix_for, point_spec, populate, sweep_workload,
+    Benchmark, FigurePair,
+};
 use crate::grid::run_grid;
 use crate::report::{csv, table_head, table_row, Column};
 use crate::HarnessConfig;
@@ -88,20 +91,19 @@ impl CacheWorkload {
         }
     }
 
+    /// The catalog figure whose benchmark and mix this workload runs:
+    /// each label is a [`find_figure`] key.
+    fn figure(self) -> FigurePair {
+        find_figure(self.label()).expect("every cache workload label names a catalog figure")
+    }
+
     /// The transition matrix for this workload.
     pub fn mix(self) -> Mix {
-        match self {
-            CacheWorkload::BookstoreBrowsing => dynamid_bookstore::mixes::browsing(),
-            CacheWorkload::AuctionBrowsing => dynamid_auction::mixes::browsing(),
-            CacheWorkload::AuctionBidding => dynamid_auction::mixes::bidding(),
-        }
+        mix_for(&self.figure())
     }
 
     fn benchmark(self) -> Benchmark {
-        match self {
-            CacheWorkload::BookstoreBrowsing => Benchmark::Bookstore,
-            CacheWorkload::AuctionBrowsing | CacheWorkload::AuctionBidding => Benchmark::Auction,
-        }
+        self.figure().benchmark
     }
 }
 

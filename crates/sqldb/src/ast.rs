@@ -295,12 +295,6 @@ pub enum Stmt {
     LockTables(Vec<(String, TableLockKind)>),
     /// `UNLOCK TABLES`.
     UnlockTables,
-    /// `BEGIN` / `START TRANSACTION` — opens an undo-logged transaction.
-    Begin,
-    /// `COMMIT` — closes the open transaction, keeping its writes.
-    Commit,
-    /// `ROLLBACK` — closes the open transaction, undoing its writes.
-    Rollback,
 }
 
 impl Stmt {

@@ -84,6 +84,20 @@ impl CompiledStmt {
         Some(&s.read_tables)
     }
 
+    /// Catalog ids of the tables the plan reads and writes, as its result
+    /// reports them: what a held `LOCK TABLES` set must cover before it
+    /// runs. `None` for `LOCK TABLES` itself, which may not nest.
+    pub(crate) fn lock_needs(&self) -> Option<(&[usize], &[usize])> {
+        match &self.kind {
+            CStmt::Select(s) => Some((&s.read_tables, &[])),
+            CStmt::Insert(CInsert { table, .. }) | CStmt::Modify(CModify { table, .. }) => {
+                Some((&[], std::slice::from_ref(table)))
+            }
+            CStmt::LockTables(_) => None,
+            CStmt::UnlockTables => Some((&[], &[])),
+        }
+    }
+
     /// `Some((table, key))` when the plan is a join-free SELECT whose access
     /// path is an index-equality probe on the base table's primary key —
     /// the shape the query cache invalidates per row instead of per table.
@@ -109,9 +123,6 @@ enum CStmt {
     /// Catalog ids, each at most once.
     LockTables(Vec<(usize, TableLockKind)>),
     UnlockTables,
-    Begin,
-    Commit,
-    Rollback,
 }
 
 /// An expression with column references resolved to positions in the
@@ -871,9 +882,6 @@ pub(crate) fn compile(db: &Database, stmt: &Stmt) -> SqlResult<CompiledStmt> {
             CStmt::LockTables(ids)
         }
         Stmt::UnlockTables => CStmt::UnlockTables,
-        Stmt::Begin => CStmt::Begin,
-        Stmt::Commit => CStmt::Commit,
-        Stmt::Rollback => CStmt::Rollback,
     };
     Ok(CompiledStmt { version: db.schema_version(), id: 0, kind })
 }
@@ -1153,12 +1161,12 @@ pub(crate) fn exec_compiled(
         CStmt::Insert(i) => exec_cinsert(db, i, params),
         CStmt::Modify(m) => exec_cmodify(db, m, params),
         CStmt::LockTables(locks) => {
+            db.table_locks.clone_from(locks);
             Ok(QueryResult::empty(StatementKind::LockTables(locks.clone())))
         }
-        CStmt::UnlockTables => Ok(QueryResult::empty(StatementKind::UnlockTables)),
-        CStmt::Begin => db.exec_txn_control(StatementKind::Begin),
-        CStmt::Commit => db.exec_txn_control(StatementKind::Commit),
-        CStmt::Rollback => db.exec_txn_control(StatementKind::Rollback),
+        CStmt::UnlockTables => {
+            Ok(QueryResult::empty(StatementKind::UnlockTables(db.release_table_locks())))
+        }
     }
 }
 

@@ -1,5 +1,6 @@
 //! The database facade: catalog, plan cache, execution entry point.
 
+use crate::ast::TableLockKind;
 use crate::cache::{CacheKey, CachePolicy, CacheStats, Lookup, TableWrites, TxnCache};
 use crate::compile::{compile, exec_compiled, CompiledStmt};
 use crate::error::{SqlError, SqlResult};
@@ -54,9 +55,9 @@ impl DbStats {
 /// job.
 ///
 /// Modeled on MySQL 3.23 with MyISAM tables, as used in the paper:
-/// table-level locking (enforced by the middleware layer via the lock sets
-/// each [`QueryResult`] carries, as catalog ids in creation order),
-/// `LOCK TABLES` / `UNLOCK TABLES` statements, and auto-increment keys. On
+/// table-level locking (each [`QueryResult`] carries its lock sets, as
+/// catalog ids in creation order, for the middleware to queue), a
+/// `LOCK TABLES` session whose rules it enforces, and auto-increment keys. On
 /// top of that base the engine supports undo-logged transactions (`BEGIN`
 /// / `COMMIT` / `ROLLBACK`, or the host-side [`begin_txn`](Self::begin_txn)
 /// family): bare statements auto-commit exactly as before, while statements
@@ -92,6 +93,9 @@ pub struct Database {
     stats: DbStats,
     /// Undo log of the open transaction, if any. `None` = auto-commit mode.
     txn: Option<TxnLog>,
+    /// The session's `LOCK TABLES` set, as listed; empty while none is
+    /// held. One session, like `txn`: handlers run one at a time.
+    pub(crate) table_locks: Vec<(usize, TableLockKind)>,
     /// Rewind journal: when armed (see [`begin_rewind`](Self::begin_rewind)),
     /// every surviving row mutation — auto-commit writes directly, committed
     /// transactions at commit — is appended in host execution order, so
@@ -131,6 +135,7 @@ impl Database {
             schema_version: 0,
             stats: DbStats::default(),
             txn: None,
+            table_locks: Vec::new(),
             journal: None,
             journal_dirty: false,
             caches: None,
@@ -439,6 +444,18 @@ impl Database {
         self.txn.is_some()
     }
 
+    /// The session's `LOCK TABLES` set: catalog ids with their modes, in
+    /// the order the statement listed them; empty while none is held.
+    pub fn table_locks(&self) -> &[(usize, TableLockKind)] {
+        &self.table_locks
+    }
+
+    /// Ends the session's `LOCK TABLES` span, as `UNLOCK TABLES` or a
+    /// closed connection does, and returns the set it held.
+    pub fn release_table_locks(&mut self) -> Vec<(usize, TableLockKind)> {
+        std::mem::take(&mut self.table_locks)
+    }
+
     /// Commits the open transaction, keeping its writes, and returns the
     /// undo log as the transaction's write receipt (`None` when no
     /// transaction was open — a bare `COMMIT` is a no-op, as in MySQL).
@@ -691,7 +708,8 @@ impl Database {
     /// # Errors
     ///
     /// Any parse, resolution, type, or constraint error. Failed parses and
-    /// failed compilations are never cached.
+    /// failed compilations are never cached. A statement the session's
+    /// `LOCK TABLES` set does not admit fails before it runs.
     pub fn execute(&mut self, sql: &str, params: &[Value]) -> SqlResult<QueryResult> {
         // Transaction control is free: it neither touches the caches nor
         // counts against any [`DbStats`] counter, so wrapping a statement
@@ -701,12 +719,19 @@ impl Database {
             return self.exec_txn_control(kind);
         }
         self.stats.statements += 1;
+        let result = self.plan(sql).and_then(|plan| self.run_plan(&plan, params));
+        if result.is_err() {
+            self.stats.errors += 1;
+        }
+        result
+    }
 
+    /// The cached plan for `sql`, compiled (and cached) on a miss.
+    fn plan(&mut self, sql: &str) -> SqlResult<Arc<CompiledStmt>> {
         match self.plan_cache.get(sql) {
             Some(plan) if plan.version == self.schema_version => {
                 self.stats.plan_cache_hits += 1;
-                let plan = Arc::clone(plan);
-                return self.run_plan(&plan, params);
+                return Ok(Arc::clone(plan));
             }
             Some(_) => {
                 self.plan_cache.remove(sql);
@@ -715,14 +740,7 @@ impl Database {
             None => {}
         }
         self.stats.plan_cache_misses += 1;
-
-        let mut plan = match parse(sql).and_then(|stmt| compile(self, &stmt)) {
-            Ok(p) => p,
-            Err(e) => {
-                self.stats.errors += 1;
-                return Err(e);
-            }
-        };
+        let mut plan = compile(self, &parse(sql)?)?;
         // Mint the plan's query-cache id as it enters the plan cache; a
         // recompiled (DDL-invalidated) plan gets a fresh id, orphaning any
         // entries of the old one until LRU ages them out.
@@ -730,10 +748,36 @@ impl Database {
         plan.id = self.next_plan_id;
         let plan = Arc::new(plan);
         self.plan_cache.insert(sql.to_string(), Arc::clone(&plan));
-        self.run_plan(&plan, params)
+        Ok(plan)
     }
 
-    /// Executes a cached plan, consulting the query cache for SELECTs.
+    /// MyISAM's `LOCK TABLES` rules, checked before a planned statement
+    /// runs: while the session holds a set, a nested `LOCK TABLES`, a table
+    /// outside the set and a write to a table locked READ are refused.
+    fn admit(&self, plan: &CompiledStmt) -> SqlResult<()> {
+        if self.table_locks.is_empty() {
+            return Ok(());
+        }
+        let Some((reads, writes)) = plan.lock_needs() else {
+            return Err(SqlError::Constraint("LOCK TABLES while already holding locks".into()));
+        };
+        let reads = reads.iter().map(|&t| (t, TableLockKind::Read));
+        for (table, want) in reads.chain(writes.iter().map(|&t| (t, TableLockKind::Write))) {
+            let why = match self.table_locks.iter().find(|&&(held, _)| held == table) {
+                None => "was not mentioned in LOCK TABLES",
+                Some((_, TableLockKind::Read)) if want == TableLockKind::Write => {
+                    "was locked READ but the statement writes it"
+                }
+                Some(_) => continue,
+            };
+            let name = self.tables[table].schema().name();
+            return Err(SqlError::Constraint(format!("table '{name}' {why}")));
+        }
+        Ok(())
+    }
+
+    /// Executes a cached plan the session admits, consulting the query
+    /// cache for SELECTs.
     ///
     /// The cache sits *after* all plan-cache bookkeeping and
     /// stores the complete [`QueryResult`] (rows and modeled
@@ -742,6 +786,7 @@ impl Database {
     /// and every [`DbStats`] field stays byte-identical to running with
     /// the cache off.
     fn run_plan(&mut self, plan: &Arc<CompiledStmt>, params: &[Value]) -> SqlResult<QueryResult> {
+        self.admit(plan)?;
         let mut store: Option<CacheKey> = None;
         if let Some(caches) = self.caches.as_mut() {
             if let Some(ids) = plan.read_tables() {
@@ -760,13 +805,7 @@ impl Database {
                 }
             }
         }
-        let result = match exec_compiled(self, plan, params) {
-            Ok(r) => r,
-            Err(e) => {
-                self.stats.errors += 1;
-                return Err(e);
-            }
-        };
+        let result = exec_compiled(self, plan, params)?;
         if let Some(key) = store {
             let pk = plan.pk_point(self, params);
             if let Some(caches) = self.caches.as_mut() {
@@ -787,7 +826,7 @@ impl Database {
         Ok(result)
     }
 
-    pub(crate) fn exec_txn_control(&mut self, kind: StatementKind) -> SqlResult<QueryResult> {
+    fn exec_txn_control(&mut self, kind: StatementKind) -> SqlResult<QueryResult> {
         match kind {
             StatementKind::Begin => self.begin_txn()?,
             StatementKind::Commit => {
@@ -800,9 +839,9 @@ impl Database {
     }
 }
 
-/// Recognizes `BEGIN` / `START TRANSACTION` / `COMMIT` / `ROLLBACK` without
-/// going through the parser, so `execute` can dispatch transaction control
-/// before any statistics or cache accounting.
+/// The one recognizer of `BEGIN` / `START TRANSACTION` / `COMMIT` /
+/// `ROLLBACK` (the parser knows none of them), so `execute` can dispatch
+/// transaction control before any statistics or cache accounting.
 fn txn_control(sql: &str) -> Option<StatementKind> {
     let t = sql.trim().trim_end_matches(';').trim_end();
     if t.eq_ignore_ascii_case("begin") {
@@ -995,10 +1034,53 @@ mod tests {
             }
             other => panic!("wrong kind: {other:?}"),
         }
+        // UNLOCK TABLES names the set it released, and then none.
+        let users = db.table_id("users").unwrap();
+        let held = vec![(users, crate::ast::TableLockKind::Write)];
+        assert_eq!(db.table_locks(), held);
         let r = db.execute("UNLOCK TABLES", &[]).unwrap();
-        assert_eq!(r.kind, StatementKind::UnlockTables);
+        assert_eq!(r.kind, StatementKind::UnlockTables(held));
+        assert!(db.table_locks().is_empty());
+        let r = db.execute("UNLOCK TABLES", &[]).unwrap();
+        assert_eq!(r.kind, StatementKind::UnlockTables(Vec::new()));
         // Locking a missing table errors.
         assert!(db.execute("LOCK TABLES nope WRITE", &[]).is_err());
+    }
+
+    /// Under `LOCK TABLES`, a nested `LOCK TABLES`, a table outside the
+    /// set and a write to a READ-locked table are planned and counted as
+    /// errors, but refused before they run: no data, query-cache entry or
+    /// undo op changes. Admitted statements run as usual.
+    #[test]
+    fn lock_tables_refuses_before_running() {
+        let mut db = db_with_users_and_tags();
+        db.enable_caching(txn_cache());
+        db.begin_txn().unwrap();
+        db.execute("LOCK TABLES users READ", &[]).unwrap();
+        let (stats, data) = (db.stats(), db.deep_clone());
+        for (sql, why) in [
+            (
+                "SELECT label FROM tags WHERE id = 1",
+                "table 'tags' was not mentioned in LOCK TABLES",
+            ),
+            ("UPDATE users SET rating = 0 WHERE id = 1", "table 'users' was locked READ"),
+            ("LOCK TABLES tags WRITE", "LOCK TABLES while already holding locks"),
+        ] {
+            let err = db.execute(sql, &[]).unwrap_err();
+            assert!(matches!(&err, SqlError::Constraint(m) if m.starts_with(why)), "{sql}: {err}");
+        }
+        let after = db.stats();
+        assert_eq!(after.statements - stats.statements, 3);
+        assert_eq!(after.plan_cache_misses - stats.plan_cache_misses, 3);
+        assert_eq!(after.errors - stats.errors, 3);
+        assert!(db.same_data(&data));
+        assert_eq!((db.query_cache_len(), db.cache_stats()), (0, CacheStats::default()));
+        let r = db.execute("SELECT rating FROM users WHERE id = 1", &[]).unwrap();
+        assert_eq!(r.rows, vec![vec![Value::Int(5)]]);
+        assert!(db.commit_txn().unwrap().is_empty());
+        let users = db.table_id("users").unwrap();
+        assert_eq!(db.release_table_locks(), vec![(users, crate::ast::TableLockKind::Read)]);
+        assert!(db.execute("SELECT label FROM tags WHERE id = 1", &[]).is_ok());
     }
 
     /// A table named twice in `LOCK TABLES` is refused, as MySQL refuses
@@ -1095,6 +1177,10 @@ mod tests {
         db.execute("COMMIT", &[]).unwrap();
         db.execute("start transaction", &[]).unwrap();
         db.execute("ROLLBACK;", &[]).unwrap();
+        db.execute("START\tTRANSACTION ;", &[]).unwrap();
+        db.execute("COMMIT", &[]).unwrap();
+        db.execute("BEGIN;", &[]).unwrap();
+        db.execute("ROLLBACK", &[]).unwrap();
         db.execute("rollback", &[]).unwrap(); // bare ROLLBACK is a no-op
         db.execute("commit", &[]).unwrap(); // bare COMMIT too
         assert_eq!(db.stats(), before);

@@ -23,18 +23,19 @@ pub struct QueryCounters {
 }
 
 /// What kind of statement a [`QueryResult`] came from; the middleware layer
-/// uses this to drive implicit table locking.
+/// turns it into the table locks the statement takes or drops.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StatementKind {
     /// A SELECT.
     Read,
     /// An INSERT/UPDATE/DELETE.
     Write,
-    /// `LOCK TABLES` — no data effect; the listed locks must be taken.
-    /// Tables are catalog ids, each listed once.
+    /// `LOCK TABLES` — no data effect; the session now holds the listed
+    /// locks. Tables are catalog ids, each listed once.
     LockTables(Vec<(usize, TableLockKind)>),
-    /// `UNLOCK TABLES` — no data effect; session locks must be dropped.
-    UnlockTables,
+    /// `UNLOCK TABLES` — no data effect; the session released the listed
+    /// locks (none when it held none).
+    UnlockTables(Vec<(usize, TableLockKind)>),
     /// `BEGIN` / `START TRANSACTION` — no data effect; opens a transaction.
     Begin,
     /// `COMMIT` — no data effect; keeps the open transaction's writes.

@@ -21,11 +21,14 @@
 //! counters into the CPU microseconds the simulated database machine is
 //! charged.
 //!
-//! Locking is deliberately *not* enforced here: each [`QueryResult`] reports
-//! which tables it read and wrote, and the middleware layer
-//! (`dynamid-core`) turns that into queued table locks on the simulated
-//! database — mirroring how MyISAM serializes statements. The engine itself
-//! is single-threaded, exactly like the simulation that drives it.
+//! MyISAM's `LOCK TABLES` rules are enforced here: the [`Database`] holds
+//! the session's lock set and refuses, before it runs, any statement the
+//! set does not admit. Waiting for locks is not: each [`QueryResult`]
+//! reports the tables it read and wrote (`LOCK TABLES` and `UNLOCK TABLES`
+//! the set they took or released), and `dynamid-core` turns that into
+//! queued table locks on the simulated database, mirroring how MyISAM
+//! serializes statements. The engine itself is single-threaded, exactly
+//! like the simulation that drives it.
 //!
 //! ## Example
 //!

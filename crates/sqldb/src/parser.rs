@@ -13,6 +13,8 @@ const RESERVED: &[&str] = &[
 ];
 
 /// Parses one SQL statement (an optional trailing `;` is allowed).
+/// Transaction control is not part of the subset: `Database::execute`
+/// recognizes it before parsing.
 ///
 /// # Errors
 ///
@@ -151,24 +153,8 @@ impl Parser {
             self.bump();
             self.expect_kw("tables")?;
             Ok(Stmt::UnlockTables)
-        } else if self.peek().is_kw("begin") {
-            self.bump();
-            Ok(Stmt::Begin)
-        } else if self.peek().is_kw("start") {
-            self.bump();
-            self.expect_kw("transaction")?;
-            Ok(Stmt::Begin)
-        } else if self.peek().is_kw("commit") {
-            self.bump();
-            Ok(Stmt::Commit)
-        } else if self.peek().is_kw("rollback") {
-            self.bump();
-            Ok(Stmt::Rollback)
         } else {
-            Err(self.err(
-                "expected SELECT, INSERT, UPDATE, DELETE, LOCK, UNLOCK, \
-                 BEGIN, START, COMMIT or ROLLBACK",
-            ))
+            Err(self.err("expected SELECT, INSERT, UPDATE, DELETE, LOCK or UNLOCK"))
         }
     }
 

@@ -202,6 +202,8 @@ fn battery() -> Vec<(&'static str, Vec<Value>)> {
         ),
         ("SELECT MIN(bid), MAX(bid) FROM bids WHERE item_id = 1", vec![]),
         ("LOCK TABLES users WRITE, items READ", vec![]),
+        ("SELECT i.name, u.nickname FROM items i JOIN users u ON i.seller = u.id", vec![]),
+        ("UPDATE users SET region = 3 WHERE id = ?", vec![Value::Int(2)]),
         ("UNLOCK TABLES", vec![]),
     ]
 }
@@ -213,11 +215,39 @@ fn battery() -> Vec<(&'static str, Vec<Value>)> {
 #[test]
 fn compiled_matches_reference_on_battery() {
     let mut compiled = auction_db();
-    let mut reference = auction_db();
+    let (mut reference, mut session) = (auction_db(), reference::Session::default());
     for (sql, params) in battery() {
         let got = compiled.execute(sql, &params).expect(sql);
-        let want = reference::run(&mut reference, sql, &params).expect(sql);
+        let want = session.run(&mut reference, sql, &params).expect(sql);
         assert_eq!(format!("{got:?}"), format!("{want:?}"), "divergence on {sql}");
+        assert!(compiled.same_data(&reference), "data diverged after {sql}");
+    }
+}
+
+/// Under `LOCK TABLES`, the compiled executor refuses exactly the
+/// statements the reference's session rules refuse, with the same error,
+/// and neither changes any data for them; `UNLOCK TABLES` then names the
+/// same released set and ends the refusals.
+#[test]
+fn lock_tables_session_matches_reference() {
+    let mut compiled = auction_db();
+    let (mut reference, mut session) = (auction_db(), reference::Session::default());
+    for (sql, refused) in [
+        ("LOCK TABLES items READ, users WRITE", false),
+        ("SELECT i.name, u.nickname FROM items i JOIN users u ON i.seller = u.id", false),
+        ("SELECT COUNT(*) FROM items i JOIN bids b ON b.item_id = i.id", true),
+        ("DELETE FROM users WHERE id = 3", false),
+        ("UPDATE items SET nb_of_bids = 0 WHERE id = 1", true),
+        ("INSERT INTO bids (id, item_id, user_id, bid, qty) VALUES (NULL, 1, 1, 9.5, 1)", true),
+        ("LOCK TABLES bids WRITE", true),
+        ("UNLOCK TABLES", false),
+        ("UPDATE items SET nb_of_bids = 0 WHERE id = 1", false),
+        ("UNLOCK TABLES", false),
+    ] {
+        let got = compiled.execute(sql, &[]);
+        let want = session.run(&mut reference, sql, &[]);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "divergence on {sql}");
+        assert_eq!(matches!(got, Err(SqlError::Constraint(_))), refused, "{sql}");
         assert!(compiled.same_data(&reference), "data diverged after {sql}");
     }
 }

@@ -68,6 +68,20 @@
 //! table named twice is an error, as MySQL's "Not unique table/alias": both
 //! entries would take the same lock.
 //!
+//! ## Sessions
+//!
+//! Statements run in a [`Session`], which holds the set the last
+//! `LOCK TABLES` listed until `UNLOCK TABLES` releases it; `UNLOCK TABLES`
+//! names the set it released, empty when none was held. While a set is
+//! held, MyISAM refuses three statements before they read or write
+//! anything, each with a `Constraint` error: another `LOCK TABLES`
+//! ("LOCK TABLES while already holding locks"), a statement whose lock sets
+//! name a table outside the set ("table 'x' was not mentioned in LOCK
+//! TABLES"), and a write to a table the set holds READ ("table 'x' was
+//! locked READ but the statement writes it"). The read set is checked
+//! before the write set, each in order, and the first table refused names
+//! the error.
+//!
 //! ## Results
 //!
 //! - WHERE keeps a row when it evaluates to a true value; NULL is not true.
@@ -87,7 +101,7 @@
 //!   Writes run in autocommit only.
 
 use dynamid_sqldb::ast::{
-    AggFunc, BinOp, ColRef, Expr, InsertStmt, Join, SelectItem, SelectStmt, Stmt,
+    AggFunc, BinOp, ColRef, Expr, InsertStmt, Join, SelectItem, SelectStmt, Stmt, TableLockKind,
 };
 use dynamid_sqldb::{
     parse, Database, QueryCounters, QueryResult, RowId, SqlError, SqlResult, StatementKind, Table,
@@ -98,28 +112,83 @@ use std::collections::BTreeMap;
 use std::ops::{Bound, RangeBounds};
 
 /// Parses `sql`, binds `params` and executes the statement as the module
-/// docs specify.
+/// docs specify, in a session that holds no table locks.
 pub fn run(db: &mut Database, sql: &str, params: &[Value]) -> SqlResult<QueryResult> {
-    let stmt = parse(sql)?;
-    assert!(!(stmt.is_write() && db.in_txn()), "the reference writes in autocommit only");
-    match stmt {
-        Stmt::Select(s) => select(db, &s, params),
-        Stmt::Insert(i) => insert(db, &i, params),
-        Stmt::Update(u) => modify(db, &u.table, Some(&u.sets), u.where_clause.as_ref(), params),
-        Stmt::Delete(d) => modify(db, &d.table, None, d.where_clause.as_ref(), params),
-        Stmt::LockTables(locks) => {
-            let mut ids: Vec<(usize, _)> = Vec::new();
-            for (t, kind) in locks {
-                let id = table_id(db, &t)?;
-                if ids.iter().any(|(seen, _)| *seen == id) {
-                    return Err(SqlError::Constraint(format!("Not unique table/alias: '{t}'")));
+    Session::default().run(db, sql, params)
+}
+
+/// The `LOCK TABLES` set a session holds between statements: catalog ids
+/// with their modes, empty while none is held.
+#[derive(Debug, Default)]
+pub struct Session(Vec<(usize, TableLockKind)>);
+
+impl Session {
+    /// Parses `sql`, binds `params` and executes the statement in this
+    /// session as the module docs specify.
+    pub fn run(
+        &mut self,
+        db: &mut Database,
+        sql: &str,
+        params: &[Value],
+    ) -> SqlResult<QueryResult> {
+        let stmt = parse(sql)?;
+        assert!(!(stmt.is_write() && db.in_txn()), "the reference writes in autocommit only");
+        self.admit(db, &stmt)?;
+        match stmt {
+            Stmt::Select(s) => select(db, &s, params),
+            Stmt::Insert(i) => insert(db, &i, params),
+            Stmt::Update(u) => modify(db, &u.table, Some(&u.sets), u.where_clause.as_ref(), params),
+            Stmt::Delete(d) => modify(db, &d.table, None, d.where_clause.as_ref(), params),
+            Stmt::LockTables(locks) => {
+                let mut ids: Vec<(usize, _)> = Vec::new();
+                for (t, kind) in locks {
+                    let id = table_id(db, &t)?;
+                    if ids.iter().any(|(seen, _)| *seen == id) {
+                        return Err(SqlError::Constraint(format!("Not unique table/alias: '{t}'")));
+                    }
+                    ids.push((id, kind));
                 }
-                ids.push((id, kind));
+                self.0.clone_from(&ids);
+                Ok(outcome(StatementKind::LockTables(ids), QueryCounters::default()))
             }
-            Ok(outcome(StatementKind::LockTables(ids), QueryCounters::default()))
+            Stmt::UnlockTables => {
+                let released = std::mem::take(&mut self.0);
+                Ok(outcome(StatementKind::UnlockTables(released), QueryCounters::default()))
+            }
         }
-        Stmt::UnlockTables => Ok(outcome(StatementKind::UnlockTables, QueryCounters::default())),
-        other => Err(SqlError::Unsupported(format!("{other:?} outside autocommit"))),
+    }
+
+    /// The session rules of the module docs, before `stmt` runs.
+    fn admit(&self, db: &Database, stmt: &Stmt) -> SqlResult<()> {
+        if self.0.is_empty() {
+            return Ok(());
+        }
+        let refuse = |why: String| Err(SqlError::Constraint(why));
+        let (reads, write): (Vec<&str>, Option<&str>) = match stmt {
+            Stmt::Select(s) => {
+                let joins = s.joins.iter().map(|j| j.table.name.as_str());
+                (std::iter::once(s.from.name.as_str()).chain(joins).collect(), None)
+            }
+            Stmt::Insert(i) => (Vec::new(), Some(&i.table)),
+            Stmt::Update(u) => (Vec::new(), Some(&u.table)),
+            Stmt::Delete(d) => (Vec::new(), Some(&d.table)),
+            Stmt::LockTables(_) => return refuse("LOCK TABLES while already holding locks".into()),
+            Stmt::UnlockTables => return Ok(()),
+        };
+        let wants = reads.into_iter().map(|t| (t, TableLockKind::Read));
+        for (name, want) in wants.chain(write.map(|t| (t, TableLockKind::Write))) {
+            let id = table_id(db, name)?;
+            match self.0.iter().find(|(held, _)| *held == id) {
+                None => return refuse(format!("table '{name}' was not mentioned in LOCK TABLES")),
+                Some((_, TableLockKind::Read)) if want == TableLockKind::Write => {
+                    return refuse(format!(
+                        "table '{name}' was locked READ but the statement writes it"
+                    ));
+                }
+                Some(_) => {}
+            }
+        }
+        Ok(())
     }
 }
 

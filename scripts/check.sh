@@ -35,6 +35,15 @@ bounded 600 "tier-1 tests" cargo test -q
 echo "== workspace tests"
 bounded 900 "workspace tests" cargo test -q --workspace
 
+echo "== examples: each runs to a zero exit"
+# Clippy only compiles the examples; running them catches a panic in a
+# documented entry point (custom_app drives RequestCtx::query,
+# lock_contention the bookstore's LOCK TABLES spans). About 5 s for all.
+for example in examples/*.rs; do
+  example="$(basename "$example" .rs)"
+  bounded 300 "example $example" cargo run --release -q --example "$example" >/dev/null
+done
+
 echo "== benchmark package tests (perfbench sits outside the workspace)"
 bounded 900 "perfbench package tests" cargo test --release -q --manifest-path perfbench/Cargo.toml
 

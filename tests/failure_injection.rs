@@ -62,8 +62,9 @@ impl Application for Saboteur {
                 unreachable!("duplicate key must propagate")
             }
             _ => {
-                // MyISAM discipline: touching an unlocked table under LOCK
-                // TABLES is an error and must not wedge the session.
+                // MyISAM discipline: writing a READ-locked table under LOCK
+                // TABLES is an error, must not run and must not wedge the
+                // session.
                 ctx.query("LOCK TABLES t READ", &[])?;
                 ctx.query("UPDATE t SET v = 1 WHERE id = 1", &[])?;
                 unreachable!("write under READ lock must propagate")
@@ -100,8 +101,11 @@ fn failed_requests_produce_balanced_runnable_traces() {
             _ => &[0, 1, 2, 4, 5],
         };
         for &id in ids {
+            let v_before = db.execute("SELECT v FROM t WHERE id = 1", &[]).unwrap().rows;
             let prep = mw.run_interaction(&mut db, &Saboteur, id, &mut session, &mut rng, false);
             assert!(!prep.is_ok(), "{config} interaction {id} should fail");
+            let v_after = db.execute("SELECT v FROM t WHERE id = 1", &[]).unwrap().rows;
+            assert_eq!(v_after, v_before, "{config} interaction {id}: a failed write stood");
             assert!(
                 prep.trace.check_balanced().is_ok(),
                 "{config} interaction {id}: unbalanced trace after failure"

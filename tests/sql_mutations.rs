@@ -4,10 +4,15 @@
 //! limit), and random streams of SQL tokens, go through `parse` and then
 //! `Database::execute` on a small populated database. Every case must
 //! return `Ok` or `Err`.
+//!
+//! The same statements, unmutated, also check MyISAM's `LOCK TABLES`
+//! discipline: under a random lock set, a statement runs exactly as
+//! without one, or is refused before it changes anything.
 
 use dynamid::auction::AuctionScale;
 use dynamid::bookstore::BookstoreScale;
-use dynamid::sqldb::{count_params, parse, Database, Value};
+use dynamid::sqldb::ast::Stmt;
+use dynamid::sqldb::{count_params, parse, Database, SqlError, Value};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -177,7 +182,9 @@ fn literal(seed: u64) -> String {
     format!("'{s}'")
 }
 
-/// Every word the parser treats as a keyword, plus the aggregate names.
+/// Every word the parser treats as a keyword, the transaction-control
+/// words `Database::execute` recognizes before parsing, and the aggregate
+/// names.
 const KEYWORDS: &str = "SELECT FROM WHERE GROUP ORDER BY LIMIT OFFSET INNER JOIN ON AND OR NOT \
     LIKE BETWEEN IN IS NULL AS INSERT INTO VALUES UPDATE SET DELETE LOCK UNLOCK TABLES READ \
     WRITE ASC DESC BEGIN START TRANSACTION COMMIT ROLLBACK COUNT SUM AVG MIN MAX";
@@ -314,5 +321,78 @@ proptest! {
         let _ = parse(&sql);
         let mut db = base.clone();
         let _ = db.execute(&sql, &params(&sql, seed));
+    }
+}
+
+/// The catalog ids a corpus statement's lock sets name, read from its
+/// parse alone: a SELECT reads its FROM table and each joined table, a
+/// write writes its target.
+fn lock_sets(db: &Database, sql: &str) -> (Vec<usize>, Vec<usize>) {
+    let id = |name: &str| db.table_index(name).expect("corpus statements name real tables");
+    match parse(sql).expect("corpus statements parse") {
+        Stmt::Select(s) => {
+            let tables = std::iter::once(&s.from).chain(s.joins.iter().map(|j| &j.table));
+            (tables.map(|t| id(&t.name)).collect(), Vec::new())
+        }
+        Stmt::Insert(i) => (Vec::new(), vec![id(&i.table)]),
+        Stmt::Update(u) => (Vec::new(), vec![id(&u.table)]),
+        Stmt::Delete(d) => (Vec::new(), vec![id(&d.table)]),
+        other => unreachable!("the corpus holds only reads and writes, not {other:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// A corpus statement under a random `LOCK TABLES` set (each table of
+    /// the schema left out, READ or WRITE, by one base-3 digit of `modes`)
+    /// is refused exactly when the set leaves out one of its tables or
+    /// holds a table it writes READ. A refused statement fails with a
+    /// constraint error, counts one more `DbStats::errors` and leaves the
+    /// data as it was; an admitted one returns what it returns, and leaves
+    /// what it leaves, on a fork that holds no table locks.
+    #[test]
+    fn lock_tables_admits_or_refuses_before_running(
+        auction in any::<bool>(),
+        which in 0usize..1000,
+        modes in any::<u64>(),
+        seed in any::<u64>(),
+    ) {
+        let corpus = corpus();
+        let (sqls, base) = if auction { &corpus.auction } else { &corpus.bookstore };
+        let sql = &sqls[which % sqls.len()];
+        let params = params(sql, seed);
+        let held: Vec<(usize, bool)> = (0..base.table_names().len())
+            .filter_map(|t| match modes / 3u64.pow(t as u32) % 3 {
+                0 => None,
+                mode => Some((t, mode == 2)),
+            })
+            .collect();
+        let mut locked = base.clone();
+        if !held.is_empty() {
+            let names = base.table_names();
+            let list: Vec<String> = held
+                .iter()
+                .map(|&(t, write)| format!("{} {}", names[t], if write { "WRITE" } else { "READ" }))
+                .collect();
+            locked.execute(&format!("LOCK TABLES {}", list.join(", ")), &[]).expect("a lock set");
+        }
+        let (before, errors) = (locked.deep_clone(), locked.stats().errors);
+        let got = locked.execute(sql, &params);
+
+        let covers = |t: usize, write: bool| held.iter().any(|&(h, w)| h == t && (w || !write));
+        let (reads, writes) = lock_sets(base, sql);
+        let admitted = held.is_empty()
+            || (reads.iter().all(|&t| covers(t, false)) && writes.iter().all(|&t| covers(t, true)));
+        if admitted {
+            let mut free = base.clone();
+            let want = free.execute(sql, &params);
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", sql);
+            prop_assert!(locked.same_data(&free), "{sql}: data differs from the unlocked fork");
+        } else {
+            prop_assert!(matches!(got, Err(SqlError::Constraint(_))), "{sql}: {got:?}");
+            prop_assert_eq!(locked.stats().errors, errors + 1, "{}", sql);
+            prop_assert!(locked.same_data(&before), "{sql}: a refused statement changed data");
+        }
     }
 }
